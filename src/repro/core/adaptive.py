@@ -353,8 +353,8 @@ def refine_knee(network_name: str,
     raises if *every* probe failed.  ``'raise'`` (the default) keeps the
     historical propagate-first-error behavior.
 
-    Extra ``kwargs`` (``seed``, ``rng_block``, ``saturation_threshold``,
-    ...) pass through to every ``run_load_point`` call.
+    Extra ``kwargs`` (``seed``, ``saturation_threshold``, ...) pass
+    through to every ``run_load_point`` call.
     """
     from .sweep import run_load_point, to_sweep_point
 

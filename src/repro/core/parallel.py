@@ -15,10 +15,9 @@ that shards such grids across worker processes:
 * :func:`run_sharded` — execute a list of shards on a pluggable
   :class:`Executor` backend, returning results in submission order
   together with per-shard telemetry (:class:`ShardReport`).
-* :class:`Executor` / :class:`SerialExecutor` / :class:`PoolExecutor` /
-  :class:`RemoteExecutor` — the executor layer: serial in-process, local
-  ``multiprocessing`` pool, and a documented-contract stub for remote
-  socket workers.  Every backend is *fault-tolerant*: a raising shard, a
+* :class:`Executor` / :class:`SerialExecutor` / :class:`PoolExecutor` —
+  the executor layer: serial in-process and a local ``multiprocessing``
+  pool.  Every backend is *fault-tolerant*: a raising shard, a
   vanished (OOM-killed, crashed) worker, or a hung shard degrades to a
   per-shard :class:`ShardError` result slot — never a run-wide abort
   that loses the completed results.
@@ -96,7 +95,6 @@ __all__ = [
     "ErrorPolicy",
     "Executor",
     "PoolExecutor",
-    "RemoteExecutor",
     "SerialExecutor",
     "Shard",
     "ShardError",
@@ -261,7 +259,7 @@ class ShardedRun:
     results: List[Any]
     reports: List[ShardReport]
     workers: int
-    mode: str  # 'serial' | 'fork' | 'spawn' | 'forkserver' | 'remote'
+    mode: str  # 'serial' | 'fork' | 'spawn' | 'forkserver'
     wall_clock_s: float
 
     @property
@@ -682,47 +680,6 @@ class PoolExecutor(Executor):
                         kind="timeout", error_type="ShardTimeoutError",
                         message=message, attempts=attempts),
              elapsed, 0, attempts)
-
-
-class RemoteExecutor(Executor):
-    """Socket-distributed execution backend — documented contract stub.
-
-    The intended fleet deployment (see ROADMAP: "from one box to a
-    fleet") runs a small agent per remote host that owns a local
-    :class:`WorkerPool`.  A future implementation must honor this
-    contract, which is exactly the one the local backends already obey:
-
-    * **wire format** — each task ships as the pickled ``(index,
-      Shard)`` payload `_invoke_guarded` takes, and each outcome returns
-      as the pickled ``(index, ok, value, elapsed_s, pid)`` tuple it
-      produces, so the parent-side policy/emit machinery is reused
-      verbatim;
-    * **determinism** — results are a pure function of the shards:
-      any host may run any shard, in any order, and a retry may land on
-      a different host (:func:`derive_seed` makes the re-run
-      bit-identical);
-    * **fault tolerance** — a dropped connection is a vanished worker
-      (serial re-execution fallback in the parent), a missed heartbeat
-      past ``timeout_s`` is a hung shard (``'timeout'``
-      :class:`ShardError`, host quarantined), and a raising shard comes
-      back as a :class:`_CapturedFailure` like any local failure;
-    * **warm caches** — per-host processes keep the same per-process
-      context/draw-bank registries the local pool enjoys; eviction is
-      the host's concern (the LRU caps apply per process).
-
-    Instantiating it raises ``NotImplementedError`` until a transport
-    lands; the class exists so callers can program against the executor
-    interface today.
-    """
-
-    mode = "remote"
-
-    def __init__(self, endpoints: Sequence[str]) -> None:
-        raise NotImplementedError(
-            "RemoteExecutor is a documented contract stub: no socket "
-            "transport ships in this repo yet (endpoints requested: %r). "
-            "Use SerialExecutor or PoolExecutor, or implement the wire "
-            "contract in this class's docstring." % (list(endpoints),))
 
 
 def _submission_order(shards: Sequence[Shard],

@@ -199,7 +199,7 @@ def _draw_schedules(pattern: TrafficPattern, config: MacrochipConfig,
     lists — bit-identical by construction, not by reproof.  ``warm``
     draws come from the interned :class:`_DrawBank` (unless the pattern
     shapes arrival time itself); cold draws replay the same derived
-    streams block by block.
+    streams ``rng_block`` packets at a time.
     """
     custom_gaps = getattr(pattern, "uses_custom_gaps", False)
     if warm and not custom_gaps:
@@ -254,13 +254,14 @@ def _prewarm_draw_bank(config: MacrochipConfig, pattern: TrafficPattern,
     (worker processes keep their own banks), and only for patterns the
     bank serves (``uses_custom_gaps`` draws stay per point).
     """
-    rng_block = kwargs.get("rng_block", 256)
-    if rng_block <= 0 or getattr(pattern, "uses_custom_gaps", False):
+    if getattr(pattern, "uses_custom_gaps", False):
         return
     f_max = max(fractions)
-    if f_max <= 0.0:
-        return  # run_load_point raises the proper error per point
     packet_bytes = kwargs.get("packet_bytes", 64)
+    try:
+        _check_load_point_args(f_max, window_ns, packet_bytes=packet_bytes)
+    except ValueError:
+        return  # run_load_point raises the proper error per point
     seed = kwargs.get("seed", 12345)
     mean_gap_ps = serialization_ps(
         packet_bytes, f_max * config.site_bandwidth_gb_per_s)
@@ -268,6 +269,34 @@ def _prewarm_draw_bank(config: MacrochipConfig, pattern: TrafficPattern,
     packets_per_site = max(1, inject_window_ps // mean_gap_ps)
     _get_draw_bank(pattern, seed, config.num_sites).draws(
         mean_gap_ps, packets_per_site)
+
+
+def _check_load_point_args(offered_fraction: float, window_ns: float,
+                           packet_bytes: int = 64,
+                           warmup_fraction: float = 0.25,
+                           drain_factor: float = 1.0,
+                           saturation_threshold: float = 0.99,
+                           rng_block: int = 256) -> None:
+    """Raise ``ValueError`` naming the first out-of-range argument of
+    :func:`run_load_point`.  The comparisons are written so that NaN
+    fails every one of them."""
+    checks = (
+        ("offered_fraction", offered_fraction,
+         0.0 < offered_fraction <= 1.0, "positive and <= 1"),
+        ("window_ns", window_ns,
+         0.0 < window_ns < math.inf, "finite and positive"),
+        ("packet_bytes", packet_bytes, packet_bytes >= 1, ">= 1"),
+        ("warmup_fraction", warmup_fraction,
+         0.0 <= warmup_fraction < 1.0, "in [0, 1)"),
+        ("drain_factor", drain_factor,
+         0.0 <= drain_factor < math.inf, "finite and >= 0"),
+        ("saturation_threshold", saturation_threshold,
+         0.0 < saturation_threshold <= 1.0, "positive and <= 1"),
+        ("rng_block", rng_block, rng_block >= 1, ">= 1"),
+    )
+    for name, value, ok, expected in checks:
+        if not ok:
+            raise ValueError("%s must be %s, got %r" % (name, expected, value))
 
 
 @dataclass(frozen=True)
@@ -315,21 +344,26 @@ def run_load_point(network_name: str,
     flight).  Both keywords pass through ``sweep(...)`` to every load
     point of a curve.
 
-    ``rng_block`` sets the per-site RNG prefetch block size: gap and
-    destination draws are pulled from each site's private streams in
-    blocks of this many instead of one call per packet.  The draws
-    themselves are stream-identical either way (see
+    ``rng_block`` (>= 1) sets how many gap and destination draws a cold
+    run (or a ``uses_custom_gaps`` pattern) pulls from each site's
+    private streams per call.  The draws are stream-identical for every
+    block size (see
     :meth:`~repro.workloads.synthetic.TrafficPattern.destinations` and
-    :func:`~repro.workloads.synthetic.exponential_gaps`), so every block
-    size — including ``rng_block=0``, the legacy one-draw-per-packet
-    path kept for differential testing — produces bit-identical results.
+    :func:`~repro.workloads.synthetic.exponential_gaps`), so results
+    are too.
 
     ``saturation_threshold`` defines the saturation verdict, shared by
     the fixed and adaptive paths: a point is saturated when it delivers
     less than this fraction of what it injected by the end of the drain
-    (the pre-PR-4 behavior hard-coded 0.99 — still the default — which
-    tolerates the <1% of packets legitimately in flight when a healthy
-    run hits the bounded drain horizon).
+    (0.99 by default, which tolerates the <1% of packets legitimately
+    in flight when a healthy run hits the bounded drain horizon).
+
+    Out-of-range arguments (``offered_fraction`` outside (0, 1],
+    ``window_ns`` not finite and positive, ``packet_bytes`` < 1,
+    ``warmup_fraction`` outside [0, 1), ``drain_factor`` < 0 or
+    infinite, ``saturation_threshold`` outside (0, 1], ``rng_block`` < 1,
+    or NaN anywhere) raise ``ValueError`` naming the argument before any
+    draw, on either backend.
 
     ``adaptive`` opts into checkpointed execution
     (:mod:`repro.core.adaptive`): the run is stepped in horizon slices
@@ -354,17 +388,18 @@ def run_load_point(network_name: str,
     bit-identical to the scalar path, including ``adaptive=`` runs
     (whose checkpoint decisions are replayed from the kernel's arrays)
     — and silently falls back to ``"python"`` whenever exactness needs
-    real event dispatch (tracer attached, invariants on,
-    ``rng_block=0``, numpy missing, or a network without a registered
-    kernel; the missing-numpy fallback warns once per call site, naming
-    the resolved backend).  Either way the returned result is the same
-    bits; ``backend`` is wall-clock only.
+    real event dispatch (tracer attached, invariants on, numpy missing,
+    or a network without a registered kernel; the missing-numpy
+    fallback warns once per call site, naming the resolved backend).
+    Either way the returned result is the same bits; ``backend`` is
+    wall-clock only.
     """
     if backend not in BACKENDS:
         raise ValueError("unknown backend %r; valid backends: %s"
                          % (backend, ", ".join(BACKENDS)))
-    if not 0.0 < offered_fraction:
-        raise ValueError("offered load must be positive")
+    _check_load_point_args(offered_fraction, window_ns, packet_bytes,
+                           warmup_fraction, drain_factor,
+                           saturation_threshold, rng_block)
     site_peak = config.site_bandwidth_gb_per_s  # 320 GB/s = bytes/ns
     rate_gb_per_s = offered_fraction * site_peak
     mean_gap_ps = serialization_ps(packet_bytes, rate_gb_per_s)
@@ -373,11 +408,9 @@ def run_load_point(network_name: str,
     warmup_ps = int(inject_window_ps * warmup_fraction)
     horizon = int(inject_window_ps * (1.0 + drain_factor))
 
-    site_gaps = site_dsts = None
-    if rng_block > 0:
-        site_gaps, site_dsts = _draw_schedules(
-            pattern, config, seed, mean_gap_ps, packets_per_site,
-            rng_block, warm)
+    site_gaps, site_dsts = _draw_schedules(
+        pattern, config, seed, mean_gap_ps, packets_per_site, rng_block,
+        warm)
 
     if backend == "vectorized":
         from .vectorized import try_run_vectorized
@@ -420,42 +453,17 @@ def run_load_point(network_name: str,
     #: of process history (how many packets this worker made before)
     pids = itertools.count()
 
-    if rng_block > 0:
-        # fast path: the site draws were prefetched above (shared with
-        # the vectorized backend).  Each site's two streams are consumed
-        # in exactly the order the per-packet path consumes them, so the
-        # schedules (and hence event counts, latencies, everything) are
-        # bit-identical; the per-event work drops to two list indexes.
+    # the site draws were prefetched above (shared with the vectorized
+    # backend), so the per-event work is two list indexes
+    def injector(site: int, idx: int) -> None:
+        net.inject(Packet(site, site_dsts[site][idx], packet_bytes,
+                          pid=next(pids)))
+        nxt = idx + 1
+        if nxt < packets_per_site:
+            sim.schedule(site_gaps[site][nxt], injector, site, nxt)
 
-        def injector(site: int, idx: int) -> None:
-            net.inject(Packet(site, site_dsts[site][idx], packet_bytes,
-                              pid=next(pids)))
-            nxt = idx + 1
-            if nxt < packets_per_site:
-                sim.schedule(site_gaps[site][nxt], injector, site, nxt)
-
-        sim.at_many((site_gaps[site][0], injector, (site, 0))
-                    for site in range(config.num_sites))
-    else:
-        # legacy path: one RNG call per packet (kept for differential
-        # tests pinning the batched path's equivalence)
-        gap_rngs = [random.Random(derive_seed(seed, "gap", site))
-                    for site in range(config.num_sites)]
-        site_patterns = [pattern.split(derive_seed(seed, "dst", site))
-                         for site in range(config.num_sites)]
-
-        def injector(site: int, remaining: int) -> None:
-            dst = site_patterns[site].destination(site)
-            net.inject(Packet(site, dst, packet_bytes, pid=next(pids)))
-            if remaining > 1:
-                gap = site_patterns[site].gap_draws(
-                    gap_rngs[site], mean_gap_ps, 1)[0]
-                sim.schedule(gap, injector, site, remaining - 1)
-
-        for site in range(config.num_sites):
-            first = site_patterns[site].gap_draws(
-                gap_rngs[site], mean_gap_ps, 1)[0]
-            sim.at(first, injector, site, packets_per_site)
+    sim.at_many((site_gaps[site][0], injector, (site, 0))
+                for site in range(config.num_sites))
 
     if adaptive is not None:
         events, stop_reason, stopped_at_ps = execute_adaptive(
@@ -542,9 +550,9 @@ def sweep(network_name: str,
     so results are bit-identical to the ``workers=1`` serial path.  High
     loads inject (and queue) the most packets, so shards are submitted in
     descending-load order — the run never serializes on a late-submitted
-    expensive tail.  Extra keywords (``adaptive``, ``rng_block``,
-    ``saturation_threshold``, ``check_invariants``, ...) pass through to
-    every :func:`run_load_point`.
+    expensive tail.  Extra keywords (``adaptive``, ``saturation_threshold``,
+    ``check_invariants``, ...) pass through to every
+    :func:`run_load_point`.
 
     Sweeps warm-start by default (``warm=True``): every load point after
     the first reuses the reset (simulator, network) context and the

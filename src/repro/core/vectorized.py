@@ -8,8 +8,8 @@ determined by the injection schedule plus each network's (small) piece
 of arbitration state.  This module exploits that:
 
 * **Injection schedules as arrays.**  The per-site gap/destination draws
-  (shared verbatim with the scalar path — same ``_DrawBank``, same
-  blocked streams, so the schedules are bit-identical by construction)
+  (shared verbatim with the scalar path — the same ``_draw_schedules``
+  lists, so the schedules are bit-identical by construction)
   are turned into absolute per-site arrival arrays once, instead of one
   ``schedule()`` call per packet.
 * **Bulk kernels for contention-free spans.**  Networks whose only
@@ -46,12 +46,11 @@ of arbitration state.  This module exploits that:
   results are bit-identical to the scalar adaptive path.
 
 Every network the sweeps drive — HERMES's snoopy broadcast included —
-has a registered kernel; ``fallback_networks()`` is empty.  The backend
-is **opt-in** (``run_load_point(..., backend="vectorized")``) and falls
-back to the scalar engine — silently, with identical results — whenever
-exactness would require the real event loop: a tracer is attached,
-invariant checking is on, the legacy ``rng_block=0`` draw path is
-selected, numpy is unavailable, or the network has no registered
+has a registered kernel.  The backend is **opt-in**
+(``run_load_point(..., backend="vectorized")``) and falls back to the
+scalar engine — silently, with identical results — whenever exactness
+would require the real event loop: a tracer is attached, invariant
+checking is on, numpy is unavailable, or the network has no registered
 kernel.  The equivalence contract — bit-equal
 :class:`~repro.core.sweep.LoadPointResult` fields and byte-identical
 canonical traces — is locked by ``tests/test_fastpath_equivalence.py``.
@@ -110,10 +109,6 @@ def require_numpy() -> None:
 #: :class:`InjectionPlan` — and returns a :class:`KernelOutput`.
 _KERNELS: Dict[str, Callable[..., "KernelOutput"]] = {}
 
-#: network-key -> human-readable reason for networks that deliberately
-#: have no kernel and always use the scalar engine
-_FALLBACKS: Dict[str, str] = {}
-
 
 def register_kernel(name: str):
     """Class of decorators: ``@register_kernel("point_to_point")``."""
@@ -125,19 +120,9 @@ def register_kernel(name: str):
     return deco
 
 
-def register_fallback(name: str, reason: str) -> None:
-    """Declare that ``name`` intentionally has no vectorized kernel."""
-    _FALLBACKS[name] = reason
-
-
 def vectorized_networks() -> List[str]:
     """Sorted network keys with a registered bulk/replay kernel."""
     return sorted(_KERNELS)
-
-
-def fallback_networks() -> Dict[str, str]:
-    """Networks that declared a deliberate scalar fallback, with why."""
-    return dict(_FALLBACKS)
 
 
 class KernelOutput(NamedTuple):
@@ -288,8 +273,8 @@ def try_run_vectorized(network_name: str,
                        packets_per_site: int,
                        warmup_ps: int,
                        horizon_ps: int,
-                       site_gaps: Optional[List[List[int]]],
-                       site_dsts: Optional[List[List[int]]],
+                       site_gaps: List[List[int]],
+                       site_dsts: List[List[int]],
                        network_kwargs: Optional[dict],
                        warm: bool,
                        tracer,
@@ -300,11 +285,11 @@ def try_run_vectorized(network_name: str,
     """Run one load point through a registered kernel, or return None.
 
     ``None`` means "use the scalar engine" — either numpy is missing,
-    the run needs real event dispatch (tracer / invariants / legacy
-    ``rng_block=0`` draws), or the network has no kernel.  The fallback
-    is silent by design (except the once-per-call-site missing-numpy
-    warning): results are identical either way, and the sweep drivers
-    pass ``backend=`` through unconditionally.
+    the run needs real event dispatch (tracer / invariants), or the
+    network has no kernel.  The fallback is silent by design (except the
+    once-per-call-site missing-numpy warning): results are identical
+    either way, and the sweep drivers pass ``backend=`` through
+    unconditionally.
 
     ``adaptive`` (an :class:`~repro.core.adaptive.AdaptiveConfig`) runs
     the checkpointed executor's decision loop over the kernel's arrays
@@ -315,8 +300,6 @@ def try_run_vectorized(network_name: str,
         warn_numpy_fallback(call_site)
         return None
     if tracer is not None or check_invariants:
-        return None
-    if site_gaps is None or site_dsts is None:  # rng_block=0 legacy path
         return None
     kernel = _KERNELS.get(network_name)
     if kernel is None:

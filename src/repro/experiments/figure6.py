@@ -84,7 +84,6 @@ def run_figure6(config: MacrochipConfig = None,
                 load_grids: Optional[Dict[str, List[float]]] = None,
                 progress=None,
                 workers: int = 1,
-                rng_block: int = 256,
                 warm: bool = True,
                 pool: Optional[WorkerPool] = None,
                 on_error: str = "raise",
@@ -99,9 +98,7 @@ def run_figure6(config: MacrochipConfig = None,
     into one shard list — each load point is an independent, seeded
     simulation — so curves are bit-identical to a serial run; expensive
     high-load shards are submitted first (cost-keyed by offered load) so
-    the pool never idles on a long tail.  ``rng_block`` passes through
-    to every load point (0 = legacy one-draw-per-packet RNG path; any
-    value is bit-identical, see :func:`repro.core.sweep.run_load_point`).
+    the pool never idles on a long tail.
 
     ``warm=True`` (the default) warm-starts every load point: each
     worker process keeps one reset-reused (simulator, network) context
@@ -140,8 +137,8 @@ def run_figure6(config: MacrochipConfig = None,
                 shards.append(Shard(
                     run_load_point,
                     args=(net, cfg, pattern, fraction),
-                    kwargs=dict(window_ns=window_ns, rng_block=rng_block,
-                                warm=warm, backend=backend),
+                    kwargs=dict(window_ns=window_ns, warm=warm,
+                                backend=backend),
                     label="figure6 %s/%s @%.3f"
                           % (pattern_key, net, fraction)))
     run = run_sharded(shards, workers=workers, progress=progress,
@@ -175,8 +172,8 @@ def adaptive_coarse_grid(grid: List[float], stride: int = 2) -> List[float]:
 
 def _knee_shard(net: str, cfg: MacrochipConfig, pattern, coarse: List[float],
                 window_ns: float, bisections: int,
-                adaptive: AdaptiveConfig, rng_block: int,
-                warm: bool = True, on_error: str = "raise",
+                adaptive: AdaptiveConfig, warm: bool = True,
+                on_error: str = "raise",
                 backend: str = "python") -> KneeResult:
     """Module-level (picklable) shard body: one (pattern, network) knee
     refinement, run serially inside its worker.  ``warm`` flows through
@@ -187,7 +184,7 @@ def _knee_shard(net: str, cfg: MacrochipConfig, pattern, coarse: List[float],
     :func:`~repro.core.adaptive.refine_knee`)."""
     return refine_knee(net, cfg, pattern, coarse, window_ns=window_ns,
                        bisections=bisections, adaptive=adaptive,
-                       rng_block=rng_block, warm=warm, backend=backend,
+                       warm=warm, backend=backend,
                        on_error="collect" if on_error != "raise" else "raise")
 
 
@@ -201,7 +198,6 @@ def run_figure6_adaptive(config: MacrochipConfig = None,
                          adaptive: Optional[AdaptiveConfig] = None,
                          progress=None,
                          workers: int = 1,
-                         rng_block: int = 256,
                          warm: bool = True,
                          pool: Optional[WorkerPool] = None,
                          on_error: str = "raise",
@@ -224,7 +220,7 @@ def run_figure6_adaptive(config: MacrochipConfig = None,
     Results can differ (slightly) from the fixed grids — that is the
     point: far fewer simulated events for a knee of equal-or-better
     offered-load resolution.  The fixed path stays the default
-    everywhere, and ``benchmarks/bench_sweep.py`` records the deltas.
+    everywhere.
 
     ``backend`` threads through to every probed load point.  With
     ``backend="vectorized"`` the checkpointed (adaptive) run is replayed
@@ -251,7 +247,7 @@ def run_figure6_adaptive(config: MacrochipConfig = None,
             shards.append(Shard(
                 _knee_shard,
                 args=(net, cfg, pattern, coarse, window_ns, bisections,
-                      stop_rules, rng_block, warm, on_error, backend),
+                      stop_rules, warm, on_error, backend),
                 label="figure6-adaptive %s/%s" % (pattern_key, net)))
     run = run_sharded(shards, workers=workers, progress=progress,
                       cost_key=lambda s: sum(s.args[3]), pool=pool,

@@ -39,7 +39,6 @@ def _progress(message: str) -> None:
 def generate(artifact: str, preset: str,
               window_ns: float, workers: int = 1,
               adaptive: bool = False,
-              rng_block: int = 256,
               warm: bool = True,
               on_error: str = "raise",
               max_retries: int = 2,
@@ -52,9 +51,6 @@ def generate(artifact: str, preset: str,
     ``adaptive=True`` switches the Figure 6 artifact to the knee-seeking
     sweep driver (coarse probing + bisection + per-point early stops) —
     far fewer simulated events; the fixed grids stay the default.
-    ``rng_block`` is the per-site RNG prefetch block size for Figure 6
-    load points (0 = legacy one-draw-per-packet path; any value is
-    bit-identical, so differential runs are reproducible from the CLI).
     ``warm=False`` (``--cold``) disables warm-start contexts for Figure 6
     load points; results are bit-identical either way.  One persistent
     worker pool serves every artifact of the invocation.
@@ -90,9 +86,8 @@ def generate(artifact: str, preset: str,
             figure6_driver = run_figure6_adaptive if adaptive else run_figure6
             result = figure6_driver(config=config, networks=networks,
                                     window_ns=window_ns, progress=_progress,
-                                    workers=workers, rng_block=rng_block,
-                                    warm=warm, pool=shared_pool,
-                                    on_error=on_error,
+                                    workers=workers, warm=warm,
+                                    pool=shared_pool, on_error=on_error,
                                     max_retries=max_retries,
                                     timeout_s=timeout_s,
                                     backend=backend)
@@ -184,11 +179,6 @@ def main(argv=None) -> int:
                         help="knee-seeking adaptive Figure 6 sweep "
                              "(coarse grid + bisection, per-point early "
                              "stops) instead of the exact fixed grids")
-    parser.add_argument("--rng-block", type=int, default=256,
-                        help="per-site RNG prefetch block size for "
-                             "Figure 6 load points (0 = legacy "
-                             "one-draw-per-packet path; results are "
-                             "bit-identical for any value)")
     parser.add_argument("--cold", action="store_true",
                         help="disable warm-start contexts (rebuild every "
                              "simulator/network per load point; results "
@@ -257,8 +247,8 @@ def main(argv=None) -> int:
     if workers > 1:
         print(".. sharding across %d workers" % workers, file=sys.stderr)
     outputs = generate(artifact, args.preset, window, workers=workers,
-                       adaptive=args.adaptive, rng_block=args.rng_block,
-                       warm=not args.cold, on_error=args.on_error,
+                       adaptive=args.adaptive, warm=not args.cold,
+                       on_error=args.on_error,
                        max_retries=args.max_retries,
                        timeout_s=args.timeout_s,
                        networks=args.networks, signaling=args.signaling,

@@ -40,6 +40,12 @@ class TrafficPattern:
 
     def __init__(self, layout: MacrochipLayout = None, seed: int = 0) -> None:
         self.layout = layout or MacrochipLayout()
+        if self.layout.num_sites < 2:
+            # every pattern sends to some *other* site (butterfly has no
+            # MSB to swap, uniform no range to draw from)
+            raise ValueError("traffic patterns need at least 2 sites, got "
+                             "a %dx%d layout"
+                             % (self.layout.rows, self.layout.cols))
         self.rng = random.Random(seed)
 
     def destination(self, src: int) -> int:
@@ -152,11 +158,6 @@ class ButterflyTraffic(TrafficPattern):
         n = self.layout.num_sites
         if n & (n - 1):
             raise ValueError("butterfly needs a power-of-two site count")
-        if n < 2:
-            # a 1-site layout passes the power-of-two test but has no
-            # MSB to swap — the shift below would go negative and crash
-            # on the first destination() call
-            raise ValueError("butterfly needs at least 2 sites")
         self._msb_shift = n.bit_length() - 2
 
     def destination(self, src: int) -> int:

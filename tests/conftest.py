@@ -11,6 +11,9 @@ Also provides the shared harness for the invariant-checking tests
 traffic generation and a one-call "build network, attach invariant
 monitor, inject, drain" runner that works uniformly across all network
 architectures.
+
+And the one-draw-per-packet reference injection schedule that the
+sweep harness's batched and banked draws are tested against.
 """
 
 import random
@@ -20,6 +23,7 @@ import pytest
 
 from repro.core.engine import Simulator
 from repro.core.invariants import InvariantMonitor
+from repro.core.parallel import derive_seed
 from repro.macrochip.config import MacrochipConfig, scaled_config, small_test_config
 from repro.networks.base import Packet
 from repro.networks.factory import build_network
@@ -37,6 +41,29 @@ def random_traffic(seed: int, num_sites: int, n_packets: int = 120,
     return [(rng.randrange(max_delay_ps), rng.randrange(num_sites),
              rng.randrange(num_sites), rng.choice(sizes))
             for _ in range(n_packets)]
+
+
+def reference_schedules(pattern, config: MacrochipConfig, seed: int,
+                        mean_gap_ps: int, packets_per_site: int,
+                        rng_block: int = 1, warm: bool = False):
+    """Per-site (gaps, destinations) drawn one packet at a time.
+
+    The reference for ``repro.core.sweep._draw_schedules``: one
+    ``gap_draws(rng, mean_gap_ps, 1)`` and one ``destination(site)``
+    call per packet, on the same ``derive_seed`` streams.  It takes (and
+    ignores) ``rng_block`` and ``warm`` so it can stand in for
+    ``_draw_schedules`` inside ``run_load_point``.
+    """
+    site_gaps = []
+    site_dsts = []
+    for site in range(config.num_sites):
+        rng = random.Random(derive_seed(seed, "gap", site))
+        pat = pattern.split(derive_seed(seed, "dst", site))
+        site_gaps.append([pat.gap_draws(rng, mean_gap_ps, 1)[0]
+                          for _ in range(packets_per_site)])
+        site_dsts.append([pat.destination(site)
+                          for _ in range(packets_per_site)])
+    return site_gaps, site_dsts
 
 
 def run_traced(network_key: str, config: MacrochipConfig, traffic: Traffic,

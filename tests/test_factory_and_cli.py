@@ -114,24 +114,19 @@ class TestRunCli:
         out = generate("figure6", "smoke", window_ns=100.0)
         assert out == {"figure6": "stub text"}
         assert figure6_stubs["driver"] == "fixed"
-        assert figure6_stubs["kwargs"]["rng_block"] == 256
 
     def test_generate_figure6_adaptive_dispatch(self, figure6_stubs):
         from repro.experiments.run import generate
 
-        generate("figure6", "smoke", window_ns=100.0, adaptive=True,
-                 rng_block=0)
+        generate("figure6", "smoke", window_ns=100.0, adaptive=True)
         assert figure6_stubs["driver"] == "adaptive"
-        assert figure6_stubs["kwargs"]["rng_block"] == 0
 
-    def test_main_plumbs_adaptive_and_rng_block_flags(self, figure6_stubs):
+    def test_main_plumbs_adaptive_flag(self, figure6_stubs):
         from repro.experiments.run import main
 
-        rc = main(["--artifact", "figure6", "--adaptive",
-                   "--rng-block", "64"])
+        rc = main(["--artifact", "figure6", "--adaptive"])
         assert rc == 0
         assert figure6_stubs["driver"] == "adaptive"
-        assert figure6_stubs["kwargs"]["rng_block"] == 64
 
     def test_network_flag_restricts_figure6(self, figure6_stubs):
         """--network implies the figure6 artifact and threads the key

@@ -1,19 +1,22 @@
-"""Differential tests locking the PR 3 hot-path optimizations down.
+"""Differential tests locking the hot-path optimizations down.
 
 The optimized simulation core must be *observationally identical* to the
 reference behavior it replaced:
 
 * the engine's hookless fast dispatch loop vs the traced loop — same
   dispatch order, proven by byte-identical canonical traces;
-* the sweep harness's block-prefetched RNG draws (``rng_block > 0``) vs
-  the legacy one-call-per-packet path (``rng_block=0``) — bit-identical
-  :class:`~repro.core.sweep.LoadPointResult` records, including the
-  exact ``events_dispatched`` count;
+* the sweep harness's injection schedules (``_draw_schedules``: the
+  interned draw bank when warm, ``rng_block``-sized batches when cold)
+  vs the one-draw-per-packet reference in :mod:`tests.conftest` — equal
+  lists at every block size, byte-identical canonical traces when the
+  reference drives a run, and :class:`~repro.core.sweep.LoadPointResult`
+  records (including ``events_dispatched``) independent of the block
+  size;
 * the per-network precomputed routing/latency tables vs the original
   per-packet arithmetic — covered transitively: both comparisons above
   run the table-driven networks, and the golden Figure 6 pins
   (:mod:`tests.test_golden_figure6`) freeze their absolute numbers;
-* (PR 4) the checkpointed adaptive executor with both stop rules
+* the checkpointed adaptive executor with both stop rules
   disabled vs the single-shot ``sim.run(until_ps=horizon)`` call —
   slicing one horizon into many ``run()`` calls must dispatch identical
   events in identical order, proven by byte-identical canonical traces
@@ -24,20 +27,25 @@ below saturation and one near or past the knee, where queues are deep
 and arbitration actually bites.
 """
 
+import importlib
+
 import pytest
 
 from repro.core.adaptive import AdaptiveConfig
 from repro.core.engine import Simulator
-from repro.core.sweep import run_load_point
+from repro.core.sweep import _draw_schedules, clear_draw_banks, run_load_point
 from repro.core.tracing import TraceRecorder
-from repro.core.vectorized import (fallback_networks, have_numpy,
-                                   vectorized_networks)
+from repro.core.vectorized import have_numpy, vectorized_networks
 from repro.macrochip.config import small_test_config
 from repro.networks.base import Packet
 from repro.networks.factory import build_network
 from repro.workloads.synthetic import UniformTraffic, make_pattern
 
-from .conftest import random_traffic
+from .conftest import random_traffic, reference_schedules
+
+#: the sweep module itself (``repro.core`` re-exports a function named
+#: ``sweep``), for patching ``_draw_schedules``
+sweep_mod = importlib.import_module("repro.core.sweep")
 
 CFG = small_test_config(4, 4)
 
@@ -66,14 +74,49 @@ def _canonical_trace(network: str, load: float, **kwargs) -> bytes:
     return b"\n".join(line.encode() for line in rec.canonical_lines())
 
 
+#: RNG block sizes the schedule and result equivalence tests sweep
+BLOCK_SIZES = (1, 7, 64, 1024)
+
+#: (mean gap ps, packets per site) load points drawn in this order: the
+#: second extends a warm bank, the third reads a prefix of it
+SCHEDULE_POINTS = ((1300, 40), (400, 90), (900, 60))
+
+
+@pytest.mark.parametrize("block", BLOCK_SIZES)
+@pytest.mark.parametrize("warm", [False, True], ids=["cold", "warm"])
+@pytest.mark.parametrize("pattern_name", ["uniform", "bursty"])
+def test_draw_schedules_match_per_packet_reference(pattern_name, warm,
+                                                   block):
+    """Both backends inject exactly what ``_draw_schedules`` returns, so
+    it must equal the one-draw-per-packet reference list for list —
+    banked or batched, at every block size, for a plain pattern and one
+    that shapes its own gaps (bursty skips the bank)."""
+    pattern = make_pattern(pattern_name, CFG.layout, seed=11)
+    clear_draw_banks()
+    try:
+        for mean_gap_ps, packets in SCHEDULE_POINTS:
+            gaps, dsts = _draw_schedules(pattern, CFG, 7, mean_gap_ps,
+                                         packets, block, warm)
+            ref_gaps, ref_dsts = reference_schedules(pattern, CFG, 7,
+                                                     mean_gap_ps, packets)
+            assert gaps == ref_gaps
+            # a warm bank's destination lists may run past this point's
+            # packet count; injectors only index the first ``packets``
+            assert [d[:packets] for d in dsts] == ref_dsts
+    finally:
+        clear_draw_banks()
+
+
 @pytest.mark.parametrize("network,load", LOAD_POINTS)
-def test_canonical_trace_identical_batched_vs_reference(network, load):
-    """The batched-RNG fast path and the legacy per-packet path must
-    emit byte-identical canonical traces: every injection, enqueue,
-    grant, transmission and delivery at the same picosecond in the same
-    order."""
+def test_canonical_trace_identical_batched_vs_reference(network, load,
+                                                        monkeypatch):
+    """A run driven by the batched draws and one driven by the
+    per-packet reference schedule must emit byte-identical canonical
+    traces: every injection, enqueue, grant, transmission and delivery
+    at the same picosecond in the same order."""
     fast = _canonical_trace(network, load)
-    reference = _canonical_trace(network, load, rng_block=0)
+    monkeypatch.setattr(sweep_mod, "_draw_schedules", reference_schedules)
+    reference = _canonical_trace(network, load)
     assert len(fast) > 0
     assert fast == reference
 
@@ -86,7 +129,7 @@ def test_run_load_point_bit_identical_across_block_sizes(network, load):
     results = [run_load_point(network, CFG, UniformTraffic(CFG.layout),
                               load, window_ns=80.0, seed=7,
                               rng_block=block)
-               for block in (0, 1, 7, 64, 1024)]
+               for block in BLOCK_SIZES]
     baseline = results[0]
     assert baseline.events_dispatched > 0
     for other in results[1:]:
@@ -175,7 +218,7 @@ def test_at_many_injection_matches_sequential_at(network):
     assert sequential[2] == len(traffic)
 
 
-# -- PR 9: vectorized numpy backend -------------------------------------------
+# -- vectorized numpy backend -------------------------------------------------
 #
 # The vectorized backend is opt-in (``backend="vectorized"``) and must be
 # *observationally identical* to the scalar engine: bit-identical
@@ -195,15 +238,13 @@ VEC_PATTERNS = ("uniform", "transpose")
 
 def test_vectorized_registry_covers_all_networks():
     """Every network the sweeps drive — HERMES's snoopy broadcast
-    included since PR 10 — has a registered kernel, and the deliberate
-    fallback list is empty: any future gap is a test failure, not a
-    silent slow path."""
+    included — has a registered kernel: any future gap is a test
+    failure, not a silent slow path."""
     registered = vectorized_networks()
     for key in ("point_to_point", "limited_point_to_point", "token_ring",
                 "two_phase", "two_phase_alt", "circuit_switched",
                 "electrical_baseline", "hermes"):
         assert key in registered
-    assert fallback_networks() == {}
 
 
 @needs_numpy
@@ -256,7 +297,7 @@ def test_vectorized_warm_context_reuse_cycle(network):
         assert warm_fast == cold_scalar(load)
 
 
-# -- PR 10: vectorized adaptive (checkpointed) execution ----------------------
+# -- vectorized adaptive (checkpointed) execution -----------------------------
 #
 # Adaptive runs replay the kernel's delivery arrays through the same stop
 # rules the scalar executor evaluates per checkpoint; the decision inputs

@@ -19,7 +19,6 @@ import pytest
 from repro.core.parallel import (
     ErrorPolicy,
     PoolExecutor,
-    RemoteExecutor,
     SerialExecutor,
     Shard,
     ShardError,
@@ -343,11 +342,6 @@ def test_explicit_executors_agree():
     with PoolExecutor(workers=2) as pooled_exec:
         pooled = run_sharded(shards, workers=2, executor=pooled_exec)
     assert pooled.results == serial.results
-
-
-def test_remote_executor_is_documented_stub():
-    with pytest.raises(NotImplementedError, match="contract"):
-        RemoteExecutor(["host-a:9000", "host-b:9000"])
 
 
 # -- progress callback isolation (satellite 3) ---------------------------------

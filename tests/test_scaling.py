@@ -1,6 +1,6 @@
 """Cross-scale property matrix: every contract, every network, three grids.
 
-PR 8's headline deliverable: the determinism and invariant contracts the
+The determinism and invariant contracts the
 repo already enforces at the paper's 8x8 scale are properties of the
 *machinery*, not of one grid size — so they must hold verbatim at 4x4 and
 16x16 too.  The matrix below parameterizes four contracts over
@@ -13,9 +13,8 @@ repo already enforces at the paper's 8x8 scale are properties of the
   byte-identical canonical traces and equal results;
 * **reset-equals-fresh** — a warm (context-reusing) run is bit-identical
   to a cold one at the same point;
-* **fastpath equivalence** — the block-prefetched RNG path
-  (``rng_block=256``) matches the legacy one-draw-per-packet path
-  (``rng_block=0``) exactly.
+* **fastpath equivalence** — a run on the batched RNG draws matches one
+  driven by the one-draw-per-packet reference schedule exactly.
 
 Plus closed-form geometry sanity at every scale (snake ring length,
 torus distances, HERMES cluster/gateway counts, limited-p2p peer
@@ -25,6 +24,8 @@ Loads are small and windows short: the matrix is 3 x 6 x 4 contracts and
 must stay tier-1 fast; the *values* at scale are pinned separately in
 ``test_golden_figure6.GOLDEN_16``.
 """
+
+import importlib
 
 import pytest
 
@@ -39,6 +40,12 @@ from repro.macrochip.config import grid_config
 from repro.networks.factory import EXTENDED_NETWORKS, build_network
 from repro.photonics.layout import MacrochipLayout
 from repro.workloads.synthetic import UniformTraffic
+
+from .conftest import reference_schedules
+
+#: the sweep module itself (``repro.core`` re-exports a function named
+#: ``sweep``), for patching ``_draw_schedules``
+sweep_mod = importlib.import_module("repro.core.sweep")
 
 DIMS = (4, 8, 16)
 WINDOW_NS = 30.0
@@ -70,12 +77,11 @@ def _fresh_registries():
     clear_draw_banks()
 
 
-def _run(network, dim, warm=False, rng_block=256, tracer=None):
+def _run(network, dim, warm=False, tracer=None):
     cfg = grid_config(dim)
     return run_load_point(network, cfg, UniformTraffic(cfg.layout),
                           LOADS[network], window_ns=WINDOW_NS, seed=SEED,
-                          warm=warm, rng_block=rng_block, tracer=tracer,
-                          check_invariants=True)
+                          warm=warm, tracer=tracer, check_invariants=True)
 
 
 def _result_tuple(r):
@@ -117,10 +123,11 @@ def test_warm_reset_equals_fresh(dim, network):
 
 
 @pytest.mark.parametrize("dim,network", MATRIX, ids=MATRIX_IDS)
-def test_rng_fastpath_equivalent_at_scale(dim, network):
-    blocked = _result_tuple(_run(network, dim, rng_block=256))
-    legacy = _result_tuple(_run(network, dim, rng_block=0))
-    assert blocked == legacy
+def test_rng_fastpath_equivalent_at_scale(dim, network, monkeypatch):
+    blocked = _result_tuple(_run(network, dim))
+    monkeypatch.setattr(sweep_mod, "_draw_schedules", reference_schedules)
+    per_packet = _result_tuple(_run(network, dim))
+    assert blocked == per_packet
 
 
 # -- closed-form geometry sanity ---------------------------------------------

@@ -1,12 +1,18 @@
 """Tests for the open-loop load-sweep harness (Figure 6 machinery)."""
 
+import importlib
 import math
 
 import pytest
 
-from repro.core.sweep import run_load_point, saturation_fraction, sweep
+from repro.core.sweep import (BACKENDS, run_load_point, saturation_fraction,
+                              sweep)
 from repro.macrochip.config import small_test_config
 from repro.workloads.synthetic import UniformTraffic
+
+#: the sweep module itself (``repro.core`` re-exports a function named
+#: ``sweep``), for patching ``_draw_schedules``
+sweep_mod = importlib.import_module("repro.core.sweep")
 
 
 CFG = small_test_config(4, 4)
@@ -48,6 +54,54 @@ def test_invalid_load_rejected():
     with pytest.raises(ValueError):
         run_load_point("point_to_point", CFG, UniformTraffic(CFG.layout),
                        0.0)
+
+
+#: (argument, bad value) pairs run_load_point must reject.  Without the
+#: check, an infinite load injected 640,000 packets into a 40 ns window,
+#: a zero or negative window returned NaN latency marked unsaturated, a
+#: 0-byte packet reported zero throughput, an inverted warmup returned
+#: NaN latency, a negative drain injected nothing, a threshold of 5
+#: marked a 10 % load saturated, and a negative block size silently
+#: picked another draw path.
+BAD_LOAD_POINT_ARGS = [
+    ("offered_fraction", math.inf),
+    ("offered_fraction", math.nan),
+    ("offered_fraction", 1.5),
+    ("offered_fraction", -0.1),
+    ("window_ns", 0.0),
+    ("window_ns", -10.0),
+    ("window_ns", math.nan),
+    ("window_ns", math.inf),
+    ("packet_bytes", 0),
+    ("warmup_fraction", 1.5),
+    ("warmup_fraction", 1.0),
+    ("warmup_fraction", -0.25),
+    ("drain_factor", -2.0),
+    ("saturation_threshold", 5.0),
+    ("saturation_threshold", 0.0),
+    ("rng_block", -3),
+    ("rng_block", 0),
+]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("name,value", BAD_LOAD_POINT_ARGS,
+                         ids=["%s=%r" % arg for arg in BAD_LOAD_POINT_ARGS])
+def test_run_load_point_rejects_bad_inputs(name, value, backend,
+                                           monkeypatch):
+    """Each bad argument raises ValueError naming it and its value, on
+    both backends, before a single injection is drawn."""
+    def no_draws(*args, **kwargs):
+        raise AssertionError("drew injections before validating")
+
+    monkeypatch.setattr(sweep_mod, "_draw_schedules", no_draws)
+    kwargs = dict(offered_fraction=0.1, window_ns=40.0, backend=backend)
+    kwargs[name] = value
+    with pytest.raises(ValueError) as exc:
+        run_load_point("point_to_point", CFG, UniformTraffic(CFG.layout),
+                       **kwargs)
+    assert name in str(exc.value)
+    assert repr(value) in str(exc.value)
 
 
 def test_sweep_returns_points_in_order():

@@ -117,6 +117,15 @@ class TestButterfly:
             ButterflyTraffic(MacrochipLayout(rows=1, cols=1))
 
 
+@pytest.mark.parametrize("name", pattern_names())
+def test_every_pattern_rejects_single_site(name):
+    """A 1-site layout has no other site to send to: every pattern
+    rejects it at construction instead of failing inside a draw loop
+    (uniform used to raise 'empty range for randrange()' mid-sweep)."""
+    with pytest.raises(ValueError, match="at least 2 sites"):
+        make_pattern(name, MacrochipLayout(rows=1, cols=1))
+
+
 class TestNeighbor:
     def test_destination_is_grid_neighbor(self):
         pat = NeighborTraffic(LAYOUT, seed=3)
