@@ -64,7 +64,7 @@ def test_sweep_parallel_4_workers(benchmark):
 
 
 def test_sweep_fault_tolerant_overhead(benchmark):
-    """The fault-tolerant executor on a clean run: the health-checked
+    """The fault-tolerant pool loop on a clean run: the health-checked
     sliding-window path must return the same bit-identical results with
     zero failures — its polling/health-check overhead is what this
     benchmark tracks relative to test_sweep_parallel_4_workers."""

@@ -12,15 +12,13 @@ that shards such grids across worker processes:
   what order, or whether it runs in-process.
 * :class:`Shard` — one picklable unit of work (a module-level callable
   plus arguments).
-* :func:`run_sharded` — execute a list of shards on a pluggable
-  :class:`Executor` backend, returning results in submission order
-  together with per-shard telemetry (:class:`ShardReport`).
-* :class:`Executor` / :class:`SerialExecutor` / :class:`PoolExecutor` —
-  the executor layer: serial in-process and a local ``multiprocessing``
-  pool.  Every backend is *fault-tolerant*: a raising shard, a
-  vanished (OOM-killed, crashed) worker, or a hung shard degrades to a
-  per-shard :class:`ShardError` result slot — never a run-wide abort
-  that loses the completed results.
+* :func:`run_sharded` — execute a list of shards in-process or on a
+  local ``multiprocessing`` pool, returning results in submission order
+  together with per-shard telemetry (:class:`ShardReport`).  Both paths
+  are *fault-tolerant*: a raising shard, a vanished (OOM-killed,
+  crashed) worker, or a hung shard degrades to a per-shard
+  :class:`ShardError` result slot — never a run-wide abort that loses
+  the completed results.
 * :class:`WorkerPool` — a persistent pool of worker processes that lives
   *across* ``run_sharded`` calls (pass it as ``pool=``), so a multi-call
   driver (figure sweeps, campaigns, benchmarks) pays process spin-up
@@ -29,29 +27,30 @@ that shards such grids across worker processes:
   registry: one constructed ``(network, config)`` simulation instance
   per process, keyed by config fingerprint and reset between uses, so an
   entire sweep reuses one network instead of rebuilding channels and
-  derived tables per load point (see ``repro.core.sweep``, ``warm=``).
+  derived tables per load point (see ``repro.core.sweep``).
   The registry is LRU-bounded (:func:`set_context_cache_limit`) so
   long-lived workers never grow it without limit.
 
 Determinism contract
 --------------------
 ``run_sharded`` guarantees that the *results* list is a pure function of
-the shards themselves: execution order, worker count, start method, the
-executor backend, retries, and worker deaths never leak into it.  Shard
-callables must therefore derive any randomness from their own arguments
-(see :func:`derive_seed`) and must not mutate shared state.  This is
+the shards themselves: execution order, worker count, start method,
+serial or pool execution, retries, and worker deaths never leak into
+it.  Shard callables must therefore derive any randomness from their
+own arguments (see :func:`derive_seed`) and must not mutate shared
+state.  This is
 what makes fault tolerance cheap: a shard re-executed after its worker
 vanished — on a rebuilt pool or serially in the parent — is
 *bit-identical* to the run that was lost, so recovery never needs to
 checkpoint partial simulation state, only to re-run the shard.  A shard
 that fails identically on every attempt yields the same
-:class:`ShardError` slot under any backend.  Telemetry (wall-clock,
+:class:`ShardError` slot serially or on a pool.  Telemetry (wall-clock,
 pids, attempt counts) is reported separately and is explicitly *not*
 deterministic.
 
 Error policy
 ------------
-Every executor applies the same per-shard policy (``on_error=``):
+Serial and pool runs apply the same per-shard policy (``on_error=``):
 
 * ``'raise'`` (default) — re-raise the first shard exception in the
   caller, matching the historical behavior;
@@ -61,11 +60,11 @@ Every executor applies the same per-shard policy (``on_error=``):
 * ``'retry'`` — re-execute the failing shard up to ``max_retries``
   times (bit-identical by the determinism contract), then collect.
 
-``timeout_s`` bounds each shard's execution on pool backends: a shard
+``timeout_s`` bounds each shard's execution on pool runs: a shard
 that exceeds it is recorded as a ``'timeout'`` :class:`ShardError`, the
 hung worker is destroyed, and the pool is rebuilt (timeouts are never
-retried — a deterministic hang would just hang again).  The serial
-backend cannot preempt in-process work and documents ``timeout_s`` as
+retried — a deterministic hang would just hang again).  A serial run
+cannot preempt in-process work and documents ``timeout_s`` as
 best-effort-ignored.
 """
 
@@ -93,9 +92,6 @@ __all__ = [
     "resolve_workers",
     "set_context_cache_limit",
     "ErrorPolicy",
-    "Executor",
-    "PoolExecutor",
-    "SerialExecutor",
     "Shard",
     "ShardError",
     "ShardExecutionError",
@@ -219,21 +215,21 @@ class ShardExecutionError(RuntimeError):
 
 class ShardTimeoutError(TimeoutError):
     """Raised under ``on_error='raise'`` when a shard exceeds the
-    policy's ``timeout_s`` on a pool backend."""
+    policy's ``timeout_s`` on a pool run."""
 
 
 @dataclass(frozen=True)
 class ErrorPolicy:
-    """Per-shard failure policy shared by every executor backend.
+    """Per-shard failure policy shared by serial and pool runs.
 
     ``on_error`` is ``'raise'`` (propagate the first failure — the
     historical behavior and the default), ``'collect'`` (a failing shard
     becomes a :class:`ShardError` result slot; the rest of the run
     completes), or ``'retry'`` (re-execute up to ``max_retries`` extra
     times — bit-identical re-runs by the determinism contract — then
-    collect).  ``timeout_s`` bounds a shard's execution on pool
-    backends; ``None`` disables the bound.  Timeouts are terminal under
-    every policy: retrying a deterministic hang would only hang again.
+    collect).  ``timeout_s`` bounds a shard's execution on pool runs;
+    ``None`` disables the bound.  Timeouts are terminal under every
+    policy: retrying a deterministic hang would only hang again.
     """
 
     on_error: str = "raise"
@@ -401,17 +397,17 @@ def _reraise(failure: _CapturedFailure, shard: Shard) -> None:
            failure.traceback_text))
 
 
-#: signature every executor's result callback follows:
+#: signature of the result callback both execution loops report through:
 #: emit(index, result_or_ShardError, elapsed_s, worker_pid, attempts)
 EmitFn = Callable[[int, Any, float, int, int], None]
 
 
 def _execute_serially(tasks: Sequence[Tuple[int, Shard]],
                       policy: ErrorPolicy, emit: EmitFn) -> None:
-    """The shared in-process execution loop: used by
-    :class:`SerialExecutor` and as the degradation path when no pool can
-    be created.  ``timeout_s`` is not enforceable in-process (a shard
-    cannot be preempted from its own thread) and is ignored here."""
+    """The in-process execution loop: used for serial runs and as the
+    degradation path when no pool can be created.  ``timeout_s`` is not
+    enforceable in-process (a shard cannot be preempted from its own
+    thread) and is ignored here."""
     for index, shard in tasks:
         failures = 0
         while True:
@@ -429,50 +425,7 @@ def _execute_serially(tasks: Sequence[Tuple[int, Shard]],
             break
 
 
-# -- the executor layer -------------------------------------------------------
-
-class Executor:
-    """Abstract execution backend for :func:`run_sharded`.
-
-    An executor runs a list of ``(index, shard)`` tasks and reports each
-    outcome exactly once through the ``emit`` callback — a real result
-    or a :class:`ShardError`, per the :class:`ErrorPolicy`.  Only under
-    ``on_error='raise'`` may ``execute`` raise instead of emitting.
-    Implementations must uphold the module's determinism contract:
-    *which* results come back is a pure function of the shards, however
-    the backend schedules, retries, or recovers them.
-    """
-
-    #: telemetry label for ShardedRun.mode
-    mode = "abstract"
-
-    def execute(self, tasks: Sequence[Tuple[int, Shard]],
-                policy: ErrorPolicy, emit: EmitFn) -> None:
-        raise NotImplementedError
-
-    def close(self) -> None:
-        """Release backend resources (idempotent; no-op by default)."""
-
-    def __enter__(self) -> "Executor":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
-class SerialExecutor(Executor):
-    """In-process execution — the deterministic baseline every other
-    backend must match bit-for-bit.  Fault tolerance still applies
-    (exception capture, retries, collection); only ``timeout_s`` is
-    ignored, since in-process work cannot be preempted."""
-
-    mode = "serial"
-    workers = 1
-
-    def execute(self, tasks: Sequence[Tuple[int, Shard]],
-                policy: ErrorPolicy, emit: EmitFn) -> None:
-        _execute_serially(tasks, policy, emit)
-
+# -- fault-tolerant pool execution --------------------------------------------
 
 @dataclass
 class _InFlight:
@@ -483,11 +436,16 @@ class _InFlight:
     submitted_at: float
 
 
-class PoolExecutor(Executor):
-    """Fault-tolerant execution on a local ``multiprocessing`` pool.
+#: seconds between pool health checks while no shard has completed
+_POLL_INTERVAL_S = 0.01
+
+
+def _execute_on_pool(pool: WorkerPool, tasks: Sequence[Tuple[int, Shard]],
+                     policy: ErrorPolicy, emit: EmitFn) -> None:
+    """Fault-tolerant execution of ``tasks`` on ``pool``'s workers.
 
     Shards are submitted through a sliding window of at most
-    ``workers`` concurrent tasks (so a submitted shard is actually
+    ``pool.workers`` concurrent tasks (so a submitted shard is actually
     *running*, which is what makes ``timeout_s`` meaningful), and the
     pool is health-checked whenever no result is ready:
 
@@ -495,8 +453,8 @@ class PoolExecutor(Executor):
       ships it back as data; the pool stays healthy and the policy
       decides (re-raise / collect / retry).
     * **vanished worker** (OOM-killed, segfaulted, ``kill -9``) — the
-      executor notices the pid disappearing, rebuilds the pool, and
-      re-executes the lost in-flight shards *serially in the parent*:
+      loss is noticed by the pid disappearing; the pool is rebuilt and
+      the lost in-flight shards re-executed *serially in the parent*:
       by the determinism contract the re-run is bit-identical to the
       run that died, so nothing else is needed.
     * **hung shard** — after ``timeout_s`` the pool is torn down
@@ -505,91 +463,70 @@ class PoolExecutor(Executor):
       deterministic hang would hang again) and innocent in-flight
       shards are resubmitted to the fresh pool.
 
-    Wraps an owned or borrowed :class:`WorkerPool`; borrowed pools are
-    left alive for the caller (but may be transparently rebuilt by the
-    recovery paths above — worker processes, and therefore their warm
-    caches, are expendable by design).  If no pool can be created at
-    all, execution degrades to the serial loop, results unchanged.
+    The recovery paths may rebuild ``pool`` — worker processes, and
+    therefore their warm caches, are expendable by design — but never
+    close it.  If no pool can be created at all, execution degrades to
+    the serial loop, results unchanged.  A raising run abandons its
+    in-flight work hard (the pool is rebuilt on the way out) instead of
+    waiting behind the rest of the grid.
     """
+    mp_pool = pool.acquire()
+    if mp_pool is None:
+        _execute_serially(tasks, policy, emit)
+        return
+    pending: deque = deque(tasks)
+    in_flight: Dict[int, _InFlight] = {}
+    failures: Dict[int, int] = {}
+    known_pids: Set[int] = set(pool.worker_pids())
+    window = max(1, pool.workers)
 
-    #: seconds between health checks while no shard has completed
-    poll_interval_s = 0.01
-
-    def __init__(self, workers: Optional[int] = None,
-                 start_method: Optional[str] = None,
-                 pool: Optional[WorkerPool] = None) -> None:
-        if pool is not None:
-            self._pool = pool
-            self._owns_pool = False
-        else:
-            self._pool = WorkerPool(workers, start_method)
-            self._owns_pool = True
-
-    @property
-    def workers(self) -> int:
-        return self._pool.workers
-
-    @property
-    def mode(self) -> str:
-        return self._pool.mode
-
-    def close(self) -> None:
-        if self._owns_pool:
-            self._pool.close()
-
-    def execute(self, tasks: Sequence[Tuple[int, Shard]],
-                policy: ErrorPolicy, emit: EmitFn) -> None:
-        mp_pool = self._pool.acquire()
-        if mp_pool is None:
-            _execute_serially(tasks, policy, emit)
+    def finish(index: int, shard: Shard, ok: bool, value: Any,
+               elapsed: float, pid: int) -> None:
+        """Apply the error policy to one completed execution."""
+        if ok:
+            emit(index, value, elapsed, pid, failures.get(index, 0) + 1)
             return
-        try:
-            self._execute_on_pool(mp_pool, tasks, policy, emit)
-        except Exception:
-            # a raising run must not wait on (or hang behind) the rest
-            # of the grid: abandon in-flight work hard.  The pool object
-            # stays reusable — fresh workers spawn on the next acquire()
-            self._pool.rebuild()
-            raise
+        count = failures.get(index, 0) + 1
+        failures[index] = count
+        if policy.on_error == "raise":
+            _reraise(value, shard)
+        if policy.on_error == "retry" and count <= policy.max_retries:
+            pending.append((index, shard))
+            return
+        emit(index, _failure_to_error(index, shard, value, count, pid),
+             elapsed, pid, count)
 
-    def _execute_on_pool(self, mp_pool, tasks, policy, emit) -> None:
-        pending: deque = deque(tasks)
-        in_flight: Dict[int, _InFlight] = {}
-        failures: Dict[int, int] = {}
-        known_pids: Set[int] = set(self._pool.worker_pids())
-        window = max(1, self._pool.workers)
+    def finish_timeout(index: int, flight: _InFlight) -> None:
+        elapsed = time.monotonic() - flight.submitted_at
+        attempts = failures.get(index, 0) + 1
+        failures[index] = attempts
+        message = ("exceeded timeout_s=%.3g (%.2fs elapsed)"
+                   % (policy.timeout_s, elapsed))
+        if policy.on_error == "raise":
+            raise ShardTimeoutError("shard %d (%s) %s"
+                                    % (index, flight.shard.label, message))
+        emit(index,
+             ShardError(index=index, label=flight.shard.label,
+                        kind="timeout", error_type="ShardTimeoutError",
+                        message=message, attempts=attempts),
+             elapsed, 0, attempts)
 
-        def finish(index: int, shard: Shard, ok: bool, value: Any,
-                   elapsed: float, pid: int) -> None:
-            """Apply the error policy to one completed execution."""
-            if ok:
-                emit(index, value, elapsed, pid, failures.get(index, 0) + 1)
-                return
-            count = failures.get(index, 0) + 1
-            failures[index] = count
-            if policy.on_error == "raise":
-                _reraise(value, shard)
-            if policy.on_error == "retry" and count <= policy.max_retries:
-                pending.append((index, shard))
-                return
-            emit(index, _failure_to_error(index, shard, value, count, pid),
-                 elapsed, pid, count)
+    def run_in_parent(index: int, shard: Shard) -> None:
+        """Serial re-execution fallback for a shard whose worker
+        vanished (bit-identical by the determinism contract)."""
+        _, ok, value, elapsed, pid = _invoke_guarded((index, shard))
+        finish(index, shard, ok, value, elapsed, pid)
 
-        def run_in_parent(index: int, shard: Shard) -> None:
-            """Serial re-execution fallback for a shard whose worker
-            vanished (bit-identical by the determinism contract)."""
-            _, ok, value, elapsed, pid = _invoke_guarded((index, shard))
-            finish(index, shard, ok, value, elapsed, pid)
+    def rebuild() -> Any:
+        """Tear down and respawn the workers; returns the fresh pool
+        (or None when respawn fails — callers fall back to serial)."""
+        nonlocal known_pids
+        pool.rebuild()
+        fresh = pool.acquire()
+        known_pids = set(pool.worker_pids())
+        return fresh
 
-        def rebuild() -> Any:
-            """Tear down and respawn the workers; returns the fresh pool
-            (or None when respawn fails — callers fall back to serial)."""
-            nonlocal known_pids
-            self._pool.rebuild()
-            fresh = self._pool.acquire()
-            known_pids = set(self._pool.worker_pids())
-            return fresh
-
+    try:
         while pending or in_flight:
             # keep the submission window full: at most `workers` shards
             # in flight, so each is actually running on a worker and the
@@ -627,7 +564,7 @@ class PoolExecutor(Executor):
                 continue
 
             # nothing completed: health-check before sleeping
-            current = set(self._pool.worker_pids())
+            current = set(pool.worker_pids())
             if known_pids - current:
                 # a worker vanished without reporting back.  We cannot
                 # know which in-flight shard it held, so rebuild the
@@ -654,32 +591,20 @@ class PoolExecutor(Executor):
                     # way out of a stuck task — and respawn
                     mp_pool = rebuild()
                     for index, flight in hung:
-                        self._finish_timeout(index, flight, policy, emit,
-                                             failures)
+                        finish_timeout(index, flight)
                     # innocent shards lost to the teardown go back in
                     # the queue (a re-run is bit-identical)
                     for index, flight in survivors:
                         pending.appendleft((index, flight.shard))
                     continue
 
-            time.sleep(self.poll_interval_s)
-
-    def _finish_timeout(self, index: int, flight: _InFlight,
-                        policy: ErrorPolicy, emit: EmitFn,
-                        failures: Dict[int, int]) -> None:
-        elapsed = time.monotonic() - flight.submitted_at
-        attempts = failures.get(index, 0) + 1
-        failures[index] = attempts
-        message = ("exceeded timeout_s=%.3g (%.2fs elapsed)"
-                   % (policy.timeout_s, elapsed))
-        if policy.on_error == "raise":
-            raise ShardTimeoutError("shard %d (%s) %s"
-                                    % (index, flight.shard.label, message))
-        emit(index,
-             ShardError(index=index, label=flight.shard.label,
-                        kind="timeout", error_type="ShardTimeoutError",
-                        message=message, attempts=attempts),
-             elapsed, 0, attempts)
+            time.sleep(_POLL_INTERVAL_S)
+    except Exception:
+        # a raising run must not wait on (or hang behind) the rest of
+        # the grid: abandon in-flight work hard.  The pool object stays
+        # reusable — fresh workers spawn on the next acquire()
+        pool.rebuild()
+        raise
 
 
 def _submission_order(shards: Sequence[Shard],
@@ -704,14 +629,17 @@ def _submission_order(shards: Sequence[Shard],
 class SimContext:
     """One reusable (network, config) simulation instance.
 
-    Owns a :class:`~repro.core.engine.Simulator` and the network built
-    on it.  :meth:`reset` rewinds both to freshly-constructed state; the
-    warm-start sweep path (``run_load_point(..., warm=True)``) calls it
-    before every reuse, so results are bit-identical to cold
-    construction (the contract ``tests/test_warmstart.py`` locks).
+    Owns a :class:`~repro.core.engine.Simulator`, the network built on
+    it, and ``scratch``: the vectorized kernels' allocation arena
+    (:class:`~repro.core.vectorized.InjectionPlan`), which lives and
+    dies with the context.  :meth:`reset` rewinds simulator and network
+    to freshly-constructed state; :func:`get_context` calls it before
+    every reuse, so results are bit-identical to a fresh context (the
+    contract ``tests/test_warmstart.py`` locks).
     """
 
-    __slots__ = ("sim", "network", "network_name", "warmup_ps", "uses")
+    __slots__ = ("sim", "network", "network_name", "warmup_ps", "uses",
+                 "scratch")
 
     def __init__(self, network_name: str, config: Any, warmup_ps: int,
                  network_kwargs: Optional[Dict[str, Any]] = None) -> None:
@@ -729,6 +657,7 @@ class SimContext:
                                      **(network_kwargs or {}))
         #: how many runs this context has served (diagnostics/tests)
         self.uses = 0
+        self.scratch: Dict[str, Any] = {}
 
     def reset(self) -> None:
         """Rewind simulator and network to as-constructed state."""
@@ -808,20 +737,18 @@ def get_context(network_name: str, config: Any, warmup_ps: int,
 
 
 def clear_contexts() -> int:
-    """Drop every cached warm context (tests / memory pressure); returns
-    how many were dropped."""
+    """Drop every cached warm context, and with it its kernel scratch
+    (tests / memory pressure); returns how many were dropped."""
     n = len(_CONTEXTS)
     _CONTEXTS.clear()
     return n
 
 
-def _pick_context(start_method: Optional[str]):
+def _pick_context():
     """Choose a multiprocessing context, preferring ``fork`` (cheap,
     inherits ``sys.path``) and falling back to the platform default."""
     import multiprocessing
 
-    if start_method is not None:
-        return multiprocessing.get_context(start_method)
     methods = multiprocessing.get_all_start_methods()
     if "fork" in methods:
         return multiprocessing.get_context("fork")
@@ -862,7 +789,7 @@ class WorkerPool:
     worker will not exit, so closing a pool can never hang the caller;
     after shutdown ``mode`` reads ``"serial"`` until the next
     :meth:`acquire` spawns fresh workers.  :meth:`rebuild` is the hard
-    variant (terminate first) used by the fault-tolerant executor after
+    variant (terminate first) used by the fault-tolerant pool loop after
     a dead-worker detection or a hung shard.
 
     Falls back to serial exactly like ``run_sharded`` does when the
@@ -871,10 +798,8 @@ class WorkerPool:
     """
 
     def __init__(self, workers: Optional[int] = None,
-                 start_method: Optional[str] = None,
                  close_timeout_s: float = 5.0) -> None:
         self.workers = resolve_workers(workers)
-        self._start_method = start_method
         self._pool = None
         self._failed = False
         self.mode = "serial"
@@ -885,7 +810,7 @@ class WorkerPool:
         when serial (workers=1 or pool creation failed)."""
         if self._pool is None and not self._failed and self.workers > 1:
             try:
-                context = _pick_context(self._start_method)
+                context = _pick_context()
                 self._pool = context.Pool(processes=self.workers)
                 self.mode = context.get_start_method()
             except (ImportError, OSError, ValueError):
@@ -942,14 +867,11 @@ class WorkerPool:
 def run_sharded(shards: Sequence[Shard],
                 workers: Optional[int] = 1,
                 progress: Optional[Callable[[str], None]] = None,
-                start_method: Optional[str] = None,
                 cost_key: Optional[Callable[[Shard], float]] = None,
                 pool: Optional[WorkerPool] = None,
                 on_error: str = "raise",
                 max_retries: int = 2,
-                timeout_s: Optional[float] = None,
-                executor: Optional[Executor] = None
-                ) -> ShardedRun:
+                timeout_s: Optional[float] = None) -> ShardedRun:
     """Execute every shard and return results in submission order.
 
     ``workers=1`` (the default) runs everything in-process — the
@@ -965,7 +887,7 @@ def run_sharded(shards: Sequence[Shard],
     other shard's result survives, and ``'retry'`` re-executes failures
     up to ``max_retries`` times first (a retried shard is bit-identical
     by the determinism contract).  ``timeout_s`` bounds each shard on
-    pool backends; hung workers are destroyed and the pool rebuilt.
+    pool runs; hung workers are destroyed and the pool rebuilt.
 
     ``cost_key`` (optional) estimates a shard's relative cost; when a
     pool is used, shards are *submitted* in descending-cost order so the
@@ -980,12 +902,8 @@ def run_sharded(shards: Sequence[Shard],
     caller owns shutdown).  Results are bit-identical either way — a
     persistent pool only changes where process spin-up cost is paid.
 
-    ``executor`` (optional) supplies an explicit :class:`Executor`
-    backend instead of the serial/pool choice made from ``workers``/
-    ``pool``; the caller owns its lifecycle (``run_sharded`` never
-    closes a passed-in executor).  A raising ``progress`` callback is
-    disarmed after its first failure and can never corrupt results —
-    telemetry is strictly write-only.
+    A raising ``progress`` callback is disarmed after its first failure
+    and can never corrupt results — telemetry is strictly write-only.
     """
     shards = list(shards)
     policy = ErrorPolicy(on_error=on_error, max_retries=max_retries,
@@ -1030,32 +948,21 @@ def run_sharded(shards: Sequence[Shard],
                           "progress messages (results are unaffected)",
                           RuntimeWarning, stacklevel=2)
 
-    own_executor: Optional[Executor] = None
-    if executor is None:
-        if n_workers > 1 and len(shards) > 1:
-            if pool is not None:
-                executor = PoolExecutor(pool=pool)
-            else:
-                executor = own_executor = PoolExecutor(
-                    workers=n_workers, start_method=start_method)
-        else:
-            executor = SerialExecutor()
-
-    # serial runs keep natural order (legacy behavior — results are
-    # index-keyed, so ordering is progress-message cosmetics only);
-    # everything else gets the cost-sorted submission order
-    if isinstance(executor, SerialExecutor):
-        order = list(range(len(shards)))
+    if n_workers > 1 and len(shards) > 1:
+        # pool runs get the cost-sorted submission order (serial runs
+        # keep natural order: results are index-keyed, so ordering is
+        # progress-message cosmetics only)
+        tasks = [(i, shards[i]) for i in _submission_order(shards, cost_key)]
+        run_pool = pool if pool is not None else WorkerPool(n_workers)
+        try:
+            _execute_on_pool(run_pool, tasks, policy, _emit)
+            mode = run_pool.mode
+        finally:
+            if pool is None:
+                run_pool.close()
     else:
-        order = _submission_order(shards, cost_key)
-    tasks = [(i, shards[i]) for i in order]
-
-    try:
-        executor.execute(tasks, policy, _emit)
-        mode = executor.mode
-    finally:
-        if own_executor is not None:
-            own_executor.close()
+        _execute_serially(list(enumerate(shards)), policy, _emit)
+        mode = "serial"
 
     return ShardedRun(
         results=results,

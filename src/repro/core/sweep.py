@@ -19,19 +19,17 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from collections import OrderedDict
 
 from .adaptive import AdaptiveConfig, execute_adaptive
-from .engine import Simulator
-from .parallel import (Shard, ShardError, WorkerPool, derive_seed,
-                       get_context, run_sharded)
+from .parallel import (Shard, ShardError, SimContext, WorkerPool,
+                       derive_seed, get_context, run_sharded)
 from .tracing import TraceRecorder
 from .units import serialization_ps
 from ..macrochip.config import MacrochipConfig
 from ..networks.base import Packet
-from ..networks.factory import build_network
 from ..workloads.synthetic import TrafficPattern
 
 
@@ -62,61 +60,52 @@ class LoadPointResult:
 
 
 class _DrawBank:
-    """Interned per-(seed, pattern, sites) injection draw streams.
+    """Per-(seed, pattern, sites) injection draw streams.
 
     A load point's injection schedule is built from two per-site RNG
-    streams: exponential inter-arrival gaps and destination draws.  The
-    destination stream depends only on ``(seed, site, pattern)`` — not
-    on the offered load — and the gap stream factors as
-    ``expovariate(lambd) == -log(1 - random()) / lambd`` in CPython, so
-    the *unit*-exponential part ``x = -log(1 - u)`` is load-independent
-    too.  The bank caches both per site and materializes a given load's
-    gaps as ``max(1, int(x / lambd))`` — floating-point identical to the
-    historical ``max(1, int(rng.expovariate(1.0 / mean_gap_ps)))`` draw,
-    because that is literally the same division on the same ``x``.
+    streams: inter-arrival gaps and destinations.  The destination
+    stream depends only on ``(seed, site, pattern)`` — not on the
+    offered load — and the pattern's ``unit_gaps`` draws are
+    load-independent by contract, so the bank stores both per site and
+    :func:`_draw_schedules` turns the stored draws into one load's gaps
+    with the pattern's ``scale_gaps``.
 
     One bank therefore serves *every* load point of a sweep (and every
     network — schedules are network-independent), with each site's
-    stream prefix growing monotonically, exactly as the legacy per-point
-    prefetch would have drawn it.
+    stream prefix growing monotonically.  Warm runs share interned
+    banks (:func:`_get_draw_bank`); ``warm=False`` runs get a private
+    one.
     """
 
-    __slots__ = ("_gap_rngs", "_site_patterns", "_unit", "_dsts")
+    __slots__ = ("pattern", "seed", "num_sites", "_gap_rngs",
+                 "_site_patterns", "_unit", "_dsts")
 
     def __init__(self, pattern: TrafficPattern, seed: int,
                  num_sites: int) -> None:
+        self.pattern = pattern
+        self.seed = seed
+        self.num_sites = num_sites
         self._gap_rngs = [random.Random(derive_seed(seed, "gap", site))
                           for site in range(num_sites)]
         self._site_patterns = [pattern.split(derive_seed(seed, "dst", site))
                                for site in range(num_sites)]
-        self._unit: List[List[float]] = [[] for _ in range(num_sites)]
+        self._unit: List[List[Any]] = [[] for _ in range(num_sites)]
         self._dsts: List[List[int]] = [[] for _ in range(num_sites)]
 
-    def draws(self, mean_gap_ps: int, count: int
-              ) -> Tuple[List[List[int]], List[List[int]]]:
-        """(site_gaps, site_dsts) for one load point: per-site lists
-        with at least ``count`` entries each (destination lists may be
-        longer — injectors index, they never iterate)."""
-        lambd = 1.0 / mean_gap_ps
-        log = math.log
-        site_gaps: List[List[int]] = []
+    def extend(self, count: int) -> None:
+        """Grow every site's unit-gap and destination streams to at
+        least ``count`` draws.  Each site's streams are consumed in the
+        same order whatever the extension steps, so the draws are too."""
+        unit_gaps = self.pattern.unit_gaps
         for site, unit in enumerate(self._unit):
             need = count - len(unit)
             if need > 0:
-                rand = self._gap_rngs[site].random
-                unit.extend(-log(1.0 - rand()) for _ in range(need))
+                unit.extend(unit_gaps(self._gap_rngs[site], need))
             dsts = self._dsts[site]
             need = count - len(dsts)
             if need > 0:
                 dsts.extend(self._site_patterns[site].destinations(site,
                                                                    need))
-            gaps: List[int] = []
-            append = gaps.append
-            for x in unit[:count] if len(unit) != count else unit:
-                g = int(x / lambd)
-                append(g if g >= 1 else 1)
-            site_gaps.append(gaps)
-        return site_gaps, self._dsts
 
 
 #: per-process draw-bank registry.  Keyed by everything the draws depend
@@ -189,73 +178,38 @@ def clear_draw_banks() -> int:
 BACKENDS = ("python", "vectorized")
 
 
-def _draw_schedules(pattern: TrafficPattern, config: MacrochipConfig,
-                    seed: int, mean_gap_ps: int, packets_per_site: int,
-                    rng_block: int, warm: bool
+def _draw_schedules(bank: _DrawBank, mean_gap_ps: int,
+                    packets_per_site: int
                     ) -> Tuple[List[List[int]], List[List[int]]]:
     """Per-site (gaps, destinations) for one load point's injections.
 
     Shared by both execution backends, so their schedules are the same
-    lists — bit-identical by construction, not by reproof.  ``warm``
-    draws come from the interned :class:`_DrawBank` (unless the pattern
-    shapes arrival time itself); cold draws replay the same derived
-    streams ``rng_block`` packets at a time.
+    lists — bit-identical by construction, not by reproof.  Every site
+    draws from its own derived RNG streams, so site k's traffic depends
+    only on (seed, k) — never on how the other sites' events happen to
+    interleave, which is what makes load points shard-stable.
+    Destination lists may run past ``packets_per_site`` (injectors
+    index, they never iterate).
     """
-    custom_gaps = getattr(pattern, "uses_custom_gaps", False)
-    if warm and not custom_gaps:
-        # draw from the interned bank: same streams, but the unit
-        # exponentials and destinations persist across load points.
-        # Patterns that shape arrival time (uses_custom_gaps) skip
-        # the bank — it factors *unit* exponentials, which cannot
-        # represent a modulated process — and draw directly below
-        # (warm network contexts still apply either way).
-        return _get_draw_bank(pattern, seed, config.num_sites).draws(
-            mean_gap_ps, packets_per_site)
-    # Every site draws gaps and destinations from its own derived RNG
-    # streams, so site k's traffic depends only on (seed, k) — never on
-    # how the other sites' events happen to interleave.  This is what
-    # makes load points shard-stable under parallel decomposition.
-    # Gaps go through the pattern's gap_draws hook, whose default is
-    # bit-identical to the historical exponential stream.
-    gap_rngs = [random.Random(derive_seed(seed, "gap", site))
-                for site in range(config.num_sites)]
-    site_patterns = [pattern.split(derive_seed(seed, "dst", site))
-                     for site in range(config.num_sites)]
-    site_gaps: List[List[int]] = []
-    site_dsts: List[List[int]] = []
-    for site in range(config.num_sites):
-        rng = gap_rngs[site]
-        pat = site_patterns[site]
-        gaps: List[int] = []
-        dsts: List[int] = []
-        remaining = packets_per_site
-        while remaining > 0:
-            take = rng_block if remaining > rng_block else remaining
-            gaps.extend(pat.gap_draws(rng, mean_gap_ps, take))
-            dsts.extend(pat.destinations(site, take))
-            remaining -= take
-        site_gaps.append(gaps)
-        site_dsts.append(dsts)
-    return site_gaps, site_dsts
+    bank.extend(packets_per_site)
+    scale_gaps = bank.pattern.scale_gaps
+    count = packets_per_site
+    site_gaps = [scale_gaps(unit[:count] if len(unit) != count else unit,
+                            mean_gap_ps)
+                 for unit in bank._unit]
+    return site_gaps, bank._dsts
 
 
 def _prewarm_draw_bank(config: MacrochipConfig, pattern: TrafficPattern,
                        fractions: List[float], window_ns: float,
                        kwargs: dict) -> None:
-    """Draw every load point of a sweep's schedules in one bank pass.
+    """Draw every load point of a serial sweep in one bank pass.
 
-    All of a sweep's load points share one :class:`_DrawBank` (the
-    draw streams are load-independent), so extending the bank once to
-    the *deepest* point's packet count replaces the per-point
-    incremental extensions with a single pass — each load point then
-    materializes its gaps from the cached draws.  Results are unchanged
-    by construction: the bank consumes each site's streams in the same
-    order regardless of extension granularity.  Serial sweeps only
-    (worker processes keep their own banks), and only for patterns the
-    bank serves (``uses_custom_gaps`` draws stay per point).
+    All of a sweep's load points share one :class:`_DrawBank`, so
+    extending it once to the *deepest* point's packet count replaces
+    the per-point incremental extensions with a single pass.  Results
+    are unchanged by construction (see :meth:`_DrawBank.extend`).
     """
-    if getattr(pattern, "uses_custom_gaps", False):
-        return
     f_max = max(fractions)
     packet_bytes = kwargs.get("packet_bytes", 64)
     try:
@@ -267,8 +221,7 @@ def _prewarm_draw_bank(config: MacrochipConfig, pattern: TrafficPattern,
         packet_bytes, f_max * config.site_bandwidth_gb_per_s)
     inject_window_ps = int(window_ns * 1000)
     packets_per_site = max(1, inject_window_ps // mean_gap_ps)
-    _get_draw_bank(pattern, seed, config.num_sites).draws(
-        mean_gap_ps, packets_per_site)
+    _get_draw_bank(pattern, seed, config.num_sites).extend(packets_per_site)
 
 
 def _check_load_point_args(offered_fraction: float, window_ns: float,
@@ -323,7 +276,7 @@ def run_load_point(network_name: str,
                    rng_block: int = 256,
                    saturation_threshold: float = 0.99,
                    adaptive: Optional[AdaptiveConfig] = None,
-                   warm: bool = False,
+                   warm: bool = True,
                    backend: str = "python") -> LoadPointResult:
     """Simulate one point of a latency-vs-load curve.
 
@@ -344,13 +297,7 @@ def run_load_point(network_name: str,
     flight).  Both keywords pass through ``sweep(...)`` to every load
     point of a curve.
 
-    ``rng_block`` (>= 1) sets how many gap and destination draws a cold
-    run (or a ``uses_custom_gaps`` pattern) pulls from each site's
-    private streams per call.  The draws are stream-identical for every
-    block size (see
-    :meth:`~repro.workloads.synthetic.TrafficPattern.destinations` and
-    :func:`~repro.workloads.synthetic.exponential_gaps`), so results
-    are too.
+    ``rng_block`` (>= 1) is validated but has no effect on the draws.
 
     ``saturation_threshold`` defines the saturation verdict, shared by
     the fixed and adaptive paths: a point is saturated when it delivers
@@ -373,14 +320,14 @@ def run_load_point(network_name: str,
     default) keeps the exact legacy fixed-window run; a config with both
     stop rules disabled is bit-identical to it.
 
-    ``warm=True`` opts into warm-start execution: the (simulator,
-    network) pair comes from the per-process context registry
-    (:func:`repro.core.parallel.get_context`) — reset to as-constructed
-    state instead of rebuilt — and the injection draws come from an
-    interned :class:`_DrawBank` shared across load points.  Both reuse
-    layers are bit-identical to cold construction (the reset protocol
-    and the draw-stream factoring are each differentially tested), so
-    ``warm`` changes wall-clock only, never results.
+    The (simulator, network) pair comes from the per-process context
+    registry (:func:`repro.core.parallel.get_context`) — reset to
+    as-constructed state instead of rebuilt — and the injection draws
+    from an interned :class:`_DrawBank` shared across load points.
+    ``warm=False`` runs the same code on a private
+    :class:`~repro.core.parallel.SimContext` and a private bank, shared
+    with nothing: the fresh-construction reference the reset protocol is
+    tested against.  Results are bit-identical either way.
 
     ``backend`` selects the execution engine: ``"python"`` (default) is
     the scalar event loop; ``"vectorized"`` routes the run through
@@ -408,24 +355,27 @@ def run_load_point(network_name: str,
     warmup_ps = int(inject_window_ps * warmup_fraction)
     horizon = int(inject_window_ps * (1.0 + drain_factor))
 
-    site_gaps, site_dsts = _draw_schedules(
-        pattern, config, seed, mean_gap_ps, packets_per_site, rng_block,
-        warm)
+    if warm:
+        ctx = get_context(network_name, config, warmup_ps,
+                          network_kwargs=network_kwargs)
+        bank = _get_draw_bank(pattern, seed, config.num_sites)
+    else:
+        ctx = SimContext(network_name, config, warmup_ps, network_kwargs)
+        bank = _DrawBank(pattern, seed, config.num_sites)
+    site_gaps, site_dsts = _draw_schedules(bank, mean_gap_ps,
+                                           packets_per_site)
 
     if backend == "vectorized":
         from .vectorized import try_run_vectorized
 
         result = try_run_vectorized(
-            network_name, config, pattern, offered_fraction,
+            ctx, pattern, offered_fraction,
             packet_bytes=packet_bytes,
             inject_window_ps=inject_window_ps,
             packets_per_site=packets_per_site,
-            warmup_ps=warmup_ps,
             horizon_ps=horizon,
             site_gaps=site_gaps,
             site_dsts=site_dsts,
-            network_kwargs=network_kwargs,
-            warm=warm,
             tracer=tracer,
             check_invariants=check_invariants,
             adaptive=adaptive,
@@ -434,15 +384,8 @@ def run_load_point(network_name: str,
         if result is not None:
             return result
 
-    if warm:
-        ctx = get_context(network_name, config, warmup_ps,
-                          network_kwargs=network_kwargs)
-        sim = ctx.sim
-        net = ctx.network
-    else:
-        sim = Simulator()
-        net = build_network(network_name, config, sim, warmup_ps=warmup_ps,
-                            **(network_kwargs or {}))
+    sim = ctx.sim
+    net = ctx.network
     if check_invariants and tracer is None:
         tracer = TraceRecorder()
     if tracer is not None:
@@ -536,7 +479,6 @@ def sweep(network_name: str,
           window_ns: float = 2000.0,
           workers: int = 1,
           progress: Optional[Callable[[str], None]] = None,
-          warm: bool = True,
           pool: Optional[WorkerPool] = None,
           on_error: str = "raise",
           max_retries: int = 2,
@@ -554,16 +496,12 @@ def sweep(network_name: str,
     ``check_invariants``, ...) pass through to every
     :func:`run_load_point`.
 
-    Sweeps warm-start by default (``warm=True``): every load point after
-    the first reuses the reset (simulator, network) context and the
-    interned draw bank instead of rebuilding them — bit-identical
-    results, less wall-clock.  Serial warm sweeps additionally draw all
-    load points' schedules in one bank pass up front
-    (:func:`_prewarm_draw_bank`) and, on the vectorized backend, reuse
-    a per-process kernel scratch arena keyed by the warm-context
-    fingerprint — both pure amortizations, results unchanged.  ``warm=False`` forces cold construction
-    everywhere (the escape hatch exposed as ``--cold`` on the experiment
-    CLIs).  ``pool`` lends a persistent
+    Every load point after the first reuses the reset (simulator,
+    network) context, its kernel scratch and the interned draw bank
+    instead of rebuilding them — bit-identical results, less
+    wall-clock.  A serial sweep also draws all its load points'
+    schedules in one bank pass up front (:func:`_prewarm_draw_bank`).
+    ``pool`` lends a persistent
     :class:`~repro.core.parallel.WorkerPool` so consecutive sweeps reuse
     worker processes (and their warm contexts) instead of re-spawning.
 
@@ -579,12 +517,12 @@ def sweep(network_name: str,
     reaches every load point) routes each point through the numpy
     fast path — bit-identical results, see :mod:`repro.core.vectorized`.
     """
-    if warm and workers == 1 and fractions:
+    if workers == 1 and fractions:
         _prewarm_draw_bank(config, pattern, fractions, window_ns, kwargs)
     shards = [
         Shard(run_load_point,
               args=(network_name, config, pattern, f),
-              kwargs=dict(window_ns=window_ns, warm=warm, **kwargs),
+              kwargs=dict(window_ns=window_ns, **kwargs),
               label="%s/%s @%.3f" % (network_name, pattern.name, f))
         for f in fractions
     ]

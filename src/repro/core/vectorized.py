@@ -103,9 +103,9 @@ def require_numpy() -> None:
 #: network-key -> kernel registry.  Kernels are registered by the
 #: network modules at import time (the factory imports them all), so any
 #: network reachable through ``build_network`` has had the chance to
-#: register.  A kernel takes ``(net, plan)`` — a built network instance
-#: (cold or reset warm context; only derived constants and interned
-#: tables are read, no events ever run through it) and an
+#: register.  A kernel takes ``(net, plan)`` — the run context's built
+#: network (only derived constants and interned tables are read, no
+#: events ever run through it) and an
 #: :class:`InjectionPlan` — and returns a :class:`KernelOutput`.
 _KERNELS: Dict[str, Callable[..., "KernelOutput"]] = {}
 
@@ -159,12 +159,12 @@ class InjectionPlan:
     absolute arrival times — plain prefix sums of the gap lists — are
     bit-identical to what the scalar injector chain would produce.
 
-    ``scratch`` is the per-process kernel scratch arena for this run's
-    warm context (None on cold runs): a plain dict keyed by kernel-chosen
-    names where kernels park reusable allocations (e.g. the calendar
-    bucket arrays) across the load points of a sweep.  Kernels must
-    return parked state in as-new condition — reuse is a pure allocation
-    amortization, never a results channel.
+    ``scratch`` is the run's context's kernel scratch arena
+    (:attr:`repro.core.parallel.SimContext.scratch`): a plain dict keyed
+    by kernel-chosen names where kernels park reusable allocations (e.g.
+    the calendar bucket arrays) across the load points of a sweep.
+    Kernels must return parked state in as-new condition — reuse is a
+    pure allocation amortization, never a results channel.
     """
 
     __slots__ = ("num_sites", "pps", "packet_bytes", "horizon_ps",
@@ -175,7 +175,7 @@ class InjectionPlan:
                  horizon_ps: int, warmup_ps: int, window_end_ps: int,
                  site_gaps: List[List[int]],
                  site_dsts: List[List[int]],
-                 scratch: Optional[dict] = None) -> None:
+                 scratch: dict) -> None:
         self.num_sites = num_sites
         self.pps = pps
         self.packet_bytes = packet_bytes
@@ -242,41 +242,15 @@ def warn_numpy_fallback(call_site: str, stacklevel: int = 3) -> None:
         RuntimeWarning, stacklevel=stacklevel + 1)
 
 
-#: per-process kernel scratch arenas, keyed by the warm-context
-#: fingerprint (repro.core.parallel._context_key): kernels reuse
-#: preallocated structures (calendar bucket arrays, ...) across the load
-#: points of a sweep instead of reallocating per point
-_SCRATCH: Dict[Any, dict] = {}
-
-
-def kernel_scratch(key: Any) -> dict:
-    """The per-process scratch dict for a warm-context fingerprint."""
-    scratch = _SCRATCH.get(key)
-    if scratch is None:
-        scratch = _SCRATCH[key] = {}
-    return scratch
-
-
-def clear_kernel_scratch() -> int:
-    """Drop every kernel scratch arena (tests / memory pressure)."""
-    n = len(_SCRATCH)
-    _SCRATCH.clear()
-    return n
-
-
-def try_run_vectorized(network_name: str,
-                       config,
+def try_run_vectorized(ctx,
                        pattern,
                        offered_fraction: float,
                        packet_bytes: int,
                        inject_window_ps: int,
                        packets_per_site: int,
-                       warmup_ps: int,
                        horizon_ps: int,
                        site_gaps: List[List[int]],
                        site_dsts: List[List[int]],
-                       network_kwargs: Optional[dict],
-                       warm: bool,
                        tracer,
                        check_invariants: bool,
                        adaptive,
@@ -284,12 +258,14 @@ def try_run_vectorized(network_name: str,
                        call_site: str = "sweep"):
     """Run one load point through a registered kernel, or return None.
 
-    ``None`` means "use the scalar engine" — either numpy is missing,
-    the run needs real event dispatch (tracer / invariants), or the
-    network has no kernel.  The fallback is silent by design (except the
-    once-per-call-site missing-numpy warning): results are identical
-    either way, and the sweep drivers pass ``backend=`` through
-    unconditionally.
+    ``ctx`` is the run's :class:`~repro.core.parallel.SimContext`: the
+    kernel reads its built network and parks reusable allocations in
+    its ``scratch``.  ``None`` means "use the scalar engine" — either
+    numpy is missing, the run needs real event dispatch (tracer /
+    invariants), or the network has no kernel.  The fallback is silent
+    by design (except the once-per-call-site missing-numpy warning):
+    results are identical either way, and the sweep drivers pass
+    ``backend=`` through unconditionally.
 
     ``adaptive`` (an :class:`~repro.core.adaptive.AdaptiveConfig`) runs
     the checkpointed executor's decision loop over the kernel's arrays
@@ -301,28 +277,15 @@ def try_run_vectorized(network_name: str,
         return None
     if tracer is not None or check_invariants:
         return None
+    network_name = ctx.network_name
     kernel = _KERNELS.get(network_name)
     if kernel is None:
         return None
 
-    scratch = None
-    if warm:
-        from .parallel import _context_key, get_context
-
-        net = get_context(network_name, config, warmup_ps,
-                          network_kwargs=network_kwargs).network
-        scratch = kernel_scratch(
-            _context_key(network_name, config, warmup_ps, network_kwargs))
-    else:
-        from .engine import Simulator
-        from ..networks.factory import build_network
-
-        net = build_network(network_name, config, Simulator(),
-                            warmup_ps=warmup_ps, **(network_kwargs or {}))
-
-    plan = InjectionPlan(config.num_sites, packets_per_site, packet_bytes,
-                         horizon_ps, warmup_ps, inject_window_ps,
-                         site_gaps, site_dsts, scratch=scratch)
+    net = ctx.network
+    plan = InjectionPlan(len(site_gaps), packets_per_site, packet_bytes,
+                         horizon_ps, ctx.warmup_ps, inject_window_ps,
+                         site_gaps, site_dsts, ctx.scratch)
     out = kernel(net, plan)
     if adaptive is not None:
         return _run_adaptive(network_name, pattern.name, offered_fraction,
@@ -534,7 +497,7 @@ def _run_adaptive(network_name: str, pattern_name: str,
     truncated = InjectionPlan(plan.num_sites, plan.pps, packet_bytes,
                               now, warmup, window,
                               plan.site_gaps, plan.site_dsts,
-                              scratch=plan.scratch)
+                              plan.scratch)
     delivered = int(np.searchsorted(dt_sorted, now, side="right"))
     injected_now = int(np.searchsorted(inj_sorted, now, side="right"))
     events = kernel(net, truncated).heap_events + delivered

@@ -84,7 +84,6 @@ def run_figure6(config: MacrochipConfig = None,
                 load_grids: Optional[Dict[str, List[float]]] = None,
                 progress=None,
                 workers: int = 1,
-                warm: bool = True,
                 pool: Optional[WorkerPool] = None,
                 on_error: str = "raise",
                 max_retries: int = 2,
@@ -100,14 +99,12 @@ def run_figure6(config: MacrochipConfig = None,
     high-load shards are submitted first (cost-keyed by offered load) so
     the pool never idles on a long tail.
 
-    ``warm=True`` (the default) warm-starts every load point: each
-    worker process keeps one reset-reused (simulator, network) context
-    per network and shares the interned draw bank across the whole grid
-    — bit-identical results, less wall-clock.  ``warm=False`` is the
-    cold-construction escape hatch (``--cold`` on the CLI).  ``pool``
-    lends a persistent :class:`~repro.core.parallel.WorkerPool` so
-    multiple figure runs (or a campaign) reuse worker processes and
-    their warm contexts.
+    Every load point is warm-started: each worker process keeps one
+    reset-reused (simulator, network) context per network and shares
+    the interned draw bank across the whole grid — bit-identical
+    results, less wall-clock.  ``pool`` lends a persistent
+    :class:`~repro.core.parallel.WorkerPool` so multiple figure runs
+    (or a campaign) reuse worker processes and their warm contexts.
 
     ``on_error`` / ``max_retries`` / ``timeout_s`` form the per-shard
     fault policy (:class:`~repro.core.parallel.ErrorPolicy`): under
@@ -137,8 +134,7 @@ def run_figure6(config: MacrochipConfig = None,
                 shards.append(Shard(
                     run_load_point,
                     args=(net, cfg, pattern, fraction),
-                    kwargs=dict(window_ns=window_ns, warm=warm,
-                                backend=backend),
+                    kwargs=dict(window_ns=window_ns, backend=backend),
                     label="figure6 %s/%s @%.3f"
                           % (pattern_key, net, fraction)))
     run = run_sharded(shards, workers=workers, progress=progress,
@@ -172,19 +168,16 @@ def adaptive_coarse_grid(grid: List[float], stride: int = 2) -> List[float]:
 
 def _knee_shard(net: str, cfg: MacrochipConfig, pattern, coarse: List[float],
                 window_ns: float, bisections: int,
-                adaptive: AdaptiveConfig, warm: bool = True,
-                on_error: str = "raise",
+                adaptive: AdaptiveConfig, on_error: str = "raise",
                 backend: str = "python") -> KneeResult:
     """Module-level (picklable) shard body: one (pattern, network) knee
-    refinement, run serially inside its worker.  ``warm`` flows through
-    ``refine_knee``'s ``**kwargs`` into every probed load point — the
-    refinement loop is warm-start's best case (many same-network points
-    back to back in one process).  ``on_error='collect'`` makes the
-    refinement itself probe-fault-tolerant (see
-    :func:`~repro.core.adaptive.refine_knee`)."""
+    refinement, run serially inside its worker — warm-start's best case
+    (many same-network points back to back in one process).
+    ``on_error='collect'`` makes the refinement itself
+    probe-fault-tolerant (see :func:`~repro.core.adaptive.refine_knee`)."""
     return refine_knee(net, cfg, pattern, coarse, window_ns=window_ns,
                        bisections=bisections, adaptive=adaptive,
-                       warm=warm, backend=backend,
+                       backend=backend,
                        on_error="collect" if on_error != "raise" else "raise")
 
 
@@ -198,7 +191,6 @@ def run_figure6_adaptive(config: MacrochipConfig = None,
                          adaptive: Optional[AdaptiveConfig] = None,
                          progress=None,
                          workers: int = 1,
-                         warm: bool = True,
                          pool: Optional[WorkerPool] = None,
                          on_error: str = "raise",
                          max_retries: int = 2,
@@ -247,7 +239,7 @@ def run_figure6_adaptive(config: MacrochipConfig = None,
             shards.append(Shard(
                 _knee_shard,
                 args=(net, cfg, pattern, coarse, window_ns, bisections,
-                      stop_rules, warm, on_error, backend),
+                      stop_rules, on_error, backend),
                 label="figure6-adaptive %s/%s" % (pattern_key, net)))
     run = run_sharded(shards, workers=workers, progress=progress,
                       cost_key=lambda s: sum(s.args[3]), pool=pool,
@@ -321,7 +313,6 @@ if __name__ == "__main__":  # pragma: no cover
 
     quick = "--quick" in sys.argv
     adaptive_mode = "--adaptive" in sys.argv
-    cold = "--cold" in sys.argv
     n_workers = 1
     for arg in sys.argv[1:]:
         if arg.startswith("--workers="):
@@ -329,7 +320,7 @@ if __name__ == "__main__":  # pragma: no cover
     driver = run_figure6_adaptive if adaptive_mode else run_figure6
     res = driver(window_ns=400.0 if quick else 1200.0,
                  progress=lambda m: print("..", m, file=sys.stderr),
-                 workers=n_workers, warm=not cold)
+                 workers=n_workers)
     print(figure6_text(res))
     print("\n%s mode: %d load points, %d simulator events"
           % (res.mode, res.load_points, res.total_events), file=sys.stderr)

@@ -39,7 +39,6 @@ def _progress(message: str) -> None:
 def generate(artifact: str, preset: str,
               window_ns: float, workers: int = 1,
               adaptive: bool = False,
-              warm: bool = True,
               on_error: str = "raise",
               max_retries: int = 2,
               timeout_s: float = None,
@@ -50,10 +49,8 @@ def generate(artifact: str, preset: str,
 
     ``adaptive=True`` switches the Figure 6 artifact to the knee-seeking
     sweep driver (coarse probing + bisection + per-point early stops) —
-    far fewer simulated events; the fixed grids stay the default.
-    ``warm=False`` (``--cold``) disables warm-start contexts for Figure 6
-    load points; results are bit-identical either way.  One persistent
-    worker pool serves every artifact of the invocation.
+    far fewer simulated events; the fixed grids stay the default.  One
+    persistent worker pool serves every artifact of the invocation.
 
     ``on_error``/``max_retries``/``timeout_s`` are the per-shard fault
     policy threaded into every driver (``--on-error collect`` keeps a
@@ -86,7 +83,7 @@ def generate(artifact: str, preset: str,
             figure6_driver = run_figure6_adaptive if adaptive else run_figure6
             result = figure6_driver(config=config, networks=networks,
                                     window_ns=window_ns, progress=_progress,
-                                    workers=workers, warm=warm,
+                                    workers=workers,
                                     pool=shared_pool, on_error=on_error,
                                     max_retries=max_retries,
                                     timeout_s=timeout_s,
@@ -179,10 +176,6 @@ def main(argv=None) -> int:
                         help="knee-seeking adaptive Figure 6 sweep "
                              "(coarse grid + bisection, per-point early "
                              "stops) instead of the exact fixed grids")
-    parser.add_argument("--cold", action="store_true",
-                        help="disable warm-start contexts (rebuild every "
-                             "simulator/network per load point; results "
-                             "are bit-identical to the warm default)")
     parser.add_argument("--on-error", default="raise",
                         choices=["raise", "collect", "retry"],
                         help="per-shard failure policy: raise on first "
@@ -247,7 +240,7 @@ def main(argv=None) -> int:
     if workers > 1:
         print(".. sharding across %d workers" % workers, file=sys.stderr)
     outputs = generate(artifact, args.preset, window, workers=workers,
-                       adaptive=args.adaptive, warm=not args.cold,
+                       adaptive=args.adaptive,
                        on_error=args.on_error,
                        max_retries=args.max_retries,
                        timeout_s=args.timeout_s,

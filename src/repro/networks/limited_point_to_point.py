@@ -227,12 +227,10 @@ def _vectorized_limited_p2p(net: LimitedPointToPointNetwork,
     # every dynamically scheduled event trails its scheduler by at least
     # W, so an event never lands in the bucket currently dispatching
     W = max(1, min(tx, router_ps))
-    # bucket array parked in the warm context's scratch arena between
+    # bucket array parked in the run context's scratch arena between
     # load points (all-None on hand-back: every stored bucket index is
     # <= horizon // W and gets cleared when dispatched)
-    scr = plan.scratch
-    buckets: Optional[List[Optional[list]]] = \
-        scr.pop("buckets", None) if scr is not None else None
+    buckets: Optional[List[Optional[list]]] = plan.scratch.pop("buckets", None)
     if buckets is None or len(buckets) < horizon // W + 2:
         buckets = [None] * (horizon // W + 2)
     # per-site injection stream heads: (time, seq, site, idx)
@@ -357,8 +355,7 @@ def _vectorized_limited_p2p(net: LimitedPointToPointNetwork,
         bucket += 1
     if inj_heap:
         pending = True
-    if scr is not None:
-        scr["buckets"] = buckets
+    plan.scratch["buckets"] = buckets
     return KernelOutput(heap_events=dispatched, heap_pending=pending,
                         deliver_t=deliver_t, deliver_inject=deliver_i,
                         injected=injected, last_event_ps=t)

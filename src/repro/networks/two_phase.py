@@ -271,12 +271,10 @@ def _vectorized_two_phase(net: TwoPhaseArbitratedNetwork,
     heapreplace = heapq.heapreplace
     heappop = heapq.heappop
     W = ARB_SLOT_PS
-    # the bucket array is parked in the warm context's scratch arena
+    # the bucket array is parked in the run context's scratch arena
     # between load points (always all-None on hand-back: every stored
     # bucket index is <= horizon // W and gets cleared when dispatched)
-    scr = plan.scratch
-    buckets: Optional[List[Optional[list]]] = \
-        scr.pop("buckets", None) if scr is not None else None
+    buckets: Optional[List[Optional[list]]] = plan.scratch.pop("buckets", None)
     if buckets is None or len(buckets) < horizon // W + 2:
         buckets = [None] * (horizon // W + 2)
     # per-site injection stream heads: (time, seq, site, idx)
@@ -408,8 +406,7 @@ def _vectorized_two_phase(net: TwoPhaseArbitratedNetwork,
         bucket += 1
     if inj_heap:
         pending = True
-    if scr is not None:
-        scr["buckets"] = buckets
+    plan.scratch["buckets"] = buckets
     return KernelOutput(heap_events=dispatched, heap_pending=pending,
                         deliver_t=deliver_t, deliver_inject=deliver_i,
                         injected=injected, last_event_ps=t)

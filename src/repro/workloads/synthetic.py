@@ -19,24 +19,27 @@ probe directly.
 from __future__ import annotations
 
 import copy
+import math
 import random
-from typing import List
+from typing import Any, List
 
 from ..photonics.layout import MacrochipLayout
 
 
 class TrafficPattern:
-    """Base class: yields a destination for each (source, packet)."""
+    """Base class: a destination and an inter-arrival gap per packet.
+
+    Destinations come from :meth:`destinations`; gaps from the two-step
+    hook :meth:`unit_gaps` (load-independent draws) and
+    :meth:`scale_gaps` (those draws at one load).  The split lets the
+    sweep's draw bank serve every pattern and every load point from one
+    stored stream per site.
+    """
 
     #: name used in figures/tables
     name = "abstract"
     #: paper's Figure 6 sweeps stop at different loads per pattern
     sweep_max_fraction = 1.0
-    #: True when :meth:`gap_draws` deviates from the plain exponential
-    #: stream — the sweep harness then bypasses the interned draw bank
-    #: (which factors *unit* exponentials and cannot represent a
-    #: state-dependent arrival process) and draws through the pattern.
-    uses_custom_gaps = False
 
     def __init__(self, layout: MacrochipLayout = None, seed: int = 0) -> None:
         self.layout = layout or MacrochipLayout()
@@ -63,28 +66,41 @@ class TrafficPattern:
         """
         return [self.destination(src) for _ in range(count)]
 
-    def gap_draws(self, rng: random.Random, mean_gap_ps: int,
-                  count: int) -> List[int]:
-        """``count`` inter-arrival gaps (ps, >= 1) drawn from ``rng``.
+    def unit_gaps(self, rng: random.Random, count: int) -> List[Any]:
+        """``count`` load-independent inter-arrival draws from ``rng``.
 
-        The default is the sweep's historical Poisson process
-        (:func:`exponential_gaps`) and consumes ``rng`` identically to
-        it, so patterns that don't shape time are bit-invisible here.
-        Heavy-traffic patterns (bursty) override this to modulate the
-        arrival process; overrides must consume ``rng`` sequentially so
-        draws are block-size independent, and must keep any burst state
-        on ``self`` (each injection site works on its own
-        :meth:`split`), resetting it in :meth:`reseed`/:meth:`split`.
+        The sweep's draw bank stores these once per site and rescales
+        them for every load point with :meth:`scale_gaps`, so they must
+        not depend on the load, and must consume ``rng`` sequentially
+        (any chunking of one stream yields the same draws).  The default
+        is the unit exponential ``-log(1 - random())`` that CPython's
+        ``expovariate`` divides by its rate.
         """
-        return exponential_gaps(rng, mean_gap_ps, count)
+        log = math.log
+        rand = rng.random
+        return [-log(1.0 - rand()) for _ in range(count)]
+
+    def scale_gaps(self, units: List[Any], mean_gap_ps: int) -> List[int]:
+        """Integer inter-arrival gaps (ps, >= 1) at ``mean_gap_ps`` from
+        :meth:`unit_gaps` draws.  The default is the Poisson process
+        ``max(1, int(rng.expovariate(1.0 / mean_gap_ps)))``, float for
+        float: the same division on the same unit draw."""
+        lambd = 1.0 / mean_gap_ps
+        gaps: List[int] = []
+        append = gaps.append
+        for x in units:
+            g = int(x / lambd)
+            append(g if g >= 1 else 1)
+        return gaps
 
     def draw_signature(self) -> tuple:
         """Hashable knobs that change the pattern's draw streams.
 
-        The sweep's interned draw bank caches destination draws keyed by
-        (pattern class, layout, signature); a parametrized pattern MUST
-        include here every constructor knob that alters its draws, or
-        two differently-configured instances would share cached streams.
+        The sweep's interned draw bank caches destination and unit-gap
+        draws keyed by (pattern class, layout, signature); a
+        parametrized pattern MUST include here every constructor knob
+        that alters its draws, or two differently-configured instances
+        would share cached streams.
         Parameter-free patterns return ``()``.
         """
         return ()
@@ -216,13 +232,13 @@ class BurstyTraffic(UniformTraffic):
     The process is a renewal chain (each draw is ON-gap plus, with
     probability ``1/burst_length``, one OFF period) — memoryless across
     draws, so gap streams are block-size independent and a pure function
-    of (seed, site) under ``reseed()``/``split()`` like every other
-    pattern's.
+    of (seed, site) like every other pattern's.  The exit test does not
+    depend on the load, so :meth:`unit_gaps` stores it with the draws and
+    the sweep's draw bank serves this pattern too.
     """
 
     name = "Bursty"
     sweep_max_fraction = 1.0
-    uses_custom_gaps = True
 
     def __init__(self, layout: MacrochipLayout = None, seed: int = 0,
                  burstiness: float = 4.0, burst_length: int = 16) -> None:
@@ -237,19 +253,28 @@ class BurstyTraffic(UniformTraffic):
     def draw_signature(self) -> tuple:
         return (self.burstiness, self.burst_length)
 
-    def gap_draws(self, rng: random.Random, mean_gap_ps: int,
-                  count: int) -> List[int]:
+    def unit_gaps(self, rng: random.Random, count: int) -> List[Any]:
+        # per packet (x_on, x_off or None): the ON draw, the burst-exit
+        # test and, only when the burst ends, the OFF draw.  The exit
+        # probability does not depend on the load, so neither does this
+        log = math.log
+        rand = rng.random
+        exit_p = 1.0 / self.burst_length
+        return [(-log(1.0 - rand()),
+                 -log(1.0 - rand()) if rand() < exit_p else None)
+                for _ in range(count)]
+
+    def scale_gaps(self, units: List[Any], mean_gap_ps: int) -> List[int]:
         mean_on = max(1.0, mean_gap_ps / self.burstiness)
         mean_off = max(1.0, (mean_gap_ps - mean_on) * self.burst_length)
-        exit_p = 1.0 / self.burst_length
-        expovariate = rng.expovariate
-        rand = rng.random
+        lambd_on = 1.0 / mean_on
+        lambd_off = 1.0 / mean_off
         gaps: List[int] = []
         append = gaps.append
-        for _ in range(count):
-            gap = int(expovariate(1.0 / mean_on))
-            if rand() < exit_p:  # burst ends: idle before the next one
-                gap += int(expovariate(1.0 / mean_off))
+        for x_on, x_off in units:
+            gap = int(x_on / lambd_on)
+            if x_off is not None:  # burst ends: idle before the next one
+                gap += int(x_off / lambd_off)
             append(gap if gap >= 1 else 1)
         return gaps
 
@@ -351,21 +376,3 @@ def pattern_names() -> List[str]:
     return ["uniform", "transpose", "butterfly", "neighbor",
             "bursty", "hotspot", "adversarial"]
 
-
-def exponential_gaps(rng: random.Random, mean_gap_ps: int,
-                     count: int) -> List[int]:
-    """``count`` exponential inter-arrival gaps, clamped to >= 1 ps.
-
-    Consumes ``rng`` exactly as ``count`` sequential
-    ``max(1, int(rng.expovariate(1.0 / mean_gap_ps)))`` calls would —
-    the open-loop sweep's historical draw — so batched prefetching keeps
-    injection schedules bit-identical to one-at-a-time draws.
-    """
-    lambd = 1.0 / mean_gap_ps
-    expovariate = rng.expovariate
-    gaps = []
-    append = gaps.append
-    for _ in range(count):
-        gap = int(expovariate(lambd))
-        append(gap if gap >= 1 else 1)
-    return gaps

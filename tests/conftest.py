@@ -13,7 +13,7 @@ monitor, inject, drain" runner that works uniformly across all network
 architectures.
 
 And the one-draw-per-packet reference injection schedule that the
-sweep harness's batched and banked draws are tested against.
+sweep harness's banked draws are tested against.
 """
 
 import random
@@ -27,6 +27,7 @@ from repro.core.parallel import derive_seed
 from repro.macrochip.config import MacrochipConfig, scaled_config, small_test_config
 from repro.networks.base import Packet
 from repro.networks.factory import build_network
+from repro.workloads.synthetic import BurstyTraffic
 
 #: (delay_ps, src, dst, size_bytes) injection plan entry
 Traffic = List[Tuple[int, int, int, int]]
@@ -43,23 +44,40 @@ def random_traffic(seed: int, num_sites: int, n_packets: int = 120,
             for _ in range(n_packets)]
 
 
-def reference_schedules(pattern, config: MacrochipConfig, seed: int,
-                        mean_gap_ps: int, packets_per_site: int,
-                        rng_block: int = 1, warm: bool = False):
+def reference_gap(pattern, rng: random.Random, mean_gap_ps: int) -> int:
+    """One inter-arrival gap drawn the historical per-packet way.
+
+    Plain patterns draw ``max(1, int(rng.expovariate(1 / mean)))``;
+    bursty draws the ON exponential, then the burst-exit test, then —
+    only on exit — the OFF exponential.  Written out here, independent
+    of the patterns' ``unit_gaps``/``scale_gaps`` hooks.
+    """
+    if isinstance(pattern, BurstyTraffic):
+        mean_on = max(1.0, mean_gap_ps / pattern.burstiness)
+        mean_off = max(1.0, (mean_gap_ps - mean_on) * pattern.burst_length)
+        gap = int(rng.expovariate(1.0 / mean_on))
+        if rng.random() < 1.0 / pattern.burst_length:
+            gap += int(rng.expovariate(1.0 / mean_off))
+        return max(1, gap)
+    return max(1, int(rng.expovariate(1.0 / mean_gap_ps)))
+
+
+def reference_schedules(bank, mean_gap_ps: int, packets_per_site: int):
     """Per-site (gaps, destinations) drawn one packet at a time.
 
-    The reference for ``repro.core.sweep._draw_schedules``: one
-    ``gap_draws(rng, mean_gap_ps, 1)`` and one ``destination(site)``
-    call per packet, on the same ``derive_seed`` streams.  It takes (and
-    ignores) ``rng_block`` and ``warm`` so it can stand in for
-    ``_draw_schedules`` inside ``run_load_point``.
+    The reference for ``repro.core.sweep._draw_schedules``, with the
+    same signature so it can stand in for it inside ``run_load_point``:
+    one :func:`reference_gap` and one ``destination(site)`` call per
+    packet, on the ``derive_seed`` streams of the bank's (pattern,
+    seed, sites).  It reads only those three fields off the bank.
     """
+    pattern, seed = bank.pattern, bank.seed
     site_gaps = []
     site_dsts = []
-    for site in range(config.num_sites):
+    for site in range(bank.num_sites):
         rng = random.Random(derive_seed(seed, "gap", site))
         pat = pattern.split(derive_seed(seed, "dst", site))
-        site_gaps.append([pat.gap_draws(rng, mean_gap_ps, 1)[0]
+        site_gaps.append([reference_gap(pattern, rng, mean_gap_ps)
                           for _ in range(packets_per_site)])
         site_dsts.append([pat.destination(site)
                           for _ in range(packets_per_site)])

@@ -1,7 +1,7 @@
-"""Fault-injection tests for the executor layer (ISSUE 6).
+"""Fault-injection tests for ``run_sharded``'s serial and pool loops.
 
-Every backend must survive the three failure modes a long campaign hits
-in practice — a *raising* shard, a worker *killed* mid-flight
+Both must survive the three failure modes a long campaign hits in
+practice — a *raising* shard, a worker *killed* mid-flight
 (OOM/segfault, injected here via ``os.kill(..., SIGKILL)``), and a
 *hung* shard exceeding ``timeout_s`` — and the determinism contract must
 hold through recovery: with ``on_error='retry'`` a disturbed run's
@@ -18,8 +18,6 @@ import pytest
 
 from repro.core.parallel import (
     ErrorPolicy,
-    PoolExecutor,
-    SerialExecutor,
     Shard,
     ShardError,
     ShardExecutionError,
@@ -290,8 +288,8 @@ def test_timeout_raises_under_raise_policy():
 
 
 def test_serial_backend_ignores_timeout():
-    """The serial executor documents timeout_s as unenforceable
-    in-process: a fast shard list with a timeout must simply run."""
+    """A serial run cannot enforce timeout_s in-process: a fast shard
+    list with a timeout must simply run."""
     run = run_sharded([Shard(_square, args=(i,)) for i in range(3)],
                       workers=1, on_error="collect", timeout_s=0.001)
     assert run.results == [0, 1, 4]
@@ -330,18 +328,6 @@ def test_worker_pool_pids_and_rebuild():
     assert pool.acquire() is not None
     assert set(pool.worker_pids()).isdisjoint(pids)
     pool.close()
-
-
-# -- executor layer -----------------------------------------------------------
-
-def test_explicit_executors_agree():
-    shards = [Shard(_square, args=(i,)) for i in range(8)]
-    serial = run_sharded(shards, executor=SerialExecutor())
-    assert serial.results == [i * i for i in range(8)]
-    assert serial.mode == "serial"
-    with PoolExecutor(workers=2) as pooled_exec:
-        pooled = run_sharded(shards, workers=2, executor=pooled_exec)
-    assert pooled.results == serial.results
 
 
 # -- progress callback isolation (satellite 3) ---------------------------------

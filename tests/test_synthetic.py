@@ -15,7 +15,6 @@ from repro.workloads.synthetic import (
     NeighborTraffic,
     TransposeTraffic,
     UniformTraffic,
-    exponential_gaps,
     make_pattern,
     pattern_names,
 )
@@ -35,6 +34,11 @@ def _blocked(total, block):
         out.append(take)
         remaining -= take
     return out
+
+
+def _gaps(pat, rng, mean_gap_ps, count):
+    """``count`` gaps at ``mean_gap_ps`` through the pattern's two hooks."""
+    return pat.scale_gaps(pat.unit_gaps(rng, count), mean_gap_ps)
 
 
 class TestUniform:
@@ -168,44 +172,46 @@ class TestBursty:
         with pytest.raises(ValueError):
             BurstyTraffic(LAYOUT, burst_length=0)
 
-    def test_gap_draws_deterministic_under_reseed(self):
+    def test_unit_gaps_deterministic_under_reseed(self):
         pat = BurstyTraffic(LAYOUT, seed=9)
-        a = pat.gap_draws(random.Random(5), 1000, 200)
-        b = pat.gap_draws(random.Random(5), 1000, 200)
+        a = _gaps(pat, random.Random(5), 1000, 200)
+        b = _gaps(pat, random.Random(5), 1000, 200)
         assert a == b and all(g >= 1 for g in a)
 
     def test_split_streams_depend_only_on_seed(self):
         """A split clone's gaps are a pure function of its seed — not of
         how much the parent (or a sibling) has drawn."""
         parent = BurstyTraffic(LAYOUT, seed=1)
-        fresh = parent.split(77).gap_draws(random.Random(77), 500, 50)
-        parent.gap_draws(random.Random(3), 500, 500)  # unrelated draws
-        again = parent.split(77).gap_draws(random.Random(77), 500, 50)
+        fresh = _gaps(parent.split(77), random.Random(77), 500, 50)
+        _gaps(parent, random.Random(3), 500, 500)  # unrelated draws
+        again = _gaps(parent.split(77), random.Random(77), 500, 50)
         assert fresh == again
 
     @pytest.mark.parametrize("block", BATCH_SIZES)
-    def test_gap_draws_block_size_independent(self, block):
+    def test_unit_gaps_block_size_independent(self, block):
         """The renewal process is memoryless across draws, so blocked
         and one-at-a-time draws consume the RNG identically — the
-        property the sweep's prefetching relies on."""
+        property the sweep's draw bank relies on when it extends a
+        stream in uneven chunks."""
         total = 1500
         pat = BurstyTraffic(LAYOUT, seed=0)
         rng_a = random.Random(11)
         unbatched = []
         for _ in range(total):
-            unbatched.extend(pat.gap_draws(rng_a, 800, 1))
+            unbatched.extend(pat.unit_gaps(rng_a, 1))
         rng_b = random.Random(11)
         batched = []
         for take in _blocked(total, block):
-            batched.extend(pat.gap_draws(rng_b, 800, take))
+            batched.extend(pat.unit_gaps(rng_b, take))
         assert batched == unbatched
+        assert pat.scale_gaps(batched, 800) == pat.scale_gaps(unbatched, 800)
 
     def test_long_run_mean_matches_offered_load(self):
         """The ON/OFF means are balanced so the long-run mean gap is the
         offered one: same average load as Poisson, delivered in clumps."""
         pat = BurstyTraffic(LAYOUT, seed=0)
         mean_gap = 10_000
-        gaps = pat.gap_draws(random.Random(123), mean_gap, 200_000)
+        gaps = _gaps(pat, random.Random(123), mean_gap, 200_000)
         observed = sum(gaps) / len(gaps)
         assert observed == pytest.approx(mean_gap, rel=0.05)
 
@@ -213,7 +219,7 @@ class TestBursty:
         """Squared coefficient of variation well above the exponential's
         1.0 — the clumping the pattern exists to produce."""
         pat = BurstyTraffic(LAYOUT, seed=0)
-        gaps = pat.gap_draws(random.Random(123), 10_000, 100_000)
+        gaps = _gaps(pat, random.Random(123), 10_000, 100_000)
         mean = sum(gaps) / len(gaps)
         var = sum((g - mean) ** 2 for g in gaps) / len(gaps)
         assert var / mean ** 2 > 2.0
@@ -342,7 +348,10 @@ def test_batched_destinations_match_unbatched_any_seed(seed, src, name,
 
 
 @pytest.mark.parametrize("block", BATCH_SIZES)
-def test_batched_exponential_gaps_match_unbatched(block):
+def test_batched_unit_gaps_match_expovariate(block):
+    """The default hooks, drawn in blocks, reproduce the historical
+    one-at-a-time ``max(1, int(rng.expovariate(1 / mean)))`` stream."""
+    pat = UniformTraffic(LAYOUT)
     total = 1500
     for site in range(4):
         for mean_gap_ps in (3, 222, 12_800):
@@ -351,23 +360,25 @@ def test_batched_exponential_gaps_match_unbatched(block):
             unbatched = [max(1, int(rng_a.expovariate(1.0 / mean_gap_ps)))
                          for _ in range(total)]
             rng_b = random.Random(seed)
-            batched = []
+            units = []
             for take in _blocked(total, block):
-                batched.extend(exponential_gaps(rng_b, mean_gap_ps, take))
-            assert batched == unbatched
+                units.extend(pat.unit_gaps(rng_b, take))
+            assert pat.scale_gaps(units, mean_gap_ps) == unbatched
 
 
 @given(st.integers(min_value=0, max_value=2 ** 63 - 1),
        st.integers(min_value=1, max_value=10 ** 6),
        st.sampled_from(BATCH_SIZES))
-def test_exponential_gaps_property(seed, mean_gap_ps, block):
+def test_unit_gaps_property(seed, mean_gap_ps, block):
+    pat = UniformTraffic(LAYOUT)
     total = 120
     rng_a = random.Random(seed)
     unbatched = [max(1, int(rng_a.expovariate(1.0 / mean_gap_ps)))
                  for _ in range(total)]
     rng_b = random.Random(seed)
-    batched = []
+    units = []
     for take in _blocked(total, block):
-        batched.extend(exponential_gaps(rng_b, mean_gap_ps, take))
+        units.extend(pat.unit_gaps(rng_b, take))
+    batched = pat.scale_gaps(units, mean_gap_ps)
     assert batched == unbatched
     assert all(g >= 1 for g in batched)

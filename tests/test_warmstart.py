@@ -1,10 +1,10 @@
 """Differential tests locking the PR 5 warm-start machinery down.
 
-Warm-start execution reuses three things a cold run rebuilds per load
-point — the (simulator, network) pair (reset via the ``reset()``
-protocol), the interned pure derived tables, and the injection draw
-bank — and the contract is absolute: a warm run must be *bit-identical*
-to a cold run, proven by
+Warm-start execution reuses three things a ``warm=False`` run builds
+privately per load point — the (simulator, network) pair (reset via the
+``reset()`` protocol), the interned pure derived tables, and the
+injection draw bank — and the contract is absolute: a warm run must be
+*bit-identical* to one on fresh private instances, proven by
 
 * byte-identical canonical traces after N reuse cycles of one context,
   for every network architecture plus the electrical baseline;
@@ -18,6 +18,8 @@ networks), and per-run packet ids are pinned: a run's raw pids must be a
 pure function of its arguments, independent of process history.
 """
 
+import importlib
+
 import pytest
 
 from repro.core.engine import Simulator
@@ -25,12 +27,17 @@ from repro.core.interning import clear_interned, intern_table, interned_count
 from repro.core.parallel import (WorkerPool, clear_contexts, get_context,
                                  run_sharded, Shard)
 from repro.core.stats import NetworkStats
-from repro.core.sweep import (clear_draw_banks, run_load_point, sweep)
+from repro.core.sweep import (clear_draw_banks, run_load_point, sweep,
+                              to_sweep_point)
 from repro.core.tracing import TraceRecorder
 from repro.macrochip.config import small_test_config
 from repro.networks.base import Packet
 from repro.networks.factory import build_network
-from repro.workloads.synthetic import UniformTraffic
+from repro.workloads.synthetic import BurstyTraffic, UniformTraffic
+
+#: the sweep module itself (``repro.core`` re-exports a function named
+#: ``sweep``), for patching ``_DrawBank``
+sweep_mod = importlib.import_module("repro.core.sweep")
 
 CFG = small_test_config(4, 4)
 
@@ -210,14 +217,19 @@ def test_explicit_pid_overrides_module_counter():
 FRACTIONS = [0.05, 0.20, 0.40, 0.60]
 
 
+def _fresh_points(network, pattern, fractions):
+    """A sweep's points built from private, unshared instances."""
+    return [to_sweep_point(run_load_point(network, CFG, pattern, f,
+                                          window_ns=WINDOW_NS, seed=SEED,
+                                          warm=False), CFG)
+            for f in fractions]
+
+
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_sweep_warm_identical_across_worker_counts(workers):
-    serial_cold = sweep("point_to_point", CFG, _pattern(), FRACTIONS,
-                        window_ns=WINDOW_NS, seed=SEED, warm=False)
     got = sweep("point_to_point", CFG, _pattern(), FRACTIONS,
-                window_ns=WINDOW_NS, seed=SEED, warm=True,
-                workers=workers)
-    assert got == serial_cold
+                window_ns=WINDOW_NS, seed=SEED, workers=workers)
+    assert got == _fresh_points("point_to_point", _pattern(), FRACTIONS)
 
 
 def test_worker_pool_survives_across_run_sharded_calls():
@@ -247,9 +259,7 @@ def test_sweep_accepts_borrowed_pool():
     with WorkerPool(workers=2) as pool:
         a = sweep("token_ring", CFG, _pattern(), FRACTIONS,
                   window_ns=WINDOW_NS, seed=SEED, workers=2, pool=pool)
-        b = sweep("token_ring", CFG, _pattern(), FRACTIONS,
-                  window_ns=WINDOW_NS, seed=SEED, warm=False)
-    assert a == b
+    assert a == _fresh_points("token_ring", _pattern(), FRACTIONS)
 
 
 # -- draw-bank cache keys for parametrized patterns (PR 8 regression) --------
@@ -280,18 +290,22 @@ def test_draw_bank_keys_on_pattern_parameters():
     assert extreme != mild  # the knob visibly changes the traffic
 
 
-def test_bursty_pattern_bypasses_draw_bank_but_stays_deterministic():
-    """uses_custom_gaps patterns can't use the warm bank (it factors
-    unit exponentials); warm runs must still be bit-identical to cold."""
-    from repro.workloads.synthetic import BurstyTraffic
+def test_serial_bursty_sweep_shares_one_draw_bank(monkeypatch):
+    """The draw bank serves bursty like every other pattern: a serial
+    3-point sweep builds exactly one bank, and its points equal runs on
+    private instances."""
+    pattern = BurstyTraffic(CFG.layout, seed=1)
+    fractions = [0.05, 0.10, 0.20]
+    built = []
+    init = sweep_mod._DrawBank.__init__
 
-    def run(warm):
-        return run_load_point(
-            "point_to_point", CFG, BurstyTraffic(CFG.layout, seed=1),
-            0.10, window_ns=WINDOW_NS, seed=SEED, warm=warm)
+    def counting_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
 
-    cold = run(False)
-    warm_a = run(True)
-    warm_b = run(True)
-    assert warm_a == cold
-    assert warm_b == cold
+    monkeypatch.setattr(sweep_mod._DrawBank, "__init__", counting_init)
+    points = sweep("point_to_point", CFG, pattern, fractions,
+                   window_ns=WINDOW_NS, seed=SEED)
+    monkeypatch.undo()
+    assert len(built) == 1
+    assert points == _fresh_points("point_to_point", pattern, fractions)
