@@ -6,9 +6,12 @@ is deep in saturation (where only the binary "saturated" verdict is
 needed) or the mean latency converged long ago.  This module makes the
 sweep harness simulate dramatically fewer events for the same curves:
 
-* :class:`AdaptiveConfig` + :func:`execute_adaptive` — step
-  ``Simulator.run`` in horizon *slices* and evaluate stop rules at every
-  checkpoint:
+* :class:`AdaptiveConfig` + :func:`decide_stop` — walk a load point's
+  horizon in *slices* and evaluate stop rules on the :class:`Checkpoint`
+  counters at every slice end.  :func:`decide_stop` is the only copy of
+  the rules: :func:`execute_adaptive` feeds it by stepping
+  ``Simulator.run``, the vectorized backend by reading the same counters
+  off a kernel's delivery arrays.  The rules:
 
   - **convergence stop**: a batch-means relative-precision test on mean
     delivered latency.  Each inter-checkpoint span of post-warmup
@@ -51,11 +54,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = [
     "AdaptiveConfig",
+    "Checkpoint",
     "KneeResult",
+    "decide_stop",
     "execute_adaptive",
     "refine_knee",
 ]
@@ -147,25 +152,45 @@ class AdaptiveConfig:
         return replace(self, convergence_stop=False, saturation_abort=False)
 
 
-def execute_adaptive(sim,
-                     stats,
-                     inject_window_ps: int,
-                     horizon_ps: int,
-                     cfg: AdaptiveConfig,
-                     saturation_threshold: float,
-                     planned_injections: int) -> Tuple[int, str, int]:
-    """Step ``sim`` to ``horizon_ps`` in slices, checking stop rules.
+class Checkpoint(NamedTuple):
+    """The monotone counters the stop rules read at one checkpoint.
 
-    ``stats`` is the network's :class:`~repro.core.stats.NetworkStats`;
-    the latency sample and packet counters it accumulates *are* the
-    checkpoint state — no extra instrumentation runs between checkpoints,
-    so the dispatched event stream is identical to an uninterrupted run.
-    ``planned_injections`` is the total packet count the injectors will
-    schedule over the window (known up front: injection is open-loop),
-    which anchors the fast-abort's projection of the legacy verdict.
+    Every field is a pure function of which events have dispatched by
+    the checkpoint time, so the scalar engine (reading
+    :class:`~repro.core.stats.NetworkStats` after ``sim.run``) and the
+    vectorized backend (reading sorted kernel arrays) produce equal
+    records for the same run.
+    """
 
-    Returns ``(events_dispatched, stop_reason, stopped_at_ps)`` where
-    ``stop_reason`` is one of:
+    #: the event queue is empty: every injected packet was delivered
+    drained: bool
+    injected: int
+    delivered: int
+    #: packets in flight (injected, not yet delivered or dropped)
+    backlog: int
+    #: post-warmup in-window latency observations so far, and their sum
+    latency_count: int
+    latency_sum_ps: int
+
+
+def decide_stop(advance: Callable[[int], Checkpoint],
+                inject_window_ps: int,
+                horizon_ps: int,
+                warmup_ps: int,
+                cfg: AdaptiveConfig,
+                saturation_threshold: float,
+                planned_injections: int) -> Tuple[str, int]:
+    """Walk the checkpoints of one load point and apply the stop rules.
+
+    ``advance(now)`` brings the run up to checkpoint time ``now`` (which
+    only ever increases) and returns its :class:`Checkpoint`; counters
+    start from zero at time 0.  ``planned_injections`` is the total
+    packet count the injectors will schedule over the window (known up
+    front: injection is open-loop), which anchors the fast-abort's
+    projection of the legacy verdict.
+
+    Returns ``(stop_reason, stopped_at_ps)`` where ``stop_reason`` is one
+    of:
 
     * ``'converged'`` — the batch-means test passed; the point is
       unsaturated and its mean latency is statistically settled;
@@ -181,8 +206,6 @@ def execute_adaptive(sim,
     is the checkpoint time at which the rule fired.
     """
     slice_ps = max(1, int(inject_window_ps * cfg.slice_fraction))
-    warmup_ps = stats.throughput.warmup_ps
-    events = 0
 
     # the fixed path declares saturation when the end-of-drain backlog
     # exceeds this many packets (delivered < threshold * injected)
@@ -191,32 +214,32 @@ def execute_adaptive(sim,
     # convergence state: batch means of delivered latency between
     # checkpoints (post-warmup, non-empty batches only)
     batch_means: List[float] = []
-    prev_count = stats.latency.count
-    prev_sum = stats.latency.sum_ps
+    prev_count = 0
+    prev_sum = 0
 
     # fast-abort state: backlog trajectory + last-slice delivery rate
     prev_backlog: Optional[int] = None
-    prev_delivered = stats.delivered_packets
+    prev_delivered = 0
     streak = 0
 
     now = 0
     while now < horizon_ps:
         now = min(now + slice_ps, horizon_ps)
-        events += sim.run(until_ps=now)
+        cp = advance(now)
 
-        if sim.pending() == 0:
+        if cp.drained:
             # all injections fired and every packet delivered: the legacy
             # single-shot run would have returned here too
-            return events, "drained", horizon_ps
+            return "drained", horizon_ps
 
         past_warmup = now > warmup_ps
-        backlog = stats.in_flight
-        delivered = stats.delivered_packets
+        backlog = cp.backlog
+        delivered = cp.delivered
         # shared projection state: the measured per-slice delivery rate,
         # the injections still to come (known up front — injection is
         # open-loop), and the time left in each phase
         delivery_rate = (delivered - prev_delivered) / slice_ps
-        remaining = planned_injections - stats.injected_packets
+        remaining = planned_injections - cp.injected
         inject_left = max(0, inject_window_ps - now)
         drain_left = horizon_ps - max(now, inject_window_ps)
 
@@ -243,22 +266,22 @@ def execute_adaptive(sim,
                 # the projection alone gates it
                 growing = True
             proven = (
-                stats.injected_packets >= cfg.min_abort_injected
+                cp.injected >= cfg.min_abort_injected
                 and backlog + remaining - capacity
                 > cfg.abort_margin * sat_deficit)
             streak = streak + 1 if (proven and growing) else 0
             if streak >= cfg.abort_streak:
-                return events, "saturated", now
+                return "saturated", now
 
         prev_backlog = backlog
         prev_delivered = delivered
 
         if (cfg.convergence_stop and past_warmup
                 and planned_injections >= cfg.min_converge_planned):
-            count = stats.latency.count
+            count = cp.latency_count
             delta_n = count - prev_count
             if delta_n > 0:
-                total = stats.latency.sum_ps
+                total = cp.latency_sum_ps
                 batch_means.append((total - prev_sum) / delta_n)
                 prev_count, prev_sum = count, total
                 # the projection gate keeps borderline points honest: a
@@ -277,9 +300,43 @@ def execute_adaptive(sim,
                     var = sum((b - grand) ** 2 for b in batch_means) / (k - 1)
                     half_width = cfg.confidence_z * math.sqrt(var / k)
                     if grand > 0 and half_width <= cfg.rel_precision * grand:
-                        return events, "converged", now
+                        return "converged", now
 
-    return events, "horizon", horizon_ps
+    return "horizon", horizon_ps
+
+
+def execute_adaptive(sim,
+                     stats,
+                     inject_window_ps: int,
+                     horizon_ps: int,
+                     cfg: AdaptiveConfig,
+                     saturation_threshold: float,
+                     planned_injections: int) -> Tuple[int, str, int]:
+    """Step ``sim`` to ``horizon_ps`` in slices, checking stop rules.
+
+    ``stats`` is the network's freshly reset
+    :class:`~repro.core.stats.NetworkStats`; the latency sample and
+    packet counters it accumulates *are* the checkpoint state — no extra
+    instrumentation runs between checkpoints, so the dispatched event
+    stream is identical to an uninterrupted run.  The rules themselves
+    live in :func:`decide_stop`.
+
+    Returns ``(events_dispatched, stop_reason, stopped_at_ps)``.
+    """
+    events = 0
+    latency = stats.latency
+
+    def advance(now: int) -> Checkpoint:
+        nonlocal events
+        events += sim.run(until_ps=now)
+        return Checkpoint(sim.pending() == 0, stats.injected_packets,
+                          stats.delivered_packets, stats.in_flight,
+                          latency.count, latency.sum_ps)
+
+    stop_reason, stopped_at_ps = decide_stop(
+        advance, inject_window_ps, horizon_ps, stats.throughput.warmup_ps,
+        cfg, saturation_threshold, planned_injections)
+    return events, stop_reason, stopped_at_ps
 
 
 # -- knee refinement ----------------------------------------------------------

@@ -16,18 +16,21 @@ A small, fast, deterministic event engine.  Design choices:
   global ``(time, seq)`` minimum of the two tiers, so the observable order
   is exactly what a heap-only engine would produce — bulk scheduling is a
   throughput optimization, never a semantic one.
-* **Fast/slow dispatch loops.**  The trace hook is hoisted out of the hot
-  loop: with ``trace is None`` the engine spins in a loop that never calls
-  the hook; installing a hook (even mid-run, from a callback) switches to
-  the traced loop at the next event, and removing it switches back.
-  Dispatch order, stop() cutoff, and horizon semantics are identical in
-  both loops.
+* **One dispatch loop.**  ``run`` reads ``trace`` before every callback,
+  so a hook installed or removed mid-run (by a callback) takes effect at
+  the next dispatched event; an unbounded run compares against a horizon
+  no event time reaches.
 """
 
 from __future__ import annotations
 
 from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, List, Optional, Tuple
+
+
+#: the horizon of an unbounded ``run()``: an int (int-int compares are
+#: the cheap ones) far past any picosecond timestamp a run can reach
+_UNBOUNDED = 1 << 256
 
 
 class SimulationError(RuntimeError):
@@ -163,18 +166,6 @@ class Simulator:
         """Number of events still queued."""
         return len(self._queue) + len(self._bulk)
 
-    def _pop_next(self):
-        """Pop the globally next event, or None when both tiers are empty."""
-        bulk = self._bulk
-        queue = self._queue
-        if bulk:
-            if queue and queue[0] < bulk[-1]:
-                return heappop(queue)
-            return bulk.pop()
-        if queue:
-            return heappop(queue)
-        return None
-
     def _unpop(self, item) -> None:
         """Return an event popped by the horizon peek to its tier.
 
@@ -214,73 +205,29 @@ class Simulator:
         queue = self._queue
         bulk = self._bulk
         pop = heappop
-        finished = False  # both tiers drained, or the horizon was reached
+        horizon = _UNBOUNDED if until_ps is None else until_ps
         try:
-            while not (finished or self._stopped):
-                if self.trace is None:
-                    # -- fast loops: the hook is never consulted per event;
-                    # the two variants keep the horizon compare out of the
-                    # unbounded case entirely
-                    if until_ps is None:
-                        while True:
-                            if bulk:
-                                if queue and queue[0] < bulk[-1]:
-                                    item = pop(queue)
-                                else:
-                                    item = bulk.pop()
-                            elif queue:
-                                item = pop(queue)
-                            else:
-                                finished = True
-                                break
-                            self._now = item[0]
-                            item[2](*item[3])
-                            dispatched += 1
-                            if self._stopped or self.trace is not None:
-                                break
+            while True:
+                if bulk:
+                    if queue and queue[0] < bulk[-1]:
+                        item = pop(queue)
                     else:
-                        while True:
-                            if bulk:
-                                if queue and queue[0] < bulk[-1]:
-                                    item = pop(queue)
-                                else:
-                                    item = bulk.pop()
-                            elif queue:
-                                item = pop(queue)
-                            else:
-                                finished = True
-                                break
-                            time_ps = item[0]
-                            if time_ps > until_ps:
-                                self._unpop(item)
-                                finished = True
-                                break
-                            self._now = time_ps
-                            item[2](*item[3])
-                            dispatched += 1
-                            if self._stopped or self.trace is not None:
-                                break
+                        item = bulk.pop()
+                elif queue:
+                    item = pop(queue)
                 else:
-                    # -- slow loop: trace every dispatched event -----------
-                    while True:
-                        trace = self.trace
-                        if trace is None:
-                            break  # hook removed mid-run: back to fast loop
-                        item = self._pop_next()
-                        if item is None:
-                            finished = True
-                            break
-                        time_ps = item[0]
-                        if until_ps is not None and time_ps > until_ps:
-                            self._unpop(item)
-                            finished = True
-                            break
-                        self._now = time_ps
-                        trace(time_ps, item[2], item[3])
-                        item[2](*item[3])
-                        dispatched += 1
-                        if self._stopped:
-                            break
+                    break
+                time_ps = item[0]
+                if time_ps > horizon:
+                    self._unpop(item)
+                    break
+                self._now = time_ps
+                if self.trace is not None:
+                    self.trace(time_ps, item[2], item[3])
+                item[2](*item[3])
+                dispatched += 1
+                if self._stopped:
+                    break
         finally:
             self._running = False
         if until_ps is not None and not self._stopped and self._now < until_ps:

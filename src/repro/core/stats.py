@@ -115,146 +115,6 @@ class LatencySample:
         return self.percentile_ps(pct) / 1000.0
 
 
-class StreamingLatency:
-    """Bounded-memory online latency collector.
-
-    API-compatible with :class:`LatencySample` (``add``/``reset``/
-    ``mean_ps``/``percentile_ps``/...), but its histogram memory is
-    capped: observations are binned at ``bucket_ps`` resolution and,
-    whenever the number of live buckets exceeds ``max_buckets``, the
-    resolution doubles and existing buckets merge in place.  Count, sum
-    (hence mean), min and max stay *exact* integers forever — only
-    percentile resolution coarsens — so a multi-million-packet replay
-    runs in flat memory.
-
-    At the defaults (``bucket_ps=1``, no cap) nothing ever coarsens and
-    the collector is bit-identical to :class:`LatencySample`: same
-    buckets, same nearest-rank percentiles, same sums.  That identity is
-    what lets :class:`NetworkStats` accept either collector
-    interchangeably (see its ``latency`` parameter) and is pinned by the
-    differential tests.
-
-    Percentiles return the *lower bound* of the nearest-rank bucket —
-    exact at 1 ps resolution, conservative (never above the true value
-    by more than ``bucket_ps - 1``) after coarsening.
-    """
-
-    __slots__ = ("_counts", "_n", "_sum", "_min", "_max", "bucket_ps",
-                 "max_buckets", "_initial_bucket_ps")
-
-    def __init__(self, bucket_ps: int = 1,
-                 max_buckets: Optional[int] = None) -> None:
-        if bucket_ps < 1:
-            raise ValueError("bucket width must be >= 1 ps")
-        if max_buckets is not None and max_buckets < 2:
-            raise ValueError("need at least 2 buckets to coarsen into")
-        self.bucket_ps = int(bucket_ps)
-        self._initial_bucket_ps = self.bucket_ps
-        self.max_buckets = max_buckets
-        self._counts: Dict[int, int] = {}
-        self._n = 0
-        self._sum = 0
-        self._min: Optional[int] = None
-        self._max: Optional[int] = None
-
-    def reset(self) -> None:
-        """Drop every observation and restore the as-constructed bucket
-        resolution (a coarsened collector re-coarsens only if the next
-        run needs it)."""
-        self._counts.clear()
-        self._n = 0
-        self._sum = 0
-        self._min = None
-        self._max = None
-        self.bucket_ps = self._initial_bucket_ps
-
-    def add(self, value_ps: int) -> None:
-        counts = self._counts
-        width = self.bucket_ps
-        bucket = value_ps if width == 1 else value_ps - value_ps % width
-        counts[bucket] = counts.get(bucket, 0) + 1
-        self._n += 1
-        self._sum += value_ps
-        if self._min is None or value_ps < self._min:
-            self._min = value_ps
-        if self._max is None or value_ps > self._max:
-            self._max = value_ps
-        if self.max_buckets is not None and len(counts) > self.max_buckets:
-            self._coarsen()
-
-    def _coarsen(self) -> None:
-        """Double the bucket width (possibly repeatedly) until the live
-        bucket count fits the cap again."""
-        while len(self._counts) > self.max_buckets:
-            self.bucket_ps *= 2
-            width = self.bucket_ps
-            merged: Dict[int, int] = {}
-            for bucket, count in self._counts.items():
-                low = bucket - bucket % width
-                merged[low] = merged.get(low, 0) + count
-            self._counts = merged
-
-    def __len__(self) -> int:
-        return self._n
-
-    @property
-    def count(self) -> int:
-        return self._n
-
-    @property
-    def sum_ps(self) -> int:
-        return self._sum
-
-    @property
-    def mean_ps(self) -> float:
-        if not self._n:
-            return float("nan")
-        return self._sum / self._n
-
-    @property
-    def mean_ns(self) -> float:
-        return self.mean_ps / 1000.0
-
-    @property
-    def min_ps(self) -> int:
-        if self._min is None:
-            raise ValueError("no samples recorded")
-        return self._min
-
-    @property
-    def max_ps(self) -> int:
-        if self._max is None:
-            raise ValueError("no samples recorded")
-        return self._max
-
-    @property
-    def max_ns(self) -> float:
-        return self.max_ps / 1000.0
-
-    def percentile_ps(self, pct: float) -> int:
-        """Nearest-rank percentile over the bucketed histogram (exact
-        while ``bucket_ps == 1``)."""
-        if not self._n:
-            raise ValueError("no samples recorded")
-        if not 0.0 <= pct <= 100.0:
-            raise ValueError("percentile must be in [0, 100], got %r" % pct)
-        rank = max(1, int(math.ceil(pct / 100.0 * self._n)))
-        seen = 0
-        for value in sorted(self._counts):
-            seen += self._counts[value]
-            if seen >= rank:
-                return value
-        return self._max  # pragma: no cover - rank <= n guarantees a hit
-
-    def percentile_ns(self, pct: float) -> float:
-        return self.percentile_ps(pct) / 1000.0
-
-    @property
-    def live_buckets(self) -> int:
-        """Histogram entries currently held — the bounded quantity."""
-        return len(self._counts)
-
-
 class ThroughputMeter:
     """Measures delivered bytes inside ``[warmup_ps, window_end_ps]``.
 
@@ -352,13 +212,8 @@ class NetworkStats:
     """
 
     def __init__(self, warmup_ps: int = 0,
-                 window_end_ps: Optional[int] = None,
-                 latency=None) -> None:
-        #: Latency collector — :class:`LatencySample` by default, but any
-        #: object with its add/reset/mean/percentile surface works; pass a
-        #: :class:`StreamingLatency` to cap histogram memory on runs with
-        #: millions of packets.
-        self.latency = latency if latency is not None else LatencySample()
+                 window_end_ps: Optional[int] = None) -> None:
+        self.latency = LatencySample()
         self.throughput = ThroughputMeter(warmup_ps, window_end_ps)
         self.energy = EnergyAccount()
         self.injected_packets = 0

@@ -36,13 +36,13 @@ of arbitration state.  This module exploits that:
   bucket is sorted once at dispatch time, replacing per-event heap
   churn with C-level ``list.sort`` while preserving the exact
   ``(time, seq)`` dispatch order.
-* **Checkpointed (adaptive) execution replayed from arrays.**  An
+* **Checkpointed (adaptive) execution read from arrays.**  An
   ``adaptive=`` run's stop rules read only monotone counters (injected/
   delivered counts, the latency sample's count and sum) at fixed
-  checkpoint times; :func:`_run_adaptive` recovers every checkpoint
-  snapshot from the kernel's delivery arrays with ``searchsorted`` and
-  replays :func:`repro.core.adaptive.execute_adaptive`'s decision loop
-  float-for-float, so stop reasons, stop times, knees and early-stop
+  checkpoint times; :func:`_run_adaptive` reads every checkpoint off the
+  kernel's delivery arrays with ``searchsorted`` and hands it to
+  :func:`repro.core.adaptive.decide_stop` — the same rules the scalar
+  executor calls — so stop reasons, stop times, knees and early-stop
   results are bit-identical to the scalar adaptive path.
 
 Every network the sweeps drive — HERMES's snoopy broadcast included —
@@ -221,8 +221,8 @@ def pair_propagation_table(layout) -> List[int]:
                  for s in range(n) for d in range(n)])
 
 
-#: call sites ("sweep" / "adaptive" / "campaign") already warned about a
-#: missing numpy — the fallback decision is reported once per site so
+#: call sites ("sweep" / "adaptive") already warned about a missing
+#: numpy — the fallback decision is reported once per site so
 #: silent-fallback debugging names where the resolution happened
 _warned_no_numpy: set = set()
 
@@ -230,9 +230,9 @@ _warned_no_numpy: set = set()
 def warn_numpy_fallback(call_site: str, stacklevel: int = 3) -> None:
     """Warn (once per call site) that ``backend='vectorized'`` resolved
     to the scalar python engine because numpy is missing.  The message
-    names the call site that made the decision — sweep load point,
-    adaptive load point, or campaign construction — so the resolution
-    is diagnosable without reading this module."""
+    names the call site that made the decision — sweep or adaptive load
+    point — so the resolution is diagnosable without reading this
+    module."""
     if call_site in _warned_no_numpy:
         return
     _warned_no_numpy.add(call_site)
@@ -268,8 +268,8 @@ def try_run_vectorized(ctx,
     ``backend=`` through unconditionally.
 
     ``adaptive`` (an :class:`~repro.core.adaptive.AdaptiveConfig`) runs
-    the checkpointed executor's decision loop over the kernel's arrays
-    (see :func:`_run_adaptive`) — stop reasons, stop times and results
+    the stop rules over checkpoints read off the kernel's arrays (see
+    :func:`_run_adaptive`) — stop reasons, stop times and results
     bit-identical to the scalar adaptive path.
     """
     if np is None:
@@ -295,10 +295,22 @@ def try_run_vectorized(ctx,
                             packet_bytes, plan, out, saturation_threshold)
 
 
+class EarlyStop(NamedTuple):
+    """An adaptive stop rule fired before the horizon."""
+
+    reason: str  # 'converged' or 'saturated'
+    at_ps: int
+    checkpoint: Any  # the repro.core.adaptive.Checkpoint at ``at_ps``
+    #: non-deliver events dispatched by ``at_ps`` (the kernel re-run
+    #: truncated there)
+    heap_events: int
+
+
 def _assemble_result(network_name: str, pattern_name: str,
                      offered_fraction: float, packet_bytes: int,
                      plan: InjectionPlan, out: KernelOutput,
-                     saturation_threshold: float):
+                     saturation_threshold: float,
+                     stop: Optional[EarlyStop] = None):
     """Fold a kernel's delivery arrays into a LoadPointResult.
 
     Every arithmetic step mirrors the scalar collectors operation for
@@ -306,12 +318,17 @@ def _assemble_result(network_name: str, pattern_name: str,
     percentile over sorted *distinct* values, ``bytes * 1000.0 /
     max(1, last - warmup)`` throughput — so the floats come out
     bit-equal, not merely close.
+
+    With ``stop`` the arrays are cut off at the stop checkpoint instead
+    of the horizon: only deliveries at or before ``stop.at_ps`` count,
+    exactly the statistics the scalar engine holds when it stops there.
     """
     from .sweep import LoadPointResult
 
-    horizon = plan.horizon_ps
+    cut = plan.horizon_ps if stop is None else stop.at_ps
     warmup = plan.warmup_ps
-    window_end = plan.window_end_ps
+    # capped at the cut, so in-window implies dispatched
+    window_end = min(plan.window_end_ps, cut)
 
     dt = np.asarray(out.deliver_t, dtype=np.int64)
     di = np.asarray(out.deliver_inject, dtype=np.int64)
@@ -321,12 +338,10 @@ def _assemble_result(network_name: str, pattern_name: str,
     p99 = float("nan")
     throughput = 0.0
     if dt.size:
-        dispatched = dt <= horizon
+        dispatched = dt <= cut
         delivered = int(dispatched.sum())
         if delivered < dt.size:
             pending = True
-        # measurement window [warmup, window_end]; window_end <= horizon
-        # always (drain_factor >= 0), so in-window implies dispatched
         in_window = (dt >= warmup) & (dt <= window_end)
         n_in = int(in_window.sum())
         if n_in:
@@ -341,8 +356,16 @@ def _assemble_result(network_name: str, pattern_name: str,
             throughput = (n_in * packet_bytes) * 1000.0 / max(
                 1, last - warmup)
 
-    events = out.heap_events + delivered
-    saturated = delivered < out.injected * saturation_threshold
+    if stop is None:
+        injected = out.injected
+        events = out.heap_events + delivered
+        saturated = delivered < injected * saturation_threshold
+        stop_reason = "horizon" if pending else "drained"
+    else:
+        injected = stop.checkpoint.injected
+        events = stop.heap_events + delivered
+        saturated = stop.reason == "saturated"
+        stop_reason = stop.reason
     return LoadPointResult(
         network=network_name,
         pattern=pattern_name,
@@ -351,11 +374,11 @@ def _assemble_result(network_name: str, pattern_name: str,
         p99_latency_ns=p99,
         throughput_gb_per_s=throughput,
         delivered_packets=delivered,
-        injected_packets=out.injected,
+        injected_packets=injected,
         saturated=saturated,
         events_dispatched=events,
-        stop_reason="horizon" if pending else "drained",
-        stopped_at_ps=horizon,
+        stop_reason=stop_reason,
+        stopped_at_ps=cut,
     )
 
 
@@ -363,34 +386,31 @@ def _run_adaptive(network_name: str, pattern_name: str,
                   offered_fraction: float, packet_bytes: int,
                   plan: InjectionPlan, out: KernelOutput, kernel, net,
                   cfg, saturation_threshold: float):
-    """Replay the checkpointed executor's decision loop over kernel output.
+    """Run the adaptive stop rules over a kernel's output.
 
-    The scalar adaptive path (:func:`repro.core.adaptive.execute_adaptive`)
-    steps the simulator in horizon slices and evaluates its stop rules
-    from monotone counters: injected/delivered packet counts, the
-    latency collector's count and sum, and the queue-empty test.  All of
-    those are pure functions of *which events have dispatched by the
-    checkpoint time* — so instead of stepping an event loop, this
-    replays the decision loop over the kernel's arrays: per-checkpoint
-    counter snapshots come from ``searchsorted`` on the sorted delivery/
-    injection times, and every float expression is evaluated in exactly
-    the order the scalar executor evaluates it, so the stop decisions
-    (reason *and* checkpoint) are bit-identical.
+    The scalar adaptive path steps the simulator in horizon slices and
+    hands :func:`repro.core.adaptive.decide_stop` a
+    :class:`~repro.core.adaptive.Checkpoint` of monotone counters after
+    each one.  All of those counters are pure functions of *which events
+    have dispatched by the checkpoint time* — so here ``advance`` reads
+    them off the kernel's arrays instead: ``searchsorted`` on the sorted
+    delivery/injection times.  The same rules see the same counters, so
+    stop reasons, stop times and results are bit-identical.
 
     When no rule fires the run is exactly the fixed-window run (the
     scalar executor's slicing dispatches the same events in the same
-    order), so the ordinary assembler produces the result.  When a rule
-    fires at checkpoint ``c``, the early-stop result needs the event
-    count the scalar run would have dispatched by ``c`` — the kernel is
-    re-run with ``horizon_ps = c``: dispatch order is a pure function of
+    order), so the assembler folds the full arrays.  When a rule fires
+    at checkpoint ``c``, the early-stop result needs the event count the
+    scalar run would have dispatched by ``c`` — the kernel is re-run
+    with ``horizon_ps = c``: dispatch order is a pure function of
     ``(time, seq)``, so the events at or before ``c`` are a prefix and
     the truncated replay dispatches exactly them.
     """
+    from .adaptive import Checkpoint, decide_stop
+
     horizon = plan.horizon_ps
     window = plan.window_end_ps
     warmup = plan.warmup_ps
-    planned = plan.num_sites * plan.pps
-    slice_ps = max(1, int(window * cfg.slice_fraction))
 
     dt = np.asarray(out.deliver_t, dtype=np.int64)
     di = np.asarray(out.deliver_inject, dtype=np.int64)
@@ -399,8 +419,7 @@ def _run_adaptive(network_name: str, pattern_name: str,
     lat_sorted = (dt - di)[order]
     in_win = (dt_sorted >= warmup) & (dt_sorted <= window)
     win_dt = dt_sorted[in_win]  # ascending: latency-collector feed order
-    win_lat = lat_sorted[in_win]
-    win_cum = np.cumsum(win_lat)
+    win_cum = np.cumsum(lat_sorted[in_win])
     inj_sorted = np.sort(np.concatenate(plan.site_times_np)) \
         if plan.num_sites else np.empty(0, dtype=np.int64)
 
@@ -412,124 +431,28 @@ def _run_adaptive(network_name: str, pattern_name: str,
         empty_at = max(out.last_event_ps,
                        int(dt_sorted[-1]) if dt.size else 0)
 
-    sat_deficit = (1.0 - saturation_threshold) * planned
-    batch_means: List[float] = []
-    prev_count = 0
-    prev_sum = 0
-    prev_backlog: Optional[int] = None
-    prev_delivered = 0
-    streak = 0
-    stop_reason = None
-    now = 0
-    while now < horizon:
-        now = min(now + slice_ps, horizon)
-        if empty_at is not None and empty_at <= now:
-            # queue empty at this checkpoint: the scalar executor
-            # returns ('drained', horizon) with the full event count —
-            # exactly the fixed-window result
-            return _assemble_result(network_name, pattern_name,
-                                    offered_fraction, packet_bytes, plan,
-                                    out, saturation_threshold)
-
+    def advance(now: int) -> Checkpoint:
         delivered = int(np.searchsorted(dt_sorted, now, side="right"))
-        injected_now = int(np.searchsorted(inj_sorted, now, side="right"))
-        past_warmup = now > warmup
-        backlog = injected_now - delivered
-        delivery_rate = (delivered - prev_delivered) / slice_ps
-        remaining = planned - injected_now
-        inject_left = max(0, window - now)
-        drain_left = horizon - max(now, window)
+        injected = int(np.searchsorted(inj_sorted, now, side="right"))
+        count = int(np.searchsorted(win_dt, now, side="right"))
+        return Checkpoint(empty_at is not None and empty_at <= now,
+                          injected, delivered, injected - delivered,
+                          count, int(win_cum[count - 1]) if count else 0)
 
-        if cfg.saturation_abort and past_warmup:
-            capacity = (delivery_rate * inject_left
-                        + cfg.drain_rate_factor * delivery_rate
-                        * drain_left)
-            if now <= window:
-                growing = prev_backlog is not None and backlog > prev_backlog
-            else:
-                growing = True
-            proven = (
-                injected_now >= cfg.min_abort_injected
-                and backlog + remaining - capacity
-                > cfg.abort_margin * sat_deficit)
-            streak = streak + 1 if (proven and growing) else 0
-            if streak >= cfg.abort_streak:
-                stop_reason = "saturated"
-                break
-
-        prev_backlog = backlog
-        prev_delivered = delivered
-
-        if (cfg.convergence_stop and past_warmup
-                and planned >= cfg.min_converge_planned):
-            count = int(np.searchsorted(win_dt, now, side="right"))
-            delta_n = count - prev_count
-            if delta_n > 0:
-                total = int(win_cum[count - 1]) if count else 0
-                batch_means.append((total - prev_sum) / delta_n)
-                prev_count, prev_sum = count, total
-                clears = (backlog + remaining
-                          - delivery_rate * (inject_left + drain_left)
-                          <= 0.0)
-                if len(batch_means) >= cfg.min_batches and clears:
-                    k = len(batch_means)
-                    grand = sum(batch_means) / k
-                    var = sum((b - grand) ** 2
-                              for b in batch_means) / (k - 1)
-                    half_width = cfg.confidence_z * math.sqrt(var / k)
-                    if grand > 0 and half_width <= cfg.rel_precision * grand:
-                        stop_reason = "converged"
-                        break
-
-    if stop_reason is None:
-        # no rule fired and the queue never emptied at a checkpoint: the
-        # scalar executor returns ('horizon', horizon) having dispatched
-        # every in-horizon event — the fixed-window result again
-        return _assemble_result(network_name, pattern_name,
-                                offered_fraction, packet_bytes, plan,
-                                out, saturation_threshold)
-
-    # early stop at checkpoint `now`: re-run the kernel truncated at the
-    # stop time for the prefix event count, and read the stop-time stats
-    # snapshots off the same sorted arrays
-    from .sweep import LoadPointResult
-
-    truncated = InjectionPlan(plan.num_sites, plan.pps, packet_bytes,
-                              now, warmup, window,
-                              plan.site_gaps, plan.site_dsts,
-                              plan.scratch)
-    delivered = int(np.searchsorted(dt_sorted, now, side="right"))
-    injected_now = int(np.searchsorted(inj_sorted, now, side="right"))
-    events = kernel(net, truncated).heap_events + delivered
-
-    count = int(np.searchsorted(win_dt, now, side="right"))
-    mean_lat = float("nan")
-    p99 = float("nan")
-    throughput = 0.0
-    if count:
-        lat_sum = int(win_cum[count - 1])
-        mean_lat = (lat_sum / count) / 1000.0
-        rank = max(1, int(math.ceil(99.0 / 100.0 * count)))
-        values, counts = np.unique(win_lat[:count], return_counts=True)
-        cum = np.cumsum(counts)
-        p99 = int(values[int(np.searchsorted(cum, rank))]) / 1000.0
-        last = int(win_dt[count - 1])
-        throughput = (count * packet_bytes) * 1000.0 / max(1, last - warmup)
-
-    return LoadPointResult(
-        network=network_name,
-        pattern=pattern_name,
-        offered_fraction=offered_fraction,
-        mean_latency_ns=mean_lat,
-        p99_latency_ns=p99,
-        throughput_gb_per_s=throughput,
-        delivered_packets=delivered,
-        injected_packets=injected_now,
-        saturated=stop_reason == "saturated",
-        events_dispatched=events,
-        stop_reason=stop_reason,
-        stopped_at_ps=now,
-    )
+    reason, at_ps = decide_stop(advance, window, horizon, warmup, cfg,
+                                saturation_threshold,
+                                plan.num_sites * plan.pps)
+    stop = None
+    if reason in ("converged", "saturated"):
+        truncated = InjectionPlan(plan.num_sites, plan.pps, packet_bytes,
+                                  at_ps, warmup, window,
+                                  plan.site_gaps, plan.site_dsts,
+                                  plan.scratch)
+        stop = EarlyStop(reason, at_ps, advance(at_ps),
+                         kernel(net, truncated).heap_events)
+    return _assemble_result(network_name, pattern_name, offered_fraction,
+                            packet_bytes, plan, out, saturation_threshold,
+                            stop)
 
 
 def fifo_channel_delivery(np_mod, key, t, tx: int, prop):

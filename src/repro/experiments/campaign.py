@@ -42,7 +42,7 @@ from ..macrochip.configio import config_to_dict
 from ..networks.factory import FIGURE7_NETWORKS
 from ..workloads.replay import replay
 
-_MANIFEST_VERSION = 2
+_MANIFEST_VERSION = 3
 _MANIFEST_NAME = "manifest.json"
 
 
@@ -51,15 +51,11 @@ class CampaignStateError(RuntimeError):
 
 
 def campaign_fingerprint(preset: Preset,
-                         config: MacrochipConfig,
-                         backend: str = "python") -> Dict[str, Any]:
+                         config: MacrochipConfig) -> Dict[str, Any]:
     """The JSON document that uniquely identifies what a campaign ran:
     the preset sizing plus the *full* configuration (every field, not
-    just overrides, so a change in defaults is also caught) plus the
-    execution backend.  Backends are bit-identical by contract, but the
-    manifest still records which one produced the cache so results from
-    different engines never silently alias — if the contract is ever
-    violated, the manifest points at the culprit instead of hiding it."""
+    just overrides, so a change in defaults is also caught).  Replay
+    runs on the scalar engine only, so there is no backend to record."""
     return {
         "version": _MANIFEST_VERSION,
         "preset": {
@@ -68,7 +64,6 @@ def campaign_fingerprint(preset: Preset,
             "synthetic_ops_per_core": preset.synthetic_ops_per_core,
         },
         "config": config_to_dict(config, full=True),
-        "backend": backend,
     }
 
 
@@ -130,27 +125,14 @@ class Campaign:
                  on_stale: str = "error",
                  on_error: str = "raise",
                  max_retries: int = 2,
-                 timeout_s: Optional[float] = None,
-                 backend: str = "python") -> None:
-        from ..core.sweep import BACKENDS
-
+                 timeout_s: Optional[float] = None) -> None:
         if on_stale not in ("error", "rebuild"):
             raise ValueError("on_stale must be 'error' or 'rebuild', got %r"
                              % on_stale)
-        if backend not in BACKENDS:
-            raise ValueError("unknown backend %r; valid backends: %s"
-                             % (backend, ", ".join(BACKENDS)))
-        if backend == "vectorized":
-            from ..core import vectorized
-            if vectorized.np is None:
-                # Warn once, up front: every load point this campaign
-                # runs would otherwise emit its own resolution notice.
-                vectorized.warn_numpy_fallback("campaign")
         self.directory = directory
         self.preset = PRESETS[preset_name]
         self.config = config or scaled_config()
         self.workers = workers
-        self.backend = backend
         self.on_error = on_error
         self.max_retries = max_retries
         self.timeout_s = timeout_s
@@ -197,7 +179,7 @@ class Campaign:
         return os.path.join(self.directory, _MANIFEST_NAME)
 
     def fingerprint(self) -> Dict[str, Any]:
-        return campaign_fingerprint(self.preset, self.config, self.backend)
+        return campaign_fingerprint(self.preset, self.config)
 
     def _check_manifest(self, on_stale: str) -> None:
         """Validate the cache against this campaign's parameters; write
@@ -243,15 +225,19 @@ class Campaign:
 
     def ensure_traces(self,
                       progress: Optional[Callable[[str], None]] = None,
-                      workers: Optional[int] = None
+                      workers: Optional[int] = None,
+                      workloads: Optional[List[str]] = None
                       ) -> Dict[str, CoherenceTrace]:
         """Load cached traces; CPU-simulate and cache **only** the
         missing workloads (a partially populated cache is resumed, never
-        rebuilt from scratch)."""
+        rebuilt from scratch).  ``workloads`` restricts both to the
+        named workloads (default: all of them)."""
         cached: Dict[str, CoherenceTrace] = {}
         missing: List[str] = []
         self.last_failures = []
         for workload in WORKLOAD_ORDER:
+            if workloads is not None and workload not in workloads:
+                continue
             path = self._trace_path(workload)
             if os.path.exists(path):
                 cached[workload] = load_trace(path)
@@ -289,15 +275,16 @@ class Campaign:
             ) -> Dict[str, Dict[str, CampaignEntry]]:
         """Replay every missing (workload, network) pair; return the
         complete grid (cached + fresh).  Missing pairs shard across
-        ``workers`` processes (defaulting to the campaign's setting)."""
+        ``workers`` processes (defaulting to the campaign's setting).
+        ``workloads`` restricts the grid, and the traces built for it,
+        to the named workloads."""
         nets = networks or list(FIGURE7_NETWORKS)
         n_workers = self.workers if workers is None else workers
-        traces = self.ensure_traces(progress, workers=n_workers)
+        traces = self.ensure_traces(progress, workers=n_workers,
+                                    workloads=workloads)
         grid: Dict[str, Dict[str, CampaignEntry]] = {}
         todo: List[Shard] = []
         for workload, trace in traces.items():
-            if workloads is not None and workload not in workloads:
-                continue
             grid[workload] = {}
             for net in nets:
                 path = self._result_path(workload, net)

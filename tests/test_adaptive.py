@@ -13,7 +13,8 @@ import math
 
 import pytest
 
-from repro.core.adaptive import AdaptiveConfig, KneeResult, refine_knee
+from repro.core.adaptive import (AdaptiveConfig, Checkpoint, KneeResult,
+                                 decide_stop, refine_knee)
 from repro.core.sweep import run_load_point
 from repro.experiments.figure6 import LOAD_GRIDS, adaptive_coarse_grid
 from repro.macrochip.config import scaled_config, small_test_config
@@ -102,6 +103,139 @@ def test_stop_reason_and_clock_on_fixed_path():
     assert r.stop_reason in ("drained", "horizon")
     # legacy clock convention: the horizon, not the last event
     assert r.stopped_at_ps == int(200 * 1000 * 2)
+
+
+# -- decide_stop over scripted checkpoints ------------------------------------
+#
+# The rules alone, with no simulator and no numpy: the window is 1000 ps
+# and the drain another 1000 ps, so a slice_fraction of 0.1 puts a
+# checkpoint every 100 ps.  1000 packets are planned and the saturation
+# threshold is 0.9, so the saturation deficit is 100 packets.
+
+WINDOW_PS = 1000
+HORIZON_PS = 2000
+PLANNED = 1000
+
+
+def _walk(counters, cfg, horizon_ps=HORIZON_PS, warmup_ps=0):
+    """Run decide_stop over ``counters(now) -> Checkpoint``; return its
+    verdict and the checkpoint times it asked for."""
+    seen = []
+
+    def advance(now):
+        seen.append(now)
+        return counters(now)
+
+    verdict = decide_stop(advance, WINDOW_PS, horizon_ps, warmup_ps, cfg,
+                          0.9, PLANNED)
+    return verdict, seen
+
+
+def _keeping_up(now):
+    """One packet injected per ps, each delivered at once with a
+    latency of 50 ps."""
+    injected = min(now, PLANNED)
+    return Checkpoint(False, injected, injected, 0, injected, 50 * injected)
+
+
+def _backlogged(backlog):
+    """Nothing delivered: the backlog is every packet injected so far."""
+    return Checkpoint(False, backlog, 0, backlog, 0, 0)
+
+
+def test_decide_stop_drained_returns_horizon():
+    def counters(now):
+        return _keeping_up(now)._replace(drained=now >= 300)
+
+    verdict, seen = _walk(counters, AdaptiveConfig(slice_fraction=0.1))
+    assert verdict == ("drained", HORIZON_PS)
+    assert seen == [100, 200, 300]  # nothing is advanced past the drain
+
+
+@pytest.mark.parametrize("streak", [1, 3, 5])
+def test_decide_stop_aborts_on_the_streakth_growing_checkpoint(streak):
+    """Every checkpoint projects a backlog over twice the deficit; the
+    first has no predecessor to grow from, so the streak-th growing one
+    is checkpoint streak + 1, and nothing fires before it."""
+    cfg = AdaptiveConfig(slice_fraction=0.1, convergence_stop=False,
+                         min_abort_injected=0, abort_streak=streak)
+    verdict, seen = _walk(lambda now: _backlogged(min(now, PLANNED)), cfg)
+    stop_at = 100 * (streak + 1)
+    assert verdict == ("saturated", stop_at)
+    assert seen[-1] == stop_at
+
+
+def test_decide_stop_abort_streak_resets_when_backlog_stalls():
+    backlogs = {100: 100, 200: 200, 300: 300, 400: 300,  # stall at 400
+                500: 400, 600: 500, 700: 600}
+    cfg = AdaptiveConfig(slice_fraction=0.1, convergence_stop=False,
+                         min_abort_injected=0, abort_streak=3)
+    verdict, _ = _walk(lambda now: _backlogged(backlogs[now]), cfg)
+    assert verdict == ("saturated", 700)
+
+
+def test_decide_stop_abort_needs_the_projection_over_the_deficit():
+    """A growing backlog whose projection clears the deficit with margin
+    (the deliveries keep pace) never aborts."""
+    def counters(now):
+        injected = min(now, PLANNED)
+        delivered = injected - injected // 10  # backlog 10% and growing
+        return Checkpoint(False, injected, delivered,
+                          injected - delivered, 0, 0)
+
+    cfg = AdaptiveConfig(slice_fraction=0.1, convergence_stop=False,
+                         min_abort_injected=0, abort_streak=1)
+    verdict, _ = _walk(counters, cfg)
+    assert verdict == ("horizon", HORIZON_PS)
+
+
+@pytest.mark.parametrize("min_batches", [2, 4, 6])
+def test_decide_stop_converges_after_min_batches(min_batches):
+    """Constant latency has zero batch variance, so the test passes as
+    soon as min_batches non-empty batches exist."""
+    cfg = AdaptiveConfig(slice_fraction=0.1, saturation_abort=False,
+                         min_converge_planned=0, min_batches=min_batches)
+    verdict, _ = _walk(_keeping_up, cfg)
+    assert verdict == ("converged", 100 * min_batches)
+
+
+def test_decide_stop_convergence_waits_for_the_clears_gate():
+    """Everything is injected up front; deliveries run at 0.25/ps until
+    600 ps and 1/ps after.  At the slow rate the drain cannot clear the
+    backlog, so convergence waits for the first fast checkpoint even
+    though enough batches exist from 200 ps on."""
+    def counters(now):
+        delivered = now // 4 if now <= 600 else 150 + (now - 600)
+        return Checkpoint(False, PLANNED, delivered, PLANNED - delivered,
+                          delivered, 50 * delivered)
+
+    cfg = AdaptiveConfig(slice_fraction=0.1, saturation_abort=False,
+                         min_converge_planned=0, min_batches=2)
+    verdict, _ = _walk(counters, cfg)
+    assert verdict == ("converged", 700)
+
+
+def test_decide_stop_rules_wait_for_warmup():
+    """No rule fires at a checkpoint inside the warmup, even when its
+    counters alone would fire it."""
+    converge = AdaptiveConfig(slice_fraction=0.1, saturation_abort=False,
+                              min_converge_planned=0, min_batches=2)
+    assert _walk(_keeping_up, converge, warmup_ps=450)[0] == (
+        "converged", 600)
+    abort = AdaptiveConfig(slice_fraction=0.1, convergence_stop=False,
+                           min_abort_injected=0, abort_streak=1)
+    assert _walk(lambda now: _backlogged(min(now, PLANNED)), abort,
+                 warmup_ps=450)[0] == ("saturated", 500)
+
+
+def test_decide_stop_no_rule_fires_runs_to_the_horizon():
+    """Planned injections under min_converge_planned and a backlog that
+    never builds: every checkpoint is visited, the last one clamped to
+    the horizon."""
+    verdict, seen = _walk(_keeping_up, AdaptiveConfig(slice_fraction=0.1),
+                          horizon_ps=2050)
+    assert verdict == ("horizon", 2050)
+    assert seen == list(range(100, 2001, 100)) + [2050]
 
 
 # -- refine_knee --------------------------------------------------------------

@@ -1,9 +1,9 @@
-"""Backend selection plumbing: CLI round-trip, campaign fingerprints,
+"""Backend selection plumbing: CLI round-trip, the campaign fingerprint,
 and the numpy-optional degradation seams (PR 9).
 
 The vectorized backend is only useful if asking for it actually reaches
 the hot loop — these tests pin the plumbing between the user-facing
-surfaces (``--backend`` on the CLI, ``backend=`` on ``Campaign``) and
+surface (``--backend`` on the CLI) and
 :func:`repro.core.sweep.run_load_point`, plus the failure modes: bad
 names are rejected with the valid choices listed, and a missing numpy
 raises an actionable ImportError from :func:`require_numpy` while
@@ -18,8 +18,7 @@ import pytest
 import repro.core.vectorized as vectorized
 from repro.core.sweep import BACKENDS, run_load_point
 from repro.experiments import run as run_cli
-from repro.experiments.campaign import (Campaign, CampaignStateError,
-                                        campaign_fingerprint)
+from repro.experiments.campaign import campaign_fingerprint
 from repro.experiments.scaling import simulate_scale_point
 from repro.macrochip.config import small_test_config
 from repro.workloads.synthetic import UniformTraffic
@@ -90,38 +89,14 @@ def test_backends_tuple_is_the_cli_choice_list():
 
 # -- campaign fingerprinting --------------------------------------------------
 
-def test_campaign_fingerprint_records_backend(tmp_path):
-    c = Campaign(str(tmp_path / "c"), preset_name="smoke", config=CFG,
-                 backend="vectorized")
-    assert c.fingerprint()["backend"] == "vectorized"
-    d = Campaign(str(tmp_path / "d"), preset_name="smoke", config=CFG)
-    assert d.fingerprint()["backend"] == "python"
-
-
-def test_campaign_backend_mismatch_never_aliases(tmp_path):
-    """A cache produced under one backend must not be silently reused by
-    a campaign configured for another."""
-    path = str(tmp_path / "c")
-    Campaign(path, preset_name="smoke", config=CFG)
-    with pytest.raises(CampaignStateError):
-        Campaign(path, preset_name="smoke", config=CFG,
-                 backend="vectorized")
-
-
-def test_campaign_rejects_unknown_backend(tmp_path):
-    with pytest.raises(ValueError) as exc:
-        Campaign(str(tmp_path / "c"), preset_name="smoke", config=CFG,
-                 backend="numba")
-    message = str(exc.value)
-    assert "python" in message and "vectorized" in message
-
-
 def test_campaign_fingerprint_helper_defaults_to_python():
+    """Campaign replay always runs the python engine, so its manifest
+    carries no backend key (manifest version 3 dropped it)."""
     from repro.experiments.evaluation import PRESETS
 
     doc = campaign_fingerprint(PRESETS["smoke"], CFG)
-    assert doc["backend"] == "python"
-    assert doc["version"] >= 2
+    assert "backend" not in doc
+    assert doc["version"] >= 3
 
 
 # -- scaling entry point ------------------------------------------------------
@@ -168,7 +143,7 @@ def test_missing_numpy_falls_back_to_scalar(monkeypatch):
 
 
 def test_missing_numpy_warns_once_per_call_site(monkeypatch):
-    """Each resolution site — sweep, adaptive, campaign — warns exactly
+    """Each resolution site — sweep, adaptive — warns exactly
     once: a second load point through the same site is silent, but a
     different site still gets its own notice."""
     from repro.core.adaptive import AdaptiveConfig
@@ -185,14 +160,3 @@ def test_missing_numpy_warns_once_per_call_site(monkeypatch):
     with pytest.warns(RuntimeWarning, match="call site 'adaptive'"):
         run_load_point("point_to_point", CFG, pattern, 0.05,
                        adaptive=AdaptiveConfig().disabled(), **kwargs)
-
-
-def test_campaign_warns_missing_numpy_at_construction(monkeypatch,
-                                                      tmp_path):
-    """A vectorized Campaign on a numpy-less interpreter announces the
-    scalar resolution once, up front, instead of per load point."""
-    monkeypatch.setattr(vectorized, "np", None)
-    monkeypatch.setattr(vectorized, "_warned_no_numpy", set())
-    with pytest.warns(RuntimeWarning, match="call site 'campaign'"):
-        Campaign(str(tmp_path / "c"), preset_name="smoke", config=CFG,
-                 backend="vectorized")

@@ -35,6 +35,12 @@ def test_traces_cached_on_disk(campaign):
     assert os.path.exists(os.path.join(campaign.traces_dir, "Radix.json"))
 
 
+def test_run_builds_traces_only_for_requested_workloads(campaign):
+    """run(workloads=W) must not CPU-simulate traces outside W."""
+    campaign.run(networks=["point_to_point"], workloads=["Radix"])
+    assert os.listdir(campaign.traces_dir) == ["Radix.json"]
+
+
 def test_results_cached_and_reused(campaign):
     first = campaign.run(networks=NETS, workloads=["Radix"])
     count = campaign.completed_pairs()
@@ -79,7 +85,7 @@ def test_missing_trace_rebuilds_only_missing(campaign, monkeypatch):
                           **kwargs)
 
     monkeypatch.setattr(campaign_mod, "build_traces", spy)
-    traces = campaign.ensure_traces()
+    traces = campaign.ensure_traces(workloads=LOADS)
     assert requested == [["Radix"]]  # only the deleted workload rebuilt
     assert "Radix" in traces
     assert os.path.exists(os.path.join(campaign.traces_dir, "Radix.json"))
@@ -90,7 +96,7 @@ def test_untouched_traces_not_rewritten(campaign):
     kept = os.path.join(campaign.traces_dir, "All-to-all.json")
     before = os.stat(kept).st_mtime_ns
     os.remove(os.path.join(campaign.traces_dir, "Radix.json"))
-    campaign.ensure_traces()
+    campaign.ensure_traces(workloads=LOADS)
     assert os.stat(kept).st_mtime_ns == before
 
 

@@ -367,10 +367,10 @@ def test_at_many_counts_in_pending(sim):
     assert sim.run() == 6
 
 
-# -- trace-hook fast/slow loop switching --------------------------------------
-# run() dispatches through a hookless fast loop while sim.trace is None and
-# a traced loop otherwise; attaching/detaching mid-run must switch loops
-# without losing or double-dispatching events.
+# -- trace hook attached or detached mid-run ----------------------------------
+# run() reads sim.trace before every callback; attaching/detaching it from
+# a callback must take effect at the next event without losing or
+# double-dispatching events.
 
 def test_trace_hook_attached_mid_run_sees_only_later_events(sim):
     traced, fired = [], []
@@ -447,7 +447,7 @@ def test_stop_on_final_event_prevents_horizon_advance(sim):
 
 
 def test_stop_on_final_event_traced_run(sim):
-    """Same contract through the traced (slow) dispatch loop."""
+    """Same contract with a trace hook installed."""
     traced = []
     sim.trace = lambda t, fn, args: traced.append(t)
     sim.at(10, lambda: None)

@@ -3,8 +3,9 @@
 The optimized simulation core must be *observationally identical* to the
 reference behavior it replaced:
 
-* the engine's hookless fast dispatch loop vs the traced loop — same
-  dispatch order, proven by byte-identical canonical traces;
+* an engine run with a trace hook installed vs one without — the one
+  dispatch loop calls the hook without reordering anything, proven by
+  byte-identical canonical traces;
 * the sweep harness's injection schedules (``_draw_schedules`` over
   a private or an interned draw bank) vs the one-draw-per-packet
   reference in :mod:`tests.conftest` — equal lists for every traffic
@@ -190,9 +191,9 @@ def test_canonical_trace_identical_adaptive_disabled_vs_single_shot(
 
 @pytest.mark.parametrize("network", NETWORKS)
 def test_traced_engine_loop_matches_fast_loop(network):
-    """Attaching an engine-level trace hook forces run() through the
-    slow dispatch loop; the network-level trace it produces must be
-    byte-identical to the fast loop's."""
+    """Attaching an engine-level trace hook must not change dispatch:
+    the network-level trace of a hooked run is byte-identical to the
+    unhooked run's."""
 
     def one_run(engine_hook: bool) -> bytes:
         sim = Simulator()

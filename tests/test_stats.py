@@ -9,7 +9,6 @@ from repro.core.stats import (
     EnergyAccount,
     LatencySample,
     NetworkStats,
-    StreamingLatency,
     ThroughputMeter,
     format_ns,
     mean,
@@ -157,99 +156,6 @@ class TestNetworkStats:
         s.on_deliver(now_ps=2001, inject_ps=0, size_bytes=64)   # drain
         assert len(s.latency) == 1
         assert s.latency.mean_ps == 2000
-
-
-class TestStreamingLatency:
-    def test_empty(self):
-        s = StreamingLatency()
-        assert len(s) == 0
-        assert math.isnan(s.mean_ps)
-        with pytest.raises(ValueError):
-            s.min_ps
-        with pytest.raises(ValueError):
-            s.percentile_ps(50)
-
-    def test_validates_knobs(self):
-        with pytest.raises(ValueError):
-            StreamingLatency(bucket_ps=0)
-        with pytest.raises(ValueError):
-            StreamingLatency(max_buckets=1)
-
-    @given(st.lists(st.integers(min_value=0, max_value=10 ** 7),
-                    min_size=1, max_size=400))
-    def test_bit_identical_to_latency_sample_at_unit_buckets(self, values):
-        """The default configuration IS LatencySample: same counts, same
-        sums, same nearest-rank percentiles, observation for observation."""
-        exact = LatencySample()
-        streaming = StreamingLatency()  # bucket_ps=1, no cap
-        for v in values:
-            exact.add(v)
-            streaming.add(v)
-        assert streaming.count == exact.count
-        assert streaming.sum_ps == exact.sum_ps
-        assert streaming.mean_ps == exact.mean_ps
-        assert streaming.min_ps == exact.min_ps
-        assert streaming.max_ps == exact.max_ps
-        for pct in (0, 25, 50, 90, 99, 100):
-            assert streaming.percentile_ps(pct) == exact.percentile_ps(pct)
-
-    def test_memory_stays_bounded(self):
-        s = StreamingLatency(max_buckets=64)
-        for v in range(100_000):  # 100k distinct values
-            s.add(v)
-        assert s.live_buckets <= 64
-        assert s.count == 100_000
-
-    def test_coarsening_keeps_exact_moments(self):
-        """Count, sum, mean, min, max never degrade — only percentile
-        resolution does."""
-        s = StreamingLatency(max_buckets=16)
-        values = [i * 37 for i in range(10_000)]
-        for v in values:
-            s.add(v)
-        assert s.count == len(values)
-        assert s.sum_ps == sum(values)
-        assert s.mean_ps == sum(values) / len(values)
-        assert s.min_ps == values[0]
-        assert s.max_ps == values[-1]
-        assert s.bucket_ps > 1  # it really did coarsen
-
-    def test_coarsened_percentiles_are_conservative_lower_bounds(self):
-        s = StreamingLatency(max_buckets=32)
-        exact = LatencySample()
-        values = list(range(0, 50_000, 7))
-        for v in values:
-            s.add(v)
-            exact.add(v)
-        for pct in (50, 90, 99):
-            lo = s.percentile_ps(pct)
-            true = exact.percentile_ps(pct)
-            assert lo <= true < lo + s.bucket_ps
-
-    def test_reset_restores_initial_resolution(self):
-        s = StreamingLatency(max_buckets=8)
-        for v in range(1000):
-            s.add(v)
-        assert s.bucket_ps > 1
-        s.reset()
-        assert s.bucket_ps == 1
-        assert len(s) == 0 and s.live_buckets == 0
-
-    def test_network_stats_accepts_injected_collector(self):
-        """NetworkStats drives either collector through the identical
-        windowed on_deliver path — summaries match bit for bit."""
-        buffered = NetworkStats(warmup_ps=100, window_end_ps=10_000)
-        streaming = NetworkStats(warmup_ps=100, window_end_ps=10_000,
-                                 latency=StreamingLatency())
-        deliveries = [(50, 10), (150, 40), (5_000, 4_000), (9_999, 1),
-                      (10_500, 2)]  # pre-warmup, in-window, post-window
-        for now, latency in deliveries:
-            for stats in (buffered, streaming):
-                stats.on_inject()
-                stats.on_deliver(now, now - latency, 64)
-        assert isinstance(streaming.latency, StreamingLatency)
-        assert streaming.summary() == buffered.summary()
-        assert len(streaming.latency) == len(buffered.latency)
 
 
 def test_mean_helper():
