@@ -59,6 +59,30 @@ class LatencySample:
     def __len__(self) -> int:
         return self._n
 
+    def __eq__(self, other: object) -> bool:
+        """Equal histograms; count, sum, min and max follow from it."""
+        if not isinstance(other, LatencySample):
+            return NotImplemented
+        return self._counts == other._counts
+
+    def histogram(self) -> List[List[int]]:
+        """``[value_ps, count]`` pairs in ascending value order: the
+        whole state, JSON-ready (:meth:`from_histogram` inverts it)."""
+        return [[value, self._counts[value]] for value in sorted(self._counts)]
+
+    @classmethod
+    def from_histogram(cls, pairs: List[List[int]]) -> "LatencySample":
+        """Rebuild a sample from :meth:`histogram` output."""
+        sample = cls()
+        for value, count in pairs:
+            sample._counts[value] = count
+            sample._n += count
+            sample._sum += value * count
+        if sample._counts:
+            sample._min = min(sample._counts)
+            sample._max = max(sample._counts)
+        return sample
+
     @property
     def count(self) -> int:
         return self._n

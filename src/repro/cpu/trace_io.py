@@ -3,7 +3,7 @@
 CPU simulation is the expensive stage of the pipeline (it runs the full
 address streams through the caches and directory), while replays are
 cheap and repeated — once per network, plus ablations.  Saving traces to
-disk lets a campaign CPU-simulate each workload exactly once and share
+disk lets a cached suite run CPU-simulate each workload once and share
 the trace across processes and sessions, the same split the paper's
 two-simulator methodology implies.
 

@@ -11,18 +11,38 @@ Presets trade fidelity for time:
 * ``full``  — the sizes used for EXPERIMENTS.md (minutes of CPU time);
 * ``quick`` — reduced reference counts for interactive runs;
 * ``smoke`` — tiny sizes for CI/benchmark harnesses (seconds).
+
+``run_suite(cache_dir=...)`` makes a run resumable.  Each trace and
+replay result is written by the shard that produced it, through a
+temporary file, and a rerun simulates only what is missing::
+
+    <cache_dir>/
+      manifest.json                       preset sizing + full config
+      traces/<workload>.json              coherence traces (cpu.trace_io)
+      results/<workload>__<network>.json  one ReplayResult each
+
+The manifest records what produced the cache.  A directory written under
+another preset or config, or one holding cached files but no manifest,
+is rejected rather than mixed with fresh results.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+import json
+import os
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from ..core.parallel import Shard, ShardError, WorkerPool, run_sharded
+from ..core.stats import LatencySample
 from ..cpu.system import generate_trace
 from ..cpu.trace import CoherenceTrace
+from ..cpu.trace_io import dump_trace, load_trace
 from ..macrochip.config import MacrochipConfig, scaled_config
-from ..networks.factory import FIGURE7_NETWORKS
+from ..macrochip.configio import config_to_dict
+from ..networks.factory import (FIGURE7_NETWORKS, NETWORK_CLASSES,
+                                available_networks)
 from ..workloads.kernels import FIGURE7_KERNELS
 from ..workloads.replay import ReplayResult, replay
 from ..workloads.sharing import mix_by_name
@@ -32,6 +52,10 @@ from ..workloads.synthetic_coherence import (
     SyntheticCoherenceSpec,
     generate_synthetic_trace,
 )
+
+#: bumped whenever a cached file's format changes (4: results hold the
+#: whole ReplayResult, latency histogram included)
+_CACHE_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -101,62 +125,110 @@ def _synthetic_trace_task(name: str, pattern_key: str, mix_name: str,
     return trace
 
 
-def build_traces(preset: Preset,
-                 config: MacrochipConfig,
-                 progress: Optional[Callable[[str], None]] = None,
-                 workloads: Optional[List[str]] = None,
-                 workers: int = 1,
-                 pool: Optional[WorkerPool] = None,
-                 on_error: str = "raise",
-                 max_retries: int = 2,
-                 timeout_s: Optional[float] = None,
-                 failures: Optional[List[ShardError]] = None
-                 ) -> Dict[str, CoherenceTrace]:
-    """Generate coherence traces (CPU simulation runs once per workload;
-    replays reuse the trace).
+def _cache_file(cache_dir: Optional[str], sub: str,
+                name: str) -> Optional[str]:
+    if cache_dir is None:
+        return None
+    return os.path.join(cache_dir, sub, "%s.json" % name)
 
-    ``workloads`` restricts generation to the named subset (the campaign
-    cache uses this to rebuild only what is missing); ``workers`` shards
-    the independent per-workload simulations across processes.  ``pool``
-    lends a persistent :class:`~repro.core.parallel.WorkerPool` so the
-    trace build shares worker processes with the replay stage that
-    follows it instead of spinning up its own.
 
-    Under a collecting ``on_error`` policy a workload whose build failed
-    is simply absent from the returned dict; its
-    :class:`~repro.core.parallel.ShardError` is appended to ``failures``
-    when the caller passes a list to accumulate into.
-    """
-    shards: List[Shard] = []
-    names: List[str] = []
+def _save(path: str, value) -> None:
+    """Write one cache file through a temporary file, so an interrupted
+    run never leaves a truncated entry behind."""
+    tmp = path + ".tmp"
+    with open(tmp, "w") as fh:
+        if isinstance(value, CoherenceTrace):
+            dump_trace(value, fh)
+        elif isinstance(value, ReplayResult):
+            json.dump(dict(vars(value),
+                           op_latency=value.op_latency.histogram()), fh)
+        else:
+            json.dump(value, fh, indent=2, sort_keys=True)
+    os.replace(tmp, path)
+
+
+def _load_result(path: str) -> ReplayResult:
+    with open(path) as fh:
+        doc = json.load(fh)
+    doc["op_latency"] = LatencySample.from_histogram(doc["op_latency"])
+    return ReplayResult(**doc)
+
+
+def _persisted(path: Optional[str], task: Callable, *args):
+    """Shard body: ``task(*args)``, saved to ``path`` (when set) as soon
+    as it exists.  A failing task raises first, so it is never saved."""
+    value = task(*args)
+    if path is not None:
+        _save(path, value)
+    return value
+
+
+def _open_cache(cache_dir: str, preset: Preset,
+                config: MacrochipConfig) -> None:
+    """Write the manifest of a fresh ``cache_dir``, or check that an
+    existing one was produced by this preset and config."""
+    for sub in ("traces", "results"):
+        os.makedirs(os.path.join(cache_dir, sub), exist_ok=True)
+    manifest = {"version": _CACHE_VERSION, "preset": asdict(preset),
+                "config": config_to_dict(config, full=True)}
+    path = os.path.join(cache_dir, "manifest.json")
+    if os.path.exists(path):
+        with open(path) as fh:
+            if json.load(fh) == manifest:
+                return
+        problem = ("was written by a different preset or config "
+                   "(manifest mismatch)")
+    elif any(os.listdir(os.path.join(cache_dir, sub))
+             for sub in ("traces", "results")):
+        problem = ("holds cached files but no manifest, so they cannot "
+                   "be matched to this preset and config")
+    else:
+        _save(path, manifest)
+        return
+    raise ValueError("cache_dir %r %s; delete it or pick another directory"
+                     % (cache_dir, problem))
+
+
+def _trace_shards(preset: Preset, config: MacrochipConfig,
+                  workloads: List[str],
+                  cache_dir: Optional[str]) -> Dict[str, Shard]:
+    """One trace-building shard per named workload: a CPU simulation for
+    an application kernel, a synthesis for a coherence benchmark."""
+    shards: Dict[str, Shard] = {}
     for kernel_cls in FIGURE7_KERNELS:
-        if workloads is not None and kernel_cls.name not in workloads:
-            continue
-        names.append(kernel_cls.name)
-        shards.append(Shard(
-            _kernel_trace_task,
-            args=(kernel_cls, preset.kernel_refs_per_core, config),
-            label="cpu-sim %s" % kernel_cls.name))
+        if kernel_cls.name in workloads:
+            shards[kernel_cls.name] = Shard(
+                _persisted,
+                args=(_cache_file(cache_dir, "traces", kernel_cls.name),
+                      _kernel_trace_task, kernel_cls,
+                      preset.kernel_refs_per_core, config),
+                label="cpu-sim %s" % kernel_cls.name)
     for name, pattern_key, mix_name in FIGURE7_SYNTHETIC:
-        if workloads is not None and name not in workloads:
-            continue
-        names.append(name)
-        shards.append(Shard(
-            _synthetic_trace_task,
-            args=(name, pattern_key, mix_name,
-                  preset.synthetic_ops_per_core, config),
-            label="synthesize %s" % name))
-    run = run_sharded(shards, workers=workers, progress=progress, pool=pool,
-                      on_error=on_error, max_retries=max_retries,
-                      timeout_s=timeout_s)
-    traces: Dict[str, CoherenceTrace] = {}
-    for name, result in zip(names, run.results):
-        if isinstance(result, ShardError):
-            if failures is not None:
-                failures.append(result)
-            continue
-        traces[name] = result
-    return traces
+        if name in workloads:
+            shards[name] = Shard(
+                _persisted,
+                args=(_cache_file(cache_dir, "traces", name),
+                      _synthetic_trace_task, name, pattern_key, mix_name,
+                      preset.synthetic_ops_per_core, config),
+                label="synthesize %s" % name)
+    return shards
+
+
+def _execute(shards: Dict[Any, Shard], failures: List[ShardError],
+             progress: Optional[Callable[[str], None]] = None,
+             **kwargs) -> Dict[Any, Any]:
+    """Run keyed shards through :func:`run_sharded`; return the results
+    by key and append every failure to ``failures``."""
+    run = run_sharded(list(shards.values()), progress=progress, **kwargs)
+    if progress:
+        progress(run.summary())
+    done = {}
+    for key, value in zip(shards, run.results):
+        if isinstance(value, ShardError):
+            failures.append(value)
+        else:
+            done[key] = value
+    return done
 
 
 def run_suite(preset_name: str = "quick",
@@ -167,52 +239,84 @@ def run_suite(preset_name: str = "quick",
               workers: int = 1,
               on_error: str = "raise",
               max_retries: int = 2,
-              timeout_s: Optional[float] = None) -> SuiteResult:
+              timeout_s: Optional[float] = None,
+              cache_dir: Optional[str] = None,
+              pool: Optional[WorkerPool] = None) -> SuiteResult:
     """Run the full (or filtered) benchmark suite.
+
+    Unknown ``workloads`` or ``networks`` raise ``ValueError`` before
+    anything is simulated.
 
     With ``workers > 1`` both stages parallelize: trace generation shards
     per workload, and the replay grid shards per (workload, network)
-    pair.  Every simulation is independently seeded by its arguments, so
-    the grid is identical to a serial run.  Both stages share one
-    persistent :class:`~repro.core.parallel.WorkerPool`, so the replay
-    grid reuses the trace build's worker processes.
+    pair, largest trace first.  Every simulation is independently seeded
+    by its arguments, so the grid is identical to a serial run.  Both
+    stages share one :class:`~repro.core.parallel.WorkerPool`: ``pool``
+    if the caller lends one, else a pool opened for this call.
 
     ``on_error`` / ``max_retries`` / ``timeout_s`` are the per-shard
     fault policy for both stages: under ``'collect'``/``'retry'`` a
     failed trace build drops that workload's whole row, a failed replay
     drops one grid cell, and every failure is recorded in
     :attr:`SuiteResult.failures` instead of aborting the suite.
+
+    ``cache_dir`` makes the run resumable (layout in the module
+    docstring): only what is missing from it is simulated, and a failure
+    is never saved, so the next run retries exactly the failed work.
     """
     try:
         preset = PRESETS[preset_name]
     except KeyError:
         raise KeyError("unknown preset %r; choose from %s"
                        % (preset_name, ", ".join(PRESETS))) from None
+    unknown = [w for w in workloads or () if w not in WORKLOAD_ORDER]
+    if unknown:
+        raise ValueError("unknown workload(s) %s; choose from %s"
+                         % (", ".join(map(repr, unknown)),
+                            ", ".join(WORKLOAD_ORDER)))
+    nets = list(dict.fromkeys(networks or FIGURE7_NETWORKS))
+    unknown = [n for n in nets if n not in NETWORK_CLASSES]
+    if unknown:
+        raise ValueError("unknown network(s) %s; choose from %s"
+                         % (", ".join(map(repr, unknown)),
+                            ", ".join(available_networks())))
+    wanted = [w for w in WORKLOAD_ORDER if workloads is None or w in workloads]
     cfg = config or scaled_config()
-    nets = networks or list(FIGURE7_NETWORKS)
-    collected: List[ShardError] = []
-    with WorkerPool(workers) as shared_pool:
-        traces = build_traces(preset, cfg, progress,
-                              workloads=workloads, workers=workers,
-                              pool=shared_pool, on_error=on_error,
-                              max_retries=max_retries, timeout_s=timeout_s,
-                              failures=collected)
-        suite = SuiteResult(preset=preset.name, config=cfg, traces=traces,
-                            failures=collected)
-        pairs = [(workload, net) for workload in traces for net in nets]
-        shards = [
-            Shard(replay, args=(traces[workload], net, cfg),
-                  label="replay %s on %s" % (workload, net))
-            for workload, net in pairs
-        ]
-        run = run_sharded(shards, workers=workers, progress=progress,
-                          pool=shared_pool, on_error=on_error,
-                          max_retries=max_retries, timeout_s=timeout_s)
-    if progress:
-        progress(run.summary())
-    for (workload, net), result in zip(pairs, run.results):
-        if isinstance(result, ShardError):
-            collected.append(result)
-            continue
-        suite.results.setdefault(workload, {})[net] = result
+    if cache_dir is not None:
+        _open_cache(cache_dir, preset, cfg)
+    suite = SuiteResult(preset=preset.name, config=cfg)
+    policy = dict(workers=workers, progress=progress, on_error=on_error,
+                  max_retries=max_retries, timeout_s=timeout_s)
+    traces: Dict[str, CoherenceTrace] = {}
+    cells: Dict[Tuple[str, str], ReplayResult] = {}
+    for workload in wanted:
+        path = _cache_file(cache_dir, "traces", workload)
+        if path is not None and os.path.exists(path):
+            traces[workload] = load_trace(path)
+    owned = WorkerPool(workers) if pool is None else nullcontext(pool)
+    with owned as shared:
+        missing = [w for w in wanted if w not in traces]
+        traces.update(_execute(_trace_shards(preset, cfg, missing,
+                                             cache_dir),
+                               suite.failures, pool=shared, **policy))
+        suite.traces = {w: traces[w] for w in wanted if w in traces}
+        replays: Dict[Tuple[str, str], Shard] = {}
+        for workload, trace in suite.traces.items():
+            for net in nets:
+                path = _cache_file(cache_dir, "results",
+                                   "%s__%s" % (workload, net))
+                if path is not None and os.path.exists(path):
+                    cells[workload, net] = _load_result(path)
+                else:
+                    replays[workload, net] = Shard(
+                        _persisted, args=(path, replay, trace, net, cfg),
+                        label="replay %s on %s" % (workload, net))
+        cells.update(_execute(replays, suite.failures, pool=shared,
+                              cost_key=lambda s: s.args[2].total_ops,
+                              **policy))
+    for workload in suite.traces:
+        row = {net: cells[workload, net] for net in nets
+               if (workload, net) in cells}
+        if row:
+            suite.results[workload] = row
     return suite

@@ -21,7 +21,6 @@ from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from .evaluation import run_suite
 from ..analysis.tables import render_table
 from ..core.sweep import run_load_point
 from ..cpu.system import generate_trace

@@ -104,7 +104,8 @@ def run_figure6(config: MacrochipConfig = None,
     the interned draw bank across the whole grid — bit-identical
     results, less wall-clock.  ``pool`` lends a persistent
     :class:`~repro.core.parallel.WorkerPool` so multiple figure runs
-    (or a campaign) reuse worker processes and their warm contexts.
+    (or a figure run and a suite run) reuse worker processes and
+    their warm contexts.
 
     ``on_error`` / ``max_retries`` / ``timeout_s`` form the per-shard
     fault policy (:class:`~repro.core.parallel.ErrorPolicy`): under
@@ -306,21 +307,3 @@ def figure6_text(result: Figure6Result) -> str:
         lines.extend("  " + str(err) for err in result.failures)
         blocks.append("\n".join(lines))
     return "\n\n".join(blocks)
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    quick = "--quick" in sys.argv
-    adaptive_mode = "--adaptive" in sys.argv
-    n_workers = 1
-    for arg in sys.argv[1:]:
-        if arg.startswith("--workers="):
-            n_workers = int(arg.split("=", 1)[1])
-    driver = run_figure6_adaptive if adaptive_mode else run_figure6
-    res = driver(window_ns=400.0 if quick else 1200.0,
-                 progress=lambda m: print("..", m, file=sys.stderr),
-                 workers=n_workers)
-    print(figure6_text(res))
-    print("\n%s mode: %d load points, %d simulator events"
-          % (res.mode, res.load_points, res.total_events), file=sys.stderr)

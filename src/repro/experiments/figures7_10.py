@@ -2,7 +2,9 @@
 energy fraction, and energy-delay product.
 
 All four figures derive from one :class:`~repro.experiments.evaluation.
-SuiteResult` grid, so a single suite run regenerates them together.
+SuiteResult` grid, so a single suite run regenerates them together.  A
+grid cell missing after a collected failure renders as ``-``, and so
+does every value that needs a missing baseline.
 """
 
 from __future__ import annotations
@@ -19,12 +21,13 @@ def figure7_speedups(suite: SuiteResult,
                      baseline: str = "circuit_switched"
                      ) -> Dict[str, Dict[str, float]]:
     """Speedup of each network over the circuit-switched baseline, per
-    workload (Figure 7)."""
+    workload (Figure 7); empty for a workload without the baseline."""
     out: Dict[str, Dict[str, float]] = {}
     for workload in suite.workloads():
         runtimes = {net: r.runtime_ps
                     for net, r in suite.results[workload].items()}
-        out[workload] = speedups(runtimes, baseline)
+        out[workload] = (speedups(runtimes, baseline)
+                         if baseline in runtimes else {})
     return out
 
 
@@ -41,26 +44,30 @@ def figure9_router_fractions(suite: SuiteResult,
                              network: str = "limited_point_to_point"
                              ) -> Dict[str, float]:
     """Router energy as a fraction of the limited point-to-point
-    network's total energy, per workload (Figure 9)."""
+    network's total energy, per workload (Figure 9); workloads without
+    that network are left out."""
     out = {}
     for workload in suite.workloads():
-        result = suite.results[workload][network]
-        breakdown = energy_breakdown(result, network, suite.config)
-        out[workload] = breakdown.router_fraction
+        result = suite.results[workload].get(network)
+        if result is not None:
+            breakdown = energy_breakdown(result, network, suite.config)
+            out[workload] = breakdown.router_fraction
     return out
 
 
 def figure10_edp(suite: SuiteResult,
                  baseline: str = "point_to_point"
                  ) -> Dict[str, Dict[str, float]]:
-    """EDP normalized to the point-to-point network (Figure 10)."""
+    """EDP normalized to the point-to-point network (Figure 10); empty
+    for a workload without the baseline."""
     out: Dict[str, Dict[str, float]] = {}
     for workload in suite.workloads():
         breakdowns = {
             net: energy_breakdown(r, net, suite.config)
             for net, r in suite.results[workload].items()
         }
-        out[workload] = normalized_edp(breakdowns, baseline)
+        out[workload] = (normalized_edp(breakdowns, baseline)
+                         if baseline in breakdowns else {})
     return out
 
 
@@ -69,7 +76,8 @@ def _grid_text(title: str, data: Dict[str, Dict[str, float]],
     headers = ["Workload"] + [NETWORK_CLASSES[n].name for n in networks]
     rows = []
     for workload, by_net in data.items():
-        rows.append([workload] + [fmt % by_net[n] for n in networks])
+        rows.append([workload] + [fmt % by_net[n] if n in by_net else "-"
+                                  for n in networks])
     return render_table(headers, rows, title=title)
 
 
@@ -87,7 +95,8 @@ def figure8_text(suite: SuiteResult) -> str:
 
 def figure9_text(suite: SuiteResult) -> str:
     fractions = figure9_router_fractions(suite)
-    rows = [(w, "%.1f%%" % (f * 100)) for w, f in fractions.items()]
+    rows = [(w, "%.1f%%" % (fractions[w] * 100) if w in fractions else "-")
+            for w in suite.workloads()]
     return render_table(
         ["Workload", "Router Energy (% of total)"], rows,
         title="Figure 9: Router Energy in Limited Point-to-Point")
@@ -106,21 +115,3 @@ def all_figures_text(suite: SuiteResult) -> str:
         figure9_text(suite),
         figure10_text(suite),
     ])
-
-
-if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    from .evaluation import run_suite
-
-    preset = "quick"
-    n_workers = 1
-    for arg in sys.argv[1:]:
-        if arg.startswith("--preset="):
-            preset = arg.split("=", 1)[1]
-        elif arg.startswith("--workers="):
-            n_workers = int(arg.split("=", 1)[1])
-    suite = run_suite(preset,
-                      progress=lambda m: print("..", m, file=sys.stderr),
-                      workers=n_workers)
-    print(all_figures_text(suite))

@@ -4,11 +4,14 @@ Usage::
 
     python -m repro.experiments.run --artifact all --preset quick
     python -m repro.experiments.run --artifact figure6 --out results/
+    python -m repro.experiments.run --artifact figures --cache runs/quick
     python -m repro.experiments.run scaling --max-dim 32
 
 Artifacts: ``tables`` (1, 4, 5, 6), ``figure6``, ``figures`` (7-10), or
 ``all``.  Output goes to stdout and, with ``--out DIR``, to one text file
-per artifact.
+per artifact.  ``--cache DIR`` makes Figures 7-10 resumable: traces and
+replay results are kept in DIR, and a rerun simulates only what is
+missing (see :func:`repro.experiments.evaluation.run_suite`).
 
 The ``scaling`` command runs the scaling-limit study instead: every
 network analyzed at 4x4 through ``--max-dim``, reporting the first grid
@@ -44,7 +47,8 @@ def generate(artifact: str, preset: str,
               timeout_s: float = None,
               networks=None,
               signaling: str = "nrz",
-              backend: str = "python") -> Dict[str, str]:
+              backend: str = "python",
+              cache_dir: str = None) -> Dict[str, str]:
     """Produce {artifact_name: text} for the requested artifact set.
 
     ``adaptive=True`` switches the Figure 6 artifact to the knee-seeking
@@ -67,6 +71,9 @@ def generate(artifact: str, preset: str,
     the numpy-batched fast path of :mod:`repro.core.vectorized` —
     bit-identical curves, with automatic scalar fallback where a
     network has no kernel or numpy is missing.
+
+    ``cache_dir`` (``--cache``) keeps the Figures 7-10 traces and
+    replay results on disk so an interrupted run resumes.
     """
     config = None
     if signaling != "nrz":
@@ -96,9 +103,9 @@ def generate(artifact: str, preset: str,
             outputs["figure6"] = figure6_text(result)
         if artifact in ("figures", "all"):
             suite = run_suite(preset, config=config, progress=_progress,
-                              workers=workers,
+                              workers=workers, pool=shared_pool,
                               on_error=on_error, max_retries=max_retries,
-                              timeout_s=timeout_s)
+                              timeout_s=timeout_s, cache_dir=cache_dir)
             for err in suite.failures:
                 _progress("figures7-10 FAILED shard: %s" % err)
             outputs["figures7_10"] = all_figures_text(suite)
@@ -164,6 +171,10 @@ def main(argv=None) -> int:
     parser.add_argument("--preset", default="quick",
                         choices=["smoke", "quick", "full"],
                         help="workload sizing for figures 7-10")
+    parser.add_argument("--cache", default=None, metavar="DIR",
+                        help="figures 7-10: keep traces and replay "
+                             "results in DIR and simulate only what is "
+                             "missing there (resumable runs)")
     parser.add_argument("--window-ns", type=float, default=None,
                         help="injection window for figure 6 load points")
     parser.add_argument("--out", default=None,
@@ -234,6 +245,8 @@ def main(argv=None) -> int:
     artifact = args.artifact
     if args.networks and artifact == "all":
         artifact = "figure6"
+    if args.cache and artifact not in ("figures", "all"):
+        parser.error("--cache applies to --artifact figures or all")
 
     started = time.time()
     workers = resolve_workers(args.workers)
@@ -245,7 +258,7 @@ def main(argv=None) -> int:
                        max_retries=args.max_retries,
                        timeout_s=args.timeout_s,
                        networks=args.networks, signaling=args.signaling,
-                       backend=args.backend)
+                       backend=args.backend, cache_dir=args.cache)
     for name, text in outputs.items():
         print()
         print("=" * 72)

@@ -1,5 +1,5 @@
-"""Backend selection plumbing: CLI round-trip, the campaign fingerprint,
-and the numpy-optional degradation seams (PR 9).
+"""Backend selection plumbing: CLI round-trip, the suite cache manifest,
+the scaling entry point, and the numpy-optional degradation seams (PR 9).
 
 The vectorized backend is only useful if asking for it actually reaches
 the hot loop — these tests pin the plumbing between the user-facing
@@ -10,6 +10,8 @@ raises an actionable ImportError from :func:`require_numpy` while
 ``try_run_vectorized`` degrades silently to the scalar engine.
 """
 
+import json
+import os
 import warnings
 from types import SimpleNamespace
 
@@ -18,7 +20,7 @@ import pytest
 import repro.core.vectorized as vectorized
 from repro.core.sweep import BACKENDS, run_load_point
 from repro.experiments import run as run_cli
-from repro.experiments.campaign import campaign_fingerprint
+from repro.experiments.evaluation import run_suite
 from repro.experiments.scaling import simulate_scale_point
 from repro.macrochip.config import small_test_config
 from repro.workloads.synthetic import UniformTraffic
@@ -87,14 +89,16 @@ def test_backends_tuple_is_the_cli_choice_list():
     assert BACKENDS == ("python", "vectorized")
 
 
-# -- campaign fingerprinting --------------------------------------------------
+# -- suite cache fingerprint --------------------------------------------------
 
-def test_campaign_fingerprint_helper_defaults_to_python():
-    """Campaign replay always runs the python engine, so its manifest
-    carries no backend key (manifest version 3 dropped it)."""
-    from repro.experiments.evaluation import PRESETS
-
-    doc = campaign_fingerprint(PRESETS["smoke"], CFG)
+def test_campaign_fingerprint_helper_defaults_to_python(tmp_path):
+    """The Figures 7-10 replay always runs the python engine, so the
+    ``run_suite(cache_dir=...)`` manifest carries no backend key."""
+    cache_dir = str(tmp_path / "cache")
+    run_suite("smoke", config=CFG, networks=["point_to_point"],
+              workloads=["Radix"], cache_dir=cache_dir)
+    with open(os.path.join(cache_dir, "manifest.json")) as fh:
+        doc = json.load(fh)
     assert "backend" not in doc
     assert doc["version"] >= 3
 

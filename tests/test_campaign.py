@@ -1,197 +1,248 @@
-"""Tests for the disk-backed campaign runner."""
+"""Tests for the resumable Figures 7-10 suite: ``run_suite(cache_dir=...)``.
+
+A cached run keeps traces and replay results on disk; rerunning over the
+same directory simulates only what is missing and returns a grid equal
+to an uncached run.
+"""
 
 import json
 import os
+from dataclasses import asdict
 
 import pytest
 
-import repro.experiments.campaign as campaign_mod
-from repro.experiments.campaign import Campaign, CampaignStateError
+import repro.experiments.evaluation as evaluation
+from repro.experiments.evaluation import PRESETS, run_suite
+from repro.experiments.figures7_10 import all_figures_text
 from repro.macrochip.config import small_test_config
+from repro.macrochip.configio import config_to_dict
+from repro.networks.factory import FIGURE7_NETWORKS
 
 
+CFG = small_test_config(2, 2)
 NETS = ["point_to_point", "circuit_switched"]
 LOADS = ["Radix", "All-to-all"]
 
 
 @pytest.fixture
-def campaign(tmp_path):
-    return Campaign(str(tmp_path / "c"), preset_name="smoke",
-                    config=small_test_config(2, 2))
+def cache(tmp_path):
+    return str(tmp_path / "c")
 
 
-def test_run_produces_full_grid(campaign):
-    grid = campaign.run(networks=NETS, workloads=LOADS)
-    assert set(grid) == set(LOADS)
+def _run(cache_dir, networks=NETS, workloads=LOADS, config=CFG,
+         preset="smoke", **kwargs):
+    return run_suite(preset, config=config, networks=networks,
+                     workloads=workloads, cache_dir=cache_dir, **kwargs)
+
+
+def _files(cache_dir, sub):
+    return sorted(os.listdir(os.path.join(cache_dir, sub)))
+
+
+def _stamp(path):
+    """Identity of a file's current contents: a rewrite (always through
+    a temporary file) changes the inode."""
+    st = os.stat(path)
+    return st.st_ino, st.st_mtime_ns
+
+
+@pytest.fixture
+def spies(monkeypatch):
+    """Record every replay and every trace build run_suite starts."""
+    calls = {"replay": [], "build": []}
+    real_replay = evaluation.replay
+    real_kernel = evaluation._kernel_trace_task
+    real_synthetic = evaluation._synthetic_trace_task
+
+    def replay(trace, network, config):
+        calls["replay"].append((trace.workload, network))
+        return real_replay(trace, network, config)
+
+    def kernel(kernel_cls, *args):
+        calls["build"].append(kernel_cls.name)
+        return real_kernel(kernel_cls, *args)
+
+    def synthetic(name, *args):
+        calls["build"].append(name)
+        return real_synthetic(name, *args)
+
+    monkeypatch.setattr(evaluation, "replay", replay)
+    monkeypatch.setattr(evaluation, "_kernel_trace_task", kernel)
+    monkeypatch.setattr(evaluation, "_synthetic_trace_task", synthetic)
+    return calls
+
+
+def test_run_produces_full_grid(cache):
+    suite = _run(cache)
+    assert set(suite.results) == set(LOADS)
     for workload in LOADS:
-        assert set(grid[workload]) == set(NETS)
-        for entry in grid[workload].values():
-            assert entry.runtime_ps > 0
-            assert entry.ops_completed > 0
+        assert set(suite.results[workload]) == set(NETS)
+        for result in suite.results[workload].values():
+            assert result.runtime_ps > 0
+            assert result.ops_completed > 0
+    assert len(_files(cache, "results")) == len(LOADS) * len(NETS)
 
 
-def test_traces_cached_on_disk(campaign):
-    campaign.run(networks=["point_to_point"], workloads=["Radix"])
-    assert os.path.exists(os.path.join(campaign.traces_dir, "Radix.json"))
+def test_traces_cached_on_disk(cache):
+    _run(cache, networks=["point_to_point"], workloads=["Radix"])
+    assert os.path.exists(os.path.join(cache, "traces", "Radix.json"))
 
 
-def test_run_builds_traces_only_for_requested_workloads(campaign):
-    """run(workloads=W) must not CPU-simulate traces outside W."""
-    campaign.run(networks=["point_to_point"], workloads=["Radix"])
-    assert os.listdir(campaign.traces_dir) == ["Radix.json"]
+def test_run_builds_traces_only_for_requested_workloads(cache):
+    """workloads=W must not CPU-simulate traces outside W."""
+    _run(cache, networks=["point_to_point"], workloads=["Radix"])
+    assert _files(cache, "traces") == ["Radix.json"]
 
 
-def test_results_cached_and_reused(campaign):
-    first = campaign.run(networks=NETS, workloads=["Radix"])
-    count = campaign.completed_pairs()
-    # second run must reuse everything (identical values, no new files)
-    second = campaign.run(networks=NETS, workloads=["Radix"])
-    assert campaign.completed_pairs() == count
-    for net in NETS:
-        assert (first["Radix"][net].runtime_ps
-                == second["Radix"][net].runtime_ps)
+def test_results_cached_and_reused(cache, spies):
+    first = _run(cache, workloads=["Radix"])
+    files = _files(cache, "results")
+    spies["replay"].clear()
+    second = _run(cache, workloads=["Radix"])
+    assert spies["replay"] == []
+    assert _files(cache, "results") == files
+    assert second.results == first.results
 
 
-def test_incremental_network_addition(campaign):
-    campaign.run(networks=["point_to_point"], workloads=["Radix"])
-    before = campaign.completed_pairs()
-    grid = campaign.run(networks=NETS, workloads=["Radix"])
-    assert campaign.completed_pairs() == before + 1
-    assert set(grid["Radix"]) == set(NETS)
+def test_incremental_network_addition(cache, spies):
+    _run(cache, networks=["point_to_point"], workloads=["Radix"])
+    spies["replay"].clear()
+    suite = _run(cache, workloads=["Radix"])
+    assert spies["replay"] == [("Radix", "circuit_switched")]
+    assert set(suite.results["Radix"]) == set(NETS)
+    assert len(_files(cache, "results")) == 2
 
 
-def test_speedup_table(campaign):
-    grid = campaign.run(networks=NETS, workloads=LOADS)
-    speedups = campaign.speedup_table(grid)
-    for workload in LOADS:
-        assert speedups[workload]["circuit_switched"] == 1.0
-        assert speedups[workload]["point_to_point"] > 1.0
+# -- partial-cache resume -----------------------------------------------------
+
+def test_missing_trace_rebuilds_only_missing(cache, spies):
+    _run(cache, networks=["point_to_point"])
+    os.remove(os.path.join(cache, "traces", "Radix.json"))
+    spies["build"].clear()
+    suite = _run(cache, networks=["point_to_point"])
+    assert spies["build"] == ["Radix"]  # only the deleted workload
+    assert list(suite.traces) == LOADS
+    assert os.path.exists(os.path.join(cache, "traces", "Radix.json"))
 
 
-# -- partial-cache resume (regression: ensure_traces over-rebuild) -----------
-
-def test_missing_trace_rebuilds_only_missing(campaign, monkeypatch):
-    campaign.run(networks=["point_to_point"], workloads=LOADS)
-    os.remove(os.path.join(campaign.traces_dir, "Radix.json"))
-
-    requested = []
-    real_build = campaign_mod.build_traces
-
-    def spy(preset, config, progress=None, workloads=None, workers=1,
-            pool=None, **kwargs):
-        requested.append(workloads)
-        return real_build(preset, config, progress,
-                          workloads=workloads, workers=workers, pool=pool,
-                          **kwargs)
-
-    monkeypatch.setattr(campaign_mod, "build_traces", spy)
-    traces = campaign.ensure_traces(workloads=LOADS)
-    assert requested == [["Radix"]]  # only the deleted workload rebuilt
-    assert "Radix" in traces
-    assert os.path.exists(os.path.join(campaign.traces_dir, "Radix.json"))
+def test_untouched_traces_not_rewritten(cache):
+    _run(cache, networks=["point_to_point"])
+    kept = os.path.join(cache, "traces", "All-to-all.json")
+    before = _stamp(kept)
+    os.remove(os.path.join(cache, "traces", "Radix.json"))
+    _run(cache, networks=["point_to_point"])
+    assert _stamp(kept) == before
 
 
-def test_untouched_traces_not_rewritten(campaign):
-    campaign.run(networks=["point_to_point"], workloads=LOADS)
-    kept = os.path.join(campaign.traces_dir, "All-to-all.json")
-    before = os.stat(kept).st_mtime_ns
-    os.remove(os.path.join(campaign.traces_dir, "Radix.json"))
-    campaign.ensure_traces(workloads=LOADS)
-    assert os.stat(kept).st_mtime_ns == before
-
-
-def test_missing_result_resimulates_only_missing(campaign):
-    campaign.run(networks=NETS, workloads=LOADS)
-    victim = os.path.join(campaign.results_dir,
-                          "Radix__point_to_point.json")
-    kept = os.path.join(campaign.results_dir,
-                        "Radix__circuit_switched.json")
+def test_missing_result_resimulates_only_missing(cache, spies):
+    first = _run(cache)
+    victim = os.path.join(cache, "results", "Radix__point_to_point.json")
+    kept = os.path.join(cache, "results", "Radix__circuit_switched.json")
     os.remove(victim)
-    before = os.stat(kept).st_mtime_ns
-    grid = campaign.run(networks=NETS, workloads=LOADS)
-    assert os.path.exists(victim)  # re-simulated
-    assert os.stat(kept).st_mtime_ns == before  # reused untouched
-    assert grid["Radix"]["point_to_point"].runtime_ps > 0
+    before = _stamp(kept)
+    spies["replay"].clear()
+    second = _run(cache)
+    assert spies["replay"] == [("Radix", "point_to_point")]
+    assert os.path.exists(victim)
+    assert _stamp(kept) == before
+    # the pair replayed from the cached trace equals the first replay
+    assert second.results == first.results
 
 
-# -- manifest fingerprinting (regression: silently stale caches) -------------
+# -- manifest fingerprinting --------------------------------------------------
 
-def test_manifest_written_on_creation(campaign):
-    assert os.path.exists(campaign.manifest_path)
-    with open(campaign.manifest_path) as fh:
+def test_manifest_written_on_creation(cache):
+    _run(cache, networks=["point_to_point"], workloads=["Radix"])
+    with open(os.path.join(cache, "manifest.json")) as fh:
         doc = json.load(fh)
-    assert doc == campaign.fingerprint()
-    assert doc["preset"]["name"] == "smoke"
+    assert doc["preset"] == asdict(PRESETS["smoke"])
+    assert doc["config"] == config_to_dict(CFG, full=True)
+    # replay runs on the scalar engine only: no backend to record
+    assert "backend" not in doc
 
 
-def test_stale_config_raises(tmp_path):
-    path = str(tmp_path / "c")
-    Campaign(path, preset_name="smoke",
-             config=small_test_config(2, 2)).run(
-        networks=["point_to_point"], workloads=["Radix"])
-    with pytest.raises(CampaignStateError):
-        Campaign(path, preset_name="smoke",
-                 config=small_test_config(2, 2).with_overrides(
-                     mshrs_per_site=4))
+def test_stale_config_raises(cache, spies):
+    _run(cache, networks=["point_to_point"], workloads=["Radix"])
+    spies["replay"].clear()
+    spies["build"].clear()
+    with pytest.raises(ValueError, match="manifest mismatch") as exc:
+        _run(cache, networks=["point_to_point"], workloads=["Radix"],
+             config=CFG.with_overrides(mshrs_per_site=4))
+    assert cache in str(exc.value)
+    assert "delete it" in str(exc.value)
+    assert spies == {"replay": [], "build": []}
 
 
-def test_stale_preset_raises(tmp_path):
-    path = str(tmp_path / "c")
-    Campaign(path, preset_name="smoke", config=small_test_config(2, 2))
-    with pytest.raises(CampaignStateError):
-        Campaign(path, preset_name="quick",
-                 config=small_test_config(2, 2))
+def test_stale_preset_raises(cache):
+    _run(cache, networks=["point_to_point"], workloads=["Radix"])
+    with pytest.raises(ValueError, match="manifest mismatch"):
+        _run(cache, networks=["point_to_point"], workloads=["Radix"],
+             preset="quick")
 
 
-def test_stale_rebuild_wipes_cache(tmp_path):
-    path = str(tmp_path / "c")
-    Campaign(path, preset_name="smoke",
-             config=small_test_config(2, 2)).run(
-        networks=["point_to_point"], workloads=["Radix"])
-    fresh = Campaign(path, preset_name="smoke",
-                     config=small_test_config(2, 2).with_overrides(
-                         mshrs_per_site=4),
-                     on_stale="rebuild")
-    assert fresh.completed_pairs() == 0
-    assert os.listdir(fresh.traces_dir) == []
-    with open(fresh.manifest_path) as fh:
-        assert json.load(fh) == fresh.fingerprint()
+def test_matching_reopen_keeps_cache(cache, spies):
+    _run(cache, networks=["point_to_point"], workloads=["Radix"])
+    spies["replay"].clear()
+    _run(cache, networks=["point_to_point"], workloads=["Radix"],
+         config=small_test_config(2, 2))  # equal config, new object
+    assert spies["replay"] == []
+    assert _files(cache, "results") == ["Radix__point_to_point.json"]
 
 
-def test_matching_reopen_keeps_cache(tmp_path):
-    path = str(tmp_path / "c")
-    Campaign(path, preset_name="smoke",
-             config=small_test_config(2, 2)).run(
-        networks=["point_to_point"], workloads=["Radix"])
-    again = Campaign(path, preset_name="smoke",
-                     config=small_test_config(2, 2))
-    assert again.completed_pairs() == 1
+def test_premanifest_cache_rejected(cache):
+    _run(cache, networks=["point_to_point"], workloads=["Radix"])
+    os.remove(os.path.join(cache, "manifest.json"))
+    with pytest.raises(ValueError, match="no manifest") as exc:
+        _run(cache, networks=["point_to_point"], workloads=["Radix"])
+    assert cache in str(exc.value)
 
 
-def test_premanifest_cache_rejected(tmp_path):
-    path = str(tmp_path / "c")
-    c = Campaign(path, preset_name="smoke", config=small_test_config(2, 2))
-    c.run(networks=["point_to_point"], workloads=["Radix"])
-    os.remove(c.manifest_path)  # simulate a cache from before manifests
-    with pytest.raises(CampaignStateError):
-        Campaign(path, preset_name="smoke", config=small_test_config(2, 2))
+# -- failures and parallel runs -----------------------------------------------
 
+def test_failed_trace_build_not_cached(cache, monkeypatch):
+    real = evaluation._kernel_trace_task
 
-def test_bad_on_stale_rejected(tmp_path):
-    with pytest.raises(ValueError):
-        Campaign(str(tmp_path / "c"), preset_name="smoke",
-                 config=small_test_config(2, 2), on_stale="ignore")
+    def flaky(kernel_cls, refs_per_core, config):
+        if not hasattr(flaky, "healed"):
+            raise RuntimeError("injected trace failure")
+        return real(kernel_cls, refs_per_core, config)
 
+    monkeypatch.setattr(evaluation, "_kernel_trace_task", flaky)
+    suite = _run(cache, on_error="collect")
+    assert list(suite.results) == ["All-to-all"]
+    assert [f.error_type for f in suite.failures] == ["RuntimeError"]
+    assert _files(cache, "traces") == ["All-to-all.json"]
+    flaky.healed = True
+    suite = _run(cache, on_error="collect")
+    assert list(suite.results) == LOADS
+    assert suite.failures == []
 
-# -- parallel campaign runs ---------------------------------------------------
 
 def test_parallel_run_matches_serial(tmp_path):
-    serial = Campaign(str(tmp_path / "s"), preset_name="smoke",
-                      config=small_test_config(2, 2)).run(
-        networks=NETS, workloads=LOADS)
-    parallel = Campaign(str(tmp_path / "p"), preset_name="smoke",
-                        config=small_test_config(2, 2), workers=2).run(
-        networks=NETS, workloads=LOADS)
-    for workload in LOADS:
-        for net in NETS:
-            assert serial[workload][net] == parallel[workload][net]
+    serial_dir, parallel_dir = str(tmp_path / "s"), str(tmp_path / "p")
+    serial = _run(serial_dir)
+    parallel = _run(parallel_dir, workers=2)
+    assert serial.results == parallel.results
+    for sub in ("traces", "results"):
+        names = _files(serial_dir, sub)
+        assert names == _files(parallel_dir, sub)
+        for name in names:
+            with open(os.path.join(serial_dir, sub, name)) as a, \
+                    open(os.path.join(parallel_dir, sub, name)) as b:
+                assert a.read() == b.read(), name
+
+
+def test_cache_cold_and_warm_equal_uncached(tmp_path, spies):
+    """Uncached, cold-into-cache and warm-from-cache runs of 2 workloads
+    on all six Figure 7 networks return equal grids; the warm run
+    simulates nothing."""
+    kwargs = dict(networks=list(FIGURE7_NETWORKS), workloads=LOADS)
+    uncached = _run(None, **kwargs)
+    cold = _run(str(tmp_path / "c"), **kwargs)
+    spies["replay"].clear()
+    spies["build"].clear()
+    warm = _run(str(tmp_path / "c"), **kwargs)
+    assert spies == {"replay": [], "build": []}
+    assert uncached.results == cold.results == warm.results
+    assert (all_figures_text(uncached) == all_figures_text(cold)
+            == all_figures_text(warm))

@@ -28,6 +28,7 @@ from repro.experiments.table_experiments import (
     table6_text,
 )
 from repro.macrochip.config import small_test_config
+from repro.networks.factory import FIGURE7_NETWORKS
 
 
 class TestTableTexts:
@@ -96,6 +97,34 @@ class TestSuite:
         with pytest.raises(KeyError):
             run_suite("bogus")
 
+    @pytest.fixture
+    def no_simulation(self, monkeypatch):
+        import repro.experiments.evaluation as evaluation
+
+        def never(*args, **kwargs):
+            raise AssertionError("simulated before validating input")
+
+        for name in ("_kernel_trace_task", "_synthetic_trace_task",
+                     "replay"):
+            monkeypatch.setattr(evaluation, name, never)
+
+    def test_unknown_workload_rejected_before_simulation(self,
+                                                         no_simulation):
+        with pytest.raises(ValueError) as exc:
+            run_suite("smoke", workloads=["Radix", "Radxi"])
+        message = str(exc.value)
+        assert "'Radxi'" in message
+        assert all(name in message for name in WORKLOAD_ORDER)
+
+    def test_unknown_network_rejected_before_simulation(self,
+                                                        no_simulation):
+        with pytest.raises(ValueError) as exc:
+            run_suite("smoke", workloads=["Radix"],
+                      networks=["point_to_point", "token_rnig"])
+        message = str(exc.value)
+        assert "'token_rnig'" in message
+        assert all(net in message for net in FIGURE7_NETWORKS)
+
     def test_workload_order(self):
         assert WORKLOAD_ORDER[0] == "Radix"
         assert WORKLOAD_ORDER[-1] == "Butterfly"
@@ -130,6 +159,38 @@ class TestSuiteRendering:
         # figure9 needs limited_point_to_point results
         frac = figure9_router_fractions(suite)
         assert "Barnes" in frac
+
+    def test_missing_cells_render_as_dash(self):
+        """A cell dropped by a collected failure renders as '-', as does
+        every value normalized to a missing baseline; the rest of the
+        text is unchanged."""
+        suite = run_suite("smoke", config=small_test_config(2, 2),
+                          workloads=["Radix", "All-to-all"])
+
+        def cells(text):
+            out = {}
+            for figure, block in enumerate(text.split("\n\n"), start=7):
+                for line in block.splitlines():
+                    parts = line.split()
+                    if parts and parts[0] in suite.results:
+                        out[figure, parts[0]] = parts[1:]
+            return out
+
+        before = cells(all_figures_text(suite))
+        assert suite.networks() == FIGURE7_NETWORKS
+        del suite.results["Radix"]["circuit_switched"]  # Figure 7 baseline
+        del suite.results["All-to-all"]["token_ring"]
+        after = cells(all_figures_text(suite))
+        cs, tr = (FIGURE7_NETWORKS.index(n)
+                  for n in ("circuit_switched", "token_ring"))
+        dashed = {(7, "Radix"): set(range(len(FIGURE7_NETWORKS))),
+                  (7, "All-to-all"): {tr},
+                  (8, "Radix"): {cs}, (8, "All-to-all"): {tr},
+                  (10, "Radix"): {cs}, (10, "All-to-all"): {tr}}
+        assert set(after) == set(before)
+        for key, row in before.items():
+            assert after[key] == ["-" if i in dashed.get(key, ()) else cell
+                                  for i, cell in enumerate(row)], key
 
 
 class TestFullScale:
@@ -173,13 +234,8 @@ class TestParallelDrivers:
                       networks=["point_to_point"])
         serial = run_suite("smoke", **kwargs)
         parallel = run_suite("smoke", workers=2, **kwargs)
-        a = serial.results["All-to-all"]["point_to_point"]
-        b = parallel.results["All-to-all"]["point_to_point"]
-        assert a.runtime_ps == b.runtime_ps
-        assert a.ops_completed == b.ops_completed
-        assert a.messages_sent == b.messages_sent
-        assert a.events_dispatched == b.events_dispatched
-        assert a.energy_by_category == b.energy_by_category
+        # every ReplayResult field, the op_latency histogram included
+        assert serial.results == parallel.results
 
     def test_suite_workload_filter_builds_only_requested_traces(self):
         cfg = small_test_config(2, 2)

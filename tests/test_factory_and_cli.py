@@ -155,6 +155,56 @@ class TestRunCli:
         assert "NRZ vs PAM4" in nrz  # comparison table always present
         assert nrz != pam4  # the active-format tables move under PAM4
 
+    @pytest.fixture
+    def suite_stubs(self, monkeypatch):
+        """Capture the kwargs `generate` passes to run_suite, without
+        simulating anything."""
+        from types import SimpleNamespace
+
+        from repro.experiments import run as run_mod
+
+        calls = {}
+
+        def fake_suite(preset, **kwargs):
+            calls["kwargs"] = kwargs
+            return SimpleNamespace(failures=[])
+
+        monkeypatch.setattr(run_mod, "run_suite", fake_suite)
+        monkeypatch.setattr(run_mod, "all_figures_text",
+                            lambda suite: "stub figures")
+        return calls
+
+    def test_cache_flag_reaches_run_suite(self, suite_stubs, tmp_path):
+        from repro.experiments.run import main
+
+        rc = main(["--artifact", "figures", "--cache", str(tmp_path)])
+        assert rc == 0
+        assert suite_stubs["kwargs"]["cache_dir"] == str(tmp_path)
+
+    def test_cache_flag_needs_a_figures_artifact(self, suite_stubs,
+                                                 tmp_path):
+        from repro.experiments.run import main
+
+        with pytest.raises(SystemExit):
+            main(["--artifact", "figure6", "--cache", str(tmp_path)])
+        assert suite_stubs == {}
+
+    def test_generate_all_shares_one_pool(self, figure6_stubs, suite_stubs,
+                                          monkeypatch):
+        """`--artifact all` opens one worker pool and lends it to both
+        the Figure 6 sweep and run_suite."""
+        from repro.core.parallel import WorkerPool
+        from repro.experiments import run as run_mod
+
+        monkeypatch.setattr(run_mod, "all_tables_text", lambda cfg: "t")
+        out = run_mod.generate("all", "smoke", window_ns=100.0, workers=2,
+                               cache_dir="cache-dir")
+        assert set(out) == {"tables", "figure6", "figures7_10"}
+        pool = suite_stubs["kwargs"]["pool"]
+        assert isinstance(pool, WorkerPool)
+        assert figure6_stubs["kwargs"]["pool"] is pool
+        assert suite_stubs["kwargs"]["cache_dir"] == "cache-dir"
+
 
 class TestTaxonomy:
     """Section 4.1's classification of optical network architectures."""

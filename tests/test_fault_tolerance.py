@@ -389,29 +389,29 @@ def test_refine_knee_collect_skips_failed_probe():
 
 
 def test_campaign_never_caches_failures(tmp_path, monkeypatch):
-    """A failed replay must not be written to the results cache: the
-    next run() of the same campaign retries exactly that pair."""
-    import repro.experiments.campaign as campaign_mod
+    """A failed replay must not be written to the suite cache: the next
+    run_suite over the same cache_dir retries exactly that pair."""
+    import repro.experiments.evaluation as evaluation
 
-    real = campaign_mod._replay_entry
+    real = evaluation.replay
 
     def flaky(trace, network, config):
         if network == "token_ring" and not hasattr(flaky, "healed"):
             raise RuntimeError("injected replay failure")
         return real(trace, network, config)
 
-    monkeypatch.setattr(campaign_mod, "_replay_entry", flaky)
-    with campaign_mod.Campaign(str(tmp_path / "c"), preset_name="smoke",
-                               config=CFG, on_error="collect") as campaign:
-        grid = campaign.run(networks=["point_to_point", "token_ring"],
-                            workloads=["Radix"])
-        assert "token_ring" not in grid["Radix"]
-        assert len(campaign.last_failures) == 1
-        assert campaign.last_failures[0].error_type == "RuntimeError"
-        cached = campaign.completed_pairs()
-        flaky.healed = True  # second run: the injected fault is gone
-        grid = campaign.run(networks=["point_to_point", "token_ring"],
-                            workloads=["Radix"])
-        assert grid["Radix"]["token_ring"].runtime_ps > 0
-        assert campaign.completed_pairs() == cached + 1
-        assert campaign.last_failures == []
+    monkeypatch.setattr(evaluation, "replay", flaky)
+    results_dir = tmp_path / "c" / "results"
+    kwargs = dict(config=CFG, networks=["point_to_point", "token_ring"],
+                  workloads=["Radix"], cache_dir=str(tmp_path / "c"),
+                  on_error="collect")
+    suite = evaluation.run_suite("smoke", **kwargs)
+    assert "token_ring" not in suite.results["Radix"]
+    assert len(suite.failures) == 1
+    assert suite.failures[0].error_type == "RuntimeError"
+    assert sorted(os.listdir(results_dir)) == ["Radix__point_to_point.json"]
+    flaky.healed = True  # second run: the injected fault is gone
+    suite = evaluation.run_suite("smoke", **kwargs)
+    assert suite.results["Radix"]["token_ring"].runtime_ps > 0
+    assert len(os.listdir(results_dir)) == 2
+    assert suite.failures == []

@@ -69,6 +69,24 @@ class TestLatencySample:
             s.add(v)
         assert s.percentile_ps(pct) in values
 
+    @given(st.lists(st.integers(min_value=0, max_value=10**6),
+                    max_size=100))
+    def test_histogram_equality_and_roundtrip(self, values):
+        s, reordered = LatencySample(), LatencySample()
+        for v in values:
+            s.add(v)
+        for v in reversed(values):
+            reordered.add(v)
+        assert s == reordered  # insertion order is not state
+        back = LatencySample.from_histogram(s.histogram())
+        assert back == s
+        assert (back.count, back.sum_ps) == (s.count, s.sum_ps)
+        if values:
+            assert (back.min_ps, back.max_ps) == (s.min_ps, s.max_ps)
+            assert back.percentile_ps(50) == s.percentile_ps(50)
+        s.add(7)
+        assert s != reordered
+
 
 class TestThroughputMeter:
     def test_warmup_excluded(self):
