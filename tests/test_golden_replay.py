@@ -1,0 +1,279 @@
+"""Golden-number pins for the closed-loop replay behind Figures 7-10.
+
+Every :class:`~repro.workloads.replay.ReplayResult` field is asserted
+exactly (replay is deterministic: integer picosecond times and
+sequence-number tie-breaks), on every network of ``FIGURE7_NETWORKS``
+and ``EXTENDED_NETWORKS``, for two traces:
+
+* ``all_to_all``: a 4x4 synthetic All-to-all trace (uniform homes, the
+  LS sharing mix, 20 operations per core);
+* ``hand_built``: a 2x2 trace with one MSHR per site, so ops queue on
+  the MSHR waiter list.  It holds writebacks, a writeback followed by an
+  op issued at the same instant, a cache-to-cache GetS, GetMs with
+  sharers and with a remote owner, Upgrades, an intra-site op and idle
+  cores.
+
+A change to the replay layer that moves the order of a single event
+(and so its sequence number) moves ``events`` or a latency here.  If a
+model change is meant to move results, regenerate the table with::
+
+    PYTHONPATH=src python -c "import tests.test_golden_replay as g; g.print_pins()"
+"""
+
+import pytest
+
+from repro.cpu.coherence import CoherenceOp, OpKind
+from repro.cpu.trace import CoherenceTrace
+from repro.macrochip.config import small_test_config
+from repro.networks.factory import EXTENDED_NETWORKS, FIGURE7_NETWORKS
+from repro.workloads.replay import replay
+from repro.workloads.sharing import mix_by_name
+from repro.workloads.synthetic import make_pattern
+from repro.workloads.synthetic_coherence import (SyntheticCoherenceSpec,
+                                                 generate_synthetic_trace)
+
+NETWORKS = list(dict.fromkeys(FIGURE7_NETWORKS + EXTENDED_NETWORKS))
+PERCENTILES = (1, 10, 25, 50, 75, 90, 99, 100)
+
+
+def all_to_all():
+    """The 4x4 synthetic All-to-all trace and its config."""
+    cfg = small_test_config(4, 4)
+    spec = SyntheticCoherenceSpec("All-to-all", ops_per_core=20)
+    trace = generate_synthetic_trace(spec, make_pattern("uniform",
+                                                        cfg.layout),
+                                     mix_by_name("LS"), cfg)
+    return trace, cfg
+
+
+def hand_built():
+    """A 2x2 trace with one MSHR per site that exercises every op kind,
+    the MSHR waiter queue and same-instant writeback-then-issue."""
+    cfg = small_test_config(2, 2).with_overrides(mshrs_per_site=1)
+
+    def op(core, gap, kind, home, owner=None, sharers=()):
+        return CoherenceOp(core=core, gap_cycles=gap, kind=kind,
+                           requester=core // cfg.cores_per_site, home=home,
+                           owner=owner, sharers=sharers)
+
+    S, M, U, W = OpKind.GET_S, OpKind.GET_M, OpKind.UPGRADE, OpKind.WRITEBACK
+    trace = CoherenceTrace("hand-built", cfg.num_cores)
+    trace.ops_by_core[0] = [op(0, 0, W, 1), op(0, 0, S, 2, owner=3),
+                            op(0, 4, U, 1, sharers=(2, 3)), op(0, 0, W, 3)]
+    trace.ops_by_core[1] = [op(1, 0, M, 3, sharers=(1, 2)),
+                            op(1, 2, S, 1)]
+    trace.ops_by_core[2] = [op(2, 5, S, 0), op(2, 0, W, 2)]
+    # cores 3..7 of site 0 and core 9 stay idle
+    trace.ops_by_core[8] = [op(8, 1, M, 0, owner=2, sharers=(3,)),
+                            op(8, 0, W, 0)]
+    trace.ops_by_core[10] = [op(10, 1, S, 1), op(10, 1, S, 3, owner=0)]
+    trace.ops_by_core[16] = [op(16, 3, W, 1), op(16, 0, S, 1),
+                             op(16, 0, W, 0), op(16, 0, W, 3),
+                             op(16, 7, M, 1, sharers=(0, 1, 3))]
+    trace.ops_by_core[24] = [op(24, 2, U, 2, sharers=(0, 1)),
+                             op(24, 0, S, 0, owner=1)]
+    return trace, cfg
+
+
+TRACES = {"all_to_all": all_to_all, "hand_built": hand_built}
+
+
+def summary(result):
+    """Every ReplayResult field as plain literals."""
+    latency = result.op_latency
+    return dict(
+        network=result.network,
+        workload=result.workload,
+        runtime_ps=result.runtime_ps,
+        ops_completed=result.ops_completed,
+        messages_sent=result.messages_sent,
+        events=result.events_dispatched,
+        latency=(latency.count, latency.sum_ps, latency.min_ps,
+                 latency.max_ps),
+        percentiles=tuple(latency.percentile_ps(p) for p in PERCENTILES),
+        energy=result.energy_by_category,
+    )
+
+
+def print_pins():
+    """Print the PINS table for the current code."""
+    print("PINS = {")
+    for name, build in TRACES.items():
+        trace, cfg = build()
+        for net in NETWORKS:
+            print("    (%r, %r): dict(" % (name, net))
+            for key, value in summary(replay(trace, net, cfg)).items():
+                print("        %s=%r," % (key, value))
+            print("    ),")
+    print("}")
+
+
+PINS = {
+    ('all_to_all', 'token_ring'): dict(
+        network='Token Ring',
+        workload='All-to-all-LS',
+        runtime_ps=558323,
+        ops_completed=2560,
+        messages_sent=5433,
+        events=28179,
+        latency=(2560, 46978196, 3989, 40393),
+        percentiles=(9220, 14823, 16428, 18205, 20096, 21994, 27315, 40393),
+        energy={'optical': 248620.80000000072},
+    ),
+    ('all_to_all', 'circuit_switched'): dict(
+        network='Circuit-Switched',
+        workload='All-to-all-LS',
+        runtime_ps=2044550,
+        ops_completed=2560,
+        messages_sent=5433,
+        events=24262,
+        latency=(2560, 208718450, 27550, 179425),
+        percentiles=(37350, 37350, 63150, 75050, 103750, 123350, 149450, 179425),
+        energy={'optical': 248620.80000000086},
+    ),
+    ('all_to_all', 'point_to_point'): dict(
+        network='Point-to-Point',
+        workload='All-to-all-LS',
+        runtime_ps=528200,
+        ops_completed=2560,
+        messages_sent=5433,
+        events=13426,
+        latency=(2560, 43499800, 6600, 23800),
+        percentiles=(7600, 16400, 16800, 17200, 17600, 18800, 21200, 23800),
+        energy={'optical': 248620.8000000007},
+    ),
+    ('all_to_all', 'limited_point_to_point'): dict(
+        network='Limited Point-to-Point',
+        workload='All-to-all-LS',
+        runtime_ps=902200,
+        ops_completed=2560,
+        messages_sent=5433,
+        events=20006,
+        latency=(2560, 80180000, 4600, 46400),
+        percentiles=(14400, 14400, 14800, 41200, 42000, 42400, 44400, 46400),
+        energy={'router': 7561920.0, 'optical': 399859.2000000003},
+    ),
+    ('all_to_all', 'two_phase'): dict(
+        network='2-Phase Arb.',
+        workload='All-to-all-LS',
+        runtime_ps=2147500,
+        ops_completed=2560,
+        messages_sent=5433,
+        events=109748,
+        latency=(2560, 211341800, 10400, 457700),
+        percentiles=(19000, 20800, 36500, 66400, 110800, 165700, 288400, 457700),
+        energy={'optical': 248620.8000000008},
+    ),
+    ('all_to_all', 'two_phase_alt'): dict(
+        network='2-Phase Arb. ALT',
+        workload='All-to-all-LS',
+        runtime_ps=1085200,
+        ops_completed=2560,
+        messages_sent=5433,
+        events=46094,
+        latency=(2560, 98695300, 10400, 231100),
+        percentiles=(14700, 19400, 20200, 26800, 48500, 73200, 139100, 231100),
+        energy={'optical': 248620.80000000077},
+    ),
+    ('all_to_all', 'hermes'): dict(
+        network='HERMES',
+        workload='All-to-all-LS',
+        runtime_ps=1288676,
+        ops_completed=2560,
+        messages_sent=5433,
+        events=34012,
+        latency=(2560, 114442951, 3075, 82197),
+        percentiles=(13050, 13050, 29516, 39838, 64475, 65262, 80588, 82197),
+        energy={'snoop': 453972.4800000024, 'router': 14830560.0, 'optical': 545231.9999999988},
+    ),
+    ('hand_built', 'token_ring'): dict(
+        network='Token Ring',
+        workload='hand-built',
+        runtime_ps=48025,
+        ops_completed=12,
+        messages_sent=55,
+        events=248,
+        latency=(12, 104650, 3275, 14750),
+        percentiles=(3275, 4000, 4075, 5025, 12950, 13500, 14750, 14750),
+        energy={'optical': 1631.9999999999995},
+    ),
+    ('hand_built', 'circuit_switched'): dict(
+        network='Circuit-Switched',
+        workload='hand-built',
+        runtime_ps=262550,
+        ops_completed=12,
+        messages_sent=55,
+        events=236,
+        latency=(12, 612850, 12400, 70775),
+        percentiles=(12400, 12400, 37350, 56525, 56550, 70550, 70775, 70775),
+        energy={'optical': 1631.9999999999998},
+    ),
+    ('hand_built', 'point_to_point'): dict(
+        network='Point-to-Point',
+        workload='hand-built',
+        runtime_ps=48000,
+        ops_completed=12,
+        messages_sent=55,
+        events=136,
+        latency=(12, 102400, 3100, 14700),
+        percentiles=(3100, 3100, 3900, 4000, 13400, 13800, 14700, 14700),
+        energy={'optical': 1631.9999999999995},
+    ),
+    ('hand_built', 'limited_point_to_point'): dict(
+        network='Limited Point-to-Point',
+        workload='hand-built',
+        runtime_ps=112200,
+        ops_completed=12,
+        messages_sent=55,
+        events=172,
+        latency=(12, 253500, 12400, 39200),
+        percentiles=(12400, 12400, 13400, 16200, 17400, 39200, 39200, 39200),
+        energy={'router': 35520.0, 'optical': 2342.3999999999996},
+    ),
+    ('hand_built', 'two_phase'): dict(
+        network='2-Phase Arb.',
+        workload='hand-built',
+        runtime_ps=166000,
+        ops_completed=12,
+        messages_sent=55,
+        events=564,
+        latency=(12, 409800, 9500, 84500),
+        percentiles=(9500, 12400, 12400, 30600, 38500, 69100, 84500, 84500),
+        energy={'optical': 1631.9999999999995},
+    ),
+    ('hand_built', 'two_phase_alt'): dict(
+        network='2-Phase Arb. ALT',
+        workload='hand-built',
+        runtime_ps=69800,
+        ops_completed=12,
+        messages_sent=55,
+        events=186,
+        latency=(12, 153000, 8100, 19800),
+        percentiles=(8100, 8100, 9500, 10400, 17400, 17800, 19800, 19800),
+        energy={'optical': 1631.9999999999998},
+    ),
+    ('hand_built', 'hermes'): dict(
+        network='HERMES',
+        workload='hand-built',
+        runtime_ps=46350,
+        ops_completed=12,
+        messages_sent=55,
+        events=186,
+        latency=(12, 97200, 2900, 13275),
+        percentiles=(2900, 2900, 3075, 3900, 13050, 13275, 13275, 13275),
+        energy={'snoop': 2121.6, 'optical': 1631.9999999999995},
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def traces():
+    return {name: build() for name, build in TRACES.items()}
+
+
+@pytest.mark.parametrize("trace_name", list(TRACES))
+@pytest.mark.parametrize("network", NETWORKS)
+def test_replay_result_is_pinned(traces, trace_name, network):
+    trace, cfg = traces[trace_name]
+    assert summary(replay(trace, network, cfg)) == PINS[(trace_name,
+                                                         network)]
