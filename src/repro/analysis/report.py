@@ -11,9 +11,8 @@ record of a campaign can be regenerated mechanically::
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
-from .edp import energy_breakdown, normalized_edp, speedups
 from ..networks.factory import NETWORK_CLASSES
 
 
@@ -32,43 +31,41 @@ def markdown_table(headers: Sequence[str],
     return "\n".join(out)
 
 
+def _grid_markdown(title: str, data: Dict[str, Dict[str, float]],
+                   suite, fmt: str) -> str:
+    """One Figures 7-10 grid as a markdown table; a cell missing after a
+    collected failure (or normalized to a missing baseline) is ``-``."""
+    nets = suite.networks()
+    headers = ["Workload"] + [NETWORK_CLASSES[n].name for n in nets]
+    rows = [[workload] + [fmt % data[workload][n]
+                          if n in data[workload] else "-" for n in nets]
+            for workload in suite.workloads()]
+    return "### %s\n\n%s" % (title, markdown_table(headers, rows))
+
+
 def speedup_markdown(suite) -> str:
     """Figure 7 as a markdown table."""
     from ..experiments.figures7_10 import figure7_speedups
 
-    data = figure7_speedups(suite)
-    nets = suite.networks()
-    headers = ["Workload"] + [NETWORK_CLASSES[n].name for n in nets]
-    rows = [[workload] + ["%.2fx" % data[workload][n] for n in nets]
-            for workload in suite.workloads()]
-    return ("### Figure 7 — speedup vs. circuit-switched\n\n"
-            + markdown_table(headers, rows))
+    return _grid_markdown("Figure 7 — speedup vs. circuit-switched",
+                          figure7_speedups(suite), suite, "%.2fx")
 
 
 def latency_markdown(suite) -> str:
     """Figure 8 as a markdown table."""
     from ..experiments.figures7_10 import figure8_latencies
 
-    data = figure8_latencies(suite)
-    nets = suite.networks()
-    headers = ["Workload"] + [NETWORK_CLASSES[n].name for n in nets]
-    rows = [[workload] + ["%.1f" % data[workload][n] for n in nets]
-            for workload in suite.workloads()]
-    return ("### Figure 8 — latency per coherence operation (ns)\n\n"
-            + markdown_table(headers, rows))
+    return _grid_markdown(
+        "Figure 8 — latency per coherence operation (ns)",
+        figure8_latencies(suite), suite, "%.1f")
 
 
 def edp_markdown(suite) -> str:
     """Figure 10 as a markdown table."""
     from ..experiments.figures7_10 import figure10_edp
 
-    data = figure10_edp(suite)
-    nets = suite.networks()
-    headers = ["Workload"] + [NETWORK_CLASSES[n].name for n in nets]
-    rows = [[workload] + ["%.1f" % data[workload][n] for n in nets]
-            for workload in suite.workloads()]
-    return ("### Figure 10 — EDP normalized to point-to-point\n\n"
-            + markdown_table(headers, rows))
+    return _grid_markdown("Figure 10 — EDP normalized to point-to-point",
+                          figure10_edp(suite), suite, "%.1f")
 
 
 def router_energy_markdown(suite) -> str:

@@ -11,21 +11,49 @@ from: execution time (speedups), mean latency per coherence operation,
 and network energy (optical transceiver + electronic router dynamic
 energy from the network's own accounting, plus static laser power applied
 over the runtime by :mod:`repro.analysis.edp`).
+
+How the replay runs:
+
+* **Compiled plans.**  An operation's message plan depends only on
+  ``(kind, requester, home, owner, sharers)`` and the config's message
+  sizes and latencies, so :func:`compiled_plan` expands it through
+  :func:`~repro.cpu.coherence.message_plan` once per key into nested
+  tuples and stores it in a process-wide :func:`intern_memo`.  Every
+  network and every trace replayed in the process shares these plans.
+* **Integer core state.**  :meth:`TraceReplayer.run` turns each core's
+  operations into ``(gap_ps, site, plan)`` rows.  A core's progress is
+  three ints: the row it is on, when that row issued, and how many
+  completing messages it still waits for.  MSHR waiters are core ids.
+* **No per-op cycles.**  Events carry ``(core, step)``, and each packet
+  is a :class:`ReplayPacket` holding the same pair, with the replayer's
+  ``_delivered`` method as its callback.  No closure is built per op,
+  nothing per op refers back to itself, and a finished replay leaves no
+  garbage for the cyclic collector.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, List, Optional
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional, Tuple
 
 from ..core.engine import Simulator
+from ..core.interning import intern_memo
 from ..core.stats import LatencySample
-from ..cpu.coherence import CoherenceOp, MessageStep, OpKind, message_plan
+from ..cpu.coherence import CoherenceOp, OpKind, message_plan
 from ..cpu.trace import CoherenceTrace
 from ..macrochip.config import MacrochipConfig
 from ..networks.base import Packet
 from ..networks.factory import build_network
+
+#: one message of a compiled plan: ``(src, dst, size_bytes, kind,
+#: counts_toward_completion, children)``, where each child is
+#: ``(extra_delay_ps, step)``, injected that long after this step lands
+Step = Tuple[int, int, int, str, bool, tuple]
+#: a compiled plan: ``(completions, root_steps)``; ``completions`` is how
+#: many steps must land before the op completes, 0 for a writeback
+#: (fire-and-forget: the core moves on as soon as it issues)
+Plan = Tuple[int, Tuple[Step, ...]]
 
 
 @dataclass
@@ -55,14 +83,46 @@ class ReplayResult:
         return sum(self.energy_by_category.values())
 
 
-class _CoreState:
-    """Progress of one core through its operation list."""
+def plan_memo(config: MacrochipConfig) -> Dict[tuple, Plan]:
+    """The process-wide plan memo for ``config``'s cycle time, message
+    sizes and protocol latencies (the only config fields a plan reads)."""
+    return intern_memo(
+        ("replay_plans", config.cycle_ps, config.control_message_bytes,
+         config.data_message_bytes, config.directory_latency_cycles,
+         config.memory_latency_cycles), dict)
 
-    __slots__ = ("ops", "index")
 
-    def __init__(self, ops: List[CoherenceOp]) -> None:
-        self.ops = ops
-        self.index = 0
+def compiled_plan(op: CoherenceOp, config: MacrochipConfig) -> Plan:
+    """``op``'s message plan as nested tuples (see :data:`Plan`)."""
+    steps = message_plan(op, config.control_message_bytes,
+                         config.data_message_bytes,
+                         config.directory_latency_cycles,
+                         config.memory_latency_cycles)
+    stalls = op.kind is not OpKind.WRITEBACK
+    children: List[List[int]] = [[] for _ in steps]
+    for i, step in enumerate(steps):
+        if step.depends_on is not None:
+            children[step.depends_on].append(i)
+    # a step depends only on earlier ones, so compiling back to front
+    # finds every child already compiled
+    compiled: List[Optional[Step]] = [None] * len(steps)
+    for i in reversed(range(len(steps))):
+        step = steps[i]
+        compiled[i] = (
+            step.src, step.dst, step.size_bytes, step.kind,
+            stalls and step.completes,
+            tuple((steps[c].extra_delay_cycles * config.cycle_ps,
+                   compiled[c]) for c in children[i]))
+    completions = sum(1 for step in compiled if step[4])
+    roots = tuple(compiled[i] for i, step in enumerate(steps)
+                  if step.depends_on is None)
+    return completions, roots
+
+
+class ReplayPacket(Packet):
+    """A replay message: the core it belongs to and its plan step."""
+
+    __slots__ = ("core", "step")
 
 
 class TraceReplayer:
@@ -79,18 +139,36 @@ class TraceReplayer:
         self._op_latency = LatencySample()
         self._messages = 0
         self._mshrs_free = [config.mshrs_per_site] * config.num_sites
-        self._mshr_waiters: List[Deque] = [deque()
-                                           for _ in range(config.num_sites)]
+        self._mshr_waiters: List[Deque[int]] = [
+            deque() for _ in range(config.num_sites)]
+        cores = len(trace.ops_by_core)
+        #: per core: its ``(gap_ps, site, plan)`` rows (built by run), the
+        #: row it is on, when that row issued, and its completing
+        #: messages still due
+        self._rows: List[List[Tuple[int, int, Plan]]] = []
+        self._index = [0] * cores
+        self._issued_at = [0] * cores
+        self._remaining = [0] * cores
 
     # -- public --------------------------------------------------------------
 
     def run(self) -> ReplayResult:
-        cycle = self.config.cycle_ps
-        for core, ops in enumerate(self.trace.ops_by_core):
-            state = _CoreState(ops)
-            if ops:
-                self.sim.at(ops[0].gap_cycles * cycle,
-                            self._issue, core, state)
+        config = self.config
+        cycle = config.cycle_ps
+        plans = plan_memo(config)
+        rows = self._rows
+        for ops in self.trace.ops_by_core:
+            core_rows = []
+            for op in ops:
+                key = (op.kind, op.requester, op.home, op.owner, op.sharers)
+                plan = plans.get(key)
+                if plan is None:
+                    plan = plans[key] = compiled_plan(op, config)
+                core_rows.append((op.gap_cycles * cycle, op.requester, plan))
+            rows.append(core_rows)
+        for core, core_rows in enumerate(rows):
+            if core_rows:
+                self.sim.at(core_rows[0][0], self._issue, core)
         events = self.sim.run()
         return ReplayResult(
             network=self.network.name,
@@ -105,82 +183,61 @@ class TraceReplayer:
 
     # -- core state machine ----------------------------------------------------
 
-    def _issue(self, core: int, state: _CoreState) -> None:
-        op = state.ops[state.index]
-        site = op.requester
-        if self._mshrs_free[site] == 0:
-            self._mshr_waiters[site].append((core, state))
+    def _issue(self, core: int) -> None:
+        _, site, (completions, roots) = self._rows[core][self._index[core]]
+        mshrs_free = self._mshrs_free
+        if mshrs_free[site] == 0:
+            self._mshr_waiters[site].append(core)
             return
-        self._mshrs_free[site] -= 1
-        issue_time = self.sim.now
-        if op.kind is OpKind.WRITEBACK:
-            # fire-and-forget: inject and continue immediately
-            self._send_plan(op, issue_time, on_complete=None)
-            self._op_done(core, state, op, issue_time, stalled=False)
-            return
-        self._send_plan(
-            op, issue_time,
-            on_complete=lambda: self._op_done(core, state, op, issue_time,
-                                              stalled=True))
+        mshrs_free[site] -= 1
+        sim = self.sim
+        now = sim.now
+        for step in roots:
+            sim.at(now, self._inject, core, step)
+        if completions:
+            self._issued_at[core] = now
+            self._remaining[core] = completions
+        else:
+            # a writeback is fire-and-forget: the core moves on now
+            self._advance(core, site)
 
-    def _op_done(self, core: int, state: _CoreState, op: CoherenceOp,
-                 issue_time: int, stalled: bool) -> None:
-        if stalled:
-            # writebacks are fire-and-forget and excluded from the
-            # latency-per-coherence-operation metric (Figure 8)
-            self._op_latency.add(self.sim.now - issue_time)
-        self._release_mshr(op.requester)
-        state.index += 1
-        if state.index < len(state.ops):
-            gap = state.ops[state.index].gap_cycles * self.config.cycle_ps
-            self.sim.schedule(gap, self._issue, core, state)
-
-    def _release_mshr(self, site: int) -> None:
-        waiters = self._mshr_waiters[site]
+    def _advance(self, core: int, site: int) -> None:
+        """Free the op's MSHR and schedule the core's next op."""
         self._mshrs_free[site] += 1
+        waiters = self._mshr_waiters[site]
         if waiters:
-            core, state = waiters.popleft()
-            self.sim.schedule(0, self._issue, core, state)
+            self.sim.schedule(0, self._issue, waiters.popleft())
+        index = self._index[core] + 1
+        self._index[core] = index
+        core_rows = self._rows[core]
+        if index < len(core_rows):
+            self.sim.schedule(core_rows[index][0], self._issue, core)
 
     # -- message plan execution --------------------------------------------------
 
-    def _send_plan(self, op: CoherenceOp, issue_time: int,
-                   on_complete) -> None:
-        cfg = self.config
-        steps = message_plan(op, cfg.control_message_bytes,
-                             cfg.data_message_bytes,
-                             cfg.directory_latency_cycles,
-                             cfg.memory_latency_cycles)
-        dependents: Dict[int, List[int]] = {}
-        remaining = 0
-        for i, step in enumerate(steps):
-            if step.completes:
-                remaining += 1
-            if step.depends_on is not None:
-                dependents.setdefault(step.depends_on, []).append(i)
-        tracker = {"remaining": remaining}
+    def _inject(self, core: int, step: Step) -> None:
+        # the event carries its step: a writeback's inject fires after
+        # its core has already moved on to the next row
+        self._messages += 1
+        packet = ReplayPacket(step[0], step[1], step[2], step[3],
+                              self._delivered)
+        packet.core = core
+        packet.step = step
+        self.network.inject(packet)
 
-        def inject(index: int) -> None:
-            step = steps[index]
-            self._messages += 1
-            packet = Packet(step.src, step.dst, step.size_bytes,
-                            kind=step.kind,
-                            on_delivered=lambda _p, i=index: delivered(i))
-            self.network.inject(packet)
-
-        def delivered(index: int) -> None:
-            step = steps[index]
-            if step.completes and on_complete is not None:
-                tracker["remaining"] -= 1
-                if tracker["remaining"] == 0:
-                    on_complete()
-            for dep_index in dependents.get(index, ()):
-                delay = steps[dep_index].extra_delay_cycles * cfg.cycle_ps
-                self.sim.schedule(delay, inject, dep_index)
-
-        for i, step in enumerate(steps):
-            if step.depends_on is None:
-                self.sim.at(issue_time, inject, i)
+    def _delivered(self, packet: ReplayPacket) -> None:
+        core = packet.core
+        _, _, _, _, counts, children = packet.step
+        if counts:
+            remaining = self._remaining
+            remaining[core] -= 1
+            if remaining[core] == 0:
+                # writebacks are fire-and-forget and excluded from the
+                # latency-per-coherence-operation metric (Figure 8)
+                self._op_latency.add(self.sim.now - self._issued_at[core])
+                self._advance(core, self._rows[core][self._index[core]][1])
+        for delay, child in children:
+            self.sim.schedule(delay, self._inject, core, child)
 
 
 def replay(trace: CoherenceTrace, network_name: str,
