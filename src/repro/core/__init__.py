@@ -1,7 +1,6 @@
 """Core simulation infrastructure: event engine, units, statistics,
 structured tracing, and invariant checking."""
 
-from .adaptive import AdaptiveConfig, KneeResult, refine_knee
 from .engine import SimulationError, Simulator
 from .invariants import InvariantMonitor, InvariantViolation, Violation, check_trace
 from .stats import EnergyAccount, LatencySample, NetworkStats, ThroughputMeter
@@ -11,9 +10,6 @@ from .tracing import TraceEvent, TraceRecorder
 __all__ = [
     "Simulator",
     "SimulationError",
-    "AdaptiveConfig",
-    "KneeResult",
-    "refine_knee",
     "NetworkStats",
     "LatencySample",
     "ThroughputMeter",

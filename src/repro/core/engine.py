@@ -191,11 +191,9 @@ class Simulator:
         ``run`` is *resumable*: calling it again with a later horizon
         continues exactly where the previous call left off.  Slicing one
         horizon into ``run(t1); run(t2); ...; run(tN)`` dispatches the
-        same events in the same order as a single ``run(tN)`` (an event
+        same events in the same order as a single ``run(tN)``: an event
         peeked past an intermediate horizon is returned to its tier by
-        ``_unpop`` untouched), which is what lets the adaptive sweep
-        executor (:mod:`repro.core.adaptive`) checkpoint stop rules
-        between slices while staying bit-identical when no rule fires.
+        ``_unpop`` untouched, so :meth:`pending` still sees it.
         """
         if self._running:
             raise SimulationError("simulator is already running")

@@ -614,9 +614,7 @@ def _submission_order(shards: Sequence[Shard],
 
     With a ``cost_key`` the indices are sorted by descending estimated
     cost (ties keep submission order — the sort is stable), so a long
-    shard starts immediately instead of serializing the pool's tail; an
-    adaptive sweep whose saturated points abort early would otherwise
-    idle every worker while one late-submitted expensive point finishes.
+    shard starts immediately instead of serializing the pool's tail.
     Without a key, natural order is kept.  This never affects results:
     they are keyed by original index either way.
     """

@@ -89,10 +89,7 @@ class LatencySample:
 
     @property
     def sum_ps(self) -> int:
-        """Running sum of all observations, in picoseconds.  Together
-        with :attr:`count` this lets checkpointed readers (the adaptive
-        executor's batch-means test) compute the mean of any
-        inter-checkpoint span as a pair of O(1) snapshot deltas."""
+        """Running sum of all observations, in picoseconds."""
         return self._sum
 
     @property

@@ -23,7 +23,6 @@ from typing import Any, Callable, List, Optional, Tuple
 
 from collections import OrderedDict
 
-from .adaptive import AdaptiveConfig, execute_adaptive
 from .parallel import (Shard, ShardError, SimContext, WorkerPool,
                        derive_seed, get_context, run_sharded)
 from .tracing import TraceRecorder
@@ -49,13 +48,12 @@ class LoadPointResult:
     #: simulator events dispatched — deterministic for a fixed seed, so
     #: it participates in the bit-identical serial-vs-parallel contract
     events_dispatched: int = 0
-    #: why the simulation ceased: 'drained' (queue emptied) or 'horizon'
-    #: (window + drain fully simulated) on the fixed path; adaptive runs
-    #: may add 'converged' or 'saturated' (see repro.core.adaptive)
+    #: why the simulation ceased: 'drained' (queue emptied before the
+    #: horizon) or 'horizon' (window + drain fully simulated with events
+    #: still pending)
     stop_reason: str = "horizon"
-    #: simulation clock when it ceased — the horizon for 'drained'/
-    #: 'horizon' (matching the single-shot run's clock convention), the
-    #: firing checkpoint for adaptive early stops
+    #: simulation clock when it ceased: always the horizon,
+    #: ``int(window_ns * 1000 * (1 + drain_factor))``
     stopped_at_ps: int = 0
 
 
@@ -275,7 +273,6 @@ def run_load_point(network_name: str,
                    check_invariants: bool = False,
                    rng_block: int = 256,
                    saturation_threshold: float = 0.99,
-                   adaptive: Optional[AdaptiveConfig] = None,
                    warm: bool = True,
                    backend: str = "python") -> LoadPointResult:
     """Simulate one point of a latency-vs-load curve.
@@ -299,26 +296,20 @@ def run_load_point(network_name: str,
 
     ``rng_block`` (>= 1) is validated but has no effect on the draws.
 
-    ``saturation_threshold`` defines the saturation verdict, shared by
-    the fixed and adaptive paths: a point is saturated when it delivers
-    less than this fraction of what it injected by the end of the drain
-    (0.99 by default, which tolerates the <1% of packets legitimately
-    in flight when a healthy run hits the bounded drain horizon).
+    ``saturation_threshold`` defines the saturation verdict: a point is
+    saturated when it delivers less than this fraction of what it
+    injected by the end of the drain (0.99 by default, which tolerates
+    the <1% of packets legitimately in flight when a healthy run hits
+    the bounded drain horizon).
 
     Out-of-range arguments (``offered_fraction`` outside (0, 1],
     ``window_ns`` not finite and positive, ``packet_bytes`` < 1,
     ``warmup_fraction`` outside [0, 1), ``drain_factor`` < 0 or
     infinite, ``saturation_threshold`` outside (0, 1], ``rng_block`` < 1,
     or NaN anywhere) raise ``ValueError`` naming the argument before any
-    draw, on either backend.
-
-    ``adaptive`` opts into checkpointed execution
-    (:mod:`repro.core.adaptive`): the run is stepped in horizon slices
-    and may stop early once the mean latency converges (verdict:
-    unsaturated) or saturation is proven (verdict: saturated) — see
-    :attr:`LoadPointResult.stop_reason`.  ``adaptive=None`` (the
-    default) keeps the exact legacy fixed-window run; a config with both
-    stop rules disabled is bit-identical to it.
+    draw, on either backend.  A window so short that no site's first
+    injection lands before the horizon raises ``ValueError`` too, naming
+    the minimum window (one mean injection gap) for that load.
 
     The (simulator, network) pair comes from the per-process context
     registry (:func:`repro.core.parallel.get_context`) — reset to
@@ -332,12 +323,11 @@ def run_load_point(network_name: str,
     ``backend`` selects the execution engine: ``"python"`` (default) is
     the scalar event loop; ``"vectorized"`` routes the run through
     :mod:`repro.core.vectorized` — numpy-batched kernels proven
-    bit-identical to the scalar path, including ``adaptive=`` runs
-    (whose checkpoint decisions are replayed from the kernel's arrays)
-    — and silently falls back to ``"python"`` whenever exactness needs
-    real event dispatch (tracer attached, invariants on, numpy missing,
-    or a network without a registered kernel; the missing-numpy
-    fallback warns once per call site, naming the resolved backend).
+    bit-identical to the scalar path — and silently falls back to
+    ``"python"`` whenever exactness needs real event dispatch (tracer
+    attached, invariants on, numpy missing, or a network without a
+    registered kernel; the missing-numpy fallback warns once per
+    process, naming the resolved backend).
     Either way the returned result is the same bits; ``backend`` is
     wall-clock only.
     """
@@ -364,6 +354,12 @@ def run_load_point(network_name: str,
         bank = _DrawBank(pattern, seed, config.num_sites)
     site_gaps, site_dsts = _draw_schedules(bank, mean_gap_ps,
                                            packets_per_site)
+    if min(gaps[0] for gaps in site_gaps) > horizon:
+        raise ValueError(
+            "window_ns=%r injects nothing at offered_fraction=%r: every "
+            "site's first injection lands past the %d ps horizon; use a "
+            "window of at least one mean injection gap, %g ns"
+            % (window_ns, offered_fraction, horizon, mean_gap_ps / 1000.0))
 
     if backend == "vectorized":
         from .vectorized import try_run_vectorized
@@ -378,9 +374,7 @@ def run_load_point(network_name: str,
             site_dsts=site_dsts,
             tracer=tracer,
             check_invariants=check_invariants,
-            adaptive=adaptive,
-            saturation_threshold=saturation_threshold,
-            call_site="adaptive" if adaptive is not None else "sweep")
+            saturation_threshold=saturation_threshold)
         if result is not None:
             return result
 
@@ -408,15 +402,8 @@ def run_load_point(network_name: str,
     sim.at_many((site_gaps[site][0], injector, (site, 0))
                 for site in range(config.num_sites))
 
-    if adaptive is not None:
-        events, stop_reason, stopped_at_ps = execute_adaptive(
-            sim, net.stats, inject_window_ps, horizon, adaptive,
-            saturation_threshold,
-            planned_injections=packets_per_site * config.num_sites)
-    else:
-        events = sim.run(until_ps=horizon)
-        stop_reason = "horizon" if sim.pending() else "drained"
-        stopped_at_ps = horizon
+    events = sim.run(until_ps=horizon)
+    stop_reason = "horizon" if sim.pending() else "drained"
 
     if check_invariants:
         from .invariants import InvariantViolation, check_trace
@@ -431,12 +418,7 @@ def run_load_point(network_name: str,
     stats = net.stats
     delivered = stats.delivered_packets
     injected = stats.injected_packets
-    if stop_reason == "saturated":
-        saturated = True
-    elif stop_reason == "converged":
-        saturated = False
-    else:
-        saturated = delivered < injected * saturation_threshold
+    saturated = delivered < injected * saturation_threshold
     mean_lat = stats.latency.mean_ns if len(stats.latency) else float("nan")
     p99 = stats.latency.percentile_ns(99.0) if len(stats.latency) else float("nan")
     # measure over [warmup, last delivery]: an unsaturated network drains
@@ -454,7 +436,7 @@ def run_load_point(network_name: str,
         saturated=saturated,
         events_dispatched=events,
         stop_reason=stop_reason,
-        stopped_at_ps=stopped_at_ps,
+        stopped_at_ps=horizon,
     )
 
 
@@ -492,7 +474,7 @@ def sweep(network_name: str,
     so results are bit-identical to the ``workers=1`` serial path.  High
     loads inject (and queue) the most packets, so shards are submitted in
     descending-load order — the run never serializes on a late-submitted
-    expensive tail.  Extra keywords (``adaptive``, ``saturation_threshold``,
+    expensive tail.  Extra keywords (``saturation_threshold``,
     ``check_invariants``, ...) pass through to every
     :func:`run_load_point`.
 

@@ -36,14 +36,6 @@ of arbitration state.  This module exploits that:
   bucket is sorted once at dispatch time, replacing per-event heap
   churn with C-level ``list.sort`` while preserving the exact
   ``(time, seq)`` dispatch order.
-* **Checkpointed (adaptive) execution read from arrays.**  An
-  ``adaptive=`` run's stop rules read only monotone counters (injected/
-  delivered counts, the latency sample's count and sum) at fixed
-  checkpoint times; :func:`_run_adaptive` reads every checkpoint off the
-  kernel's delivery arrays with ``searchsorted`` and hands it to
-  :func:`repro.core.adaptive.decide_stop` — the same rules the scalar
-  executor calls — so stop reasons, stop times, knees and early-stop
-  results are bit-identical to the scalar adaptive path.
 
 Every network the sweeps drive — HERMES's snoopy broadcast included —
 has a registered kernel.  The backend is **opt-in**
@@ -134,13 +126,6 @@ class KernelOutput(NamedTuple):
     ``heap_events`` counts every dispatched non-deliver event (the
     injector chain included) and ``heap_pending`` whether any
     non-deliver event remained queued past the horizon.
-
-    ``last_event_ps`` is the dispatch time of the *last* non-deliver
-    event — kernels dispatch in time order, so it is also the maximum.
-    Only read when ``heap_pending`` is False (the adaptive executor's
-    queue-empty test needs the instant the event population is
-    exhausted); kernels with an undispatched tail may leave it at any
-    value.
     """
 
     heap_events: int
@@ -148,7 +133,6 @@ class KernelOutput(NamedTuple):
     deliver_t: Any  # sequence of int delivery times (list or ndarray)
     deliver_inject: Any  # matching injection times
     injected: int
-    last_event_ps: int = 0
 
 
 class InjectionPlan:
@@ -221,25 +205,20 @@ def pair_propagation_table(layout) -> List[int]:
                  for s in range(n) for d in range(n)])
 
 
-#: call sites ("sweep" / "adaptive") already warned about a missing
-#: numpy — the fallback decision is reported once per site so
-#: silent-fallback debugging names where the resolution happened
-_warned_no_numpy: set = set()
+#: whether this process already warned about a missing numpy
+_warned_no_numpy = False
 
 
-def warn_numpy_fallback(call_site: str, stacklevel: int = 3) -> None:
-    """Warn (once per call site) that ``backend='vectorized'`` resolved
-    to the scalar python engine because numpy is missing.  The message
-    names the call site that made the decision — sweep or adaptive load
-    point — so the resolution is diagnosable without reading this
-    module."""
-    if call_site in _warned_no_numpy:
+def warn_numpy_fallback(stacklevel: int = 3) -> None:
+    """Warn (once per process) that ``backend='vectorized'`` resolved
+    to the scalar python engine because numpy is missing."""
+    global _warned_no_numpy
+    if _warned_no_numpy:
         return
-    _warned_no_numpy.add(call_site)
+    _warned_no_numpy = True
     warnings.warn(
-        "%s [backend='vectorized' requested at call site %r; resolved "
-        "backend: python]" % (NUMPY_HINT, call_site),
-        RuntimeWarning, stacklevel=stacklevel + 1)
+        "%s [backend='vectorized' requested; resolved backend: python]"
+        % NUMPY_HINT, RuntimeWarning, stacklevel=stacklevel + 1)
 
 
 def try_run_vectorized(ctx,
@@ -253,9 +232,7 @@ def try_run_vectorized(ctx,
                        site_dsts: List[List[int]],
                        tracer,
                        check_invariants: bool,
-                       adaptive,
-                       saturation_threshold: float,
-                       call_site: str = "sweep"):
+                       saturation_threshold: float):
     """Run one load point through a registered kernel, or return None.
 
     ``ctx`` is the run's :class:`~repro.core.parallel.SimContext`: the
@@ -263,17 +240,12 @@ def try_run_vectorized(ctx,
     its ``scratch``.  ``None`` means "use the scalar engine" — either
     numpy is missing, the run needs real event dispatch (tracer /
     invariants), or the network has no kernel.  The fallback is silent
-    by design (except the once-per-call-site missing-numpy warning):
+    by design (except the once-per-process missing-numpy warning):
     results are identical either way, and the sweep drivers pass
     ``backend=`` through unconditionally.
-
-    ``adaptive`` (an :class:`~repro.core.adaptive.AdaptiveConfig`) runs
-    the stop rules over checkpoints read off the kernel's arrays (see
-    :func:`_run_adaptive`) — stop reasons, stop times and results
-    bit-identical to the scalar adaptive path.
     """
     if np is None:
-        warn_numpy_fallback(call_site)
+        warn_numpy_fallback()
         return None
     if tracer is not None or check_invariants:
         return None
@@ -282,35 +254,18 @@ def try_run_vectorized(ctx,
     if kernel is None:
         return None
 
-    net = ctx.network
     plan = InjectionPlan(len(site_gaps), packets_per_site, packet_bytes,
                          horizon_ps, ctx.warmup_ps, inject_window_ps,
                          site_gaps, site_dsts, ctx.scratch)
-    out = kernel(net, plan)
-    if adaptive is not None:
-        return _run_adaptive(network_name, pattern.name, offered_fraction,
-                             packet_bytes, plan, out, kernel, net,
-                             adaptive, saturation_threshold)
     return _assemble_result(network_name, pattern.name, offered_fraction,
-                            packet_bytes, plan, out, saturation_threshold)
-
-
-class EarlyStop(NamedTuple):
-    """An adaptive stop rule fired before the horizon."""
-
-    reason: str  # 'converged' or 'saturated'
-    at_ps: int
-    checkpoint: Any  # the repro.core.adaptive.Checkpoint at ``at_ps``
-    #: non-deliver events dispatched by ``at_ps`` (the kernel re-run
-    #: truncated there)
-    heap_events: int
+                            packet_bytes, plan, kernel(ctx.network, plan),
+                            saturation_threshold)
 
 
 def _assemble_result(network_name: str, pattern_name: str,
                      offered_fraction: float, packet_bytes: int,
                      plan: InjectionPlan, out: KernelOutput,
-                     saturation_threshold: float,
-                     stop: Optional[EarlyStop] = None):
+                     saturation_threshold: float):
     """Fold a kernel's delivery arrays into a LoadPointResult.
 
     Every arithmetic step mirrors the scalar collectors operation for
@@ -318,17 +273,13 @@ def _assemble_result(network_name: str, pattern_name: str,
     percentile over sorted *distinct* values, ``bytes * 1000.0 /
     max(1, last - warmup)`` throughput — so the floats come out
     bit-equal, not merely close.
-
-    With ``stop`` the arrays are cut off at the stop checkpoint instead
-    of the horizon: only deliveries at or before ``stop.at_ps`` count,
-    exactly the statistics the scalar engine holds when it stops there.
     """
     from .sweep import LoadPointResult
 
-    cut = plan.horizon_ps if stop is None else stop.at_ps
+    horizon = plan.horizon_ps
     warmup = plan.warmup_ps
-    # capped at the cut, so in-window implies dispatched
-    window_end = min(plan.window_end_ps, cut)
+    # capped at the horizon, so in-window implies dispatched
+    window_end = min(plan.window_end_ps, horizon)
 
     dt = np.asarray(out.deliver_t, dtype=np.int64)
     di = np.asarray(out.deliver_inject, dtype=np.int64)
@@ -338,7 +289,7 @@ def _assemble_result(network_name: str, pattern_name: str,
     p99 = float("nan")
     throughput = 0.0
     if dt.size:
-        dispatched = dt <= cut
+        dispatched = dt <= horizon
         delivered = int(dispatched.sum())
         if delivered < dt.size:
             pending = True
@@ -356,16 +307,6 @@ def _assemble_result(network_name: str, pattern_name: str,
             throughput = (n_in * packet_bytes) * 1000.0 / max(
                 1, last - warmup)
 
-    if stop is None:
-        injected = out.injected
-        events = out.heap_events + delivered
-        saturated = delivered < injected * saturation_threshold
-        stop_reason = "horizon" if pending else "drained"
-    else:
-        injected = stop.checkpoint.injected
-        events = stop.heap_events + delivered
-        saturated = stop.reason == "saturated"
-        stop_reason = stop.reason
     return LoadPointResult(
         network=network_name,
         pattern=pattern_name,
@@ -374,85 +315,12 @@ def _assemble_result(network_name: str, pattern_name: str,
         p99_latency_ns=p99,
         throughput_gb_per_s=throughput,
         delivered_packets=delivered,
-        injected_packets=injected,
-        saturated=saturated,
-        events_dispatched=events,
-        stop_reason=stop_reason,
-        stopped_at_ps=cut,
+        injected_packets=out.injected,
+        saturated=delivered < out.injected * saturation_threshold,
+        events_dispatched=out.heap_events + delivered,
+        stop_reason="horizon" if pending else "drained",
+        stopped_at_ps=horizon,
     )
-
-
-def _run_adaptive(network_name: str, pattern_name: str,
-                  offered_fraction: float, packet_bytes: int,
-                  plan: InjectionPlan, out: KernelOutput, kernel, net,
-                  cfg, saturation_threshold: float):
-    """Run the adaptive stop rules over a kernel's output.
-
-    The scalar adaptive path steps the simulator in horizon slices and
-    hands :func:`repro.core.adaptive.decide_stop` a
-    :class:`~repro.core.adaptive.Checkpoint` of monotone counters after
-    each one.  All of those counters are pure functions of *which events
-    have dispatched by the checkpoint time* — so here ``advance`` reads
-    them off the kernel's arrays instead: ``searchsorted`` on the sorted
-    delivery/injection times.  The same rules see the same counters, so
-    stop reasons, stop times and results are bit-identical.
-
-    When no rule fires the run is exactly the fixed-window run (the
-    scalar executor's slicing dispatches the same events in the same
-    order), so the assembler folds the full arrays.  When a rule fires
-    at checkpoint ``c``, the early-stop result needs the event count the
-    scalar run would have dispatched by ``c`` — the kernel is re-run
-    with ``horizon_ps = c``: dispatch order is a pure function of
-    ``(time, seq)``, so the events at or before ``c`` are a prefix and
-    the truncated replay dispatches exactly them.
-    """
-    from .adaptive import Checkpoint, decide_stop
-
-    horizon = plan.horizon_ps
-    window = plan.window_end_ps
-    warmup = plan.warmup_ps
-
-    dt = np.asarray(out.deliver_t, dtype=np.int64)
-    di = np.asarray(out.deliver_inject, dtype=np.int64)
-    order = np.argsort(dt, kind="stable")
-    dt_sorted = dt[order]
-    lat_sorted = (dt - di)[order]
-    in_win = (dt_sorted >= warmup) & (dt_sorted <= window)
-    win_dt = dt_sorted[in_win]  # ascending: latency-collector feed order
-    win_cum = np.cumsum(lat_sorted[in_win])
-    inj_sorted = np.sort(np.concatenate(plan.site_times_np)) \
-        if plan.num_sites else np.empty(0, dtype=np.int64)
-
-    # the instant the event queue empties, or None if events (deliver or
-    # otherwise) outlive the horizon and it never does
-    empty_at = None
-    if not out.heap_pending and (dt.size == 0
-                                 or int(dt_sorted[-1]) <= horizon):
-        empty_at = max(out.last_event_ps,
-                       int(dt_sorted[-1]) if dt.size else 0)
-
-    def advance(now: int) -> Checkpoint:
-        delivered = int(np.searchsorted(dt_sorted, now, side="right"))
-        injected = int(np.searchsorted(inj_sorted, now, side="right"))
-        count = int(np.searchsorted(win_dt, now, side="right"))
-        return Checkpoint(empty_at is not None and empty_at <= now,
-                          injected, delivered, injected - delivered,
-                          count, int(win_cum[count - 1]) if count else 0)
-
-    reason, at_ps = decide_stop(advance, window, horizon, warmup, cfg,
-                                saturation_threshold,
-                                plan.num_sites * plan.pps)
-    stop = None
-    if reason in ("converged", "saturated"):
-        truncated = InjectionPlan(plan.num_sites, plan.pps, packet_bytes,
-                                  at_ps, warmup, window,
-                                  plan.site_gaps, plan.site_dsts,
-                                  plan.scratch)
-        stop = EarlyStop(reason, at_ps, advance(at_ps),
-                         kernel(net, truncated).heap_events)
-    return _assemble_result(network_name, pattern_name, offered_fraction,
-                            packet_bytes, plan, out, saturation_threshold,
-                            stop)
 
 
 def fifo_channel_delivery(np_mod, key, t, tx: int, prop):

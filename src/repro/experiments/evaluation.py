@@ -41,8 +41,7 @@ from ..cpu.trace import CoherenceTrace
 from ..cpu.trace_io import dump_trace, load_trace
 from ..macrochip.config import MacrochipConfig, scaled_config
 from ..macrochip.configio import config_to_dict
-from ..networks.factory import (FIGURE7_NETWORKS, NETWORK_CLASSES,
-                                available_networks)
+from ..networks.factory import FIGURE7_NETWORKS, check_network_keys
 from ..workloads.kernels import FIGURE7_KERNELS
 from ..workloads.replay import ReplayResult, replay
 from ..workloads.sharing import mix_by_name
@@ -275,11 +274,7 @@ def run_suite(preset_name: str = "quick",
                          % (", ".join(map(repr, unknown)),
                             ", ".join(WORKLOAD_ORDER)))
     nets = list(dict.fromkeys(networks or FIGURE7_NETWORKS))
-    unknown = [n for n in nets if n not in NETWORK_CLASSES]
-    if unknown:
-        raise ValueError("unknown network(s) %s; choose from %s"
-                         % (", ".join(map(repr, unknown)),
-                            ", ".join(available_networks())))
+    check_network_keys(nets)
     wanted = [w for w in WORKLOAD_ORDER if workloads is None or w in workloads]
     cfg = config or scaled_config()
     if cache_dir is not None:

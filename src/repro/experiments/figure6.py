@@ -12,12 +12,12 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.tables import render_series, render_table
-from ..core.adaptive import AdaptiveConfig, KneeResult, refine_knee
 from ..core.parallel import Shard, ShardError, WorkerPool, run_sharded
 from ..core.sweep import SweepPoint, run_load_point, to_sweep_point
 from ..macrochip.config import MacrochipConfig, scaled_config
-from ..networks.factory import FIGURE6_NETWORKS, NETWORK_CLASSES
-from ..workloads.synthetic import make_pattern
+from ..networks.factory import (FIGURE6_NETWORKS, NETWORK_CLASSES,
+                                check_network_keys)
+from ..workloads.synthetic import make_pattern, pattern_names
 
 
 #: offered-load grids per pattern, matching the paper's x-axis ranges
@@ -43,16 +43,12 @@ class Figure6Result:
     #: curves[pattern][network] -> list of SweepPoint
     curves: Dict[str, Dict[str, List[SweepPoint]]] = field(
         default_factory=dict)
-    #: 'fixed' (exact legacy grids) or 'adaptive' (knee refinement)
-    mode: str = "fixed"
     #: simulator events across every load point (sweep-cost telemetry)
     total_events: int = 0
     #: number of load points simulated
     load_points: int = 0
-    #: knees[pattern][network] -> KneeResult (adaptive mode only)
-    knees: Dict[str, Dict[str, KneeResult]] = field(default_factory=dict)
-    #: load points (or knee refinements) that failed under
-    #: ``on_error='collect'``/``'retry'``; empty on a clean run
+    #: load points that failed under ``on_error='collect'``/``'retry'``;
+    #: empty on a clean run
     failures: List[ShardError] = field(default_factory=list)
 
     def saturation_table(self) -> List[Tuple[str, str, float]]:
@@ -107,6 +103,10 @@ def run_figure6(config: MacrochipConfig = None,
     (or a figure run and a suite run) reuse worker processes and
     their warm contexts.
 
+    Unknown ``patterns`` or ``networks``, and a ``load_grids`` without
+    a grid for some requested pattern, raise ``ValueError`` before any
+    load point runs.
+
     ``on_error`` / ``max_retries`` / ``timeout_s`` form the per-shard
     fault policy (:class:`~repro.core.parallel.ErrorPolicy`): under
     ``'collect'``/``'retry'`` a failing load point is dropped from its
@@ -123,6 +123,17 @@ def run_figure6(config: MacrochipConfig = None,
     pats = patterns or PANEL_ORDER
     nets = networks or list(FIGURE6_NETWORKS)
     grids = load_grids or LOAD_GRIDS
+    unknown = [p for p in pats if p not in pattern_names()]
+    if unknown:
+        raise ValueError("unknown pattern(s) %s; choose from %s"
+                         % (", ".join(map(repr, unknown)),
+                            ", ".join(pattern_names())))
+    check_network_keys(nets)
+    missing = [p for p in pats if p not in grids]
+    if missing:
+        raise ValueError("load_grids has no grid for pattern(s) %s; it "
+                         "has %s" % (", ".join(map(repr, missing)),
+                                     ", ".join(map(repr, grids)) or "none"))
     keys = []
     shards = []
     for pattern_key in pats:
@@ -154,112 +165,6 @@ def run_figure6(config: MacrochipConfig = None,
     return result
 
 
-def adaptive_coarse_grid(grid: List[float], stride: int = 2) -> List[float]:
-    """Thin a fixed load grid for coarse knee probing: every ``stride``-th
-    point, always keeping the first (an unsaturated anchor) and the last
-    (the pattern's sweep ceiling, so a saturated probe exists whenever
-    the fixed grid had one)."""
-    if stride < 1:
-        raise ValueError("stride must be >= 1, got %r" % (stride,))
-    coarse = list(grid[::stride])
-    if grid and grid[-1] not in coarse:
-        coarse.append(grid[-1])
-    return coarse
-
-
-def _knee_shard(net: str, cfg: MacrochipConfig, pattern, coarse: List[float],
-                window_ns: float, bisections: int,
-                adaptive: AdaptiveConfig, on_error: str = "raise",
-                backend: str = "python") -> KneeResult:
-    """Module-level (picklable) shard body: one (pattern, network) knee
-    refinement, run serially inside its worker — warm-start's best case
-    (many same-network points back to back in one process).
-    ``on_error='collect'`` makes the refinement itself
-    probe-fault-tolerant (see :func:`~repro.core.adaptive.refine_knee`)."""
-    return refine_knee(net, cfg, pattern, coarse, window_ns=window_ns,
-                       bisections=bisections, adaptive=adaptive,
-                       backend=backend,
-                       on_error="collect" if on_error != "raise" else "raise")
-
-
-def run_figure6_adaptive(config: MacrochipConfig = None,
-                         window_ns: float = 1200.0,
-                         patterns: Optional[List[str]] = None,
-                         networks: Optional[List[str]] = None,
-                         load_grids: Optional[Dict[str, List[float]]] = None,
-                         coarse_stride: int = 4,
-                         bisections: int = 3,
-                         adaptive: Optional[AdaptiveConfig] = None,
-                         progress=None,
-                         workers: int = 1,
-                         pool: Optional[WorkerPool] = None,
-                         on_error: str = "raise",
-                         max_retries: int = 2,
-                         timeout_s: Optional[float] = None,
-                         backend: str = "python") -> Figure6Result:
-    """The adaptive counterpart of :func:`run_figure6`.
-
-    Instead of walking the fixed grids, every (pattern, network) pair
-    runs :func:`repro.core.adaptive.refine_knee`: an ascending probe of
-    the thinned grid (``coarse_stride``, stopping at the first saturated
-    load) followed by ``bisections`` halvings of the knee bracket, with
-    each load point checkpointed under ``adaptive`` (default
-    :class:`AdaptiveConfig`) so converged and saturated points stop
-    early.  Curves contain the probed points
-    (ascending load) and ``result.knees`` the per-pair
-    :class:`~repro.core.adaptive.KneeResult`; ``saturation_table()``
-    reads knees off these curves exactly as in fixed mode.
-
-    Results can differ (slightly) from the fixed grids — that is the
-    point: far fewer simulated events for a knee of equal-or-better
-    offered-load resolution.  The fixed path stays the default
-    everywhere.
-
-    ``backend`` threads through to every probed load point.  With
-    ``backend="vectorized"`` the checkpointed (adaptive) run is replayed
-    from kernel arrays — stop decisions, knees, and per-point results
-    are bit-identical to the scalar engine by contract (enforced by the
-    equivalence tests), so adaptive sweeps get the same speedup as fixed
-    grids.
-    """
-    cfg = config or scaled_config()
-    stop_rules = adaptive if adaptive is not None else AdaptiveConfig()
-    result = Figure6Result(window_ns=window_ns, mode="adaptive")
-    pats = patterns or PANEL_ORDER
-    nets = networks or list(FIGURE6_NETWORKS)
-    grids = load_grids or LOAD_GRIDS
-    keys = []
-    shards = []
-    for pattern_key in pats:
-        result.curves[pattern_key] = {}
-        result.knees[pattern_key] = {}
-        coarse = adaptive_coarse_grid(grids[pattern_key], coarse_stride)
-        for net in nets:
-            pattern = make_pattern(pattern_key, cfg.layout)
-            keys.append((pattern_key, net))
-            shards.append(Shard(
-                _knee_shard,
-                args=(net, cfg, pattern, coarse, window_ns, bisections,
-                      stop_rules, on_error, backend),
-                label="figure6-adaptive %s/%s" % (pattern_key, net)))
-    run = run_sharded(shards, workers=workers, progress=progress,
-                      cost_key=lambda s: sum(s.args[3]), pool=pool,
-                      on_error=on_error, max_retries=max_retries,
-                      timeout_s=timeout_s)
-    if progress:
-        progress(run.summary())
-    for (pattern_key, net), knee in zip(keys, run.results):
-        if isinstance(knee, ShardError):
-            result.failures.append(knee)
-            result.curves[pattern_key][net] = []
-            continue
-        result.curves[pattern_key][net] = list(knee.points)
-        result.knees[pattern_key][net] = knee
-        result.total_events += knee.events_dispatched
-        result.load_points += knee.load_points
-    return result
-
-
 def figure6_text(result: Figure6Result) -> str:
     """Render the four panels (table + ASCII plot) plus the saturation
     summary."""
@@ -286,21 +191,6 @@ def figure6_text(result: Figure6Result) -> str:
     blocks.append(render_table(
         ["Pattern", "Network", "Sustained (% of peak)"], sat_rows,
         title="Figure 6 summary: sustained bandwidth at the knee"))
-    if result.knees:
-        knee_rows = []
-        for pattern_key in PANEL_ORDER:
-            for net, knee in result.knees.get(pattern_key, {}).items():
-                hi = ("%.4f" % knee.bracket_high
-                      if knee.bracket_high != float("inf") else "-")
-                knee_rows.append((
-                    pattern_key, NETWORK_CLASSES[net].name,
-                    "%.4f" % knee.bracket_low, hi,
-                    "%d" % knee.load_points, "%d" % knee.events_dispatched))
-        blocks.append(render_table(
-            ["Pattern", "Network", "Knee >= (load)", "Knee < (load)",
-             "Points", "Events"],
-            knee_rows,
-            title="Adaptive knee refinement: offered-load brackets"))
     if result.failures:
         lines = ["%d load point(s) failed and were dropped from the "
                  "curves above:" % len(result.failures)]

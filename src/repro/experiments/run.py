@@ -29,7 +29,7 @@ import time
 from typing import Dict
 
 from .evaluation import run_suite
-from .figure6 import figure6_text, run_figure6, run_figure6_adaptive
+from .figure6 import figure6_text, run_figure6
 from .figures7_10 import all_figures_text
 from .table_experiments import all_tables_text
 from ..core.parallel import WorkerPool, resolve_workers
@@ -41,7 +41,6 @@ def _progress(message: str) -> None:
 
 def generate(artifact: str, preset: str,
               window_ns: float, workers: int = 1,
-              adaptive: bool = False,
               on_error: str = "raise",
               max_retries: int = 2,
               timeout_s: float = None,
@@ -51,10 +50,7 @@ def generate(artifact: str, preset: str,
               cache_dir: str = None) -> Dict[str, str]:
     """Produce {artifact_name: text} for the requested artifact set.
 
-    ``adaptive=True`` switches the Figure 6 artifact to the knee-seeking
-    sweep driver (coarse probing + bisection + per-point early stops) —
-    far fewer simulated events; the fixed grids stay the default.  One
-    persistent worker pool serves every artifact of the invocation.
+    One persistent worker pool serves every artifact of the invocation.
 
     ``on_error``/``max_retries``/``timeout_s`` are the per-shard fault
     policy threaded into every driver (``--on-error collect`` keeps a
@@ -87,17 +83,15 @@ def generate(artifact: str, preset: str,
         outputs["tables"] = all_tables_text(config)
     with WorkerPool(workers) as shared_pool:
         if artifact in ("figure6", "all"):
-            figure6_driver = run_figure6_adaptive if adaptive else run_figure6
-            result = figure6_driver(config=config, networks=networks,
-                                    window_ns=window_ns, progress=_progress,
-                                    workers=workers,
-                                    pool=shared_pool, on_error=on_error,
-                                    max_retries=max_retries,
-                                    timeout_s=timeout_s,
-                                    backend=backend)
-            _progress("figure6 [%s]: %d load points, %d simulator events"
-                      % (result.mode, result.load_points,
-                         result.total_events))
+            result = run_figure6(config=config, networks=networks,
+                                 window_ns=window_ns, progress=_progress,
+                                 workers=workers,
+                                 pool=shared_pool, on_error=on_error,
+                                 max_retries=max_retries,
+                                 timeout_s=timeout_s,
+                                 backend=backend)
+            _progress("figure6: %d load points, %d simulator events"
+                      % (result.load_points, result.total_events))
             for err in result.failures:
                 _progress("figure6 FAILED shard: %s" % err)
             outputs["figure6"] = figure6_text(result)
@@ -183,10 +177,6 @@ def main(argv=None) -> int:
                         help="worker processes for independent "
                              "simulations (0 = one per CPU; results are "
                              "identical to --workers 1)")
-    parser.add_argument("--adaptive", action="store_true",
-                        help="knee-seeking adaptive Figure 6 sweep "
-                             "(coarse grid + bisection, per-point early "
-                             "stops) instead of the exact fixed grids")
     parser.add_argument("--on-error", default="raise",
                         choices=["raise", "collect", "retry"],
                         help="per-shard failure policy: raise on first "
@@ -253,7 +243,6 @@ def main(argv=None) -> int:
     if workers > 1:
         print(".. sharding across %d workers" % workers, file=sys.stderr)
     outputs = generate(artifact, args.preset, window, workers=workers,
-                       adaptive=args.adaptive,
                        on_error=args.on_error,
                        max_retries=args.max_retries,
                        timeout_s=args.timeout_s,

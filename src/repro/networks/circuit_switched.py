@@ -256,7 +256,6 @@ def _vectorized_circuit_switched(net: CircuitSwitchedTorus,
     injected = 0
     dispatched = 0
     pending = False
-    t = 0
     bucket = 0
     last_bucket = horizon // W
     while bucket <= last_bucket:
@@ -381,4 +380,4 @@ def _vectorized_circuit_switched(net: CircuitSwitchedTorus,
     plan.scratch["buckets"] = buckets
     return KernelOutput(heap_events=dispatched, heap_pending=pending,
                         deliver_t=deliver_t, deliver_inject=deliver_i,
-                        injected=injected, last_event_ps=t)
+                        injected=injected)

@@ -123,7 +123,6 @@ def _vectorized_electrical(net: ElectricalBaselineNetwork,
     injected = 0
     heap_events = 0
     heap_pending = False
-    last_event = 0
     for site in range(n):
         times = plan.site_times_np[site]
         m = int(np.searchsorted(times, horizon, side="right"))
@@ -133,8 +132,6 @@ def _vectorized_electrical(net: ElectricalBaselineNetwork,
             heap_pending = True
         if m == 0:
             continue
-        if int(times[m - 1]) > last_event:
-            last_event = int(times[m - 1])
         t = times[:m]
         d = np.asarray(plan.site_dsts[site][:m], dtype=np.int64)
         self_mask = d == site
@@ -151,8 +148,6 @@ def _vectorized_electrical(net: ElectricalBaselineNetwork,
             heap_pending = True  # undispatched SerDes events in the heap
         if started == 0:
             continue
-        if int(send[started - 1]) > last_event:
-            last_event = int(send[started - 1])
         key_parts.append(site * n + d[:started])
         send_parts.append(send[:started])
         inject_parts.append(t[:started])
@@ -171,5 +166,4 @@ def _vectorized_electrical(net: ElectricalBaselineNetwork,
         heap_pending=heap_pending,
         deliver_t=np.concatenate(deliver_t) if deliver_t else empty,
         deliver_inject=np.concatenate(deliver_i) if deliver_i else empty,
-        injected=injected,
-        last_event_ps=last_event)
+        injected=injected)

@@ -19,7 +19,7 @@ key                         architecture
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List
+from typing import Callable, Dict, Iterable, List
 
 from .base import InterSiteNetwork
 from .circuit_switched import CircuitSwitchedTorus
@@ -71,6 +71,16 @@ EXTENDED_NETWORKS: List[str] = FIGURE6_NETWORKS + ["hermes"]
 
 def available_networks() -> List[str]:
     return sorted(NETWORK_CLASSES)
+
+
+def check_network_keys(names: Iterable[str]) -> None:
+    """Raise ``ValueError`` naming every unknown key in ``names`` and
+    listing the valid ones."""
+    unknown = [n for n in names if n not in NETWORK_CLASSES]
+    if unknown:
+        raise ValueError("unknown network(s) %s; choose from %s"
+                         % (", ".join(map(repr, unknown)),
+                            ", ".join(available_networks())))
 
 
 def build_network(name: str, config: MacrochipConfig, sim: Simulator,

@@ -398,7 +398,6 @@ def _vectorized_hermes(net: HermesHierarchicalNetwork, plan) -> KernelOutput:
     injected = 0
     dispatched = 0
     pending = False
-    t = 0
     while heap:
         t, _, kind, a, b, c = heappop(heap)
         if t > horizon:
@@ -480,4 +479,4 @@ def _vectorized_hermes(net: HermesHierarchicalNetwork, plan) -> KernelOutput:
             seq += 1
     return KernelOutput(heap_events=dispatched, heap_pending=pending,
                         deliver_t=deliver_t, deliver_inject=deliver_i,
-                        injected=injected, last_event_ps=t)
+                        injected=injected)

@@ -95,7 +95,6 @@ def _vectorized_point_to_point(net: PointToPointNetwork, plan) -> KernelOutput:
     deliver_i = []
     injected = 0
     inject_pending = False
-    last_event = 0
     for site in range(n):
         times = plan.site_times_np[site]
         m = int(np.searchsorted(times, horizon, side="right"))
@@ -104,8 +103,6 @@ def _vectorized_point_to_point(net: PointToPointNetwork, plan) -> KernelOutput:
             inject_pending = True  # next injector event sits past horizon
         if m == 0:
             continue
-        if int(times[m - 1]) > last_event:
-            last_event = int(times[m - 1])
         t = times[:m]
         d = np.asarray(plan.site_dsts[site][:m], dtype=np.int64)
         self_mask = d == site
@@ -131,5 +128,4 @@ def _vectorized_point_to_point(net: PointToPointNetwork, plan) -> KernelOutput:
         heap_pending=inject_pending,
         deliver_t=np.concatenate(deliver_t) if deliver_t else empty,
         deliver_inject=np.concatenate(deliver_i) if deliver_i else empty,
-        injected=injected,
-        last_event_ps=last_event)
+        injected=injected)

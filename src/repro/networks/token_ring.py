@@ -345,7 +345,6 @@ def _vectorized_token_ring(net: TokenRingCrossbar, plan) -> KernelOutput:
     injected = 0
     dispatched = 0
     pending = False
-    t = 0
     while heap:
         t, _, kind, a, b, c = heappop(heap)
         if t > horizon:
@@ -428,4 +427,4 @@ def _vectorized_token_ring(net: TokenRingCrossbar, plan) -> KernelOutput:
                 seq += 1
     return KernelOutput(heap_events=dispatched, heap_pending=pending,
                         deliver_t=deliver_t, deliver_inject=deliver_i,
-                        injected=injected, last_event_ps=t)
+                        injected=injected)

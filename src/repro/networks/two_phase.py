@@ -286,7 +286,6 @@ def _vectorized_two_phase(net: TwoPhaseArbitratedNetwork,
     injected = 0
     dispatched = 0
     pending = False
-    t = 0
     bucket = 0
     last_bucket = horizon // W
     while bucket <= last_bucket:
@@ -409,7 +408,7 @@ def _vectorized_two_phase(net: TwoPhaseArbitratedNetwork,
     plan.scratch["buckets"] = buckets
     return KernelOutput(heap_events=dispatched, heap_pending=pending,
                         deliver_t=deliver_t, deliver_inject=deliver_i,
-                        injected=injected, last_event_ps=t)
+                        injected=injected)
 
 
 class TwoPhaseAltNetwork(TwoPhaseArbitratedNetwork):

@@ -31,17 +31,15 @@ CFG = small_test_config(2, 2)
 # -- CLI round-trip -----------------------------------------------------------
 
 def _capture_figure6(monkeypatch):
-    """Stub the Figure 6 drivers so main() exercises argument plumbing
+    """Stub the Figure 6 driver so main() exercises argument plumbing
     without simulating anything; returns the captured kwargs dict."""
     captured = {}
 
     def stub(**kwargs):
         captured.update(kwargs)
-        return SimpleNamespace(mode="fixed", load_points=0,
-                               total_events=0, failures=[])
+        return SimpleNamespace(load_points=0, total_events=0, failures=[])
 
     monkeypatch.setattr(run_cli, "run_figure6", stub)
-    monkeypatch.setattr(run_cli, "run_figure6_adaptive", stub)
     monkeypatch.setattr(run_cli, "figure6_text", lambda result: "stub")
     return captured
 
@@ -57,13 +55,6 @@ def test_cli_backend_defaults_to_python(monkeypatch):
     captured = _capture_figure6(monkeypatch)
     assert run_cli.main(["--artifact", "figure6"]) == 0
     assert captured["backend"] == "python"
-
-
-def test_cli_backend_reaches_adaptive_driver(monkeypatch):
-    captured = _capture_figure6(monkeypatch)
-    assert run_cli.main(["--artifact", "figure6", "--adaptive",
-                         "--backend", "vectorized"]) == 0
-    assert captured["backend"] == "vectorized"
 
 
 def test_cli_rejects_unknown_backend():
@@ -131,10 +122,10 @@ def test_require_numpy_error_is_actionable(monkeypatch):
 
 def test_missing_numpy_falls_back_to_scalar(monkeypatch):
     """Without numpy, backend="vectorized" degrades to the scalar
-    engine per load point (one warning naming the call site that
-    resolved the backend, identical results) instead of crashing."""
+    engine per load point (a warning naming the resolved backend,
+    identical results) instead of crashing."""
     monkeypatch.setattr(vectorized, "np", None)
-    monkeypatch.setattr(vectorized, "_warned_no_numpy", set())
+    monkeypatch.setattr(vectorized, "_warned_no_numpy", False)
     pattern = UniformTraffic(CFG.layout)
     scalar = run_load_point("point_to_point", CFG, pattern, 0.05,
                             window_ns=40.0, seed=7)
@@ -143,24 +134,22 @@ def test_missing_numpy_falls_back_to_scalar(monkeypatch):
                                   window_ns=40.0, seed=7,
                                   backend="vectorized")
     assert fallback == scalar
-    assert any("call site 'sweep'" in str(w.message) for w in rec)
+    assert any("resolved backend: python" in str(w.message) for w in rec)
 
 
-def test_missing_numpy_warns_once_per_call_site(monkeypatch):
-    """Each resolution site — sweep, adaptive — warns exactly
-    once: a second load point through the same site is silent, but a
-    different site still gets its own notice."""
-    from repro.core.adaptive import AdaptiveConfig
+def test_missing_numpy_warns_once_per_process(monkeypatch):
+    """The missing-numpy fallback warns exactly once per process:
+    later load points, at other loads or through ``sweep``, are
+    silent."""
+    from repro.core.sweep import sweep
 
     monkeypatch.setattr(vectorized, "np", None)
-    monkeypatch.setattr(vectorized, "_warned_no_numpy", set())
+    monkeypatch.setattr(vectorized, "_warned_no_numpy", False)
     pattern = UniformTraffic(CFG.layout)
     kwargs = dict(window_ns=40.0, seed=7, backend="vectorized")
-    with pytest.warns(RuntimeWarning, match="call site 'sweep'"):
+    with pytest.warns(RuntimeWarning, match="resolved backend: python"):
         run_load_point("point_to_point", CFG, pattern, 0.05, **kwargs)
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a repeat would now raise
         run_load_point("point_to_point", CFG, pattern, 0.10, **kwargs)
-    with pytest.warns(RuntimeWarning, match="call site 'adaptive'"):
-        run_load_point("point_to_point", CFG, pattern, 0.05,
-                       adaptive=AdaptiveConfig().disabled(), **kwargs)
+        sweep("point_to_point", CFG, pattern, [0.05], **kwargs)

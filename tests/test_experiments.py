@@ -28,7 +28,7 @@ from repro.experiments.table_experiments import (
     table6_text,
 )
 from repro.macrochip.config import small_test_config
-from repro.networks.factory import FIGURE7_NETWORKS
+from repro.networks.factory import FIGURE6_NETWORKS, FIGURE7_NETWORKS
 
 
 class TestTableTexts:
@@ -87,6 +87,43 @@ class TestFigure6:
         rows = res.saturation_table()
         assert rows[0][0] == "uniform"
         assert rows[0][2] > 0
+
+    @pytest.fixture
+    def no_load_points(self, monkeypatch):
+        import repro.experiments.figure6 as figure6
+
+        def never(*args, **kwargs):
+            raise AssertionError("ran a load point before validating input")
+
+        monkeypatch.setattr(figure6, "run_load_point", never)
+
+    def test_unknown_network_rejected_before_any_shard(self,
+                                                       no_load_points):
+        """Even under on_error='collect', an unknown network is an
+        argument error, not 41 failed shards and a KeyError later."""
+        with pytest.raises(ValueError) as exc:
+            run_figure6(small_test_config(4, 4), networks=["nope"],
+                        on_error="collect")
+        message = str(exc.value)
+        assert "'nope'" in message
+        assert all(net in message for net in FIGURE6_NETWORKS)
+
+    def test_unknown_pattern_rejected_before_any_shard(self,
+                                                       no_load_points):
+        with pytest.raises(ValueError) as exc:
+            run_figure6(small_test_config(4, 4), patterns=["unifrom"])
+        message = str(exc.value)
+        assert "'unifrom'" in message
+        assert all(name in message for name in PANEL_ORDER)
+
+    def test_load_grids_missing_a_pattern_rejected(self, no_load_points):
+        with pytest.raises(ValueError) as exc:
+            run_figure6(small_test_config(4, 4),
+                        patterns=["uniform", "transpose"],
+                        load_grids={"transpose": [0.01]})
+        message = str(exc.value)
+        assert "'uniform'" in message
+        assert "'transpose'" in message  # the grids it does have
 
 
 class TestSuite:

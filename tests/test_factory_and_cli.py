@@ -81,14 +81,13 @@ class TestRunCli:
 
     @pytest.fixture
     def figure6_stubs(self, monkeypatch):
-        """Capture which Figure 6 driver `generate` dispatches to and
-        with what kwargs, without simulating anything."""
+        """Capture the kwargs `generate` hands the Figure 6 driver,
+        without simulating anything."""
         from repro.experiments import run as run_mod
 
         calls = {}
 
         class _Stub:
-            mode = "stub"
             load_points = 0
             total_events = 0
             failures = ()
@@ -98,13 +97,7 @@ class TestRunCli:
             calls["kwargs"] = kwargs
             return _Stub()
 
-        def fake_adaptive(**kwargs):
-            calls["driver"] = "adaptive"
-            calls["kwargs"] = kwargs
-            return _Stub()
-
         monkeypatch.setattr(run_mod, "run_figure6", fake_fixed)
-        monkeypatch.setattr(run_mod, "run_figure6_adaptive", fake_adaptive)
         monkeypatch.setattr(run_mod, "figure6_text", lambda r: "stub text")
         return calls
 
@@ -114,19 +107,6 @@ class TestRunCli:
         out = generate("figure6", "smoke", window_ns=100.0)
         assert out == {"figure6": "stub text"}
         assert figure6_stubs["driver"] == "fixed"
-
-    def test_generate_figure6_adaptive_dispatch(self, figure6_stubs):
-        from repro.experiments.run import generate
-
-        generate("figure6", "smoke", window_ns=100.0, adaptive=True)
-        assert figure6_stubs["driver"] == "adaptive"
-
-    def test_main_plumbs_adaptive_flag(self, figure6_stubs):
-        from repro.experiments.run import main
-
-        rc = main(["--artifact", "figure6", "--adaptive"])
-        assert rc == 0
-        assert figure6_stubs["driver"] == "adaptive"
 
     def test_network_flag_restricts_figure6(self, figure6_stubs):
         """--network implies the figure6 artifact and threads the key

@@ -17,11 +17,9 @@ reference behavior it replaced:
   per-packet arithmetic — covered transitively: both comparisons above
   run the table-driven networks, and the golden Figure 6 pins
   (:mod:`tests.test_golden_figure6`) freeze their absolute numbers;
-* the checkpointed adaptive executor with both stop rules
-  disabled vs the single-shot ``sim.run(until_ps=horizon)`` call —
-  slicing one horizon into many ``run()`` calls must dispatch identical
-  events in identical order, proven by byte-identical canonical traces
-  and exact ``LoadPointResult`` equality.
+* the vectorized backend's kernels vs the scalar engine — exact
+  ``LoadPointResult`` equality, and byte-identical canonical traces
+  through the fallback seam.
 
 Every network architecture is exercised at two load points: one well
 below saturation and one near or past the knee, where queues are deep
@@ -34,7 +32,6 @@ import importlib
 
 import pytest
 
-from repro.core.adaptive import AdaptiveConfig
 from repro.core.engine import Simulator
 from repro.core.parallel import (DEFAULT_CONTEXT_CACHE_LIMIT, clear_contexts,
                                  set_context_cache_limit)
@@ -159,34 +156,6 @@ def test_run_load_point_bit_identical_across_block_sizes(network, load):
     assert baseline.events_dispatched > 0
     for other in results[1:]:
         assert other == baseline
-
-
-@pytest.mark.parametrize("network,load", LOAD_POINTS)
-def test_adaptive_disabled_bit_identical_to_single_shot(network, load):
-    """The checkpointed executor with both stop rules off is a pure
-    re-slicing of the legacy run: every LoadPointResult field — latency
-    floats, event counts, stop reason, final clock — must match
-    exactly."""
-    pattern = UniformTraffic(CFG.layout)
-    legacy = run_load_point(network, CFG, pattern, load,
-                            window_ns=80.0, seed=7)
-    sliced = run_load_point(network, CFG, pattern, load,
-                            window_ns=80.0, seed=7,
-                            adaptive=AdaptiveConfig().disabled())
-    assert sliced == legacy
-
-
-@pytest.mark.parametrize("network,load", LOAD_POINTS)
-def test_canonical_trace_identical_adaptive_disabled_vs_single_shot(
-        network, load):
-    """Same contract at event granularity: slicing the horizon into
-    checkpoints must not reorder or displace a single dispatched
-    event."""
-    single_shot = _canonical_trace(network, load)
-    sliced = _canonical_trace(network, load,
-                              adaptive=AdaptiveConfig().disabled())
-    assert len(sliced) > 0
-    assert sliced == single_shot
 
 
 @pytest.mark.parametrize("network", NETWORKS)
@@ -351,88 +320,6 @@ def test_scratch_arena_lives_and_dies_with_its_context():
     finally:
         set_context_cache_limit(previous)
         clear_contexts()
-
-
-# -- vectorized adaptive (checkpointed) execution -----------------------------
-#
-# Adaptive runs replay the kernel's delivery arrays through the same stop
-# rules the scalar executor evaluates per checkpoint; the decision inputs
-# (injected/delivered counters, windowed latency sums, queue-empty tests)
-# are recovered exactly, so every LoadPointResult field — including
-# ``stop_reason`` and ``stopped_at_ps`` — must be bit-identical.
-
-def _results_equal(a, b):
-    """Exact field-wise equality, treating NaN == NaN (aborted points
-    have no in-window latencies, and float('nan') != float('nan'))."""
-    import dataclasses
-    import math
-    for f in dataclasses.fields(a):
-        x, y = getattr(a, f.name), getattr(b, f.name)
-        if (isinstance(x, float) and isinstance(y, float)
-                and math.isnan(x) and math.isnan(y)):
-            continue
-        if x != y:
-            return False
-    return True
-
-
-#: stop-rule variants: defaults (conservative), eager (forces the
-#: converged/saturated early-stop replay paths), both-off (pure
-#: re-slicing, must equal the fixed-window result)
-ADAPTIVE_VARIANTS = [
-    ("default", lambda: AdaptiveConfig()),
-    ("eager", lambda: AdaptiveConfig(min_converge_planned=0, min_batches=2,
-                                     min_abort_injected=16,
-                                     abort_streak=2)),
-    ("disabled", lambda: AdaptiveConfig().disabled()),
-]
-
-
-@needs_numpy
-@pytest.mark.parametrize("variant,make_cfg", ADAPTIVE_VARIANTS,
-                         ids=[v for v, _ in ADAPTIVE_VARIANTS])
-@pytest.mark.parametrize("network,load", LOAD_POINTS)
-def test_vectorized_adaptive_bit_identical(network, load, variant,
-                                           make_cfg):
-    """Checkpointed execution under backend="vectorized" must reproduce
-    the scalar adaptive executor exactly: same early-stop decision at
-    the same checkpoint, same event count, same latency floats."""
-    pattern = UniformTraffic(CFG.layout)
-    scalar = run_load_point(network, CFG, pattern, load,
-                            window_ns=80.0, seed=7, adaptive=make_cfg())
-    fast = run_load_point(network, CFG, pattern, load,
-                          window_ns=80.0, seed=7, adaptive=make_cfg(),
-                          backend="vectorized")
-    assert scalar.events_dispatched > 0
-    assert _results_equal(fast, scalar)
-
-
-@needs_numpy
-@pytest.mark.parametrize("network", NETWORKS)
-def test_vectorized_adaptive_knee_identical(network):
-    """refine_knee threads the backend through every probe, so knee
-    location, saturation flags, and probe results must all be identical
-    to the scalar walk."""
-    from repro.core.adaptive import refine_knee
-    _, low, high = next(r for r in NETWORK_LOADS if r[0] == network)
-    pattern = UniformTraffic(CFG.layout)
-    coarse = [low, (low + high) / 2, high, min(1.0, high * 3)]
-    kw = dict(window_ns=80.0, bisections=2, seed=7,
-              adaptive=AdaptiveConfig(min_converge_planned=0,
-                                      min_batches=2,
-                                      min_abort_injected=16,
-                                      abort_streak=2))
-    scalar = refine_knee(network, CFG, pattern, coarse, **kw)
-    fast = refine_knee(network, CFG, pattern, coarse,
-                       backend="vectorized", **kw)
-    assert fast.knee_fraction == scalar.knee_fraction
-    assert fast.knee_offered == scalar.knee_offered
-    assert fast.bracket_low == scalar.bracket_low
-    assert fast.bracket_high == scalar.bracket_high
-    assert fast.skipped_loads == scalar.skipped_loads
-    assert len(fast.points) == len(scalar.points)
-    for a, b in zip(fast.points, scalar.points):
-        assert _results_equal(a, b)
 
 
 def test_unknown_backend_rejected_with_choices():

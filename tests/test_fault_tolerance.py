@@ -375,19 +375,6 @@ def test_figure6_collect_records_failures():
     assert "failed" in figure6_text(result)
 
 
-def test_refine_knee_collect_skips_failed_probe():
-    from repro.core.adaptive import refine_knee
-
-    pattern = UniformTraffic(CFG.layout, seed=1)
-    knee = refine_knee("point_to_point", CFG, pattern, [-1.0, 0.05, 0.60],
-                       window_ns=WINDOW_NS, bisections=1, adaptive=None,
-                       on_error="collect", seed=SEED)
-    assert knee.failures
-    assert knee.failures[0][0] == -1.0
-    assert knee.failures[0][1] == "ValueError"
-    assert knee.load_points >= 2  # the healthy probes still ran
-
-
 def test_campaign_never_caches_failures(tmp_path, monkeypatch):
     """A failed replay must not be written to the suite cache: the next
     run_suite over the same cache_dir retries exactly that pair."""
