@@ -13,6 +13,12 @@ and ``EXTENDED_NETWORKS``, for two traces:
   sharers and with a remote owner, Upgrades, an intra-site op and idle
   cores.
 
+The arbitrated models are also pinned at the paper's 8x8 grid
+(``scaled``: the Table 4 config, 10 operations per core), where the
+token ring's waiter set spans all 64 snake positions and the releasing
+site competes with the other waiters; there the two-phase networks'
+``wasted_slots``/``granted_slots`` counters are pinned too.
+
 A change to the replay layer that moves the order of a single event
 (and so its sequence number) moves ``events`` or a latency here.  If a
 model change is meant to move results, regenerate the table with::
@@ -24,15 +30,16 @@ import pytest
 
 from repro.cpu.coherence import CoherenceOp, OpKind
 from repro.cpu.trace import CoherenceTrace
-from repro.macrochip.config import small_test_config
+from repro.macrochip.config import scaled_config, small_test_config
 from repro.networks.factory import EXTENDED_NETWORKS, FIGURE7_NETWORKS
-from repro.workloads.replay import replay
+from repro.workloads.replay import TraceReplayer, replay
 from repro.workloads.sharing import mix_by_name
 from repro.workloads.synthetic import make_pattern
 from repro.workloads.synthetic_coherence import (SyntheticCoherenceSpec,
                                                  generate_synthetic_trace)
 
 NETWORKS = list(dict.fromkeys(FIGURE7_NETWORKS + EXTENDED_NETWORKS))
+SCALED_NETWORKS = ("token_ring", "two_phase", "two_phase_alt")
 PERCENTILES = (1, 10, 25, 50, 75, 90, 99, 100)
 
 
@@ -75,6 +82,16 @@ def hand_built():
     return trace, cfg
 
 
+def scaled():
+    """The 8x8 (Table 4) synthetic All-to-all trace and its config."""
+    cfg = scaled_config()
+    spec = SyntheticCoherenceSpec("All-to-all", ops_per_core=10)
+    trace = generate_synthetic_trace(spec, make_pattern("uniform",
+                                                        cfg.layout),
+                                     mix_by_name("LS"), cfg)
+    return trace, cfg
+
+
 TRACES = {"all_to_all": all_to_all, "hand_built": hand_built}
 
 
@@ -95,17 +112,37 @@ def summary(result):
     )
 
 
+def scaled_summary(trace, network, cfg):
+    """:func:`summary` plus the two-phase slot counters, if any."""
+    replayer = TraceReplayer(trace, network, cfg)
+    pins = summary(replayer.run())
+    if hasattr(replayer.network, "wasted_slots"):
+        pins["slots"] = (replayer.network.wasted_slots,
+                         replayer.network.granted_slots)
+    return pins
+
+
+def _print_table(title, entries):
+    print("%s = {" % title)
+    for key, pins in entries:
+        print("    %r: dict(" % (key,))
+        for field, value in pins.items():
+            print("        %s=%r," % (field, value))
+        print("    ),")
+    print("}")
+
+
 def print_pins():
-    """Print the PINS table for the current code."""
-    print("PINS = {")
+    """Print the PINS and SCALED_PINS tables for the current code."""
+    entries = []
     for name, build in TRACES.items():
         trace, cfg = build()
         for net in NETWORKS:
-            print("    (%r, %r): dict(" % (name, net))
-            for key, value in summary(replay(trace, net, cfg)).items():
-                print("        %s=%r," % (key, value))
-            print("    ),")
-    print("}")
+            entries.append(((name, net), summary(replay(trace, net, cfg))))
+    _print_table("PINS", entries)
+    trace, cfg = scaled()
+    _print_table("SCALED_PINS", [(net, scaled_summary(trace, net, cfg))
+                                 for net in SCALED_NETWORKS])
 
 
 PINS = {
@@ -277,3 +314,53 @@ def test_replay_result_is_pinned(traces, trace_name, network):
     trace, cfg = traces[trace_name]
     assert summary(replay(trace, network, cfg)) == PINS[(trace_name,
                                                          network)]
+
+
+SCALED_PINS = {
+    'token_ring': dict(
+        network='Token Ring',
+        workload='All-to-all-LS',
+        runtime_ps=483900,
+        ops_completed=5120,
+        messages_sent=10925,
+        events=58591,
+        latency=(5120, 164413870, 10610, 110455),
+        percentiles=(15660, 21490, 25990, 31550, 37390, 42730, 55910, 110455),
+        energy={'optical': 498009.60000000155},
+    ),
+    'two_phase': dict(
+        network='2-Phase Arb.',
+        workload='All-to-all-LS',
+        runtime_ps=1063200,
+        ops_completed=5120,
+        messages_sent=10925,
+        events=154786,
+        latency=(5120, 366306000, 17400, 433200),
+        percentiles=(22200, 24200, 33200, 55200, 91700, 140600, 256700, 433200),
+        energy={'optical': 498009.60000000126},
+        slots=(58450, 10916),
+    ),
+    'two_phase_alt': dict(
+        network='2-Phase Arb. ALT',
+        workload='All-to-all-LS',
+        runtime_ps=573300,
+        ops_completed=5120,
+        messages_sent=10925,
+        events=70656,
+        latency=(5120, 190319500, 14000, 178400),
+        percentiles=(19500, 23000, 24200, 27900, 44400, 63700, 109800, 178400),
+        energy={'optical': 498009.6000000014},
+        slots=(16385, 10916),
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def scaled_trace():
+    return scaled()
+
+
+@pytest.mark.parametrize("network", SCALED_NETWORKS)
+def test_scaled_replay_result_is_pinned(scaled_trace, network):
+    trace, cfg = scaled_trace
+    assert scaled_summary(trace, network, cfg) == SCALED_PINS[network]
