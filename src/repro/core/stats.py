@@ -21,20 +21,18 @@ class LatencySample:
     """Streaming latency statistics (values in picoseconds).
 
     Observations are binned into an exact-value histogram: insertion is
-    one O(1) bucket increment (plus running sum and min/max updates), and
-    nearest-rank percentiles walk the sorted *distinct* values — typically
-    far fewer than the raw observation count — so exact percentiles stay
-    available without retaining (or re-sorting) every sample.
+    one O(1) bucket increment plus the running count and sum; min, max
+    and nearest-rank percentiles are read off the *distinct* values —
+    typically far fewer than the raw observation count — so exact
+    statistics stay available without retaining every sample.
     """
 
-    __slots__ = ("_counts", "_n", "_sum", "_min", "_max")
+    __slots__ = ("_counts", "_n", "_sum")
 
     def __init__(self) -> None:
         self._counts: Dict[int, int] = {}
         self._n = 0
         self._sum = 0
-        self._min: Optional[int] = None
-        self._max: Optional[int] = None
 
     def reset(self) -> None:
         """Drop every observation (in place; the histogram dict is kept
@@ -42,8 +40,6 @@ class LatencySample:
         self._counts.clear()
         self._n = 0
         self._sum = 0
-        self._min = None
-        self._max = None
 
     def add(self, value_ps: int) -> None:
         """Record one latency observation."""
@@ -51,10 +47,6 @@ class LatencySample:
         counts[value_ps] = counts.get(value_ps, 0) + 1
         self._n += 1
         self._sum += value_ps
-        if self._min is None or value_ps < self._min:
-            self._min = value_ps
-        if self._max is None or value_ps > self._max:
-            self._max = value_ps
 
     def __len__(self) -> int:
         return self._n
@@ -72,15 +64,23 @@ class LatencySample:
 
     @classmethod
     def from_histogram(cls, pairs: List[List[int]]) -> "LatencySample":
-        """Rebuild a sample from :meth:`histogram` output."""
+        """Rebuild a sample from :meth:`histogram` output.
+
+        Raises ``ValueError`` on a pair no recorded sample produces: a
+        count below one, or a value listed twice.
+        """
         sample = cls()
+        counts = sample._counts
         for value, count in pairs:
-            sample._counts[value] = count
+            if count < 1:
+                raise ValueError("latency histogram pair [%r, %r]: count "
+                                 "must be at least 1" % (value, count))
+            if value in counts:
+                raise ValueError("latency histogram pair [%r, %r]: value "
+                                 "listed twice" % (value, count))
+            counts[value] = count
             sample._n += count
             sample._sum += value * count
-        if sample._counts:
-            sample._min = min(sample._counts)
-            sample._max = max(sample._counts)
         return sample
 
     @property
@@ -104,15 +104,15 @@ class LatencySample:
 
     @property
     def min_ps(self) -> int:
-        if self._min is None:
+        if not self._counts:
             raise ValueError("no samples recorded")
-        return self._min
+        return min(self._counts)
 
     @property
     def max_ps(self) -> int:
-        if self._max is None:
+        if not self._counts:
             raise ValueError("no samples recorded")
-        return self._max
+        return max(self._counts)
 
     @property
     def max_ns(self) -> float:
@@ -130,7 +130,7 @@ class LatencySample:
             seen += self._counts[value]
             if seen >= rank:
                 return value
-        return self._max  # pragma: no cover - rank <= n guarantees a hit
+        return self.max_ps  # pragma: no cover - rank <= n guarantees a hit
 
     def percentile_ns(self, pct: float) -> float:
         return self.percentile_ps(pct) / 1000.0
@@ -268,11 +268,19 @@ class NetworkStats:
 
     def on_deliver(self, now_ps: int, inject_ps: int, size_bytes: int) -> None:
         self.delivered_packets += 1
-        window_end = self.throughput.window_end_ps
-        if (now_ps >= self.throughput.warmup_ps
-                and (window_end is None or now_ps <= window_end)):
-            self.latency.add(now_ps - inject_ps)
-        self.throughput.record(now_ps, size_bytes)
+        meter = self.throughput
+        if now_ps < meter.warmup_ps:
+            return
+        window_end = meter.window_end_ps
+        if window_end is not None and now_ps > window_end:
+            return
+        self.latency.add(now_ps - inject_ps)
+        # ThroughputMeter.record past its (just checked) window test
+        meter._bytes += size_bytes
+        meter._packets += 1
+        if meter._first_ps is None:
+            meter._first_ps = now_ps
+        meter._last_ps = now_ps
 
     def summary(self) -> Dict[str, float]:
         """A plain-dict summary convenient for tables and tests."""

@@ -125,10 +125,9 @@ class Directory:
         invalidated = tuple(sorted(
             s for s in e.sharers if s != requester
         ))
-        if supplier is not None and supplier not in invalidated:
-            # the old owner's copy dies too, but it supplies data rather
-            # than acking, so it is not in the invalidation fan-out
-            pass
+        # a supplier outside the sharer set: the old owner's copy dies
+        # too, but it supplies data rather than acking, so it is not in
+        # the invalidation fan-out
         e.state = LineState.MODIFIED
         e.owner = requester
         e.sharers = {requester}

@@ -85,38 +85,33 @@ class CpuSimulator:
     def _process(self, core: int, ref: MemoryRef, trace: CoherenceTrace,
                  vtime: List[int], last_op_vtime: List[int]) -> None:
         cfg = self.config
-        site = self.site_of_core(core)
+        site = core // cfg.cores_per_site
         cache = self.caches[site]
         line = cache.line_address(ref.addr)
         trace.total_references += 1
         trace.total_instructions += 1 + ref.gap_instructions
 
-        present = cache.contains(ref.addr)
-        if present and not ref.write:
-            cache.access(ref.addr, is_write=False)
+        result = cache.reference(line, ref.write)
+        if result is None:  # L2 hit
+            if ref.write:
+                entry = self.directory.entry(line)
+                if entry.owner == site and entry.state in (
+                        LineState.MODIFIED, LineState.EXCLUSIVE):
+                    # silent E->M upgrade, no network traffic
+                    entry.state = LineState.MODIFIED
+                else:
+                    # write to a Shared/Owned line: upgrade with
+                    # invalidations
+                    outcome = self.directory.write(line, site)
+                    self._emit(trace, core, site, line, OpKind.UPGRADE,
+                               owner=None, sharers=outcome.invalidated,
+                               vtime=vtime, last_op_vtime=last_op_vtime)
+                    return
             vtime[core] += cfg.l2_hit_latency_cycles
-            return
-        if present and ref.write:
-            entry = self.directory.entry(line)
-            if entry.owner == site and entry.state in (
-                    LineState.MODIFIED, LineState.EXCLUSIVE):
-                # silent E->M upgrade, no network traffic
-                entry.state = LineState.MODIFIED
-                cache.access(ref.addr, is_write=True)
-                vtime[core] += cfg.l2_hit_latency_cycles
-                return
-            # write to a Shared/Owned line: upgrade with invalidations
-            outcome = self.directory.write(line, site)
-            cache.access(ref.addr, is_write=True)
-            self._emit(trace, core, site, line, OpKind.UPGRADE,
-                       owner=None, sharers=outcome.invalidated,
-                       vtime=vtime, last_op_vtime=last_op_vtime)
             return
 
         # L2 miss
         trace.l2_misses += 1
-        result = cache.access(ref.addr, is_write=ref.write)
-        assert not result.hit
         if result.evicted_line is not None:
             self._evict(trace, core, site, result.evicted_line,
                         dirty=result.writeback_line is not None,

@@ -46,6 +46,7 @@ class ElectricalBaselineNetwork(InterSiteNetwork):
 
     name = "Electrical Baseline"
     switching_class = "none"
+    energy_category = "electrical"
 
     def __init__(self, config: MacrochipConfig, sim: Simulator,
                  warmup_ps: int = 0,
@@ -62,6 +63,9 @@ class ElectricalBaselineNetwork(InterSiteNetwork):
         self.serdes_latency_ps = int(serdes_latency_ns * 1000)
         self._num_sites = n
         self._channel_table: List[Optional[Channel]] = [None] * (n * n)
+        # SerDes energy, not the optical transmit energy the base class
+        # memoizes per technology point
+        self._energy_cache = {}
 
     def channel(self, src: int, dst: int) -> Channel:
         idx = src * self._num_sites + dst
@@ -83,12 +87,8 @@ class ElectricalBaselineNetwork(InterSiteNetwork):
             ch = self.channel(packet.src, packet.dst)
         ch.send(packet, self._deliver)
 
-    def _account_optical_energy(self, packet: Packet) -> None:
-        if packet.src == packet.dst:
-            return
-        self.stats.energy.add(
-            "electrical",
-            packet.size_bytes * 8 * ELECTRICAL_ENERGY_PJ_PER_BIT)
+    def _transmit_energy_pj(self, size_bytes: int, hops: int) -> float:
+        return size_bytes * 8 * ELECTRICAL_ENERGY_PJ_PER_BIT
 
 
 @register_kernel("electrical_baseline")

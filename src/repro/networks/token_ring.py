@@ -22,13 +22,15 @@ position is a closed-form function of time.  A request computes the next
 token arrival directly; a request from a site the token has not yet
 passed *preempts* a grant scheduled for a more distant site (the token is
 physically diverted by whichever waiting sender it reaches first), which
-generation counters implement without event cancellation.
+generation counters implement without event cancellation.  The waiting
+senders of a destination are one int bitmask over snake positions, and
+both engines pick the next grant with one helper, :func:`next_grant`.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional
+from typing import Deque, Dict, List, Optional, Tuple
 
 from .base import InterSiteNetwork, Packet
 from ..core import tracing
@@ -40,12 +42,62 @@ from ..core.vectorized import (KernelOutput, pair_propagation_table,
 from ..macrochip.config import MacrochipConfig
 
 
+def next_grant(mask: int, n: int, hop: int, tok_pos: int, tok_time: int,
+               now: int, min_offset: int, release_pos: int,
+               release_at: int) -> Tuple[int, int]:
+    """``(grant_time, src_pos)`` of the next grant: the waiter (a set bit
+    of ``mask``, over snake positions ``0..n-1``) minimizing
+    ``(grant_time, ring offset)``.
+
+    The token was at ``tok_pos`` at ``tok_time`` and advances one
+    position per ``hop`` ps; from its position ``pos`` at reference
+    time ``at`` a waiter ``offset`` positions ahead is reached at
+    ``grant_time = max(now, at + offset*hop)``.  ``min_offset=1`` is
+    used after a grant: the re-injected token travels forward, so the
+    releasing site cannot recapture it without a full round trip.  The
+    releasing site ``release_pos`` sees the token again only at
+    ``release_at`` (a full rotation after its release), so its grant
+    time is bumped to at least that.
+
+    Why two bit scans suffice: ``grant_time`` is non-decreasing in
+    ``offset``, so the first waiter in ring order wins outright (ties
+    go to the smaller offset) — unless it is the releasing site, whose
+    time is bumped.  Then only the next waiter can beat it: every later
+    one has a grant time no earlier than the next waiter's, and loses a
+    tie to it.  ``mask`` must be non-zero.
+    """
+    if now <= tok_time:
+        pos, at = tok_pos, tok_time
+    else:
+        hops = (now - tok_time) // hop
+        pos = (tok_pos + hops) % n
+        at = tok_time + hops * hop
+    q = (pos + min_offset) % n
+    rot = ((mask >> q) | (mask << (n - q))) & ((1 << n) - 1)
+    o = (rot & -rot).bit_length() - 1
+    grant_time = at + (min_offset + o) * hop
+    if grant_time < now:
+        grant_time = now
+    p = (q + o) % n
+    if p == release_pos:
+        if grant_time < release_at:
+            grant_time = release_at
+        rest = rot & (rot - 1)  # the other waiters, already rotated
+        if rest:
+            o2 = (rest & -rest).bit_length() - 1
+            g2 = at + (min_offset + o2) * hop
+            if g2 < now:
+                g2 = now
+            if g2 < grant_time:
+                return g2, (q + o2) % n
+    return grant_time, p
+
+
 class _TokenState:
     """Position/time of one destination's token plus its waiter queues."""
 
     __slots__ = ("pos", "time_ps", "busy", "holding", "generation",
-                 "queues", "waiting", "waiting_pos", "release_pos",
-                 "release_time")
+                 "queues", "waiting_mask", "release_pos", "release_time")
 
     def __init__(self, num_sites: int) -> None:
         self.pos = 0  # snake position where the token was at `time_ps`
@@ -54,10 +106,8 @@ class _TokenState:
         self.holding = False  # a sender holds the token right now
         self.generation = 0  # invalidates superseded grant events
         self.queues: List[Deque[Packet]] = [deque() for _ in range(num_sites)]
-        self.waiting = 0  # total queued packets across sources
-        #: snake positions with a non-empty queue — lets grant scheduling
-        #: visit only actual waiters instead of scanning the whole ring
-        self.waiting_pos = set()
+        #: bitmask of snake positions with a non-empty queue
+        self.waiting_mask = 0
         self.release_pos = -1  # last releasing position: cannot re-grab
         self.release_time = 0  # ...until a full rotation after this time
 
@@ -143,8 +193,7 @@ class TokenRingCrossbar(InterSiteNetwork):
             tok = self._token(packet.dst)
         pos = self._snake_pos[packet.src]
         tok.queues[pos].append(packet)
-        tok.waiting += 1
-        tok.waiting_pos.add(pos)
+        tok.waiting_mask |= 1 << pos
         if self.tracer is not None:
             self.tracer.emit(self.sim.now, tracing.ENQUEUE, pid=packet.pid,
                              resource="token:%d" % packet.dst)
@@ -159,65 +208,30 @@ class TokenRingCrossbar(InterSiteNetwork):
 
     def _schedule_next_grant(self, dst: int, tok: _TokenState,
                              min_offset: int = 0) -> None:
-        """Find the next waiting source in ring order and schedule the
-        token's arrival there.
-
-        ``min_offset=1`` is used after a grant: the re-injected token
-        travels forward, so the releasing site cannot recapture it
-        without a full round trip.
-        """
-        if tok.waiting == 0:
+        """Schedule the token's arrival at the next waiting source (see
+        :func:`next_grant`), or idle the token if nobody waits."""
+        if not tok.waiting_mask:
             tok.busy = False
             return
-        now = self.sim.now
-        pos, at = self._token_position_at(tok, now)
-        n = self.num_sites
-        hop = self.hop_ps
-        # visit only positions with waiters; selection is by (grant_time,
-        # ring offset), which reproduces the old full-ring scan exactly:
-        # that scan walked offsets in ascending order and kept the first
-        # strictly-earlier grant time
-        best_time = -1
-        best_off = 0
-        best_p = -1
-        for p in tok.waiting_pos:
-            offset = p - pos
-            if offset < 0:
-                offset += n
-            if offset < min_offset:
-                offset += n
-            grant_time = at + offset * hop
-            if grant_time < now:
-                grant_time = now
-            if p == tok.release_pos:
-                # the releasing site sees the token again only after a
-                # full round trip; the token serves nearer waiters first
-                release_at = tok.release_time + self.rotation_ps
-                if grant_time < release_at:
-                    grant_time = release_at
-            if (best_p < 0 or grant_time < best_time
-                    or (grant_time == best_time and offset < best_off)):
-                best_time = grant_time
-                best_off = offset
-                best_p = p
-        if best_p < 0:  # pragma: no cover - waiting>0 guarantees a hit
-            raise AssertionError("waiting>0 but no queued source")
-        self.sim.at(best_time, self._grant, dst, best_p, tok.generation)
+        grant_time, p = next_grant(
+            tok.waiting_mask, self.num_sites, self.hop_ps, tok.pos,
+            tok.time_ps, self.sim.now, min_offset, tok.release_pos,
+            tok.release_time + self.rotation_ps)
+        self.sim.at(grant_time, self._grant, dst, p, tok.generation)
 
     def _grant(self, dst: int, src_pos: int, generation: int) -> None:
         """The token reached a waiting sender: transmit one packet."""
-        tok = self._token(dst)
+        tok = self._token_table[dst]
         if generation != tok.generation:
             return  # superseded by a closer requester
         queue = tok.queues[src_pos]
         if not queue:  # pragma: no cover - defensive
-            tok.waiting_pos.discard(src_pos)
+            tok.waiting_mask &= ~(1 << src_pos)
             self._schedule_next_grant(dst, tok)
             return
         packet = queue.popleft()
         if not queue:
-            tok.waiting_pos.discard(src_pos)
-        tok.waiting -= 1
+            tok.waiting_mask &= ~(1 << src_pos)
         tok.holding = True
         tx = self._tx_cache.get(packet.size_bytes)
         if tx is None:
@@ -229,25 +243,25 @@ class TokenRingCrossbar(InterSiteNetwork):
         if prop < 0:
             prop = self.propagation_ps(src_site, dst)
             self._prop_table[src_site * n + dst] = prop
-        arrival = self.sim.now + tx + prop
-        self.sim.at(arrival, self._deliver, packet)
+        now = self.sim.now
+        self.sim.at(now + tx + prop, self._deliver, packet)
         # token is re-injected after the transmission slot + overhead
         tok.pos = src_pos
-        tok.time_ps = self.sim.now + tx + self.grant_overhead_ps
+        tok.time_ps = now + tx + self.grant_overhead_ps
         if self.tracer is not None:
             # the sender holds the destination's token from the grant
             # until re-injection; holds on one token must never overlap
-            self.tracer.emit(self.sim.now, tracing.GRANT, pid=packet.pid,
+            self.tracer.emit(now, tracing.GRANT, pid=packet.pid,
                              src=src_site, dst=dst,
                              resource="token:%d" % dst,
-                             start_ps=self.sim.now, end_ps=tok.time_ps)
+                             start_ps=now, end_ps=tok.time_ps)
         tok.release_pos = src_pos
         tok.release_time = tok.time_ps
         tok.generation += 1
         self.sim.at(tok.time_ps, self._resume, dst, tok.generation)
 
     def _resume(self, dst: int, generation: int) -> None:
-        tok = self._token(dst)
+        tok = self._token_table[dst]
         if generation != tok.generation:  # pragma: no cover - defensive
             return
         tok.holding = False
@@ -256,21 +270,14 @@ class TokenRingCrossbar(InterSiteNetwork):
 
 @register_kernel("token_ring")
 def _vectorized_token_ring(net: TokenRingCrossbar, plan) -> KernelOutput:
-    """Replay kernel: token arbitration over flat state + waiter bitmasks.
+    """Replay kernel: token arbitration over flat per-destination state.
 
     Grant preemption (a closer requester diverting an in-flight token)
     makes dispatch order load-bearing, so this replays the engine's
     ``(time, seq)`` heap discipline exactly — generation counters and
-    all — with two structural savings: delivers never enter the heap
-    (terminal in a sweep; batched into arrays), and the next-waiter scan
-    collapses to O(1) bit arithmetic.  The bitmask form is exact because
-    selection minimizes ``(grant_time, ring_offset)`` and, with the
-    token's closed-form reference time ``at <= now`` (always true at
-    scheduling points), ``grant_time = max(now, at + offset*hop)`` is
-    non-decreasing in offset — so the first waiter in ring order wins
-    outright, except when it is the releasing site (whose time is bumped
-    a full rotation): then it is compared against the next waiter, and
-    no third candidate can beat both.
+    all — with one structural saving: delivers never enter the heap
+    (terminal in a sweep; batched into arrays).  Grants are selected by
+    the same :func:`next_grant` call as the scalar model.
     """
     n = net.num_sites
     pps = plan.pps
@@ -285,7 +292,6 @@ def _vectorized_token_ring(net: TokenRingCrossbar, plan) -> KernelOutput:
     snake_site = net._snake_site
     times = plan.site_times
     dsts = plan.site_dsts
-    full = (1 << n) - 1
 
     # flat per-destination token state (== _TokenState as-constructed)
     tok_pos = [0] * n
@@ -293,44 +299,10 @@ def _vectorized_token_ring(net: TokenRingCrossbar, plan) -> KernelOutput:
     tok_busy = bytearray(n)
     tok_holding = bytearray(n)
     tok_gen = [0] * n
-    tok_waiting = [0] * n
-    tok_mask = [0] * n  # waiting_pos as a bitmask over snake positions
+    tok_mask = [0] * n  # _TokenState.waiting_mask
     tok_release_pos = [-1] * n
-    tok_release_time = [0] * n
+    tok_release_at = [rotation] * n  # release_time + rotation
     queues: List[Optional[Deque[int]]] = [None] * (n * n)  # dst*n+pos
-
-    def select(dst: int, now: int, min_offset: int):
-        """(grant_time, src_pos) minimizing (grant_time, ring offset)."""
-        mask = tok_mask[dst]
-        tp = tok_time[dst]
-        if now <= tp:
-            pos, at = tok_pos[dst], tp
-        else:
-            hops = (now - tp) // hop
-            pos = (tok_pos[dst] + hops) % n
-            at = tp + hops * hop
-        q = (pos + min_offset) % n
-        rot = ((mask >> q) | (mask << (n - q))) & full
-        o = (rot & -rot).bit_length() - 1
-        offset = min_offset + o
-        p = (q + o) % n
-        gt = at + offset * hop
-        if gt < now:
-            gt = now
-        if p == tok_release_pos[dst]:
-            release_at = tok_release_time[dst] + rotation
-            if gt < release_at:
-                gt = release_at
-            rest = rot & (rot - 1)  # other waiters, already rotated
-            if rest:
-                o2 = (rest & -rest).bit_length() - 1
-                off2 = min_offset + o2
-                g2 = at + off2 * hop
-                if g2 < now:
-                    g2 = now
-                if g2 < gt or (g2 == gt and off2 < offset):
-                    return g2, (q + o2) % n
-        return gt, p
 
     import heapq
 
@@ -367,16 +339,15 @@ def _vectorized_token_ring(net: TokenRingCrossbar, plan) -> KernelOutput:
                 if queue is None:
                     queue = queues[qkey] = deque()
                 queue.append(t)
-                tok_waiting[dst] += 1
                 tok_mask[dst] |= 1 << pos
-                if not tok_busy[dst]:
+                if not tok_busy[dst] or not tok_holding[dst]:
+                    if tok_busy[dst]:
+                        tok_gen[dst] += 1  # divert the in-flight token
                     tok_busy[dst] = 1
-                    gt, p = select(dst, t, 0)
-                    heappush(heap, (gt, seq, 1, dst, p, tok_gen[dst]))
-                    seq += 1
-                elif not tok_holding[dst]:
-                    tok_gen[dst] += 1
-                    gt, p = select(dst, t, 0)
+                    gt, p = next_grant(tok_mask[dst], n, hop, tok_pos[dst],
+                                       tok_time[dst], t, 0,
+                                       tok_release_pos[dst],
+                                       tok_release_at[dst])
                     heappush(heap, (gt, seq, 1, dst, p, tok_gen[dst]))
                     seq += 1
             nxt = idx + 1
@@ -391,17 +362,19 @@ def _vectorized_token_ring(net: TokenRingCrossbar, plan) -> KernelOutput:
             queue = queues[dst * n + src_pos]
             if not queue:  # pragma: no cover - mirrors the defensive branch
                 tok_mask[dst] &= ~(1 << src_pos)
-                if tok_waiting[dst] == 0:
+                if not tok_mask[dst]:
                     tok_busy[dst] = 0
                 else:
-                    gt, p = select(dst, t, 0)
+                    gt, p = next_grant(tok_mask[dst], n, hop, tok_pos[dst],
+                                       tok_time[dst], t, 0,
+                                       tok_release_pos[dst],
+                                       tok_release_at[dst])
                     heappush(heap, (gt, seq, 1, dst, p, tok_gen[dst]))
                     seq += 1
                 continue
             t_inj = queue.popleft()
             if not queue:
                 tok_mask[dst] &= ~(1 << src_pos)
-            tok_waiting[dst] -= 1
             tok_holding[dst] = 1
             deliver_t.append(t + tx + prop[snake_site[src_pos] * n + dst])
             deliver_i.append(t_inj)
@@ -410,7 +383,7 @@ def _vectorized_token_ring(net: TokenRingCrossbar, plan) -> KernelOutput:
             release = t + tx + overhead
             tok_time[dst] = release
             tok_release_pos[dst] = src_pos
-            tok_release_time[dst] = release
+            tok_release_at[dst] = release + rotation
             tok_gen[dst] += 1
             heappush(heap, (release, seq, 2, dst, tok_gen[dst], 0))
             seq += 1
@@ -419,10 +392,12 @@ def _vectorized_token_ring(net: TokenRingCrossbar, plan) -> KernelOutput:
             if b != tok_gen[dst]:  # pragma: no cover - defensive
                 continue
             tok_holding[dst] = 0
-            if tok_waiting[dst] == 0:
+            if not tok_mask[dst]:
                 tok_busy[dst] = 0
             else:
-                gt, p = select(dst, t, 1)
+                gt, p = next_grant(tok_mask[dst], n, hop, tok_pos[dst],
+                                   tok_time[dst], t, 1, tok_release_pos[dst],
+                                   tok_release_at[dst])
                 heappush(heap, (gt, seq, 1, dst, p, tok_gen[dst]))
                 seq += 1
     return KernelOutput(heap_events=dispatched, heap_pending=pending,

@@ -84,6 +84,9 @@ class TwoPhaseArbitratedNetwork(InterSiteNetwork):
                              + self.notify_prop_ps + self.switch_setup_ps)
         n = layout.num_sites
         self._num_sites = n
+        self._cols = layout.cols
+        #: flat src*n+dst flight times (the table the kernel reads)
+        self._prop_table = pair_propagation_table(layout)
         # precomputed coordinate tables: row of a source, column of a
         # destination (the only geometry the protocol consults per
         # packet) — pure functions of the layout, interned per layout
@@ -130,7 +133,7 @@ class TwoPhaseArbitratedNetwork(InterSiteNetwork):
         return ch
 
     def _tree_slots(self, site: int, col: int) -> List[List[int]]:
-        idx = site * self.config.layout.cols + col
+        idx = site * self._cols + col
         slots = self._tree_table[idx]
         if slots is None:
             # busy_until starts in the distant past: an untouched tree has
@@ -164,17 +167,20 @@ class TwoPhaseArbitratedNetwork(InterSiteNetwork):
         ch = self._channel_table[row * self._num_sites + packet.dst]
         if ch is None:
             ch = self.channel(row, packet.dst)
-        earliest_tr = self.sim.now + self._arb_lead_ps
+        now = self.sim.now
+        earliest_tr = now + self._arb_lead_ps
         dur = self._slot_cache.get(packet.size_bytes)
         if dur is None:
             dur = self.slot_duration_ps(packet.size_bytes)
         next_free = ch.next_free
         tr = earliest_tr if earliest_tr >= next_free else next_free
-        ch.reserve(tr, dur)
+        # Channel.reserve(tr, dur), whose max() is tr + dur: tr >= next_free
+        ch.next_free = tr + dur
+        ch.busy_ps += dur
         if self.tracer is not None:
             # slot reservation on the shared channel timeline: exclusive
             # for [tr, tr+dur) whether or not the slot ends up used
-            self.tracer.emit(self.sim.now, tracing.GRANT, pid=packet.pid,
+            self.tracer.emit(now, tracing.GRANT, pid=packet.pid,
                              resource="slot:" + ch.name,
                              start_ps=tr, end_ps=tr + dur)
         self.sim.at(tr, self._slot_begins, packet, dur)
@@ -186,38 +192,45 @@ class TwoPhaseArbitratedNetwork(InterSiteNetwork):
         during the notification lead time.  Otherwise the reserved slot is
         wasted — the channel stays idle for it — and the packet must
         re-arbitrate from scratch."""
-        dst_col = self._col_of[packet.dst]
-        trees = self._tree_slots(packet.src, dst_col)
+        src = packet.src
+        dst = packet.dst
+        trees = self._tree_table[src * self._cols + self._col_of[dst]]
+        if trees is None:
+            trees = self._tree_slots(src, self._col_of[dst])
         now = self.sim.now
+        # prefer an already-configured tree, else the longest idle; the
+        # first of equals wins
         best = None
-        for idx, tree in enumerate(trees):
-            busy_until, configured_dst = tree
-            lead = 0 if configured_dst == packet.dst else self.tree_reconfig_ps
-            if busy_until + lead <= now:
-                # prefer an already-configured tree, else the longest idle
-                key = (0 if lead == 0 else 1, busy_until)
-                if best is None or key < best[0]:
-                    best = (key, tree, idx)
+        for tree in trees:
+            busy_until = tree[0]
+            if tree[1] == dst:
+                if busy_until <= now and (best is None or best[1] != dst
+                                          or busy_until < best[0]):
+                    best = tree
+            elif (busy_until + self.tree_reconfig_ps <= now
+                  and (best is None
+                       or (best[1] != dst and busy_until < best[0]))):
+                best = tree
         if best is not None:
-            _, tree, idx = best
-            tree[0] = now + dur
-            tree[1] = packet.dst
+            best[0] = now + dur
+            best[1] = dst
             self.granted_slots += 1
             if self.tracer is not None:
+                idx = next(i for i, tree in enumerate(trees)
+                           if tree is best)
                 self.tracer.emit(now, tracing.GRANT, pid=packet.pid,
                                  resource="tree:%d.%d/%d"
-                                 % (packet.src, dst_col, idx),
+                                 % (src, self._col_of[dst], idx),
                                  start_ps=now, end_ps=now + dur)
-            arrival = now + dur + self.propagation_ps(packet.src, packet.dst)
+            arrival = now + dur + self._prop_table[src * self._num_sites + dst]
             self.sim.at(arrival, self._deliver, packet)
             return
         # tree contention: the reserved slot is wasted, re-arbitrate
         self.wasted_slots += 1
         if self.tracer is not None:
-            row = self._row_of[packet.src]
+            row = self._row_of[src]
             self.tracer.emit(now, tracing.WASTE, pid=packet.pid,
-                             resource="slot:2ph[row=%d->%d]"
-                             % (row, packet.dst),
+                             resource="slot:2ph[row=%d->%d]" % (row, dst),
                              start_ps=now, end_ps=now + dur)
         self.sim.schedule(ARB_SLOT_PS, self._arbitrate, packet)
 

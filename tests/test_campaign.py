@@ -149,6 +149,19 @@ def test_missing_result_resimulates_only_missing(cache, spies):
     assert second.results == first.results
 
 
+def test_contradictory_cached_histogram_raises(cache):
+    _run(cache, networks=["point_to_point"], workloads=["Radix"])
+    path = os.path.join(cache, "results", "Radix__point_to_point.json")
+    with open(path) as fh:
+        doc = json.load(fh)
+    value = doc["op_latency"][0][0]
+    doc["op_latency"][0][1] = 0
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    with pytest.raises(ValueError, match=r"\[%d, 0\]" % value):
+        _run(cache, networks=["point_to_point"], workloads=["Radix"])
+
+
 # -- manifest fingerprinting --------------------------------------------------
 
 def test_manifest_written_on_creation(cache):

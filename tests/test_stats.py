@@ -87,6 +87,21 @@ class TestLatencySample:
         s.add(7)
         assert s != reordered
 
+    @pytest.mark.parametrize("pairs, message", [
+        ([[5000, 0], [7000, 2]], r"\[5000, 0\]: count must be at least 1"),
+        ([[5000, -1], [7000, 2]], r"\[5000, -1\]: count must be at least 1"),
+        ([[7000, 2], [7000, 1]], r"\[7000, 1\]: value listed twice"),
+    ], ids=["zero-count", "negative-count", "repeated-value"])
+    def test_from_histogram_rejects_contradictions(self, pairs, message):
+        with pytest.raises(ValueError, match=message):
+            LatencySample.from_histogram(pairs)
+
+    def test_from_histogram_reads_min_max_off_observed_values(self):
+        s = LatencySample.from_histogram([[5000, 1], [7000, 2]])
+        assert (s.count, s.sum_ps, s.min_ps, s.max_ps) == (3, 19000, 5000,
+                                                           7000)
+        assert LatencySample.from_histogram([]) == LatencySample()
+
 
 class TestThroughputMeter:
     def test_warmup_excluded(self):

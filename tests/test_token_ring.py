@@ -1,9 +1,10 @@
 """Tests for the token-ring optical crossbar (Corona adaptation)."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.networks.base import Packet
-from repro.networks.token_ring import TokenRingCrossbar
+from repro.networks.token_ring import TokenRingCrossbar, next_grant
 
 
 @pytest.fixture
@@ -149,3 +150,76 @@ def test_contended_destination_drains_in_waves(paper_config):
     # ~4 waves around the ring, each roughly one rotation plus grant
     # overheads; the faulty selection needed tens of rotations
     assert makespan < 7 * net.rotation_ps
+
+
+def _scan_next_grant(waiting_pos, n, hop, tok_pos, tok_time, now,
+                     min_offset, release_pos, release_at):
+    """Brute-force grant selection: the token's closed-form position,
+    then every waiter scanned for the minimum (grant_time, ring offset),
+    with the releasing site bumped to ``release_at``."""
+    if now <= tok_time:
+        pos, at = tok_pos, tok_time
+    else:
+        hops = (now - tok_time) // hop
+        pos = (tok_pos + hops) % n
+        at = tok_time + hops * hop
+    best_time = -1
+    best_off = 0
+    best_p = -1
+    for p in waiting_pos:
+        offset = p - pos
+        if offset < 0:
+            offset += n
+        if offset < min_offset:
+            offset += n
+        grant_time = at + offset * hop
+        if grant_time < now:
+            grant_time = now
+        if p == release_pos:
+            if grant_time < release_at:
+                grant_time = release_at
+        if (best_p < 0 or grant_time < best_time
+                or (grant_time == best_time and offset < best_off)):
+            best_time = grant_time
+            best_off = offset
+            best_p = p
+    return best_time, best_p
+
+
+@st.composite
+def _grant_cases(draw):
+    n = draw(st.one_of(st.integers(2, 8), st.integers(2, 64)))
+    hop = draw(st.integers(1, 500))
+    # dense masks, and sparse ones (the usual case at low occupancy)
+    mask = draw(st.one_of(
+        st.integers(1, (1 << n) - 1),
+        st.sets(st.integers(0, n - 1), min_size=1, max_size=3).map(
+            lambda ps: sum(1 << p for p in ps))))
+    tok_pos = draw(st.integers(0, n - 1))
+    tok_time = draw(st.integers(0, 200 * hop))
+    now = tok_time + draw(st.integers(0, 3 * n * hop))
+    min_offset = draw(st.sampled_from([0, 1]))
+    waiters = [p for p in range(n) if mask >> p & 1]
+    release_pos = draw(st.one_of(st.just(-1), st.integers(0, n - 1),
+                                 st.sampled_from(waiters)))
+    rotation = n * hop + draw(st.integers(0, n - 1))
+    # a release time on the token's hop grid ties the bumped releasing
+    # site with the next waiter
+    release_at = draw(st.one_of(
+        st.integers(0, now).map(lambda t: t + rotation),
+        st.integers(0, 3 * n).map(lambda k: tok_time + k * hop)))
+    return (mask, n, hop, tok_pos, tok_time, now, min_offset, release_pos,
+            release_at)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_grant_cases())
+# the releasing site, bumped, ties the next waiter: the nearer one wins
+@example((0b11, 2, 1, 0, 0, 0, 0, 0, 1))
+def test_next_grant_matches_brute_force_scan(case):
+    mask, n = case[:2]
+    waiting_pos = [p for p in range(n) if mask >> p & 1]
+    got = next_grant(*case)
+    want = _scan_next_grant(waiting_pos, *case[1:])
+    assert got == want, "next_grant%r == %r, brute-force scan %r" % (
+        case, got, want)
