@@ -19,14 +19,20 @@ of arbitration state.  This module exploits that:
   ``finish_i = max(t_i, finish_{i-1}) + tx``, evaluated for every packet
   at once with a segmented cumulative maximum.
 * **Replay loops with batched terminal delivers** for the arbitrated
-  networks (two-phase, token ring, circuit switched, limited
-  point-to-point): a tight ``heapq`` loop over flat integer state that
-  reproduces the engine's ``(time, seq)`` dispatch order exactly —
-  sequence numbers are allocated at the same points — while keeping
-  *deliver* events out of the heap entirely.  ``_deliver`` is terminal
-  in a sweep (no sink, no chained callbacks) and statistics are
-  order-independent integer accumulations, so delivery times can be
-  collected in arrays and folded into the result at the end.
+  networks (HERMES, and the calendar kernels below): a tight loop over
+  flat integer state that reproduces the engine's ``(time, seq)``
+  dispatch order exactly — sequence numbers are allocated at the same
+  points — while keeping *deliver* events out of the queue entirely.
+  ``_deliver`` is terminal in a sweep (no sink, no chained callbacks)
+  and statistics are order-independent integer accumulations, so
+  delivery times can be collected in arrays, in any order, and folded
+  into the result at the end.
+* **Per-destination merges** for the token ring, whose every event
+  reads and writes one destination's token: each destination replays
+  on its own as a two-way merge of its time-sorted injections with
+  its single live grant or resume, with no event queue and no sequence
+  counter.  Where times tie, the engine's ``seq`` order is rebuilt
+  from the chain of events that scheduled each one.
 
 * **Calendar-segmented replay** for kernels whose every dynamically
   scheduled event provably trails its scheduler by at least some width
@@ -123,6 +129,8 @@ class KernelOutput(NamedTuple):
     ``deliver_t``/``deliver_inject`` hold one entry per *scheduled*
     deliver event — including those past the horizon, which the engine
     would have left undispatched; the assembler applies the horizon.
+    The pairs may come in any order: the result depends only on their
+    multiset (the token-ring kernel emits them per destination).
     ``heap_events`` counts every dispatched non-deliver event (the
     injector chain included) and ``heap_pending`` whether any
     non-deliver event remained queued past the horizon.
