@@ -627,17 +627,14 @@ def _submission_order(shards: Sequence[Shard],
 class SimContext:
     """One reusable (network, config) simulation instance.
 
-    Owns a :class:`~repro.core.engine.Simulator`, the network built on
-    it, and ``scratch``: the vectorized kernels' allocation arena
-    (:class:`~repro.core.vectorized.InjectionPlan`), which lives and
-    dies with the context.  :meth:`reset` rewinds simulator and network
-    to freshly-constructed state; :func:`get_context` calls it before
-    every reuse, so results are bit-identical to a fresh context (the
-    contract ``tests/test_warmstart.py`` locks).
+    Owns a :class:`~repro.core.engine.Simulator` and the network built
+    on it.  :meth:`reset` rewinds simulator and network to
+    freshly-constructed state; :func:`get_context` calls it before every
+    reuse, so results are bit-identical to a fresh context (the contract
+    ``tests/test_warmstart.py`` locks).
     """
 
-    __slots__ = ("sim", "network", "network_name", "warmup_ps", "uses",
-                 "scratch")
+    __slots__ = ("sim", "network", "network_name", "warmup_ps", "uses")
 
     def __init__(self, network_name: str, config: Any, warmup_ps: int,
                  network_kwargs: Optional[Dict[str, Any]] = None) -> None:
@@ -655,7 +652,6 @@ class SimContext:
                                      **(network_kwargs or {}))
         #: how many runs this context has served (diagnostics/tests)
         self.uses = 0
-        self.scratch: Dict[str, Any] = {}
 
     def reset(self) -> None:
         """Rewind simulator and network to as-constructed state."""
@@ -735,8 +731,8 @@ def get_context(network_name: str, config: Any, warmup_ps: int,
 
 
 def clear_contexts() -> int:
-    """Drop every cached warm context, and with it its kernel scratch
-    (tests / memory pressure); returns how many were dropped."""
+    """Drop every cached warm context (tests / memory pressure);
+    returns how many were dropped."""
     n = len(_CONTEXTS)
     _CONTEXTS.clear()
     return n

@@ -479,7 +479,7 @@ def sweep(network_name: str,
     :func:`run_load_point`.
 
     Every load point after the first reuses the reset (simulator,
-    network) context, its kernel scratch and the interned draw bank
+    network) context and the interned draw bank
     instead of rebuilding them — bit-identical results, less
     wall-clock.  A serial sweep also draws all its load points'
     schedules in one bank pass up front (:func:`_prewarm_draw_bank`).

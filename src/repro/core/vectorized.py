@@ -11,7 +11,8 @@ of arbitration state.  This module exploits that:
   (shared verbatim with the scalar path — the same ``_draw_schedules``
   lists, so the schedules are bit-identical by construction)
   are turned into absolute per-site arrival arrays once, instead of one
-  ``schedule()`` call per packet.
+  ``schedule()`` call per packet.  Replay kernels take them as one
+  stream in the engine's dispatch order (:func:`injection_order`).
 * **Bulk kernels for contention-free spans.**  Networks whose only
   shared resource is a per-pair FIFO channel (point-to-point, the
   electrical baseline) never need an event loop at all: per-channel
@@ -20,20 +21,20 @@ of arbitration state.  This module exploits that:
   at once with a segmented cumulative maximum.
 * **Replay loops with batched terminal delivers** for the arbitrated
   networks (HERMES, and the calendar kernels below): a tight loop over
-  flat integer state that reproduces the engine's ``(time, seq)``
-  dispatch order exactly — sequence numbers are allocated at the same
-  points — while keeping *deliver* events out of the queue entirely.
-  ``_deliver`` is terminal in a sweep (no sink, no chained callbacks)
-  and statistics are order-independent integer accumulations, so
-  delivery times can be collected in arrays, in any order, and folded
-  into the result at the end.
+  flat integer state that merges the injection stream with the
+  protocol events in the engine's ``(time, seq)`` dispatch order
+  exactly — sequence numbers are allocated at the same points — while
+  keeping *deliver* events out of the queue entirely.  ``_deliver`` is
+  terminal in a sweep (no sink, no chained callbacks) and statistics
+  are order-independent integer accumulations, so delivery times can
+  be collected in arrays, in any order, and folded into the result at
+  the end.
 * **Per-destination merges** for the token ring, whose every event
   reads and writes one destination's token: each destination replays
-  on its own as a two-way merge of its time-sorted injections with
-  its single live grant or resume, with no event queue and no sequence
-  counter.  Where times tie, the engine's ``seq`` order is rebuilt
-  from the chain of events that scheduled each one.
-
+  on its own as a two-way merge of its injections with its single
+  live grant or resume, with no event queue and no sequence counter.
+  Where times tie, the engine's ``seq`` order is rebuilt from the
+  chain of events that scheduled each one.
 * **Calendar-segmented replay** for kernels whose every dynamically
   scheduled event provably trails its scheduler by at least some width
   ``W`` (two-phase: the arbitration lead; circuit switched: data
@@ -150,24 +151,18 @@ class InjectionPlan:
     draws the scalar path uses (see ``repro.core.sweep``), so the
     absolute arrival times — plain prefix sums of the gap lists — are
     bit-identical to what the scalar injector chain would produce.
-
-    ``scratch`` is the run's context's kernel scratch arena
-    (:attr:`repro.core.parallel.SimContext.scratch`): a plain dict keyed
-    by kernel-chosen names where kernels park reusable allocations (e.g.
-    the calendar bucket arrays) across the load points of a sweep.
-    Kernels must return parked state in as-new condition — reuse is a
-    pure allocation amortization, never a results channel.
+    Bulk kernels read the per-site schedules; replay kernels read them
+    as one stream in dispatch order (:func:`injection_order`).
     """
 
     __slots__ = ("num_sites", "pps", "packet_bytes", "horizon_ps",
                  "warmup_ps", "window_end_ps", "site_gaps", "site_dsts",
-                 "scratch", "_times_list", "_times_np")
+                 "_times_list", "_times_np")
 
     def __init__(self, num_sites: int, pps: int, packet_bytes: int,
                  horizon_ps: int, warmup_ps: int, window_end_ps: int,
                  site_gaps: List[List[int]],
-                 site_dsts: List[List[int]],
-                 scratch: dict) -> None:
+                 site_dsts: List[List[int]]) -> None:
         self.num_sites = num_sites
         self.pps = pps
         self.packet_bytes = packet_bytes
@@ -176,7 +171,6 @@ class InjectionPlan:
         self.window_end_ps = window_end_ps
         self.site_gaps = site_gaps
         self.site_dsts = site_dsts
-        self.scratch = scratch
         self._times_list: Optional[List[List[int]]] = None
         self._times_np = None
 
@@ -195,6 +189,115 @@ class InjectionPlan:
             self._times_np = [np.asarray(times, dtype=np.int64)
                               for times in self.site_times]
         return self._times_np
+
+
+class InjectionOrder(NamedTuple):
+    """:func:`injection_order`'s stream: the flat indices ``site*pps +
+    idx`` and times of the in-horizon injections (int64 arrays), their
+    count, whether any injection fell past the horizon, and per site
+    the ``seq`` the engine stamped on its next injection — ``at_many``
+    stamps the first ones ``0..num_sites-1``, so the first free ``seq``
+    is ``num_sites``.  A kernel restamps a site as each of its
+    injections dispatches and pushes the next."""
+
+    j: Any
+    t: Any
+    injected: int
+    pending: bool
+    site_seq: List[int]
+
+
+def injection_order(plan: InjectionPlan, group=None) -> InjectionOrder:
+    """The plan's in-horizon injections in the engine's dispatch order.
+
+    Sorted by time — by ``(group, time)`` with ``group``, an int64
+    array over flat injection indices, for a kernel that replays each
+    group on its own — with each tied run in :func:`_injection_key`
+    order, the order of the ``seq`` the engine stamped on them.  Each
+    site's injections come in index order.  A kernel merges the stream
+    with its protocol events on ``(time, seq)``.
+    """
+    pps = plan.pps
+    site_times = plan.site_times
+    times = np.array(site_times, dtype=np.int64).ravel()
+    if group is None:
+        j = np.argsort(times, kind="stable")
+    else:
+        j = np.lexsort((times, group))
+    t = times[j]
+    live = t <= plan.horizon_ps
+    j = j[live]
+    t = t[live]
+    tied = t[1:] == t[:-1]
+    if group is not None:
+        g = group[j]
+        tied &= g[1:] == g[:-1]
+    ties = np.flatnonzero(tied)
+    if ties.size:  # tied runs: into the engine's seq order
+        gap = ties[1:] != ties[:-1] + 1
+        starts = ties[np.r_[True, gap]].tolist()
+        stops = (ties[np.r_[gap, True]] + 2).tolist()
+        for a, b in zip(starts, stops):
+            j[a:b] = sorted(j[a:b].tolist(), key=lambda x: _injection_key(
+                x, site_times, pps))
+    return InjectionOrder(j, t, j.size, j.size < times.size,
+                          list(range(plan.num_sites)))
+
+
+def _injection_key(j: int, site_times: List[List[int]], pps: int):
+    """Order of injection ``j`` (flat ``site*pps + idx``) among the
+    injections at its time (see :func:`_dispatches_first`): its site's
+    injection times newest first, then the site."""
+    site, idx = divmod(j, pps)
+    return site_times[site][idx::-1], site
+
+
+def _parent(event, site_times: List[List[int]], pps: int):
+    """``(parent, push_index, parent_time)`` of a kernel event, or None
+    for a site's first injection."""
+    if type(event) is int:
+        site, idx = divmod(event, pps)
+        if not idx:
+            return None
+        return event - 1, 1, site_times[site][idx - 1]
+    _, parent, push = event
+    if type(parent) is tuple:
+        return parent, push, parent[0]
+    return parent, push, site_times[parent // pps][parent % pps]
+
+
+def _dispatches_first(x, y, site_times: List[List[int]], pps: int) -> bool:
+    """Whether event ``x`` precedes event ``y`` in the engine's
+    ``(time, seq)`` order; both fall at the same time and differ.
+
+    An injection is its flat index ``site*pps + idx`` (an int), a
+    protocol event the tuple ``(time, parent, push_index)``.  The
+    engine stamps ``seq`` when an event is pushed, that is while its
+    parent dispatches, so ``(time, seq)`` sorts exactly like ``(time,
+    key(parent), push_index)``.  ``at_many`` stamped every site's first
+    injection, in site order, before anything ran: its key is ``(time,
+    (), site)``.  Walk both parent chains back until the parents' times
+    differ, the parents meet or both are injections.  An injection is
+    pushed by its site's previous injection, at index 1 (after the
+    event that injection's routing pushed, at 0), so two injections'
+    keys unroll to :func:`_injection_key`.
+    """
+    while type(x) is not int or type(y) is not int:
+        px = _parent(x, site_times, pps)
+        py = _parent(y, site_times, pps)
+        if py is None:  # y is a first injection, x a protocol event
+            return False
+        if px is None:
+            return True
+        xp, xi, xt = px
+        yp, yi, yt = py
+        if xp is yp or (type(xp) is int and xp == yp):
+            return xi < yi
+        if xt != yt:
+            return xt < yt
+        x, y = xp, yp
+    return (_injection_key(x, site_times, pps)
+            < _injection_key(y, site_times, pps))
 
 
 def pair_propagation_table(layout) -> List[int]:
@@ -244,13 +347,12 @@ def try_run_vectorized(ctx,
     """Run one load point through a registered kernel, or return None.
 
     ``ctx`` is the run's :class:`~repro.core.parallel.SimContext`: the
-    kernel reads its built network and parks reusable allocations in
-    its ``scratch``.  ``None`` means "use the scalar engine" — either
-    numpy is missing, the run needs real event dispatch (tracer /
-    invariants), or the network has no kernel.  The fallback is silent
-    by design (except the once-per-process missing-numpy warning):
-    results are identical either way, and the sweep drivers pass
-    ``backend=`` through unconditionally.
+    kernel reads its built network.  ``None`` means "use the scalar
+    engine" — either numpy is missing, the run needs real event
+    dispatch (tracer / invariants), or the network has no kernel.  The
+    fallback is silent by design (except the once-per-process
+    missing-numpy warning): results are identical either way, and the
+    sweep drivers pass ``backend=`` through unconditionally.
     """
     if np is None:
         warn_numpy_fallback()
@@ -264,7 +366,7 @@ def try_run_vectorized(ctx,
 
     plan = InjectionPlan(len(site_gaps), packets_per_site, packet_bytes,
                          horizon_ps, ctx.warmup_ps, inject_window_ps,
-                         site_gaps, site_dsts, ctx.scratch)
+                         site_gaps, site_dsts)
     return _assemble_result(network_name, pattern.name, offered_fraction,
                             packet_bytes, plan, kernel(ctx.network, plan),
                             saturation_threshold)

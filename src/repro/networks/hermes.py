@@ -38,8 +38,8 @@ from .base import Channel, InterSiteNetwork, Packet
 from ..core.engine import Simulator
 from ..core.interning import intern_memo, intern_table
 from ..core.units import propagation_ps, serialization_ps
-from ..core.vectorized import (KernelOutput, pair_propagation_table,
-                               register_kernel)
+from ..core.vectorized import (KernelOutput, injection_order,
+                               pair_propagation_table, register_kernel)
 from ..macrochip.config import MacrochipConfig
 from ..photonics.power import router_energy_pj
 
@@ -361,7 +361,10 @@ def _vectorized_hermes(net: HermesHierarchicalNetwork, plan) -> KernelOutput:
     one twist: a global-channel arrival whose destination *is* the
     gateway delivers synchronously inside the arrival event (no extra
     event, no extra seq), so that arrival goes straight into the
-    deliver arrays instead of being counted as a heap event.
+    deliver arrays instead of being counted as a heap event.  The heap
+    holds protocol events only: injections come from the
+    :func:`~repro.core.vectorized.injection_order` stream, merged with
+    the heap on ``(time, seq)``.
     """
     n = net._num_sites
     num_clusters = net.num_clusters
@@ -377,8 +380,6 @@ def _vectorized_hermes(net: HermesHierarchicalNetwork, plan) -> KernelOutput:
     prop = pair_propagation_table(net.config.layout)
     glob_prop = [prop[gateway[a] * n + gateway[b]]
                  for a in range(num_clusters) for b in range(num_clusters)]
-    times = plan.site_times
-    dsts = plan.site_dsts
     ring_nf = [0] * n  # per-source ring channel next_free
     glob_nf = [0] * (num_clusters * num_clusters)
 
@@ -386,63 +387,75 @@ def _vectorized_hermes(net: HermesHierarchicalNetwork, plan) -> KernelOutput:
 
     heappush = heapq.heappush
     heappop = heapq.heappop
-    # event kinds: 0 = injector, 1 = ring arrival (final leg),
+    order = injection_order(plan)
+    injected = dispatched = order.injected
+    pending = order.pending
+    inj_seq = order.site_seq
+    seq = n  # the first free seq (see InjectionOrder.site_seq)
+    # the stream as sites, each read in index order by its cursor
+    S = (order.j // pps).tolist()
+    del order  # frees the stream arrays: the walk reads only S
+    times = plan.site_times
+    dsts = plan.site_dsts
+    cursor = [0] * n
+    k = 0
+    # event kinds: 1 = ring arrival (final leg),
     # 2 = ring arrival (first leg toward the local gateway),
     # 3 = at the source gateway (O-E, router), 4 = global-channel send,
     # 5 = global arrival needing rebroadcast, 6 = rebroadcast
-    heap = [(times[site][0], site, 0, site, 0, 0) for site in range(n)]
-    heapq.heapify(heap)
-    seq = n  # at_many stamped the initial injections 0..n-1 in site order
+    heap = []
     deliver_t = []
     deliver_i = []
-    injected = 0
-    dispatched = 0
-    pending = False
-    while heap:
+    while True:
+        if k < injected:
+            site = S[k]
+            idx = cursor[site]
+            t = times[site][idx]
+            if not heap or (t, inj_seq[site]) < heap[0]:
+                cursor[site] = idx + 1
+                dst = dsts[site][idx]
+                k += 1
+                if dst == site:
+                    deliver_t.append(t + loop_ps)
+                    deliver_i.append(t)
+                    seq += 1
+                elif cluster_of[site] == cluster_of[dst]:
+                    nf = ring_nf[site]
+                    start = t if t >= nf else nf
+                    ring_nf[site] = start + tx_ring
+                    heappush(heap, (start + tx_ring, seq, 1, site, dst, t))
+                    seq += 1
+                elif site == gateway[cluster_of[site]]:
+                    # the gateway modulates straight onto the global channel
+                    gkey = cluster_of[site] * num_clusters + cluster_of[dst]
+                    nf = glob_nf[gkey]
+                    start = t if t >= nf else nf
+                    glob_nf[gkey] = start + tx_glob
+                    arrival = start + tx_glob + glob_prop[gkey]
+                    if dst == gateway[cluster_of[dst]]:
+                        deliver_t.append(arrival)
+                        deliver_i.append(t)
+                    else:
+                        heappush(heap, (arrival, seq, 5, 0, dst, t))
+                    seq += 1
+                else:
+                    nf = ring_nf[site]
+                    start = t if t >= nf else nf
+                    ring_nf[site] = start + tx_ring
+                    heappush(heap, (start + tx_ring, seq, 2, site, dst, t))
+                    seq += 1
+                if idx + 1 < pps:  # the site's next injection
+                    inj_seq[site] = seq
+                    seq += 1
+                continue
+        elif not heap:
+            break
         t, _, kind, a, b, c = heappop(heap)
         if t > horizon:
             pending = True
             break
         dispatched += 1
-        if kind == 0:
-            injected += 1
-            site = a
-            idx = b
-            dst = dsts[site][idx]
-            if dst == site:
-                deliver_t.append(t + loop_ps)
-                deliver_i.append(t)
-                seq += 1
-            elif cluster_of[site] == cluster_of[dst]:
-                nf = ring_nf[site]
-                start = t if t >= nf else nf
-                ring_nf[site] = start + tx_ring
-                heappush(heap, (start + tx_ring, seq, 1, site, dst, t))
-                seq += 1
-            elif site == gateway[cluster_of[site]]:
-                # the gateway modulates straight onto the global channel
-                gkey = cluster_of[site] * num_clusters + cluster_of[dst]
-                nf = glob_nf[gkey]
-                start = t if t >= nf else nf
-                glob_nf[gkey] = start + tx_glob
-                arrival = start + tx_glob + glob_prop[gkey]
-                if dst == gateway[cluster_of[dst]]:
-                    deliver_t.append(arrival)
-                    deliver_i.append(t)
-                else:
-                    heappush(heap, (arrival, seq, 5, 0, dst, t))
-                seq += 1
-            else:
-                nf = ring_nf[site]
-                start = t if t >= nf else nf
-                ring_nf[site] = start + tx_ring
-                heappush(heap, (start + tx_ring, seq, 2, site, dst, t))
-                seq += 1
-            nxt = idx + 1
-            if nxt < pps:
-                heappush(heap, (times[site][nxt], seq, 0, site, nxt, 0))
-                seq += 1
-        elif kind == 1:
+        if kind == 1:
             deliver_t.append(t + ring_prop[a * n + b])
             deliver_i.append(c)
             seq += 1

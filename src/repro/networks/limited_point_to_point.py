@@ -22,8 +22,8 @@ from .base import Channel, InterSiteNetwork, Packet
 from ..core.engine import Simulator
 from ..core.interning import intern_table
 from ..core.units import serialization_ps
-from ..core.vectorized import (KernelOutput, pair_propagation_table,
-                               register_kernel)
+from ..core.vectorized import (KernelOutput, injection_order,
+                               pair_propagation_table, register_kernel)
 from ..macrochip.config import MacrochipConfig
 from ..photonics.power import router_energy_pj
 
@@ -205,8 +205,9 @@ def _vectorized_limited_p2p(net: LimitedPointToPointNetwork,
     trails the arrival by the router latency, so with buckets no wider
     than ``min(tx, router_ps)`` no scheduled event ever lands in the
     bucket currently dispatching — append + one C-level sort per bucket
-    replaces heap churn.  Injections merge in from a size-``num_sites``
-    heap of per-site stream heads on full ``(time, seq)`` tuples.
+    replaces heap churn.  Injections come from the
+    :func:`~repro.core.vectorized.injection_order` stream, merged with
+    each bucket on ``(time, seq)``.
     """
     n = net._num_sites
     pps = plan.pps
@@ -216,67 +217,53 @@ def _vectorized_limited_p2p(net: LimitedPointToPointNetwork,
     tx = serialization_ps(plan.packet_bytes, net.channel_gb_per_s)
     prop = pair_propagation_table(net.config.layout)
     fwd_table = net._fwd_table
-    times = plan.site_times
-    dsts = plan.site_dsts
     next_free = [0] * (n * n)
 
-    import heapq
-
-    heapreplace = heapq.heapreplace
-    heappop = heapq.heappop
     # every dynamically scheduled event trails its scheduler by at least
     # W, so an event never lands in the bucket currently dispatching
     W = max(1, min(tx, router_ps))
-    # bucket array parked in the run context's scratch arena between
-    # load points (all-None on hand-back: every stored bucket index is
-    # <= horizon // W and gets cleared when dispatched)
-    buckets: Optional[List[Optional[list]]] = plan.scratch.pop("buckets", None)
-    if buckets is None or len(buckets) < horizon // W + 2:
-        buckets = [None] * (horizon // W + 2)
-    # per-site injection stream heads: (time, seq, site, idx)
-    inj_heap = [(times[site][0], site, site, 0) for site in range(n)]
-    heapq.heapify(inj_heap)
-    seq = n  # at_many stamped the initial injections 0..n-1 in site order
+    last_bucket = horizon // W
+    buckets: List[Optional[list]] = [None] * (last_bucket + 1)
+    order = injection_order(plan)
+    injected = dispatched = order.injected
+    pending = order.pending
+    inj_seq = order.site_seq
+    seq = n  # the first free seq (see InjectionOrder.site_seq)
+    # the stream as sites, each read in index order by its cursor; a
+    # sentinel site n injects once, past every bucket
+    S = (order.j // pps).tolist() + [n]
+    del order  # frees the stream arrays: the walk reads only S
+    times = plan.site_times + [[(last_bucket + 1) * W]]
+    dsts = plan.site_dsts
+    cursor = [0] * (n + 1)
+    k = 0
+    site = S[0]
+    next_t = times[site][0]
     deliver_t = []
     deliver_i = []
-    injected = 0
-    dispatched = 0
-    pending = False
-    bucket = 0
-    last_bucket = horizon // W
-    while bucket <= last_bucket:
+    for bucket in range(last_bucket + 1):
         ev = buckets[bucket]
-        if ev is not None:
+        if ev is None:
+            ev = []
+        else:
             buckets[bucket] = None
             ev.sort()
-        elif not inj_heap:
-            bucket += 1
-            continue
         bucket_end = (bucket + 1) * W
         i = 0
-        m = len(ev) if ev is not None else 0
+        m = len(ev)
         while True:
-            if inj_heap:
-                inj = inj_heap[0]
-                if i < m:
-                    e = ev[i]
-                    take_inj = inj < e
-                else:
-                    e = None
-                    take_inj = inj[0] < bucket_end
-            elif i < m:
+            if i < m:
                 e = ev[i]
-                take_inj = False
+                take_inj = next_t < e[0] or (
+                    next_t == e[0] and inj_seq[site] < e[1])
+            elif next_t < bucket_end:
+                take_inj = True
             else:
                 break
             if take_inj:
-                t, _, site, idx = inj
-                if t > horizon:
-                    pending = True
-                    heappop(inj_heap)
-                    continue
-                dispatched += 1
-                injected += 1
+                t = next_t
+                idx = cursor[site]
+                cursor[site] = idx + 1
                 dst = dsts[site][idx]
                 if dst == site:
                     deliver_t.append(t + loop_ps)
@@ -285,11 +272,11 @@ def _vectorized_limited_p2p(net: LimitedPointToPointNetwork,
                 else:
                     fwd = fwd_table[site * n + dst]
                     if fwd is None:
-                        k = site * n + dst
-                        nf = next_free[k]
+                        key = site * n + dst
+                        nf = next_free[key]
                         start = t if t >= nf else nf
-                        next_free[k] = start + tx
-                        deliver_t.append(start + tx + prop[k])
+                        next_free[key] = start + tx
+                        deliver_t.append(start + tx + prop[key])
                         deliver_i.append(t)
                         seq += 1
                     else:
@@ -303,13 +290,13 @@ def _vectorized_limited_p2p(net: LimitedPointToPointNetwork,
                         if qb < 0:
                             qb = 0
                         if (qa, fa) <= (qb, fb):
-                            via, k = fa, ka
+                            via, key = fa, ka
                         else:
-                            via, k = fb, kb
-                        nf = next_free[k]
+                            via, key = fb, kb
+                        nf = next_free[key]
                         start = t if t >= nf else nf
-                        next_free[k] = start + tx
-                        tr = start + tx + prop[k]
+                        next_free[key] = start + tx
+                        tr = start + tx + prop[key]
                         if tr > horizon:
                             pending = True
                         else:
@@ -320,15 +307,13 @@ def _vectorized_limited_p2p(net: LimitedPointToPointNetwork,
                             else:
                                 lst.append((tr, seq, 1, via, dst, t))
                         seq += 1
-                nxt = idx + 1
-                if nxt < pps:
-                    heapreplace(inj_heap, (times[site][nxt], seq, site, nxt))
+                if idx + 1 < pps:  # the site's next injection
+                    inj_seq[site] = seq
                     seq += 1
-                else:
-                    heappop(inj_heap)
+                k += 1
+                site = S[k]
+                next_t = times[site][cursor[site]]
                 continue
-            if e is None:
-                break
             t, _, kind, a, b, c = e
             i += 1
             dispatched += 1
@@ -344,17 +329,13 @@ def _vectorized_limited_p2p(net: LimitedPointToPointNetwork,
                         lst.append((tr, seq, 2, a, b, c))
                 seq += 1
             else:
-                k = a * n + b
-                nf = next_free[k]
+                key = a * n + b
+                nf = next_free[key]
                 start = t if t >= nf else nf
-                next_free[k] = start + tx
-                deliver_t.append(start + tx + prop[k])
+                next_free[key] = start + tx
+                deliver_t.append(start + tx + prop[key])
                 deliver_i.append(c)
                 seq += 1
-        bucket += 1
-    if inj_heap:
-        pending = True
-    plan.scratch["buckets"] = buckets
     return KernelOutput(heap_events=dispatched, heap_pending=pending,
                         deliver_t=deliver_t, deliver_inject=deliver_i,
                         injected=injected)

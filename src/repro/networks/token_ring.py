@@ -37,7 +37,8 @@ from ..core import tracing
 from ..core.engine import Simulator
 from ..core.interning import intern_memo, intern_table
 from ..core.units import propagation_ps, serialization_ps
-from ..core.vectorized import (KernelOutput, pair_propagation_table,
+from ..core.vectorized import (KernelOutput, _dispatches_first,
+                               injection_order, pair_propagation_table,
                                register_kernel)
 from ..macrochip.config import MacrochipConfig
 
@@ -254,79 +255,25 @@ class TokenRingCrossbar(InterSiteNetwork):
         self._schedule_next_grant(dst, tok, min_offset=1)
 
 
-def _injection_key(j: int, site_times: List[List[int]], pps: int):
-    """Order of injection ``j`` (flat ``site*pps + idx``) among the
-    injections at its time (see :func:`_dispatches_first`): its site's
-    injection times newest first, then the site."""
-    site, idx = divmod(j, pps)
-    return site_times[site][idx::-1], site
-
-
-def _parent(event, site_times: List[List[int]], pps: int):
-    """``(parent, push_index, parent_time)`` of a kernel event, or None
-    for a site's first injection."""
-    if type(event) is int:
-        site, idx = divmod(event, pps)
-        if not idx:
-            return None
-        return event - 1, 1, site_times[site][idx - 1]
-    _, parent, push = event
-    if type(parent) is tuple:
-        return parent, push, parent[0]
-    return parent, push, site_times[parent // pps][parent % pps]
-
-
-def _dispatches_first(x, y, site_times: List[List[int]], pps: int) -> bool:
-    """Whether event ``x`` precedes event ``y`` in the engine's
-    ``(time, seq)`` order; both fall at the same time and differ.
-
-    An injection is its flat index ``site*pps + idx`` (an int), a grant
-    or resume the tuple ``(time, parent, push_index)``.  The engine
-    stamps ``seq`` when an event is pushed, that is while its parent
-    dispatches, so ``(time, seq)`` sorts exactly like ``(time,
-    key(parent), push_index)``.  ``at_many`` stamped every site's first
-    injection, in site order, before anything ran: its key is ``(time,
-    (), site)``.  Walk both parent chains back until the parents' times
-    differ, the parents meet or both are injections.  An injection is
-    pushed by its site's previous injection, at index 1 (after that
-    injection's grant, at 0), so two injections' keys unroll to
-    :func:`_injection_key`.
-    """
-    while type(x) is not int or type(y) is not int:
-        px = _parent(x, site_times, pps)
-        py = _parent(y, site_times, pps)
-        if py is None:  # y is a first injection, x a grant or resume
-            return False
-        if px is None:
-            return True
-        xp, xi, xt = px
-        yp, yi, yt = py
-        if xp is yp or (type(xp) is int and xp == yp):
-            return xi < yi
-        if xt != yt:
-            return xt < yt
-        x, y = xp, yp
-    return (_injection_key(x, site_times, pps)
-            < _injection_key(y, site_times, pps))
-
-
 @register_kernel("token_ring")
 def _vectorized_token_ring(net: TokenRingCrossbar, plan) -> KernelOutput:
     """Replay kernel: one two-way merge per destination, no event heap.
 
     Every token-ring event — injection, grant, re-injection resume —
     reads and writes a single destination's state, so destinations
-    replay independently.  Each one merges its injections (sorted by
-    time) with its single live protocol event, the next grant or the
-    token's resume; a closer requester replaces an in-flight grant
-    outright.  Keys (:func:`_dispatches_first`) are compared only when
-    times tie, so the merge follows the engine's ``(time, seq)`` order
-    exactly.  A grant or resume counts as dispatched when it is pushed
-    at or before the horizon and leaves the run pending past it, which
-    a superseded grant does too.  Loopback packets and the injector
-    chain are counted in bulk.  Grants are selected by the same
-    :func:`next_grant` call as the scalar model.  Deliveries come out
-    in destination order.
+    replay independently.  Each one merges its run of the
+    :func:`~repro.core.vectorized.injection_order` stream, grouped by
+    destination, with its single live protocol event, the next grant
+    or the token's resume; a closer requester replaces an in-flight
+    grant outright.  Keys
+    (:func:`~repro.core.vectorized._dispatches_first`) are compared
+    only when times tie, so the merge follows the engine's ``(time,
+    seq)`` order exactly.  A grant or resume counts as dispatched when
+    it is pushed at or before the horizon and leaves the run pending
+    past it, which a superseded grant does too.  Loopback packets and
+    the injector chain are counted in bulk.  Grants are selected by the
+    same :func:`next_grant` call as the scalar model.  Deliveries come
+    out in destination order.
     """
     import numpy as np
 
@@ -341,38 +288,24 @@ def _vectorized_token_ring(net: TokenRingCrossbar, plan) -> KernelOutput:
     prop = np.array(pair_propagation_table(net.config.layout),
                     dtype=np.int64).reshape(n, n)[net._snake_site].T.tolist()
     site_times = plan.site_times
-
-    # injection j = site*pps + idx; one dispatches iff it is in horizon
-    times = np.array(site_times, dtype=np.int64).ravel()
     dsts = np.array([d[:pps] for d in plan.site_dsts],
                     dtype=np.int64).ravel()
-    live = times <= horizon
-    injected = int(np.count_nonzero(live))
-    loopback = dsts == np.arange(n).repeat(pps)
-    loop_t = times[live & loopback]
-    j = np.flatnonzero(live & ~loopback)
-    j = j[np.lexsort((times[j], dsts[j]))]
-    sorted_dsts = dsts[j]
-    sorted_times = times[j]
-    T = sorted_times.tolist()
-    J = j.tolist()
-    ties = np.flatnonzero((sorted_dsts[1:] == sorted_dsts[:-1])
-                          & (sorted_times[1:] == sorted_times[:-1]))
-    if ties.size:  # runs tied on (dst, time): into dispatch order
-        gap = ties[1:] != ties[:-1] + 1
-        starts = ties[np.r_[True, gap]].tolist()
-        stops = (ties[np.r_[gap, True]] + 2).tolist()
-        for a, b in zip(starts, stops):
-            J[a:b] = sorted(J[a:b], key=lambda x: _injection_key(
-                x, site_times, pps))
-        j = np.array(J, dtype=np.int64)
-    P = np.asarray(net._snake_pos)[j // pps].tolist()
-    bounds = np.searchsorted(sorted_dsts, np.arange(n + 1)).tolist()
+    order = injection_order(plan, group=dsts)
+    sites = order.j // pps
+    dst = dsts[order.j]
+    loopback = sites == dst
+    loop_t = order.t[loopback]
+    remote = ~loopback
+    T = order.t[remote].tolist()
+    J = order.j[remote].tolist()
+    P = np.asarray(net._snake_pos)[sites[remote]].tolist()
+    bounds = np.searchsorted(dst[remote], np.arange(n + 1)).tolist()
+    injected = order.injected
 
     deliver_t = []
     deliver_i = []
     dispatched = injected
-    pending = injected < times.size
+    pending = order.pending
     idle = horizon + 1  # the time of "no live protocol event"
     for dst in range(n):
         k = bounds[dst]

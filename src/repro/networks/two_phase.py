@@ -37,8 +37,8 @@ from ..core import tracing
 from ..core.engine import Simulator
 from ..core.interning import intern_memo, intern_table
 from ..core.units import propagation_ps, serialization_ps
-from ..core.vectorized import (KernelOutput, pair_propagation_table,
-                               register_kernel)
+from ..core.vectorized import (KernelOutput, injection_order,
+                               pair_propagation_table, register_kernel)
 from ..macrochip.config import MacrochipConfig
 
 
@@ -251,10 +251,12 @@ def _vectorized_two_phase(net: TwoPhaseArbitratedNetwork,
     bucket currently being dispatched — each bucket's population is
     complete before it is sorted, replacing O(log n) heap churn per
     event with an amortized append + one C-level sort per bucket.
-    Injections (whose gaps can be arbitrarily small) merge in from a
-    size-``num_sites`` heap of per-site stream heads; the merge
-    compares full ``(time, seq)`` tuples, so ties resolve exactly as
-    the engine's heap would.  Events scheduled past the horizon are
+    Injections (whose gaps can be arbitrarily small) come from the
+    :func:`~repro.core.vectorized.injection_order` stream, walked with
+    an index; a same-picosecond tie with a bucket event compares the
+    injection's ``seq`` (each site keeps the one its next injection was
+    stamped with) against the event's, so ties resolve exactly as the
+    engine's heap would.  Events scheduled past the horizon are
     counted as pending and never stored (the engine would never
     dispatch them).  Delivers are batched out of the replay entirely
     (terminal in a sweep).  Reads every knob off the instance
@@ -273,67 +275,53 @@ def _vectorized_two_phase(net: TwoPhaseArbitratedNetwork,
     prop = pair_propagation_table(net.config.layout)
     row_of = net._row_of
     col_of = net._col_of
-    times = plan.site_times
-    dsts = plan.site_dsts
     ch_next_free = [0] * (net.config.layout.rows * n)
     tree_table: List[Optional[List[List[int]]]] = [None] * (n * cols)
     idle_since = -(10 ** 15)  # untouched trees: idle since the distant past
 
-    import heapq
-
-    heapreplace = heapq.heapreplace
-    heappop = heapq.heappop
     W = ARB_SLOT_PS
-    # the bucket array is parked in the run context's scratch arena
-    # between load points (always all-None on hand-back: every stored
-    # bucket index is <= horizon // W and gets cleared when dispatched)
-    buckets: Optional[List[Optional[list]]] = plan.scratch.pop("buckets", None)
-    if buckets is None or len(buckets) < horizon // W + 2:
-        buckets = [None] * (horizon // W + 2)
-    # per-site injection stream heads: (time, seq, site, idx)
-    inj_heap = [(times[site][0], site, site, 0) for site in range(n)]
-    heapq.heapify(inj_heap)
-    seq = n  # at_many stamped the initial injections 0..n-1 in site order
+    last_bucket = horizon // W
+    buckets: List[Optional[list]] = [None] * (last_bucket + 1)
+    order = injection_order(plan)
+    injected = dispatched = order.injected
+    pending = order.pending
+    inj_seq = order.site_seq
+    seq = n  # the first free seq (see InjectionOrder.site_seq)
+    # the stream as sites, each read in index order by its cursor; a
+    # sentinel site n injects once, past every bucket
+    S = (order.j // pps).tolist() + [n]
+    del order  # frees the stream arrays: the walk reads only S
+    times = plan.site_times + [[(last_bucket + 1) * W]]
+    dsts = plan.site_dsts
+    cursor = [0] * (n + 1)
+    k = 0
+    site = S[0]
+    next_t = times[site][0]
     deliver_t = []
     deliver_i = []
-    injected = 0
-    dispatched = 0
-    pending = False
-    bucket = 0
-    last_bucket = horizon // W
-    while bucket <= last_bucket:
+    for bucket in range(last_bucket + 1):
         ev = buckets[bucket]
-        if ev is not None:
+        if ev is None:
+            ev = []
+        else:
             buckets[bucket] = None
             ev.sort()
-        elif not inj_heap:
-            bucket += 1
-            continue
         bucket_end = (bucket + 1) * W
         i = 0
-        m = len(ev) if ev is not None else 0
+        m = len(ev)
         while True:
-            if inj_heap:
-                inj = inj_heap[0]
-                if i < m:
-                    e = ev[i]
-                    take_inj = inj < e
-                else:
-                    e = None
-                    take_inj = inj[0] < bucket_end
-            elif i < m:
+            if i < m:
                 e = ev[i]
-                take_inj = False
+                take_inj = next_t < e[0] or (
+                    next_t == e[0] and inj_seq[site] < e[1])
+            elif next_t < bucket_end:
+                take_inj = True
             else:
                 break
             if take_inj:
-                t, _, site, idx = inj
-                if t > horizon:
-                    pending = True
-                    heappop(inj_heap)
-                    continue
-                dispatched += 1
-                injected += 1
+                t = next_t
+                idx = cursor[site]
+                cursor[site] = idx + 1
                 dst = dsts[site][idx]
                 if dst == site:
                     deliver_t.append(t + loop_ps)
@@ -355,15 +343,13 @@ def _vectorized_two_phase(net: TwoPhaseArbitratedNetwork,
                         else:
                             lst.append((tr, seq, 1, site, dst, t))
                     seq += 1
-                nxt = idx + 1
-                if nxt < pps:
-                    heapreplace(inj_heap, (times[site][nxt], seq, site, nxt))
+                if idx + 1 < pps:  # the site's next injection
+                    inj_seq[site] = seq
                     seq += 1
-                else:
-                    heappop(inj_heap)
+                k += 1
+                site = S[k]
+                next_t = times[site][cursor[site]]
                 continue
-            if e is None:
-                break
             t, _, kind, src, dst, c = e
             i += 1
             dispatched += 1
@@ -415,10 +401,6 @@ def _vectorized_two_phase(net: TwoPhaseArbitratedNetwork,
                     else:
                         lst.append((tr, seq, 1, src, dst, c))
                 seq += 1
-        bucket += 1
-    if inj_heap:
-        pending = True
-    plan.scratch["buckets"] = buckets
     return KernelOutput(heap_events=dispatched, heap_pending=pending,
                         deliver_t=deliver_t, deliver_inject=deliver_i,
                         injected=injected)
