@@ -125,14 +125,16 @@ def test_intra_site_op_uses_loopback(cfg):
     assert result.mean_op_latency_ns < 50.0
 
 
-def test_finished_replay_leaves_no_cyclic_garbage():
-    """Nothing per op refers back to itself: a dropped replay is freed
-    by reference counting alone, with nothing left for the cyclic GC."""
+@pytest.mark.parametrize("network", NETWORKS)
+def test_finished_replay_leaves_no_cyclic_garbage(network):
+    """Nothing per op or per network refers back to itself: a dropped
+    replay is freed by reference counting alone, with nothing left for
+    the cyclic GC."""
     trace, cfg = all_to_all()
     gc.collect()
     gc.disable()
     try:
-        result = replay(trace, "point_to_point", cfg)
+        result = replay(trace, network, cfg)
         assert result.ops_completed > 0
         del result
         assert gc.collect() == 0

@@ -18,6 +18,7 @@ networks), and per-run packet ids are pinned: a run's raw pids must be a
 pure function of its arguments, independent of process history.
 """
 
+import gc
 import importlib
 
 import pytest
@@ -32,7 +33,7 @@ from repro.core.sweep import (clear_draw_banks, run_load_point, sweep,
 from repro.core.tracing import TraceRecorder
 from repro.macrochip.config import small_test_config
 from repro.networks.base import Packet
-from repro.networks.factory import build_network
+from repro.networks.factory import available_networks, build_network
 from repro.workloads.synthetic import BurstyTraffic, UniformTraffic
 
 #: the sweep module itself (``repro.core`` re-exports a function named
@@ -184,6 +185,25 @@ def test_interned_tables_shared_across_instances():
     t2 = intern_table(("unit-test", 1), lambda: calls.append(1) or [3, 4])
     assert t1 is t2 and t1 == [1, 2] and calls == [1]
     clear_interned()
+
+
+@pytest.mark.parametrize("network", available_networks())
+def test_warm_load_point_leaves_no_cyclic_garbage(network):
+    """A warm load point refers back to nothing of its own: once the
+    next reuse resets the context, the previous run's injector, gap
+    lists and in-flight packets are freed by reference counting alone,
+    with nothing left for the cyclic GC."""
+    _run(network, 0.20, warm=True)  # construct the context and the bank
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(2):  # the second reset drops the first run's queue
+            result = _run(network, 0.20, warm=True)
+            assert result.delivered_packets > 0
+        del result
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 # -- per-run packet ids ------------------------------------------------------
