@@ -64,19 +64,17 @@ def test_sweep_parallel_4_workers(benchmark):
 
 
 def test_sweep_fault_tolerant_overhead(benchmark):
-    """The fault-tolerant pool loop on a clean run: the health-checked
-    sliding-window path must return the same bit-identical results with
-    zero failures — its polling/health-check overhead is what this
-    benchmark tracks relative to test_sweep_parallel_4_workers."""
+    """The pool loop under on_error='collect' on a clean run: it must
+    return the same bit-identical results with zero failures — its
+    overhead is what this benchmark tracks relative to
+    test_sweep_parallel_4_workers."""
     shards = _shards()
     serial = run_sharded(shards, workers=1)
     run = benchmark.pedantic(run_sharded, args=(shards,),
-                             kwargs={"workers": 4, "on_error": "retry",
-                                     "max_retries": 2, "timeout_s": 600.0},
+                             kwargs={"workers": 4, "on_error": "collect"},
                              rounds=1, iterations=1)
     assert run.results == serial.results
     assert run.ok and run.failed == 0
-    assert all(r.attempts == 1 for r in run.reports)
     print()
-    print("serial        :", serial.summary())
-    print("fault-tolerant:", run.summary())
+    print("serial :", serial.summary())
+    print("collect:", run.summary())

@@ -13,12 +13,8 @@ that shards such grids across worker processes:
 * :class:`Shard` — one picklable unit of work (a module-level callable
   plus arguments).
 * :func:`run_sharded` — execute a list of shards in-process or on a
-  local ``multiprocessing`` pool, returning results in submission order
-  together with per-shard telemetry (:class:`ShardReport`).  Both paths
-  are *fault-tolerant*: a raising shard, a vanished (OOM-killed,
-  crashed) worker, or a hung shard degrades to a per-shard
-  :class:`ShardError` result slot — never a run-wide abort that loses
-  the completed results.
+  local process pool, returning results in submission order together
+  with per-shard telemetry (:class:`ShardReport`).
 * :class:`WorkerPool` — a persistent pool of worker processes that lives
   *across* ``run_sharded`` calls (pass it as ``pool=``), so a multi-call
   driver (figure sweeps, campaigns, benchmarks) pays process spin-up
@@ -26,7 +22,7 @@ that shards such grids across worker processes:
 * :class:`SimContext` / :func:`get_context` — the warm-start context
   registry: one constructed ``(network, config)`` simulation instance
   per process, keyed by config fingerprint and reset between uses, so an
-  entire sweep reuses one network instead of rebuilding channels and
+  entire sweep reuses one network instead of re-creating channels and
   derived tables per load point (see ``repro.core.sweep``).
   The registry is LRU-bounded (:func:`set_context_cache_limit`) so
   long-lived workers never grow it without limit.
@@ -34,38 +30,31 @@ that shards such grids across worker processes:
 Determinism contract
 --------------------
 ``run_sharded`` guarantees that the *results* list is a pure function of
-the shards themselves: execution order, worker count, start method,
-serial or pool execution, retries, and worker deaths never leak into
-it.  Shard callables must therefore derive any randomness from their
-own arguments (see :func:`derive_seed`) and must not mutate shared
-state.  This is
-what makes fault tolerance cheap: a shard re-executed after its worker
-vanished — on a rebuilt pool or serially in the parent — is
-*bit-identical* to the run that was lost, so recovery never needs to
-checkpoint partial simulation state, only to re-run the shard.  A shard
-that fails identically on every attempt yields the same
-:class:`ShardError` slot serially or on a pool.  Telemetry (wall-clock,
-pids, attempt counts) is reported separately and is explicitly *not*
-deterministic.
+the shards themselves: execution order, worker count, start method, and
+serial or pool execution never leak into it.  Shard callables must
+therefore derive any randomness from their own arguments (see
+:func:`derive_seed`) and must not mutate shared state.  A failing shard
+fails the same way serially or on a pool, and would fail the same way
+again if re-run.  Telemetry (wall-clock, pids) is reported separately
+and is explicitly *not* deterministic.
 
 Error policy
 ------------
 Serial and pool runs apply the same per-shard policy (``on_error=``):
 
 * ``'raise'`` (default) — re-raise the first shard exception in the
-  caller, matching the historical behavior;
+  caller;
 * ``'collect'`` — store a :class:`ShardError` in the failing shard's
-  result slot and keep going: a 1000-shard campaign with one bad shard
-  returns 999 results plus one structured failure record;
-* ``'retry'`` — re-execute the failing shard up to ``max_retries``
-  times (bit-identical by the determinism contract), then collect.
+  result slot and keep going: a 1000-shard grid with one bad shard
+  returns 999 results plus one structured failure record.
 
-``timeout_s`` bounds each shard's execution on pool runs: a shard
-that exceeds it is recorded as a ``'timeout'`` :class:`ShardError`, the
-hung worker is destroyed, and the pool is rebuilt (timeouts are never
-retried — a deterministic hang would just hang again).  A serial run
-cannot preempt in-process work and documents ``timeout_s`` as
-best-effort-ignored.
+A worker process that dies (OOM-killed, segfaulted, ``kill -9``) is not
+a shard failure: under either policy ``run_sharded`` raises
+``concurrent.futures.process.BrokenProcessPool`` naming the shards that
+were in flight, and the :class:`WorkerPool` spawns fresh workers on its
+next use.  Drivers that must survive a lost worker resume from their own
+per-shard results (``run --cache``), which the determinism contract
+makes bit-identical to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -74,14 +63,12 @@ import hashlib
 import math
 import os
 import pickle
-import threading
 import time
 import traceback as _traceback
 import warnings
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "available_cpus",
@@ -91,12 +78,10 @@ __all__ = [
     "get_context",
     "resolve_workers",
     "set_context_cache_limit",
-    "ErrorPolicy",
     "Shard",
     "ShardError",
     "ShardExecutionError",
     "ShardReport",
-    "ShardTimeoutError",
     "ShardedRun",
     "SimContext",
     "run_sharded",
@@ -144,10 +129,14 @@ def available_cpus() -> int:
 
 def resolve_workers(workers: Optional[int]) -> int:
     """Normalize a ``workers`` request: ``None``/``0`` means one worker
-    per available CPU; anything else is clamped to at least 1."""
+    per available CPU; a negative count raises ``ValueError``."""
     if workers is None or workers == 0:
         return available_cpus()
-    return max(1, int(workers))
+    workers = int(workers)
+    if workers < 0:
+        raise ValueError("workers must be >= 0 (0 means one per CPU), "
+                         "got %r" % (workers,))
+    return workers
 
 
 @dataclass(frozen=True)
@@ -174,78 +163,35 @@ class ShardReport:
     wall_clock_s: float
     events_dispatched: int
     worker_pid: int
-    #: executions that produced an outcome (1 unless the shard was
-    #: retried); worker-loss re-runs that never returned are not counted
-    attempts: int = 1
 
 
 @dataclass(frozen=True)
 class ShardError:
-    """Structured record of one failed shard.
+    """Structured record of one shard that raised.
 
-    Under ``on_error='collect'`` (or ``'retry'``, after the retry budget
-    is exhausted) this object occupies the shard's slot in
-    ``ShardedRun.results`` instead of a result — it is a *value*, never
-    raised.  ``kind`` is ``'exception'`` for a raising shard and
-    ``'timeout'`` for one that exceeded ``timeout_s``; ``traceback`` is
-    the formatted worker-side traceback text (empty for timeouts — a
-    hung worker is killed, not introspected).
+    Under ``on_error='collect'`` this object occupies the shard's slot
+    in ``ShardedRun.results`` instead of a result — it is a *value*,
+    never raised.  ``traceback`` is the formatted worker-side traceback
+    text.
     """
 
     index: int
     label: str
-    kind: str  # 'exception' | 'timeout'
     error_type: str
     message: str
     traceback: str = ""
-    attempts: int = 1
     worker_pid: int = 0
 
     def __str__(self) -> str:
-        return ("shard %d (%s) failed [%s] after %d attempt(s): %s: %s"
-                % (self.index, self.label or "unlabeled", self.kind,
-                   self.attempts, self.error_type, self.message))
+        return ("shard %d (%s) failed: %s: %s"
+                % (self.index, self.label or "unlabeled", self.error_type,
+                   self.message))
 
 
 class ShardExecutionError(RuntimeError):
     """Raised under ``on_error='raise'`` when the original worker
     exception could not be transported back (unpicklable); the message
     embeds the worker-side traceback."""
-
-
-class ShardTimeoutError(TimeoutError):
-    """Raised under ``on_error='raise'`` when a shard exceeds the
-    policy's ``timeout_s`` on a pool run."""
-
-
-@dataclass(frozen=True)
-class ErrorPolicy:
-    """Per-shard failure policy shared by serial and pool runs.
-
-    ``on_error`` is ``'raise'`` (propagate the first failure — the
-    historical behavior and the default), ``'collect'`` (a failing shard
-    becomes a :class:`ShardError` result slot; the rest of the run
-    completes), or ``'retry'`` (re-execute up to ``max_retries`` extra
-    times — bit-identical re-runs by the determinism contract — then
-    collect).  ``timeout_s`` bounds a shard's execution on pool runs;
-    ``None`` disables the bound.  Timeouts are terminal under every
-    policy: retrying a deterministic hang would only hang again.
-    """
-
-    on_error: str = "raise"
-    max_retries: int = 2
-    timeout_s: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.on_error not in ("raise", "collect", "retry"):
-            raise ValueError("on_error must be 'raise', 'collect' or "
-                             "'retry', got %r" % (self.on_error,))
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0, got %r"
-                             % (self.max_retries,))
-        if self.timeout_s is not None and not self.timeout_s > 0:
-            raise ValueError("timeout_s must be positive or None, got %r"
-                             % (self.timeout_s,))
 
 
 @dataclass
@@ -377,12 +323,11 @@ def _invoke_guarded(payload: Tuple[int, Shard]
 
 
 def _failure_to_error(index: int, shard: Shard, failure: _CapturedFailure,
-                      attempts: int, pid: int) -> ShardError:
-    return ShardError(index=index, label=shard.label, kind="exception",
+                      pid: int) -> ShardError:
+    return ShardError(index=index, label=shard.label,
                       error_type=failure.error_type,
                       message=failure.message,
-                      traceback=failure.traceback_text,
-                      attempts=attempts, worker_pid=pid)
+                      traceback=failure.traceback_text, worker_pid=pid)
 
 
 def _reraise(failure: _CapturedFailure, shard: Shard) -> None:
@@ -398,212 +343,84 @@ def _reraise(failure: _CapturedFailure, shard: Shard) -> None:
 
 
 #: signature of the result callback both execution loops report through:
-#: emit(index, result_or_ShardError, elapsed_s, worker_pid, attempts)
-EmitFn = Callable[[int, Any, float, int, int], None]
+#: emit(index, result_or_ShardError, elapsed_s, worker_pid)
+EmitFn = Callable[[int, Any, float, int], None]
 
 
-def _execute_serially(tasks: Sequence[Tuple[int, Shard]],
-                      policy: ErrorPolicy, emit: EmitFn) -> None:
-    """The in-process execution loop: used for serial runs and as the
-    degradation path when no pool can be created.  ``timeout_s`` is not
-    enforceable in-process (a shard cannot be preempted from its own
-    thread) and is ignored here."""
-    for index, shard in tasks:
-        failures = 0
-        while True:
-            _, ok, value, elapsed, pid = _invoke_guarded((index, shard))
-            if ok:
-                emit(index, value, elapsed, pid, failures + 1)
-                break
-            failures += 1
-            if policy.on_error == "raise":
-                _reraise(value, shard)
-            if policy.on_error == "retry" and failures <= policy.max_retries:
-                continue
-            emit(index, _failure_to_error(index, shard, value, failures, pid),
-                 elapsed, pid, failures)
-            break
+def _finish(index: int, shard: Shard, ok: bool, value: Any, elapsed: float,
+            pid: int, collect: bool, emit: EmitFn) -> None:
+    """Apply the error policy to one executed shard and report it."""
+    if not ok:
+        if not collect:
+            _reraise(value, shard)
+        value = _failure_to_error(index, shard, value, pid)
+    emit(index, value, elapsed, pid)
 
 
-# -- fault-tolerant pool execution --------------------------------------------
-
-@dataclass
-class _InFlight:
-    """Book-keeping for one shard currently submitted to the pool."""
-
-    shard: Shard
-    async_result: Any
-    submitted_at: float
-
-
-#: seconds between pool health checks while no shard has completed
-_POLL_INTERVAL_S = 0.01
+def _execute_serially(tasks: Sequence[Tuple[int, Shard]], collect: bool,
+                      emit: EmitFn) -> None:
+    """The in-process execution loop: used for serial runs and when no
+    pool can be created."""
+    for task in tasks:
+        index, ok, value, elapsed, pid = _invoke_guarded(task)
+        _finish(index, task[1], ok, value, elapsed, pid, collect, emit)
 
 
 def _execute_on_pool(pool: WorkerPool, tasks: Sequence[Tuple[int, Shard]],
-                     policy: ErrorPolicy, emit: EmitFn) -> None:
-    """Fault-tolerant execution of ``tasks`` on ``pool``'s workers.
+                     collect: bool, emit: EmitFn) -> None:
+    """Run ``tasks`` on ``pool``'s workers, reporting each shard as it
+    completes.
 
-    Shards are submitted through a sliding window of at most
-    ``pool.workers`` concurrent tasks (so a submitted shard is actually
-    *running*, which is what makes ``timeout_s`` meaningful), and the
-    pool is health-checked whenever no result is ready:
-
-    * **raising shard** — the worker-side guard traps the exception and
-      ships it back as data; the pool stays healthy and the policy
-      decides (re-raise / collect / retry).
-    * **vanished worker** (OOM-killed, segfaulted, ``kill -9``) — the
-      loss is noticed by the pid disappearing; the pool is rebuilt and
-      the lost in-flight shards re-executed *serially in the parent*:
-      by the determinism contract the re-run is bit-identical to the
-      run that died, so nothing else is needed.
-    * **hung shard** — after ``timeout_s`` the pool is torn down
-      (killing the stuck worker) and rebuilt; the hung shard becomes a
-      ``'timeout'`` :class:`ShardError` (never retried — a
-      deterministic hang would hang again) and innocent in-flight
-      shards are resubmitted to the fresh pool.
-
-    The recovery paths may rebuild ``pool`` — worker processes, and
-    therefore their warm caches, are expendable by design — but never
-    close it.  If no pool can be created at all, execution degrades to
-    the serial loop, results unchanged.  A raising run abandons its
-    in-flight work hard (the pool is rebuilt on the way out) instead of
-    waiting behind the rest of the grid.
+    Every shard is submitted up front, in ``tasks`` order; the executor
+    feeds its workers first-in first-out.  A raising shard's exception
+    travels back as data (:func:`_invoke_guarded`), so ``collect``
+    never breaks the pool.  A dead worker does: every unfinished shard
+    then fails with ``BrokenProcessPool``, which is re-raised naming the
+    shards that were in flight, after the broken executor is dropped so
+    the pool's next use spawns fresh workers.  Under ``raise`` the first
+    shard exception cancels every shard not yet started.
     """
-    mp_pool = pool.acquire()
-    if mp_pool is None:
-        _execute_serially(tasks, policy, emit)
+    executor = pool.acquire()
+    if executor is None:
+        _execute_serially(tasks, collect, emit)
         return
-    pending: deque = deque(tasks)
-    in_flight: Dict[int, _InFlight] = {}
-    failures: Dict[int, int] = {}
-    known_pids: Set[int] = set(pool.worker_pids())
-    window = max(1, pool.workers)
+    from concurrent.futures import as_completed
+    from concurrent.futures.process import (EXTRA_QUEUED_CALLS,
+                                            BrokenProcessPool)
 
-    def finish(index: int, shard: Shard, ok: bool, value: Any,
-               elapsed: float, pid: int) -> None:
-        """Apply the error policy to one completed execution."""
-        if ok:
-            emit(index, value, elapsed, pid, failures.get(index, 0) + 1)
-            return
-        count = failures.get(index, 0) + 1
-        failures[index] = count
-        if policy.on_error == "raise":
-            _reraise(value, shard)
-        if policy.on_error == "retry" and count <= policy.max_retries:
-            pending.append((index, shard))
-            return
-        emit(index, _failure_to_error(index, shard, value, count, pid),
-             elapsed, pid, count)
-
-    def finish_timeout(index: int, flight: _InFlight) -> None:
-        elapsed = time.monotonic() - flight.submitted_at
-        attempts = failures.get(index, 0) + 1
-        failures[index] = attempts
-        message = ("exceeded timeout_s=%.3g (%.2fs elapsed)"
-                   % (policy.timeout_s, elapsed))
-        if policy.on_error == "raise":
-            raise ShardTimeoutError("shard %d (%s) %s"
-                                    % (index, flight.shard.label, message))
-        emit(index,
-             ShardError(index=index, label=flight.shard.label,
-                        kind="timeout", error_type="ShardTimeoutError",
-                        message=message, attempts=attempts),
-             elapsed, 0, attempts)
-
-    def run_in_parent(index: int, shard: Shard) -> None:
-        """Serial re-execution fallback for a shard whose worker
-        vanished (bit-identical by the determinism contract)."""
-        _, ok, value, elapsed, pid = _invoke_guarded((index, shard))
-        finish(index, shard, ok, value, elapsed, pid)
-
-    def rebuild() -> Any:
-        """Tear down and respawn the workers; returns the fresh pool
-        (or None when respawn fails — callers fall back to serial)."""
-        nonlocal known_pids
-        pool.rebuild()
-        fresh = pool.acquire()
-        known_pids = set(pool.worker_pids())
-        return fresh
-
+    futures: Dict[Any, Tuple[int, Shard]] = {}
     try:
-        while pending or in_flight:
-            # keep the submission window full: at most `workers` shards
-            # in flight, so each is actually running on a worker and the
-            # per-shard timeout clock is honest
-            while pending and len(in_flight) < window and mp_pool is not None:
-                index, shard = pending.popleft()
-                in_flight[index] = _InFlight(
-                    shard,
-                    mp_pool.apply_async(_invoke_guarded, ((index, shard),)),
-                    time.monotonic())
-            if mp_pool is None:
-                # pool could not be rebuilt: drain the rest in-process
-                while pending:
-                    index, shard = pending.popleft()
-                    run_in_parent(index, shard)
-                continue
-
-            ready = [i for i, f in in_flight.items()
-                     if f.async_result.ready()]
-            if ready:
-                for index in ready:
-                    flight = in_flight.pop(index)
-                    try:
-                        _, ok, value, elapsed, pid = flight.async_result.get()
-                    except Exception as exc:
-                        # result transport failed (e.g. the shard's
-                        # return value would not pickle): treat as a
-                        # shard failure, not a run abort
-                        ok = False
-                        value = _capture_failure(exc,
-                                                 require_picklable=False)
-                        elapsed = time.monotonic() - flight.submitted_at
-                        pid = 0
-                    finish(index, flight.shard, ok, value, elapsed, pid)
-                continue
-
-            # nothing completed: health-check before sleeping
-            current = set(pool.worker_pids())
-            if known_pids - current:
-                # a worker vanished without reporting back.  We cannot
-                # know which in-flight shard it held, so rebuild the
-                # pool and re-run everything in flight serially — cheap
-                # (at most `workers` shards) and bit-identical
-                lost = sorted(in_flight.items())
-                in_flight.clear()
-                mp_pool = rebuild()
-                for index, flight in lost:
-                    run_in_parent(index, flight.shard)
-                continue
-            known_pids |= current
-
-            if policy.timeout_s is not None:
-                now = time.monotonic()
-                expired = [i for i, f in in_flight.items()
-                           if now - f.submitted_at >= policy.timeout_s]
-                if expired:
-                    survivors = [(i, f) for i, f in in_flight.items()
-                                 if i not in expired]
-                    hung = [(i, in_flight[i]) for i in sorted(expired)]
-                    in_flight.clear()
-                    # destroy the hung worker(s) — terminate is the only
-                    # way out of a stuck task — and respawn
-                    mp_pool = rebuild()
-                    for index, flight in hung:
-                        finish_timeout(index, flight)
-                    # innocent shards lost to the teardown go back in
-                    # the queue (a re-run is bit-identical)
-                    for index, flight in survivors:
-                        pending.appendleft((index, flight.shard))
-                    continue
-
-            time.sleep(_POLL_INTERVAL_S)
-    except Exception:
-        # a raising run must not wait on (or hang behind) the rest of
-        # the grid: abandon in-flight work hard.  The pool object stays
-        # reusable — fresh workers spawn on the next acquire()
-        pool.rebuild()
+        for task in tasks:
+            futures[executor.submit(_invoke_guarded, task)] = task
+        for future in as_completed(futures):
+            index, shard = futures[future]
+            try:
+                _, ok, value, elapsed, pid = future.result()
+            except BrokenProcessPool:
+                raise
+            except Exception as exc:
+                # the result could not travel back (e.g. it would not
+                # pickle): a failure of this shard, not of the pool
+                ok, elapsed, pid = False, 0.0, 0
+                value = _capture_failure(exc, require_picklable=False)
+            _finish(index, shard, ok, value, elapsed, pid, collect, emit)
+    except BrokenProcessPool as exc:
+        pool.close()
+        # the executor hands shards to its workers in submission order,
+        # keeping EXTRA_QUEUED_CALLS queued beyond them, so the first
+        # unfinished shards are the ones that were in flight
+        unfinished = [shard.label or "shard %d" % index
+                      for future, (index, shard) in futures.items()
+                      if isinstance(future.exception(), BrokenProcessPool)]
+        in_flight = unfinished[:pool.workers + EXTRA_QUEUED_CALLS]
+        raise BrokenProcessPool(
+            "a worker process died with shard(s) in flight: %s "
+            "(%d of %d shard(s) unfinished)"
+            % (", ".join(in_flight) or "none", len(unfinished),
+               len(tasks))) from exc
+    except BaseException:
+        for future in futures:
+            future.cancel()
         raise
 
 
@@ -670,7 +487,7 @@ _CONTEXTS: "OrderedDict[Any, SimContext]" = OrderedDict()
 
 #: default cap on cached warm contexts per process: a full Figure 6 run
 #: needs one per (network, window) pair — six networks a few windows
-#: deep fit comfortably; eviction only costs a rebuild on next use
+#: deep fit comfortably; eviction only costs a construction on next use
 DEFAULT_CONTEXT_CACHE_LIMIT = 32
 _context_cache_limit = DEFAULT_CONTEXT_CACHE_LIMIT
 
@@ -749,107 +566,56 @@ def _pick_context():
     return multiprocessing.get_context()
 
 
-def _join_pool_with_timeout(pool, timeout_s: float) -> bool:
-    """Join a multiprocessing pool from a daemon thread so a stuck
-    worker cannot hang the caller; True when the join completed."""
-    def _join():
-        try:
-            pool.join()
-        except Exception:  # pragma: no cover - defensive
-            pass
-
-    joiner = threading.Thread(target=_join, daemon=True,
-                              name="workerpool-join")
-    joiner.start()
-    joiner.join(timeout_s)
-    return not joiner.is_alive()
-
-
 class WorkerPool:
-    """A persistent multiprocessing pool that outlives ``run_sharded``.
+    """A persistent process pool that outlives ``run_sharded``.
 
     ``run_sharded`` normally creates and tears down a fresh pool per
     call; drivers that issue many calls (a figure's per-pattern sweeps,
-    a campaign's trace build + replay grid, benchmark loops) pay that
+    a suite's trace build + replay grid, benchmark loops) pay that
     spin-up each time.  A ``WorkerPool`` is created lazily on first use,
     then passed to any number of ``run_sharded(..., pool=...)`` calls;
     worker processes — and therefore their per-process warm-start
     context registries (:func:`get_context`) and interned tables — stay
     alive between calls.  Close it (or use it as a context manager) when
-    the run is over.
-
-    Shutdown is bounded: :meth:`close` joins the workers with
-    ``close_timeout_s`` and falls back to ``terminate()`` when a stuck
-    worker will not exit, so closing a pool can never hang the caller;
-    after shutdown ``mode`` reads ``"serial"`` until the next
-    :meth:`acquire` spawns fresh workers.  :meth:`rebuild` is the hard
-    variant (terminate first) used by the fault-tolerant pool loop after
-    a dead-worker detection or a hung shard.
+    the run is over; after :meth:`close` ``mode`` reads ``"serial"``
+    until the next :meth:`acquire` spawns fresh workers.  A run that
+    loses a worker closes the broken pool the same way.
 
     Falls back to serial exactly like ``run_sharded`` does when the
     platform cannot provide a pool; ``workers=1`` never creates
-    processes at all.
+    processes (nor imports the process machinery) at all.
     """
 
-    def __init__(self, workers: Optional[int] = None,
-                 close_timeout_s: float = 5.0) -> None:
+    def __init__(self, workers: Optional[int] = None) -> None:
         self.workers = resolve_workers(workers)
-        self._pool = None
+        self._executor = None
         self._failed = False
         self.mode = "serial"
-        self.close_timeout_s = close_timeout_s
 
     def acquire(self):
-        """The live multiprocessing pool, created on first use; None
+        """The live ``ProcessPoolExecutor``, created on first use; None
         when serial (workers=1 or pool creation failed)."""
-        if self._pool is None and not self._failed and self.workers > 1:
+        if self._executor is None and not self._failed and self.workers > 1:
             try:
+                from concurrent.futures import ProcessPoolExecutor
+
                 context = _pick_context()
-                self._pool = context.Pool(processes=self.workers)
+                self._executor = ProcessPoolExecutor(self.workers,
+                                                     mp_context=context)
                 self.mode = context.get_start_method()
             except (ImportError, OSError, ValueError):
                 self._failed = True
                 self.mode = "serial"
-        return self._pool
-
-    def worker_pids(self) -> Tuple[int, ...]:
-        """Pids of the live worker processes (empty when serial, or if
-        the pool internals are unavailable — health checks then degrade
-        to timeout-only detection)."""
-        pool = self._pool
-        procs = getattr(pool, "_pool", None) if pool is not None else None
-        if not procs:
-            return ()
-        try:
-            return tuple(p.pid for p in procs if p.pid is not None)
-        except Exception:  # pragma: no cover - pool internals changed
-            return ()
-
-    def rebuild(self) -> None:
-        """Terminate the current workers *hard* and forget them; the
-        next :meth:`acquire` spawns a fresh set.  Used after a worker
-        died or a shard hung — queued work on the old pool is lost,
-        which the determinism contract makes safe to re-run."""
-        pool, self._pool = self._pool, None
-        self.mode = "serial"
-        if pool is not None:
-            pool.terminate()
-            _join_pool_with_timeout(pool, self.close_timeout_s)
+        return self._executor
 
     def close(self) -> None:
-        """Shut the workers down; idempotent and bounded (a stuck worker
-        is terminated after ``close_timeout_s`` instead of hanging the
-        join forever).  The pool object can be reused afterwards (a new
-        set of workers spawns on next use); until then ``mode`` reports
-        ``"serial"``."""
-        pool, self._pool = self._pool, None
+        """Shut the workers down once their current shards finish,
+        cancelling any not yet started; idempotent.  The pool object can
+        be reused afterwards (a new set of workers spawns on next use)."""
+        executor, self._executor = self._executor, None
         self.mode = "serial"
-        if pool is None:
-            return
-        pool.close()
-        if not _join_pool_with_timeout(pool, self.close_timeout_s):
-            pool.terminate()
-            _join_pool_with_timeout(pool, self.close_timeout_s)
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -863,25 +629,21 @@ def run_sharded(shards: Sequence[Shard],
                 progress: Optional[Callable[[str], None]] = None,
                 cost_key: Optional[Callable[[Shard], float]] = None,
                 pool: Optional[WorkerPool] = None,
-                on_error: str = "raise",
-                max_retries: int = 2,
-                timeout_s: Optional[float] = None) -> ShardedRun:
+                on_error: str = "raise") -> ShardedRun:
     """Execute every shard and return results in submission order.
 
     ``workers=1`` (the default) runs everything in-process — the
     deterministic serial fallback.  ``workers=None`` (or 0) uses one
-    worker per available CPU.  If the pool cannot be created (platforms
-    without working ``multiprocessing`` primitives), the run silently
-    degrades to serial execution; results are identical either way.
+    worker per available CPU; a negative count raises ``ValueError``.
+    If the pool cannot be created (platforms without working
+    ``multiprocessing`` primitives), the run silently degrades to serial
+    execution; results are identical either way.
 
-    ``on_error`` / ``max_retries`` / ``timeout_s`` form the per-shard
-    fault policy (see :class:`ErrorPolicy`): ``'raise'`` propagates the
-    first failure like the historical behavior, ``'collect'`` turns each
-    failing shard into a :class:`ShardError` result slot while every
-    other shard's result survives, and ``'retry'`` re-executes failures
-    up to ``max_retries`` times first (a retried shard is bit-identical
-    by the determinism contract).  ``timeout_s`` bounds each shard on
-    pool runs; hung workers are destroyed and the pool rebuilt.
+    ``on_error`` is the per-shard failure policy: ``'raise'`` propagates
+    the first shard exception, ``'collect'`` turns each failing shard
+    into a :class:`ShardError` result slot while every other shard's
+    result survives.  A worker process that dies raises
+    ``BrokenProcessPool`` under either policy (see the module docstring).
 
     ``cost_key`` (optional) estimates a shard's relative cost; when a
     pool is used, shards are *submitted* in descending-cost order so the
@@ -899,9 +661,11 @@ def run_sharded(shards: Sequence[Shard],
     A raising ``progress`` callback is disarmed after its first failure
     and can never corrupt results — telemetry is strictly write-only.
     """
+    if on_error not in ("raise", "collect"):
+        raise ValueError("on_error must be 'raise' or 'collect', got %r"
+                         % (on_error,))
+    collect = on_error == "collect"
     shards = list(shards)
-    policy = ErrorPolicy(on_error=on_error, max_retries=max_retries,
-                         timeout_s=timeout_s)
     if pool is not None:
         workers = pool.workers
     n_workers = min(resolve_workers(workers), max(1, len(shards)))
@@ -910,8 +674,7 @@ def run_sharded(shards: Sequence[Shard],
     reports: List[Optional[ShardReport]] = [None] * len(shards)
     progress_disarmed = False
 
-    def _emit(index: int, value: Any, elapsed: float, pid: int,
-              attempts: int) -> None:
+    def _emit(index: int, value: Any, elapsed: float, pid: int) -> None:
         nonlocal progress_disarmed
         results[index] = value
         reports[index] = ShardReport(
@@ -920,14 +683,13 @@ def run_sharded(shards: Sequence[Shard],
             wall_clock_s=elapsed,
             events_dispatched=_events_of(value),
             worker_pid=pid,
-            attempts=attempts,
         )
         if progress is None or progress_disarmed:
             return
         if isinstance(value, ShardError):
-            message = ("shard %d/%d %s FAILED [%s] after %d attempt(s): %s"
+            message = ("shard %d/%d %s FAILED: %s"
                        % (index + 1, len(shards), shards[index].label,
-                          value.kind, attempts, value.message))
+                          value.message))
         else:
             message = ("shard %d/%d %s (%.2fs)"
                        % (index + 1, len(shards),
@@ -949,13 +711,13 @@ def run_sharded(shards: Sequence[Shard],
         tasks = [(i, shards[i]) for i in _submission_order(shards, cost_key)]
         run_pool = pool if pool is not None else WorkerPool(n_workers)
         try:
-            _execute_on_pool(run_pool, tasks, policy, _emit)
+            _execute_on_pool(run_pool, tasks, collect, _emit)
             mode = run_pool.mode
         finally:
             if pool is None:
                 run_pool.close()
     else:
-        _execute_serially(list(enumerate(shards)), policy, _emit)
+        _execute_serially(list(enumerate(shards)), collect, _emit)
         mode = "serial"
 
     return ShardedRun(

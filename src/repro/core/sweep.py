@@ -391,15 +391,18 @@ def run_load_point(network_name: str,
     pids = itertools.count()
 
     # the site draws were prefetched above (shared with the vectorized
-    # backend), so the per-event work is two list indexes
-    def injector(site: int, idx: int) -> None:
+    # backend), so the per-event work is two list indexes.  Each event
+    # carries the injector as ``again``: a closure naming itself would
+    # be a reference cycle holding this run's gap lists until a cyclic
+    # collection
+    def injector(site: int, idx: int, again: Callable[..., None]) -> None:
         net.inject(Packet(site, site_dsts[site][idx], packet_bytes,
                           pid=next(pids)))
         nxt = idx + 1
         if nxt < packets_per_site:
-            sim.schedule(site_gaps[site][nxt], injector, site, nxt)
+            sim.schedule(site_gaps[site][nxt], again, site, nxt, again)
 
-    sim.at_many((site_gaps[site][0], injector, (site, 0))
+    sim.at_many((site_gaps[site][0], injector, (site, 0, injector))
                 for site in range(config.num_sites))
 
     events = sim.run(until_ps=horizon)
@@ -463,8 +466,6 @@ def sweep(network_name: str,
           progress: Optional[Callable[[str], None]] = None,
           pool: Optional[WorkerPool] = None,
           on_error: str = "raise",
-          max_retries: int = 2,
-          timeout_s: Optional[float] = None,
           **kwargs) -> List[SweepPoint]:
     """Run a list of load points and normalize throughput to total peak.
 
@@ -487,13 +488,13 @@ def sweep(network_name: str,
     :class:`~repro.core.parallel.WorkerPool` so consecutive sweeps reuse
     worker processes (and their warm contexts) instead of re-spawning.
 
-    ``on_error`` / ``max_retries`` / ``timeout_s`` are the per-shard
-    fault policy (see :class:`~repro.core.parallel.ErrorPolicy`).  Under
-    ``'collect'``/``'retry'`` a load point that ultimately fails is
-    *dropped from the returned curve* — the surviving points keep their
-    order — rather than aborting the sweep; callers that need the
-    structured :class:`~repro.core.parallel.ShardError` records should
-    drive :func:`run_sharded` directly (as the figure drivers do).
+    ``on_error`` is the per-shard failure policy of
+    :func:`~repro.core.parallel.run_sharded`.  Under ``'collect'`` a
+    load point that fails is *dropped from the returned curve* — the
+    surviving points keep their order — rather than aborting the sweep;
+    callers that need the structured
+    :class:`~repro.core.parallel.ShardError` records should drive
+    :func:`run_sharded` directly (as the figure drivers do).
 
     ``backend="vectorized"`` (an extra keyword, like the others it
     reaches every load point) routes each point through the numpy
@@ -510,8 +511,7 @@ def sweep(network_name: str,
     ]
     run = run_sharded(shards, workers=workers, progress=progress,
                       cost_key=lambda s: s.args[3], pool=pool,
-                      on_error=on_error, max_retries=max_retries,
-                      timeout_s=timeout_s)
+                      on_error=on_error)
     return [to_sweep_point(r, config) for r in run.results
             if not isinstance(r, ShardError)]
 

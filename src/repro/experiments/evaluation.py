@@ -237,8 +237,6 @@ def run_suite(preset_name: str = "quick",
               progress: Optional[Callable[[str], None]] = None,
               workers: int = 1,
               on_error: str = "raise",
-              max_retries: int = 2,
-              timeout_s: Optional[float] = None,
               cache_dir: Optional[str] = None,
               pool: Optional[WorkerPool] = None) -> SuiteResult:
     """Run the full (or filtered) benchmark suite.
@@ -253,8 +251,8 @@ def run_suite(preset_name: str = "quick",
     stages share one :class:`~repro.core.parallel.WorkerPool`: ``pool``
     if the caller lends one, else a pool opened for this call.
 
-    ``on_error`` / ``max_retries`` / ``timeout_s`` are the per-shard
-    fault policy for both stages: under ``'collect'``/``'retry'`` a
+    ``on_error`` is the per-shard failure policy for both stages (see
+    :func:`~repro.core.parallel.run_sharded`): under ``'collect'`` a
     failed trace build drops that workload's whole row, a failed replay
     drops one grid cell, and every failure is recorded in
     :attr:`SuiteResult.failures` instead of aborting the suite.
@@ -280,8 +278,7 @@ def run_suite(preset_name: str = "quick",
     if cache_dir is not None:
         _open_cache(cache_dir, preset, cfg)
     suite = SuiteResult(preset=preset.name, config=cfg)
-    policy = dict(workers=workers, progress=progress, on_error=on_error,
-                  max_retries=max_retries, timeout_s=timeout_s)
+    policy = dict(workers=workers, progress=progress, on_error=on_error)
     traces: Dict[str, CoherenceTrace] = {}
     cells: Dict[Tuple[str, str], ReplayResult] = {}
     for workload in wanted:

@@ -47,8 +47,8 @@ class Figure6Result:
     total_events: int = 0
     #: number of load points simulated
     load_points: int = 0
-    #: load points that failed under ``on_error='collect'``/``'retry'``;
-    #: empty on a clean run
+    #: load points that failed under ``on_error='collect'``; empty on a
+    #: clean run
     failures: List[ShardError] = field(default_factory=list)
 
     def saturation_table(self) -> List[Tuple[str, str, float]]:
@@ -82,8 +82,6 @@ def run_figure6(config: MacrochipConfig = None,
                 workers: int = 1,
                 pool: Optional[WorkerPool] = None,
                 on_error: str = "raise",
-                max_retries: int = 2,
-                timeout_s: Optional[float] = None,
                 backend: str = "python") -> Figure6Result:
     """Run the Figure 6 sweeps over the exact fixed load grids.
 
@@ -107,11 +105,10 @@ def run_figure6(config: MacrochipConfig = None,
     a grid for some requested pattern, raise ``ValueError`` before any
     load point runs.
 
-    ``on_error`` / ``max_retries`` / ``timeout_s`` form the per-shard
-    fault policy (:class:`~repro.core.parallel.ErrorPolicy`): under
-    ``'collect'``/``'retry'`` a failing load point is dropped from its
-    curve and recorded in :attr:`Figure6Result.failures` instead of
-    aborting the whole figure.
+    ``on_error`` is the per-shard failure policy of
+    :func:`~repro.core.parallel.run_sharded`: under ``'collect'`` a
+    failing load point is dropped from its curve and recorded in
+    :attr:`Figure6Result.failures` instead of aborting the whole figure.
 
     ``backend="vectorized"`` routes every load point through the numpy
     fast path (:mod:`repro.core.vectorized`) — bit-identical curves,
@@ -151,8 +148,7 @@ def run_figure6(config: MacrochipConfig = None,
                           % (pattern_key, net, fraction)))
     run = run_sharded(shards, workers=workers, progress=progress,
                       cost_key=lambda s: s.args[3], pool=pool,
-                      on_error=on_error, max_retries=max_retries,
-                      timeout_s=timeout_s)
+                      on_error=on_error)
     if progress:
         progress(run.summary())
     for (pattern_key, net), point in zip(keys, run.results):

@@ -42,8 +42,6 @@ def _progress(message: str) -> None:
 def generate(artifact: str, preset: str,
               window_ns: float, workers: int = 1,
               on_error: str = "raise",
-              max_retries: int = 2,
-              timeout_s: float = None,
               networks=None,
               signaling: str = "nrz",
               backend: str = "python",
@@ -52,10 +50,10 @@ def generate(artifact: str, preset: str,
 
     One persistent worker pool serves every artifact of the invocation.
 
-    ``on_error``/``max_retries``/``timeout_s`` are the per-shard fault
-    policy threaded into every driver (``--on-error collect`` keeps a
-    long run alive past a crashing or hung shard; failures are reported
-    on stderr and the affected cells dropped from the artifacts).
+    ``on_error`` is the per-shard failure policy threaded into every
+    driver (``--on-error collect`` keeps a long run alive past a raising
+    shard; failures are reported on stderr and the affected cells
+    dropped from the artifacts).
 
     ``networks`` restricts the Figure 6 sweep to the named factory keys
     (``--network hermes`` runs just the extension network); ``signaling``
@@ -87,8 +85,6 @@ def generate(artifact: str, preset: str,
                                  window_ns=window_ns, progress=_progress,
                                  workers=workers,
                                  pool=shared_pool, on_error=on_error,
-                                 max_retries=max_retries,
-                                 timeout_s=timeout_s,
                                  backend=backend)
             _progress("figure6: %d load points, %d simulator events"
                       % (result.load_points, result.total_events))
@@ -98,8 +94,7 @@ def generate(artifact: str, preset: str,
         if artifact in ("figures", "all"):
             suite = run_suite(preset, config=config, progress=_progress,
                               workers=workers, pool=shared_pool,
-                              on_error=on_error, max_retries=max_retries,
-                              timeout_s=timeout_s, cache_dir=cache_dir)
+                              on_error=on_error, cache_dir=cache_dir)
             for err in suite.failures:
                 _progress("figures7-10 FAILED shard: %s" % err)
             outputs["figures7_10"] = all_figures_text(suite)
@@ -178,19 +173,10 @@ def main(argv=None) -> int:
                              "simulations (0 = one per CPU; results are "
                              "identical to --workers 1)")
     parser.add_argument("--on-error", default="raise",
-                        choices=["raise", "collect", "retry"],
+                        choices=["raise", "collect"],
                         help="per-shard failure policy: raise on first "
-                             "failure (default), collect structured "
-                             "ShardError records and keep going, or "
-                             "retry failed shards before collecting")
-    parser.add_argument("--max-retries", type=int, default=2,
-                        help="extra executions per failing shard under "
-                             "--on-error retry (retries are "
-                             "bit-identical by the determinism contract)")
-    parser.add_argument("--timeout-s", type=float, default=None,
-                        help="per-shard wall-clock bound on pool runs: a "
-                             "hung shard is killed, recorded as a "
-                             "timeout ShardError, and the pool rebuilt")
+                             "failure (default), or collect structured "
+                             "ShardError records and keep going")
     parser.add_argument("--network", action="append", default=None,
                         metavar="KEY", dest="networks",
                         help="restrict the Figure 6 sweep to this network "
@@ -239,13 +225,14 @@ def main(argv=None) -> int:
         parser.error("--cache applies to --artifact figures or all")
 
     started = time.time()
-    workers = resolve_workers(args.workers)
+    try:
+        workers = resolve_workers(args.workers)
+    except ValueError as exc:
+        parser.error(str(exc))
     if workers > 1:
         print(".. sharding across %d workers" % workers, file=sys.stderr)
     outputs = generate(artifact, args.preset, window, workers=workers,
                        on_error=args.on_error,
-                       max_retries=args.max_retries,
-                       timeout_s=args.timeout_s,
                        networks=args.networks, signaling=args.signaling,
                        backend=args.backend, cache_dir=args.cache)
     for name, text in outputs.items():

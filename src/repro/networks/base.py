@@ -120,9 +120,15 @@ class Channel:
         self.next_free = 0
         self.busy_ps = 0
 
-    def send(self, packet: Packet,
-             on_arrival: Callable[[Packet], None]) -> int:
-        """Transmit ``packet``; returns the arrival time at the far end."""
+    def send(self, packet: Packet, on_arrival: Callable[..., None],
+             site: Optional[int] = None) -> int:
+        """Transmit ``packet``; returns the arrival time at the far end.
+
+        The arrival event calls ``on_arrival(packet)``, or
+        ``on_arrival(packet, site)`` when a ``site`` is given: a network
+        whose arrival handling depends on the leg (a forwarder, a ring
+        owner) passes it here instead of caching a per-site closure over
+        itself, which would tie the network into a reference cycle."""
         now = self.sim.now
         next_free = self.next_free
         start = now if now >= next_free else next_free
@@ -144,7 +150,10 @@ class Channel:
             self.tracer.emit(end, tracing.TX_END, pid=pid,
                              resource=self.name, start_ps=start,
                              end_ps=arrival)
-        self.sim.at(arrival, on_arrival, packet)
+        if site is None:
+            self.sim.at(arrival, on_arrival, packet)
+        else:
+            self.sim.at(arrival, on_arrival, packet, site)
         return arrival
 
     def reserve(self, start_ps: int, duration_ps: int) -> None:

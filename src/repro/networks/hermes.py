@@ -166,13 +166,6 @@ class HermesHierarchicalNetwork(InterSiteNetwork):
         self._ring_channel: List[Optional[Channel]] = [None] * n
         self._global_channel: List[Optional[Channel]] = (
             [None] * (self.num_clusters * self.num_clusters))
-        # cached arrival callbacks (one per site / cluster, not per packet)
-        self._ring_final_cb: List[Optional[Callable[[Packet], None]]] = (
-            [None] * n)
-        self._ring_gateway_cb: List[Optional[Callable[[Packet], None]]] = (
-            [None] * n)
-        self._global_arrival_cb: List[Optional[Callable[[Packet], None]]] = (
-            [None] * self.num_clusters)
         # per-size snoop detection energy (the k-1 non-target listeners
         # on a ring broadcast), interned per (tech, cluster size)
         self._snoop_pj: Dict[int, float] = intern_memo(
@@ -187,8 +180,8 @@ class HermesHierarchicalNetwork(InterSiteNetwork):
         self.snoop_events = 0
 
     def _reset_state(self) -> None:
-        # channels are rewound by the base reset; geometry, channel
-        # tables, and arrival callbacks are pure and stay
+        # channels are rewound by the base reset; geometry and channel
+        # tables are pure and stay
         self._snoop = None
         self.intra_packets = 0
         self.inter_packets = 0
@@ -243,7 +236,7 @@ class HermesHierarchicalNetwork(InterSiteNetwork):
         if src_cluster == self._cluster_of[dst]:
             self.intra_packets += 1
             packet.hops = 1
-            self.ring_channel(src).send(packet, self._final_cb(src))
+            self.ring_channel(src).send(packet, self._at_ring_end, src)
             return
         self.inter_packets += 1
         src_gw = self._gateway[src_cluster]
@@ -253,7 +246,7 @@ class HermesHierarchicalNetwork(InterSiteNetwork):
             # the gateway modulates straight onto the global channel
             self._send_global(packet)
         else:
-            self.ring_channel(src).send(packet, self._gateway_cb(src))
+            self.ring_channel(src).send(packet, self._to_source_gateway)
 
     def _broadcast_snoop(self, src: int, packet: Packet) -> None:
         """Account the listeners of one ring transmission: every cluster
@@ -275,38 +268,23 @@ class HermesHierarchicalNetwork(InterSiteNetwork):
                 if member != src:
                     self._snoop(member, packet)
 
-    def _final_cb(self, src: int) -> Callable[[Packet], None]:
-        """Ring arrival callback: transmission ended, fly the remaining
-        ring distance to the packet's destination and deliver."""
-        cb = self._ring_final_cb[src]
-        if cb is None:
-            n = self._num_sites
-            ring_prop = self._ring_prop
+    def _at_ring_end(self, packet: Packet, src: int) -> None:
+        """Ring arrival on ``src``'s ring: transmission ended, fly the
+        remaining ring distance to the packet's destination and
+        deliver."""
+        self._broadcast_snoop(src, packet)
+        self.sim.schedule(self._ring_prop[src * self._num_sites + packet.dst],
+                          self._deliver, packet)
 
-            def cb(packet: Packet, _src: int = src) -> None:
-                self._broadcast_snoop(_src, packet)
-                self.sim.schedule(ring_prop[_src * n + packet.dst],
-                                  self._deliver, packet)
-
-            self._ring_final_cb[src] = cb
-        return cb
-
-    def _gateway_cb(self, src: int) -> Callable[[Packet], None]:
-        """Ring arrival callback for the first leg of a cross-cluster
-        route: fly to the local gateway, then cross into the electronic
-        domain there."""
-        cb = self._ring_gateway_cb[src]
-        if cb is None:
-            n = self._num_sites
-            gw = self._gateway[self._cluster_of[src]]
-            prop = self._ring_prop[src * n + gw]
-
-            def cb(packet: Packet, _prop: int = prop, _src: int = src) -> None:
-                self._broadcast_snoop(_src, packet)
-                self.sim.schedule(_prop, self._at_source_gateway, packet)
-
-            self._ring_gateway_cb[src] = cb
-        return cb
+    def _to_source_gateway(self, packet: Packet) -> None:
+        """Ring arrival for the first leg of a cross-cluster route: fly
+        to the local gateway, then cross into the electronic domain
+        there."""
+        src = packet.src
+        self._broadcast_snoop(src, packet)
+        gw = self._gateway[self._cluster_of[src]]
+        self.sim.schedule(self._ring_prop[src * self._num_sites + gw],
+                          self._at_source_gateway, packet)
 
     def _at_source_gateway(self, packet: Packet) -> None:
         """O-E conversion, electronic gateway router, E-O onto the global
@@ -318,29 +296,21 @@ class HermesHierarchicalNetwork(InterSiteNetwork):
         src_cluster = self._cluster_of[packet.src]
         dst_cluster = self._cluster_of[packet.dst]
         ch = self.global_channel(src_cluster, dst_cluster)
-        ch.send(packet, self._arrival_cb(dst_cluster))
+        ch.send(packet, self._at_destination_gateway,
+                self._gateway[dst_cluster])
 
-    def _arrival_cb(self, dst_cluster: int) -> Callable[[Packet], None]:
+    def _at_destination_gateway(self, packet: Packet, gw: int) -> None:
         """Global-channel arrival at the destination gateway: deliver if
         the gateway is the destination, else rebroadcast on its ring."""
-        cb = self._global_arrival_cb[dst_cluster]
-        if cb is None:
-            gw = self._gateway[dst_cluster]
-
-            def cb(packet: Packet, _gw: int = gw) -> None:
-                if packet.dst == _gw:
-                    self._deliver(packet)
-                    return
-                self.stats.energy.add(
-                    "router", router_energy_pj(packet.size_bytes))
-                self.sim.schedule(self.gateway_latency_ps,
-                                  self._rebroadcast, packet, _gw)
-
-            self._global_arrival_cb[dst_cluster] = cb
-        return cb
+        if packet.dst == gw:
+            self._deliver(packet)
+            return
+        self.stats.energy.add("router", router_energy_pj(packet.size_bytes))
+        self.sim.schedule(self.gateway_latency_ps,
+                          self._rebroadcast, packet, gw)
 
     def _rebroadcast(self, packet: Packet, gateway: int) -> None:
-        self.ring_channel(gateway).send(packet, self._final_cb(gateway))
+        self.ring_channel(gateway).send(packet, self._at_ring_end, gateway)
 
 
 @register_kernel("hermes")
@@ -473,8 +443,9 @@ def _vectorized_hermes(net: HermesHierarchicalNetwork, plan) -> KernelOutput:
             glob_nf[gkey] = start + tx_glob
             arrival = start + tx_glob + glob_prop[gkey]
             if b == gateway[cluster_of[b]]:
-                # the arrival event *is* the deliver (scalar _arrival_cb
-                # calls _deliver synchronously): batched, not a heap event
+                # the arrival event *is* the deliver (the scalar
+                # _at_destination_gateway calls _deliver synchronously):
+                # batched, not a heap event
                 deliver_t.append(arrival)
                 deliver_i.append(c)
             else:

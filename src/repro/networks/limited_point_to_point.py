@@ -16,7 +16,7 @@ is noted in DESIGN.md).  Router traversals are charged 60 pJ/byte
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .base import Channel, InterSiteNetwork, Packet
 from ..core.engine import Simulator
@@ -79,16 +79,13 @@ class LimitedPointToPointNetwork(InterSiteNetwork):
         self._fwd_table, self._coords = intern_table(
             ("lp2p-routing", layout), lambda: _build_routing_tables(layout))
         self._channel_table: List[Optional[Channel]] = [None] * (n * n)
-        # per-forwarder arrival callbacks, created once instead of one
-        # closure per forwarded packet
-        self._fwd_arrival: List[Optional[Callable[[Packet], None]]] = [None] * n
         #: forwarded packets (for Figure 9 style reporting and tests)
         self.forwarded_packets = 0
         self.direct_packets = 0
 
     def _reset_state(self) -> None:
-        # channels are rewound by the base reset; the arrival callbacks
-        # and routing tables are pure and stay.  Only the diagnostic
+        # channels are rewound by the base reset; the routing tables
+        # are pure and stay.  Only the diagnostic
         # counters carry run state.
         self.forwarded_packets = 0
         self.direct_packets = 0
@@ -122,17 +119,6 @@ class LimitedPointToPointNetwork(InterSiteNetwork):
             )
             self._channel_table[idx] = ch
         return ch
-
-    def _arrival_cb(self, via: int) -> Callable[[Packet], None]:
-        cb = self._fwd_arrival[via]
-        if cb is None:
-            at_forwarder = self._at_forwarder
-
-            def cb(packet: Packet, _via: int = via) -> None:
-                at_forwarder(packet, _via)
-
-            self._fwd_arrival[via] = cb
-        return cb
 
     # -- routing -----------------------------------------------------------
 
@@ -168,9 +154,9 @@ class LimitedPointToPointNetwork(InterSiteNetwork):
         if qb < 0:
             qb = 0
         if (qa, a) <= (qb, b):
-            ch_a.send(packet, self._arrival_cb(a))
+            ch_a.send(packet, self._at_forwarder, a)
         else:
-            ch_b.send(packet, self._arrival_cb(b))
+            ch_b.send(packet, self._at_forwarder, b)
 
     def _at_forwarder(self, packet: Packet, via: int) -> None:
         """O-E conversion, one-cycle 7x7 router, E-O re-transmission."""

@@ -79,6 +79,14 @@ class TestRunCli:
         assert rc == 0
         assert (tmp_path / "tables.txt").exists()
 
+    def test_main_rejects_negative_workers(self, capsys):
+        from repro.experiments.run import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--artifact", "tables", "--workers", "-2"])
+        assert exc.value.code == 2
+        assert "workers" in capsys.readouterr().err
+
     @pytest.fixture
     def figure6_stubs(self, monkeypatch):
         """Capture the kwargs `generate` hands the Figure 6 driver,

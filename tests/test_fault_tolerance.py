@@ -1,27 +1,27 @@
-"""Fault-injection tests for ``run_sharded``'s serial and pool loops.
+"""Failure tests for ``run_sharded``'s serial and pool loops.
 
-Both must survive the three failure modes a long campaign hits in
-practice — a *raising* shard, a worker *killed* mid-flight
-(OOM/segfault, injected here via ``os.kill(..., SIGKILL)``), and a
-*hung* shard exceeding ``timeout_s`` — and the determinism contract must
-hold through recovery: with ``on_error='retry'`` a disturbed run's
-results are bit-identical to an undisturbed serial run, proven
-differentially for all five photonic network architectures.
+A *raising* shard follows the error policy on both loops: ``'raise'``
+propagates it, ``'collect'`` turns it into a :class:`ShardError` result
+slot while every other result survives.  A worker *killed* mid-flight
+(OOM/segfault, injected here via ``os.kill(..., SIGKILL)``) fails the
+run loudly with ``BrokenProcessPool`` naming the shard, and the same
+:class:`WorkerPool` then serves the next run on fresh workers.  A pool
+run is bit-identical to the serial run on every photonic network, and
+the retired retry/timeout options are rejected at every layer.
 """
 
 import os
 import signal
 import threading
 import time
+from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
 from repro.core.parallel import (
-    ErrorPolicy,
     Shard,
     ShardError,
     ShardExecutionError,
-    ShardTimeoutError,
     WorkerPool,
     clear_contexts,
     run_sharded,
@@ -70,11 +70,6 @@ def _boom(x):
     raise ValueError("boom %d" % x)
 
 
-def _sleep_forever(x):
-    time.sleep(60)
-    return x
-
-
 class UnpicklableError(Exception):
     """An exception that cannot cross the pickle boundary (carries a
     lock), forcing the traceback-text transport fallback."""
@@ -88,41 +83,51 @@ def _raise_unpicklable(x):
     raise UnpicklableError("untransportable %d" % x)
 
 
-def _fail_once_then_square(sentinel, x):
-    """Transient failure: raises on the first attempt (sentinel absent),
-    succeeds on every retry."""
-    if not os.path.exists(sentinel):
-        with open(sentinel, "w") as fh:
-            fh.write("armed")
-        raise RuntimeError("transient %d" % x)
-    return x * x
-
-
-def _kill_once_then_load_point(sentinel, network, config, pattern, fraction,
-                               **kwargs):
-    """SIGKILL the hosting worker on the first attempt (simulating an
-    OOM kill mid-shard); compute the load point normally on re-execution.
-    The sentinel is written *before* the kill so the retry — wherever it
-    runs — sees it."""
-    if not os.path.exists(sentinel):
-        with open(sentinel, "w") as fh:
-            fh.write("armed")
-        os.kill(os.getpid(), signal.SIGKILL)
-    return run_load_point(network, config, pattern, fraction, **kwargs)
+def _kill_own_worker(x):
+    """SIGKILL the hosting worker mid-shard (simulating an OOM kill)."""
+    os.kill(os.getpid(), signal.SIGKILL)
+    return x
 
 
 # -- error policy validation ---------------------------------------------------
 
 def test_error_policy_validation():
-    assert ErrorPolicy().on_error == "raise"
-    with pytest.raises(ValueError, match="on_error"):
-        ErrorPolicy(on_error="bogus")
-    with pytest.raises(ValueError, match="max_retries"):
-        ErrorPolicy(max_retries=-1)
-    with pytest.raises(ValueError, match="timeout_s"):
-        ErrorPolicy(timeout_s=0.0)
     with pytest.raises(ValueError, match="on_error"):
         run_sharded([Shard(_square, args=(1,))], on_error="bogus")
+
+
+def test_retired_fault_options_rejected(capsys):
+    """Retry and per-shard timeouts are gone from every layer: the
+    library calls reject them by name, the CLI flags are usage errors."""
+    from repro.experiments.evaluation import run_suite
+    from repro.experiments.figure6 import run_figure6
+    from repro.experiments.run import main
+
+    with pytest.raises(ValueError, match="'raise' or 'collect'"):
+        run_sharded([Shard(_square, args=(1,))], on_error="retry")
+    pattern = UniformTraffic(CFG.layout, seed=1)
+    calls = [
+        lambda **kw: run_sharded([Shard(_square, args=(1,))], **kw),
+        lambda **kw: sweep("point_to_point", CFG, pattern, [0.05],
+                           window_ns=WINDOW_NS, seed=SEED, **kw),
+        lambda **kw: run_figure6(config=CFG, window_ns=WINDOW_NS,
+                                 patterns=["uniform"],
+                                 networks=["point_to_point"],
+                                 load_grids={"uniform": [0.05]}, **kw),
+        lambda **kw: run_suite("smoke", config=CFG,
+                               networks=["point_to_point"],
+                               workloads=["Radix"], **kw),
+    ]
+    for call in calls:
+        for retired in (dict(max_retries=2), dict(timeout_s=5.0)):
+            with pytest.raises(TypeError, match=next(iter(retired))):
+                call(**retired)
+    for flags in (["--max-retries", "2"], ["--timeout-s", "5"],
+                  ["--on-error", "retry"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["--artifact", "tables"] + flags)
+        assert exc.value.code == 2, flags
+        assert "error:" in capsys.readouterr().err
 
 
 # -- raising shard ------------------------------------------------------------
@@ -137,7 +142,6 @@ def test_collect_keeps_19_of_20(workers):
     run = run_sharded(shards, workers=workers, on_error="collect")
     err = run.results[7]
     assert isinstance(err, ShardError)
-    assert err.kind == "exception"
     assert err.error_type == "ValueError"
     assert "boom 7" in err.message
     assert "ValueError" in err.traceback
@@ -155,31 +159,6 @@ def test_raise_policy_still_propagates(workers):
     with pytest.raises(ValueError, match="boom"):
         run_sharded([Shard(_square, args=(1,)), Shard(_boom, args=(2,))],
                     workers=workers, on_error="raise")
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_retry_recovers_transient_failure(workers, tmp_path):
-    sentinel = str(tmp_path / ("transient-%d" % workers))
-    shards = [Shard(_fail_once_then_square, args=(sentinel, 3),
-                    label="flaky"),
-              Shard(_square, args=(4,), label="steady")]
-    run = run_sharded(shards, workers=workers, on_error="retry",
-                      max_retries=2)
-    assert run.results == [9, 16]
-    assert run.ok
-    flaky_report = run.reports[0]
-    assert flaky_report.label == "flaky" and flaky_report.attempts == 2
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_retry_exhausts_then_collects(workers):
-    run = run_sharded([Shard(_boom, args=(1,), label="always"),
-                       Shard(_square, args=(2,))],
-                      workers=workers, on_error="retry", max_retries=2)
-    err = run.results[0]
-    assert isinstance(err, ShardError)
-    assert err.attempts == 3  # first try + two retries
-    assert run.results[1] == 4
 
 
 def test_unpicklable_exception_transport():
@@ -200,134 +179,49 @@ def test_unpicklable_exception_transport():
     assert run.results[1] == 36
 
 
-# -- killed worker ------------------------------------------------------------
-
-def test_killed_worker_recovers_and_completes(tmp_path):
-    """A SIGKILLed worker must not lose the run: the pool is rebuilt and
-    the lost shard re-executed, with every other result intact."""
-    if not _pool_available():
-        pytest.skip("platform cannot create worker pools")
-    pattern = UniformTraffic(CFG.layout, seed=1)
-    sentinel = str(tmp_path / "killed")
-    kwargs = dict(window_ns=WINDOW_NS, seed=SEED)
-    shards = [Shard(run_load_point,
-                    args=("point_to_point", CFG, pattern, f),
-                    kwargs=kwargs, label="@%.2f" % f)
-              for f in (0.02, 0.05, 0.10)]
-    shards.insert(1, Shard(_kill_once_then_load_point,
-                           args=(sentinel, "point_to_point", CFG, pattern,
-                                 0.20),
-                           kwargs=kwargs, label="killed@0.20"))
-    run = run_sharded(shards, workers=2, on_error="retry")
-    assert run.ok
-    assert os.path.exists(sentinel)  # the kill really fired
-    baseline = [run_load_point("point_to_point", CFG, pattern, f,
-                               **kwargs) for f in (0.02, 0.20, 0.05, 0.10)]
-    assert run.results == baseline
-
+# -- pool determinism and killed workers -------------------------------------
 
 @pytest.mark.parametrize("network", NETWORKS)
-def test_kill_retry_bit_identical_to_serial(network, tmp_path):
-    """The determinism lock (acceptance criterion): with
-    on_error='retry', a run where one worker is killed mid-flight is
-    bit-identical to an undisturbed serial run — for every network."""
+def test_pool_bit_identical_to_serial(network):
+    """The per-network determinism lock: a 2-worker pool run equals the
+    serial run, field for field and byte for byte."""
     if not _pool_available():
         pytest.skip("platform cannot create worker pools")
     pattern = UniformTraffic(CFG.layout, seed=1)
     fractions = [0.02, 0.05, 0.10, 0.20]
     kwargs = dict(window_ns=WINDOW_NS, seed=SEED)
-    baseline = [run_load_point(network, CFG, pattern, f, **kwargs)
-                for f in fractions]
-    sentinel = str(tmp_path / ("killed-%s" % network))
-    shards = []
-    for i, f in enumerate(fractions):
-        if i == 1:
-            shards.append(Shard(_kill_once_then_load_point,
-                                args=(sentinel, network, CFG, pattern, f),
-                                kwargs=kwargs, label="killed@%.2f" % f))
-        else:
-            shards.append(Shard(run_load_point,
-                                args=(network, CFG, pattern, f),
-                                kwargs=kwargs, label="@%.2f" % f))
-    run = run_sharded(shards, workers=2, on_error="retry")
-    assert os.path.exists(sentinel)
-    assert run.results == baseline  # dataclass field equality
-    for got, want in zip(run.results, baseline):
+    shards = [Shard(run_load_point, args=(network, CFG, pattern, f),
+                    kwargs=kwargs, label="@%.2f" % f) for f in fractions]
+    serial = run_sharded(shards, workers=1)
+    with WorkerPool(2) as pool:
+        pooled = run_sharded(shards, pool=pool,
+                             cost_key=lambda s: s.args[3])
+        assert pooled.mode != "serial"
+    assert pooled.results == serial.results  # dataclass field equality
+    for got, want in zip(pooled.results, serial.results):
         assert repr(got) == repr(want)  # byte-identical rendering
 
 
-# -- hung shard / timeout ------------------------------------------------------
-
-def test_timeout_collects_and_rest_completes():
+@pytest.mark.parametrize("on_error", ["raise", "collect"])
+def test_killed_worker_fails_loudly(on_error):
+    """A SIGKILLed worker fails the run at once, under either policy,
+    naming the shard it held; the same pool then runs a fresh shard
+    list on new workers."""
     if not _pool_available():
         pytest.skip("platform cannot create worker pools")
-    shards = [Shard(_square, args=(i,), label="sq%d" % i) for i in range(6)]
-    shards[2] = Shard(_sleep_forever, args=(2,), label="hung")
-    started = time.monotonic()
-    run = run_sharded(shards, workers=2, on_error="collect", timeout_s=1.0)
-    assert time.monotonic() - started < 45  # never waits the full sleep
-    err = run.results[2]
-    assert isinstance(err, ShardError)
-    assert err.kind == "timeout"
-    assert err.error_type == "ShardTimeoutError"
-    assert "timeout_s" in err.message
-    others = [run.results[i] for i in (0, 1, 3, 4, 5)]
-    assert others == [0, 1, 9, 16, 25]
-    assert ", 1 failed" in run.summary()
-
-
-def test_timeout_raises_under_raise_policy():
-    if not _pool_available():
-        pytest.skip("platform cannot create worker pools")
-    shards = [Shard(_sleep_forever, args=(0,), label="hung"),
-              Shard(_square, args=(1,))]
-    started = time.monotonic()
-    with pytest.raises(ShardTimeoutError, match="hung"):
-        run_sharded(shards, workers=2, on_error="raise", timeout_s=0.5)
-    assert time.monotonic() - started < 45
-
-
-def test_serial_backend_ignores_timeout():
-    """A serial run cannot enforce timeout_s in-process: a fast shard
-    list with a timeout must simply run."""
-    run = run_sharded([Shard(_square, args=(i,)) for i in range(3)],
-                      workers=1, on_error="collect", timeout_s=0.001)
-    assert run.results == [0, 1, 4]
-
-
-# -- WorkerPool shutdown hardening --------------------------------------------
-
-def test_worker_pool_close_does_not_hang_on_stuck_worker():
-    pool = WorkerPool(2, close_timeout_s=0.5)
-    mp_pool = pool.acquire()
-    if mp_pool is None:
-        pytest.skip("platform cannot create worker pools")
-    assert pool.mode != "serial"
-    mp_pool.apply_async(time.sleep, (60,))
-    time.sleep(0.2)  # let the task start on a worker
-    started = time.monotonic()
-    pool.close()
-    assert time.monotonic() - started < 30  # terminate fallback kicked in
-    assert pool.mode == "serial"  # stale mode reset (the satellite fix)
-    # the pool object is reusable: fresh workers on next use
-    run = run_sharded([Shard(_square, args=(i,)) for i in range(4)],
-                      workers=2, pool=pool)
-    assert run.results == [0, 1, 4, 9]
-    pool.close()
-    assert pool.mode == "serial"
-
-
-def test_worker_pool_pids_and_rebuild():
-    pool = WorkerPool(2)
-    if pool.acquire() is None:
-        pytest.skip("platform cannot create worker pools")
-    pids = pool.worker_pids()
-    assert len(pids) == 2
-    pool.rebuild()
-    assert pool.mode == "serial" and pool.worker_pids() == ()
-    assert pool.acquire() is not None
-    assert set(pool.worker_pids()).isdisjoint(pids)
-    pool.close()
+    shards = [Shard(_square, args=(i,), label="sq%d" % i) for i in range(4)]
+    shards[1] = Shard(_kill_own_worker, args=(1,), label="killed-shard")
+    with WorkerPool(2) as pool:
+        started = time.monotonic()
+        with pytest.raises(BrokenProcessPool, match="killed-shard"):
+            run_sharded(shards, pool=pool, on_error=on_error)
+        assert time.monotonic() - started < 10
+        assert pool.mode == "serial"  # the broken executor was dropped
+        fresh = [Shard(_square, args=(i,), label="sq%d" % i)
+                 for i in range(6)]
+        run = run_sharded(fresh, pool=pool, on_error=on_error)
+        assert run.mode != "serial"
+    assert run.results == [i * i for i in range(6)] and run.ok
 
 
 # -- progress callback isolation (satellite 3) ---------------------------------

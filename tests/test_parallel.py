@@ -50,7 +50,8 @@ def test_derive_seed_fits_63_bits():
 
 def test_resolve_workers_clamps_and_detects():
     assert resolve_workers(4) == 4
-    assert resolve_workers(-3) == 1
+    with pytest.raises(ValueError, match="workers"):
+        resolve_workers(-3)
     assert resolve_workers(None) >= 1
     assert resolve_workers(0) >= 1
 
