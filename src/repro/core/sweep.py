@@ -502,6 +502,11 @@ def sweep(network_name: str,
     """
     if workers == 1 and fractions:
         _prewarm_draw_bank(config, pattern, fractions, window_ns, kwargs)
+    if kwargs.get("backend") == "vectorized":
+        # import numpy before a pool forks, so the workers share it
+        from .vectorized import have_numpy
+
+        have_numpy()
     shards = [
         Shard(run_load_point,
               args=(network_name, config, pattern, f),

@@ -56,7 +56,11 @@ canonical traces — is locked by ``tests/test_fastpath_equivalence.py``.
 
 numpy itself is an *optional* dependency (``pip install repro[fast]``):
 without it every request degrades gracefully to the python backend and
-:func:`require_numpy` explains how to enable the fast path.
+:func:`require_numpy` explains how to enable the fast path.  It is
+imported on the first vectorized load point (or the first
+:func:`have_numpy` / :func:`require_numpy` call), not when this module
+loads: the network modules import this one to register their kernels,
+so a python-backend run never loads numpy at all.
 """
 
 from __future__ import annotations
@@ -66,14 +70,13 @@ import warnings
 from itertools import accumulate
 from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
-try:  # pragma: no cover - exercised by CI's numpy-less tier-1 matrix
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None
-
-#: the numpy module when available, else None — kernels must only be
-#: invoked when this is not None (``try_run_vectorized`` guarantees it)
-np = _np
+#: the numpy module once :func:`_load_numpy` has imported it, else None
+#: — kernels run only after a successful load (``try_run_vectorized``
+#: guarantees it), so they and their helpers read it freely
+np: Any = None
+#: :func:`_load_numpy`'s memo: None before the first attempt, then
+#: whether numpy imported
+_numpy_loaded: Optional[bool] = None
 
 NUMPY_HINT = (
     "the vectorized backend needs numpy, which is an optional extra: "
@@ -83,9 +86,24 @@ NUMPY_HINT = (
 )
 
 
+def _load_numpy() -> bool:
+    """Import numpy on first need and remember the outcome: whether it
+    imported (binding :data:`np`) or is missing."""
+    global np, _numpy_loaded
+    if _numpy_loaded is None:
+        try:
+            import numpy
+        except ImportError:  # pragma: no cover - CI's numpy-less tier-1
+            _numpy_loaded = False
+        else:
+            np = numpy
+            _numpy_loaded = True
+    return _numpy_loaded
+
+
 def have_numpy() -> bool:
-    """True when numpy imported and bulk kernels can run."""
-    return np is not None
+    """True when numpy imports and bulk kernels can run (imports it)."""
+    return _load_numpy()
 
 
 def require_numpy() -> None:
@@ -95,7 +113,7 @@ def require_numpy() -> None:
     vectorized benchmark, for one: comparing python vs python proves
     nothing).  Library paths never call this — they degrade gracefully.
     """
-    if np is None:
+    if not _load_numpy():
         raise ImportError(NUMPY_HINT)
 
 
@@ -354,7 +372,7 @@ def try_run_vectorized(ctx,
     missing-numpy warning): results are identical either way, and the
     sweep drivers pass ``backend=`` through unconditionally.
     """
-    if np is None:
+    if not _load_numpy():
         warn_numpy_fallback()
         return None
     if tracer is not None or check_invariants:

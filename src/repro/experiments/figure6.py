@@ -14,6 +14,7 @@ from typing import Dict, List, Optional, Tuple
 from ..analysis.tables import render_series, render_table
 from ..core.parallel import Shard, ShardError, WorkerPool, run_sharded
 from ..core.sweep import SweepPoint, run_load_point, to_sweep_point
+from ..core.vectorized import have_numpy
 from ..macrochip.config import MacrochipConfig, scaled_config
 from ..networks.factory import (FIGURE6_NETWORKS, NETWORK_CLASSES,
                                 check_network_keys)
@@ -146,6 +147,8 @@ def run_figure6(config: MacrochipConfig = None,
                     kwargs=dict(window_ns=window_ns, backend=backend),
                     label="figure6 %s/%s @%.3f"
                           % (pattern_key, net, fraction)))
+    if backend == "vectorized":
+        have_numpy()  # import numpy before a pool forks: workers share it
     run = run_sharded(shards, workers=workers, progress=progress,
                       cost_key=lambda s: s.args[3], pool=pool,
                       on_error=on_error)

@@ -106,7 +106,9 @@ class _TokenState:
         self.busy = False  # a grant chain is in progress
         self.holding = False  # a sender holds the token right now
         self.generation = 0  # invalidates superseded grant events
-        self.queues: List[Deque[Packet]] = [deque() for _ in range(num_sites)]
+        #: per snake position, its waiting packets (a deque made on
+        #: the position's first enqueue)
+        self.queues: List[Optional[Deque[Packet]]] = [None] * num_sites
         #: bitmask of snake positions with a non-empty queue
         self.waiting_mask = 0
         self.release_pos = -1  # last releasing position: cannot re-grab
@@ -183,7 +185,10 @@ class TokenRingCrossbar(InterSiteNetwork):
         if tok is None:
             tok = self._token(packet.dst)
         pos = self._snake_pos[packet.src]
-        tok.queues[pos].append(packet)
+        queue = tok.queues[pos]
+        if queue is None:
+            queue = tok.queues[pos] = deque()
+        queue.append(packet)
         tok.waiting_mask |= 1 << pos
         if self.tracer is not None:
             self.tracer.emit(self.sim.now, tracing.ENQUEUE, pid=packet.pid,

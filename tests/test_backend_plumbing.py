@@ -12,6 +12,7 @@ raises an actionable ImportError from :func:`require_numpy` while
 
 import json
 import os
+import sys
 import warnings
 from types import SimpleNamespace
 
@@ -111,8 +112,16 @@ def test_simulate_scale_point_backend_bit_identical():
 
 # -- numpy-optional seams -----------------------------------------------------
 
-def test_require_numpy_error_is_actionable(monkeypatch):
-    monkeypatch.setattr(vectorized, "np", None)
+@pytest.fixture
+def no_numpy(monkeypatch):
+    """numpy as on a host without it: the module is unimportable and the
+    loader has forgotten any earlier outcome, so its real import fails
+    here.  Both are restored afterwards."""
+    monkeypatch.setitem(sys.modules, "numpy", None)
+    monkeypatch.setattr(vectorized, "_numpy_loaded", None)
+
+
+def test_require_numpy_error_is_actionable(no_numpy):
     with pytest.raises(ImportError) as exc:
         vectorized.require_numpy()
     message = str(exc.value)
@@ -120,11 +129,10 @@ def test_require_numpy_error_is_actionable(monkeypatch):
     assert "numpy" in message
 
 
-def test_missing_numpy_falls_back_to_scalar(monkeypatch):
+def test_missing_numpy_falls_back_to_scalar(monkeypatch, no_numpy):
     """Without numpy, backend="vectorized" degrades to the scalar
     engine per load point (a warning naming the resolved backend,
     identical results) instead of crashing."""
-    monkeypatch.setattr(vectorized, "np", None)
     monkeypatch.setattr(vectorized, "_warned_no_numpy", False)
     pattern = UniformTraffic(CFG.layout)
     scalar = run_load_point("point_to_point", CFG, pattern, 0.05,
@@ -137,13 +145,12 @@ def test_missing_numpy_falls_back_to_scalar(monkeypatch):
     assert any("resolved backend: python" in str(w.message) for w in rec)
 
 
-def test_missing_numpy_warns_once_per_process(monkeypatch):
+def test_missing_numpy_warns_once_per_process(monkeypatch, no_numpy):
     """The missing-numpy fallback warns exactly once per process:
     later load points, at other loads or through ``sweep``, are
     silent."""
     from repro.core.sweep import sweep
 
-    monkeypatch.setattr(vectorized, "np", None)
     monkeypatch.setattr(vectorized, "_warned_no_numpy", False)
     pattern = UniformTraffic(CFG.layout)
     kwargs = dict(window_ns=40.0, seed=7, backend="vectorized")
