@@ -16,7 +16,7 @@ data messages are a 64 B line plus an 8 B header.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 
@@ -45,7 +45,7 @@ class OpKind(enum.Enum):
     WRITEBACK = "WB"  # dirty eviction (fire-and-forget)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CoherenceOp:
     """One coherence operation as seen by the network replay.
 

@@ -2,9 +2,10 @@
 
 One directory entry per cache line, distributed across the macrochip by
 line-interleaving (the *home* site).  Entries track the MOESI state at
-site granularity with an owner id and a sharer set, which is exactly the
-"detailed coherence information" the paper's CPU simulator attaches to
-its L2 miss traffic (section 5).
+site granularity with an owner id and a sharer bitmask (bit ``s`` set:
+site ``s`` holds a copy), which is exactly the "detailed coherence
+information" the paper's CPU simulator attaches to its L2 miss traffic
+(section 5).
 
 The directory is *functional*: `read`/`write` mutate protocol state and
 report which remote sites must be contacted; the timing cost is applied
@@ -15,22 +16,35 @@ by the network replay using the message plans of
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, Optional, Tuple
 
 from .coherence import LineState
 
 
-@dataclass
+def _sites(mask: int) -> Iterator[int]:
+    """The site ids of ``mask``'s set bits, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+@dataclass(slots=True)
 class DirectoryEntry:
-    """State of one line: who owns it, who shares it."""
+    """State of one line: who owns it, who shares it.
+
+    ``sharer_mask`` has bit ``s`` set for every site ``s`` holding a
+    copy, so a touched line costs one slotted instance and one int.
+    """
 
     state: LineState = LineState.INVALID
     owner: Optional[int] = None
-    sharers: Set[int] = None  # type: ignore[assignment]
+    sharer_mask: int = 0
 
-    def __post_init__(self) -> None:
-        if self.sharers is None:
-            self.sharers = set()
+    @property
+    def sharers(self) -> FrozenSet[int]:
+        """Read-only view of the sharer sites."""
+        return frozenset(_sites(self.sharer_mask))
 
 
 @dataclass(frozen=True)
@@ -38,7 +52,8 @@ class DirectoryOutcome:
     """What a directory access decided.
 
     ``owner`` — remote site that must supply data (None: memory supplies);
-    ``invalidated`` — remote sites whose copies were invalidated.
+    ``invalidated`` — remote sites whose copies were invalidated, in
+    ascending site order (the order of the replay's invalidations).
     """
 
     owner: Optional[int]
@@ -47,7 +62,11 @@ class DirectoryOutcome:
 
 
 class Directory:
-    """Site-interleaved full-map MOESI directory."""
+    """Site-interleaved full-map MOESI directory.
+
+    Entries are created on a line's first access and live for the run;
+    each holds the line's state, its owner site and its sharer bitmask.
+    """
 
     def __init__(self, num_sites: int, line_bytes: int = 64) -> None:
         if num_sites < 1:
@@ -92,7 +111,7 @@ class Directory:
                 # owner downgrades: M -> O (keeps dirty data), E -> S
                 e.state = (LineState.OWNED if e.state is LineState.MODIFIED
                            else LineState.SHARED)
-                e.sharers.add(e.owner)
+                e.sharer_mask |= 1 << e.owner
                 if e.state is LineState.SHARED:
                     e.owner = None
         elif e.state is LineState.OWNED:
@@ -104,7 +123,7 @@ class Directory:
             e.state = LineState.EXCLUSIVE
             e.owner = requester
         else:
-            e.sharers.add(requester)
+            e.sharer_mask |= 1 << requester
             if e.state is LineState.EXCLUSIVE and e.owner == requester:
                 pass  # silent re-read by the owner
             elif e.state not in (LineState.MODIFIED, LineState.OWNED):
@@ -122,15 +141,15 @@ class Directory:
                         LineState.OWNED)
                 and e.owner is not None and e.owner != requester):
             supplier = e.owner
-        invalidated = tuple(sorted(
-            s for s in e.sharers if s != requester
-        ))
+        requester_bit = 1 << requester
+        others = e.sharer_mask & ~requester_bit
+        invalidated = tuple(_sites(others)) if others else ()
         # a supplier outside the sharer set: the old owner's copy dies
         # too, but it supplies data rather than acking, so it is not in
         # the invalidation fan-out
         e.state = LineState.MODIFIED
         e.owner = requester
-        e.sharers = {requester}
+        e.sharer_mask = requester_bit
         return DirectoryOutcome(owner=supplier, invalidated=invalidated,
                                 was_hit=was_hit)
 
@@ -139,14 +158,14 @@ class Directory:
         e = self._entries.get(line)
         if e is None:
             return
-        e.sharers.discard(site)
+        e.sharer_mask &= ~(1 << site)
         if e.owner == site:
             e.owner = None
-            if e.sharers:
+            if e.sharer_mask:
                 e.state = LineState.SHARED
             else:
                 e.state = LineState.INVALID
-        elif not e.sharers and e.owner is None:
+        elif not e.sharer_mask and e.owner is None:
             e.state = LineState.INVALID
 
     # -- invariants (used by property tests) ---------------------------------

@@ -1,5 +1,8 @@
 """Tests for coherence operation records and message plans."""
 
+import dataclasses
+import pickle
+
 import pytest
 
 from repro.cpu.coherence import (
@@ -32,6 +35,22 @@ class TestValidation:
     def test_self_owner_rejected(self):
         with pytest.raises(ValueError):
             op(OpKind.GET_S, requester=0, owner=0)
+
+
+class TestRecord:
+    def test_frozen(self):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            op(OpKind.GET_M).owner = 3
+
+    def test_pickle_round_trip(self):
+        # traces cross process boundaries pickled (a pooled trace build)
+        original = CoherenceOp(core=9, gap_cycles=5, kind=OpKind.GET_M,
+                               requester=1, home=2, owner=3,
+                               sharers=(4, 6), line=0x1C0)
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(original, protocol))
+            assert copy == original
+            assert repr(copy) == repr(original)
 
 
 class TestGetS:

@@ -3,8 +3,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cpu.coherence import LineState
-from repro.cpu.directory import Directory
+from repro.cpu.coherence import CoherenceOp, LineState, OpKind
+from repro.cpu.directory import Directory, DirectoryEntry
 
 
 @pytest.fixture
@@ -148,7 +148,28 @@ def test_write_after_reads_invalidates_every_other_sharer(readers):
     writer = readers[0]
     expected = set(readers) - {writer}
     out = d.write(line, writer)
+    # ascending site order: it becomes the op's sharers and so the order
+    # of the replay's invalidation messages
+    assert list(out.invalidated) == sorted(set(out.invalidated))
     covered = set(out.invalidated)
     if out.owner is not None:
         covered.add(out.owner)
     assert covered == expected
+
+
+def test_sharers_view_is_read_only(directory):
+    directory.read(LINE, 1)
+    directory.read(LINE, 6)
+    e = directory.peek(LINE)
+    assert e.sharers == frozenset({1, 6})
+    with pytest.raises(AttributeError):
+        e.sharers = {2}
+
+
+def test_per_line_records_have_no_instance_dict():
+    """Entries and ops are held per touched line and per op for a whole
+    trace build, so neither may grow a per-instance ``__dict__``."""
+    op = CoherenceOp(core=0, gap_cycles=1, kind=OpKind.GET_S, requester=0,
+                     home=1)
+    for record in (op, DirectoryEntry()):
+        assert not hasattr(record, "__dict__"), type(record).__name__
