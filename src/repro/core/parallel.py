@@ -24,8 +24,8 @@ that shards such grids across worker processes:
   per process, keyed by config fingerprint and reset between uses, so an
   entire sweep reuses one network instead of re-creating channels and
   derived tables per load point (see ``repro.core.sweep``).
-  The registry is LRU-bounded (:func:`set_context_cache_limit`) so
-  long-lived workers never grow it without limit.
+  The registry is LRU-bounded (``CONTEXT_CACHE_LIMIT``) so long-lived
+  workers never grow it without limit.
 
 Determinism contract
 --------------------
@@ -73,11 +73,9 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 __all__ = [
     "available_cpus",
     "clear_contexts",
-    "context_cache_limit",
     "derive_seed",
     "get_context",
     "resolve_workers",
-    "set_context_cache_limit",
     "Shard",
     "ShardError",
     "ShardExecutionError",
@@ -485,32 +483,10 @@ class SimContext:
 #: up inside the shard body).
 _CONTEXTS: "OrderedDict[Any, SimContext]" = OrderedDict()
 
-#: default cap on cached warm contexts per process: a full Figure 6 run
-#: needs one per (network, window) pair — six networks a few windows
-#: deep fit comfortably; eviction only costs a construction on next use
-DEFAULT_CONTEXT_CACHE_LIMIT = 32
-_context_cache_limit = DEFAULT_CONTEXT_CACHE_LIMIT
-
-
-def context_cache_limit() -> int:
-    """Current LRU cap on the per-process warm-context registry."""
-    return _context_cache_limit
-
-
-def set_context_cache_limit(limit: int) -> int:
-    """Set the warm-context LRU cap (>= 1); evicts least-recently-used
-    entries immediately if the registry is over the new cap.  Returns
-    the previous limit so tests/benchmarks can restore it."""
-    global _context_cache_limit
-    limit = int(limit)
-    if limit < 1:
-        raise ValueError("context cache limit must be >= 1, got %r"
-                         % (limit,))
-    previous = _context_cache_limit
-    _context_cache_limit = limit
-    while len(_CONTEXTS) > _context_cache_limit:
-        _CONTEXTS.popitem(last=False)
-    return previous
+#: cap on cached warm contexts per process: a full Figure 6 run needs
+#: one per (network, window) pair — six networks a few windows deep fit
+#: comfortably; eviction only costs a construction on next use
+CONTEXT_CACHE_LIMIT = 32
 
 
 def _context_key(network_name: str, config: Any, warmup_ps: int,
@@ -530,7 +506,7 @@ def get_context(network_name: str, config: Any, warmup_ps: int,
     First use constructs (fresh by definition); every later use resets
     the cached instance, which the reset protocol guarantees is
     indistinguishable from fresh construction.  The registry is
-    LRU-bounded (:func:`set_context_cache_limit`): evicting a context
+    LRU-bounded (``CONTEXT_CACHE_LIMIT``): evicting a context
     never affects results — only whether the next use pays construction.
     """
     key = _context_key(network_name, config, warmup_ps, network_kwargs)
@@ -538,7 +514,7 @@ def get_context(network_name: str, config: Any, warmup_ps: int,
     if ctx is None:
         ctx = SimContext(network_name, config, warmup_ps, network_kwargs)
         _CONTEXTS[key] = ctx
-        while len(_CONTEXTS) > _context_cache_limit:
+        while len(_CONTEXTS) > CONTEXT_CACHE_LIMIT:
             _CONTEXTS.popitem(last=False)
     else:
         _CONTEXTS.move_to_end(key)

@@ -115,33 +115,12 @@ class _DrawBank:
 #: combinations must not keep them all.
 _DRAW_BANKS: "OrderedDict[Any, _DrawBank]" = OrderedDict()
 
-#: default cap on cached draw banks per process: one bank serves every
-#: network and every load point of a sweep, so even a multi-pattern
-#: figure needs only a handful live at once
-DEFAULT_DRAW_BANK_CACHE_LIMIT = 8
-_draw_bank_cache_limit = DEFAULT_DRAW_BANK_CACHE_LIMIT
-
-
-def draw_bank_cache_limit() -> int:
-    """Current LRU cap on the per-process draw-bank registry."""
-    return _draw_bank_cache_limit
-
-
-def set_draw_bank_cache_limit(limit: int) -> int:
-    """Set the draw-bank LRU cap (>= 1); evicts least-recently-used
-    banks immediately if over the new cap.  Returns the previous limit.
-    Eviction never affects results — a rebuilt bank replays the same
-    derived streams — only whether the next sweep pays the draws again."""
-    global _draw_bank_cache_limit
-    limit = int(limit)
-    if limit < 1:
-        raise ValueError("draw-bank cache limit must be >= 1, got %r"
-                         % (limit,))
-    previous = _draw_bank_cache_limit
-    _draw_bank_cache_limit = limit
-    while len(_DRAW_BANKS) > _draw_bank_cache_limit:
-        _DRAW_BANKS.popitem(last=False)
-    return previous
+#: cap on cached draw banks per process: one bank serves every network
+#: and every load point of a sweep, so even a multi-pattern figure needs
+#: only a handful live at once.  Eviction never affects results — a
+#: rebuilt bank replays the same derived streams — only whether the next
+#: load point pays the draws again
+DRAW_BANK_CACHE_LIMIT = 8
 
 
 def _get_draw_bank(pattern: TrafficPattern, seed: int,
@@ -155,7 +134,7 @@ def _get_draw_bank(pattern: TrafficPattern, seed: int,
     if bank is None:
         bank = _DrawBank(pattern, seed, num_sites)
         _DRAW_BANKS[key] = bank
-        while len(_DRAW_BANKS) > _draw_bank_cache_limit:
+        while len(_DRAW_BANKS) > DRAW_BANK_CACHE_LIMIT:
             _DRAW_BANKS.popitem(last=False)
     else:
         _DRAW_BANKS.move_to_end(key)
@@ -196,30 +175,6 @@ def _draw_schedules(bank: _DrawBank, mean_gap_ps: int,
                             mean_gap_ps)
                  for unit in bank._unit]
     return site_gaps, bank._dsts
-
-
-def _prewarm_draw_bank(config: MacrochipConfig, pattern: TrafficPattern,
-                       fractions: List[float], window_ns: float,
-                       kwargs: dict) -> None:
-    """Draw every load point of a serial sweep in one bank pass.
-
-    All of a sweep's load points share one :class:`_DrawBank`, so
-    extending it once to the *deepest* point's packet count replaces
-    the per-point incremental extensions with a single pass.  Results
-    are unchanged by construction (see :meth:`_DrawBank.extend`).
-    """
-    f_max = max(fractions)
-    packet_bytes = kwargs.get("packet_bytes", 64)
-    try:
-        _check_load_point_args(f_max, window_ns, packet_bytes=packet_bytes)
-    except ValueError:
-        return  # run_load_point raises the proper error per point
-    seed = kwargs.get("seed", 12345)
-    mean_gap_ps = serialization_ps(
-        packet_bytes, f_max * config.site_bandwidth_gb_per_s)
-    inject_window_ps = int(window_ns * 1000)
-    packets_per_site = max(1, inject_window_ps // mean_gap_ps)
-    _get_draw_bank(pattern, seed, config.num_sites).extend(packets_per_site)
 
 
 def _check_load_point_args(offered_fraction: float, window_ns: float,
@@ -402,8 +357,10 @@ def run_load_point(network_name: str,
         if nxt < packets_per_site:
             sim.schedule(site_gaps[site][nxt], again, site, nxt, again)
 
-    sim.at_many((site_gaps[site][0], injector, (site, 0, injector))
-                for site in range(config.num_sites))
+    # one ``at`` per site, in site order: the first injections take seq
+    # 0..num_sites-1, which InjectionOrder.site_seq assumes
+    for site in range(config.num_sites):
+        sim.at(site_gaps[site][0], injector, site, 0, injector)
 
     events = sim.run(until_ps=horizon)
     stop_reason = "horizon" if sim.pending() else "drained"
@@ -482,9 +439,7 @@ def sweep(network_name: str,
     Every load point after the first reuses the reset (simulator,
     network) context and the interned draw bank
     instead of rebuilding them — bit-identical results, less
-    wall-clock.  A serial sweep also draws all its load points'
-    schedules in one bank pass up front (:func:`_prewarm_draw_bank`).
-    ``pool`` lends a persistent
+    wall-clock.  ``pool`` lends a persistent
     :class:`~repro.core.parallel.WorkerPool` so consecutive sweeps reuse
     worker processes (and their warm contexts) instead of re-spawning.
 
@@ -500,8 +455,6 @@ def sweep(network_name: str,
     reaches every load point) routes each point through the numpy
     fast path — bit-identical results, see :mod:`repro.core.vectorized`.
     """
-    if workers == 1 and fractions:
-        _prewarm_draw_bank(config, pattern, fractions, window_ns, kwargs)
     if kwargs.get("backend") == "vectorized":
         # import numpy before a pool forks, so the workers share it
         from .vectorized import have_numpy

@@ -14,7 +14,8 @@ Design constraints:
 * **Zero cost when disabled.**  Networks hold ``tracer = None`` by
   default and guard every emission with ``if tracer is not None`` — an
   attribute test, no call, no allocation.  The acceptance bar is < 3%
-  regression on an untraced ``bench_runner`` load point.
+  regression on the untraced load points of perfbench's ``fig6_python``
+  workload.
 * **Deterministic.**  Records are plain tuples of ints and interned
   strings; two identical runs produce identical streams.  Because packet
   ids come from a process-global counter, :meth:`TraceRecorder.

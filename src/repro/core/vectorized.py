@@ -213,10 +213,10 @@ class InjectionOrder(NamedTuple):
     """:func:`injection_order`'s stream: the flat indices ``site*pps +
     idx`` and times of the in-horizon injections (int64 arrays), their
     count, whether any injection fell past the horizon, and per site
-    the ``seq`` the engine stamped on its next injection — ``at_many``
-    stamps the first ones ``0..num_sites-1``, so the first free ``seq``
-    is ``num_sites``.  A kernel restamps a site as each of its
-    injections dispatches and pushes the next."""
+    the ``seq`` the engine stamped on its next injection —
+    ``run_load_point`` stamps the first ones ``0..num_sites-1``, so the
+    first free ``seq`` is ``num_sites``.  A kernel restamps a site as
+    each of its injections dispatches and pushes the next."""
 
     j: Any
     t: Any
@@ -292,9 +292,9 @@ def _dispatches_first(x, y, site_times: List[List[int]], pps: int) -> bool:
     protocol event the tuple ``(time, parent, push_index)``.  The
     engine stamps ``seq`` when an event is pushed, that is while its
     parent dispatches, so ``(time, seq)`` sorts exactly like ``(time,
-    key(parent), push_index)``.  ``at_many`` stamped every site's first
-    injection, in site order, before anything ran: its key is ``(time,
-    (), site)``.  Walk both parent chains back until the parents' times
+    key(parent), push_index)``.  ``run_load_point`` stamped every site's
+    first injection, in site order, before anything ran: its key is
+    ``(time, (), site)``.  Walk both parent chains back until the parents' times
     differ, the parents meet or both are injections.  An injection is
     pushed by its site's previous injection, at index 1 (after the
     event that injection's routing pushed, at 0), so two injections'

@@ -113,8 +113,9 @@ def run_figure6(config: MacrochipConfig = None,
 
     ``backend="vectorized"`` routes every load point through the numpy
     fast path (:mod:`repro.core.vectorized`) — bit-identical curves,
-    scalar fallback where a network has no kernel (HERMES) or numpy is
-    missing.  ``"python"`` (default) is the exact scalar event loop.
+    every network (HERMES included) has a kernel, and the scalar engine
+    runs instead only where numpy is missing.  ``"python"`` (default) is
+    the exact scalar event loop.
     """
     cfg = config or scaled_config()
     result = Figure6Result(window_ns=window_ns)

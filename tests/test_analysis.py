@@ -34,6 +34,7 @@ class TestTable5:
         # Table 5 values (Circuit-Switched differs slightly: we use the
         # honest 31 x 0.5 dB = 15.5 dB where the paper rounds to ~30x)
         assert rows["Point-to-Point"].laser_power_w == pytest.approx(8.2, abs=0.1)
+        assert round(rows["Point-to-Point"].laser_power_w, 1) == 8.2
         assert rows["Token-Ring"].laser_power_w == pytest.approx(155, abs=2)
         assert rows["Two-Phase Data"].laser_power_w == pytest.approx(41, abs=1)
         assert rows["Two-Phase Data (ALT)"].laser_power_w == pytest.approx(65.5, abs=1)

@@ -96,6 +96,19 @@ def test_events_scheduled_during_run_are_dispatched(sim):
     assert fired == [0, 1, 2, 3, 4, 5]
 
 
+def test_long_self_rescheduling_chain(sim):
+    """A 10,000-deep chain of events each scheduling the next, 10 ps
+    apart: every link fires and the clock ends on the last one."""
+
+    def tick(n):
+        if n:
+            sim.schedule(10, tick, n - 1)
+
+    sim.at(0, tick, 10_000)
+    assert sim.run() == 10_001
+    assert sim.now == 100_000
+
+
 def test_run_returns_dispatch_count(sim):
     for i in range(7):
         sim.at(i, lambda: None)
@@ -197,6 +210,55 @@ def test_dispatch_counts_accumulate_across_resumed_runs(sim):
     assert sim.run() == 2
 
 
+@given(st.lists(st.tuples(st.integers(min_value=0, max_value=6),
+                          st.lists(st.integers(min_value=0, max_value=3),
+                                   max_size=2)),
+                min_size=1, max_size=25),
+       st.lists(st.integers(min_value=0, max_value=20), max_size=6))
+def test_resumed_runs_dispatch_like_one_run(plan, horizons):
+    """``run(t1); ...; run(tN); run()`` dispatches exactly the events of
+    one ``run()``, in the same order, for any horizons — ascending or
+    not, on or between event times.  The tiny time range forces heavy
+    ties, and callbacks schedule more events (some at delay 0, i.e. at
+    the current time), so an event popped past a horizon is often tied
+    with events scheduled after it and must go back to the queue
+    unchanged."""
+
+    def play(slices):
+        sim = Simulator()
+        fired = []
+        scheduled = [len(plan)]
+
+        def fire(tag, delays, depth):
+            fired.append((sim.now, tag))
+            if depth < 2:
+                for k, delay in enumerate(delays):
+                    sim.schedule(delay, fire, tag + (k,), delays, depth + 1)
+                    scheduled[0] += 1
+
+        for idx, (t, delays) in enumerate(plan):
+            sim.at(t, fire, (idx,), delays, 0)
+        cuts = []
+        for horizon in slices:
+            sim.run(until_ps=horizon)
+            cuts.append((len(fired), sim.now, sim.pending(),
+                         scheduled[0] - len(fired)))
+        sim.run()
+        assert sim.pending() == 0
+        return fired, cuts
+
+    reference, _ = play([])
+    fired, cuts = play(horizons)
+    assert fired == reference
+    reached = 0
+    for horizon, (count, now, pending, expected) in zip(horizons, cuts):
+        reached = max(reached, horizon)
+        # every event at or before the furthest horizon so far, no other
+        assert count == sum(1 for t, _ in reference if t <= reached)
+        assert now == reached
+        assert pending == expected
+
+
 # -- determinism properties (the trace layer leans on these) -----------------
 
 @given(st.lists(st.integers(min_value=0, max_value=5), min_size=2,
@@ -291,80 +353,6 @@ def test_trace_fires_before_a_raising_callback(sim):
     with pytest.raises(RuntimeError):
         sim.run()
     assert traced == [7]  # the failing event was traced before dispatch
-
-
-# -- at_many (bulk scheduling) ------------------------------------------------
-# at_many is the engine's bulk-scheduling entry point; it must be
-# observationally identical to the equivalent sequence of at() calls.
-
-def test_at_many_dispatch_matches_sequential_at():
-    plan = [(30, "c"), (10, "a"), (10, "b"), (20, "x"), (0, "zero")]
-
-    def run_with_at():
-        sim = Simulator()
-        fired = []
-        for t, tag in plan:
-            sim.at(t, fired.append, tag)
-        sim.run()
-        return fired
-
-    def run_with_at_many():
-        sim = Simulator()
-        fired = []
-        count = sim.at_many((t, fired.append, (tag,)) for t, tag in plan)
-        assert count == len(plan)
-        sim.run()
-        return fired
-
-    assert run_with_at() == run_with_at_many()
-
-
-def test_at_many_interleaved_with_at_preserves_tie_order(sim):
-    """Ties at equal timestamps break by scheduling order regardless of
-    which API scheduled them — at, at_many, at again."""
-    fired = []
-    sim.at(50, fired.append, "a")
-    sim.at_many([(50, fired.append, ("b",)), (50, fired.append, ("c",)),
-                 (10, fired.append, ("early",))])
-    sim.at(50, fired.append, "d")
-    sim.at_many([(50, fired.append, ("e",))])
-    sim.run()
-    assert fired == ["early", "a", "b", "c", "d", "e"]
-
-
-def test_at_many_from_inside_a_callback(sim):
-    """Bulk scheduling during dispatch (the sweep's initial injections
-    happen before run(), but nothing forbids mid-run bulk adds)."""
-    fired = []
-
-    def seed_more():
-        sim.at_many([(sim.now + 5, fired.append, (tag,))
-                     for tag in ("x", "y")])
-
-    sim.at(10, seed_more)
-    sim.at(15, fired.append, "plain")
-    sim.run()
-    # same-time tie: "plain" (seq 1) precedes the mid-run adds
-    assert fired == ["plain", "x", "y"]
-
-
-def test_at_many_rejects_past_times(sim):
-    sim.at(100, lambda: None)
-    sim.run()
-    with pytest.raises(SimulationError):
-        sim.at_many([(50, lambda: None, ())])
-
-
-def test_at_many_empty_is_noop(sim):
-    assert sim.at_many([]) == 0
-    assert sim.pending() == 0
-
-
-def test_at_many_counts_in_pending(sim):
-    sim.at_many([(i, lambda: None, ()) for i in range(5)])
-    sim.at(10, lambda: None)
-    assert sim.pending() == 6
-    assert sim.run() == 6
 
 
 # -- trace hook attached or detached mid-run ----------------------------------

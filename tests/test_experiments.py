@@ -36,6 +36,8 @@ class TestTableTexts:
         text = table1_text()
         for name in ["Modulator", "OPxC", "Drop Filter", "Receiver"]:
             assert name in text
+        assert "35 fJ/bit" in text
+        assert "4 dB" in text
 
     def test_table4_values(self):
         text = table4_text()

@@ -188,35 +188,6 @@ def test_traced_engine_loop_matches_fast_loop(network):
     assert fast == traced
 
 
-@pytest.mark.parametrize("network", NETWORKS)
-def test_at_many_injection_matches_sequential_at(network):
-    """Bulk-scheduling a network's initial injections via at_many must
-    deliver the same packets at the same times as sequential at()."""
-    traffic = random_traffic(77, CFG.num_sites, n_packets=100)
-
-    def one_run(bulk: bool):
-        sim = Simulator()
-        net = build_network(network, CFG, sim)
-        delivered = []
-        net.set_sink(lambda p: delivered.append(
-            (p.pid is not None, p.src, p.dst, p.size_bytes, p.t_deliver)))
-        packets = [Packet(src, dst, size)
-                   for _, src, dst, size in traffic]
-        if bulk:
-            sim.at_many((delay, net.inject, (pkt,))
-                        for (delay, _, _, _), pkt in zip(traffic, packets))
-        else:
-            for (delay, _, _, _), pkt in zip(traffic, packets):
-                sim.at(delay, net.inject, pkt)
-        events = sim.run()
-        return delivered, events, net.stats.delivered_packets
-
-    sequential = one_run(bulk=False)
-    bulk = one_run(bulk=True)
-    assert sequential == bulk
-    assert sequential[2] == len(traffic)
-
-
 # -- vectorized numpy backend -------------------------------------------------
 #
 # The vectorized backend is opt-in (``backend="vectorized"``) and must be

@@ -25,6 +25,13 @@ class TestChannel:
         assert t2 == 25600
         assert ch.busy_ps == 25600
 
+    def test_busy_time_accumulates_over_many_sends(self, sim):
+        ch = Channel(sim, 5.0, 100)
+        for _ in range(5000):
+            ch.send(Packet(0, 1, 64), lambda p: None)
+        sim.run()
+        assert ch.busy_ps == 5000 * 12800
+
     def test_queue_delay(self, sim):
         ch = Channel(sim, 5.0, 0)
         assert ch.queue_delay_ps() == 0

@@ -9,6 +9,14 @@ the reproduction contract spelled out in DESIGN.md.
 import pytest
 
 from repro.core.sweep import run_load_point
+from repro.experiments.evaluation import run_suite
+from repro.experiments.figure6 import run_figure6
+from repro.experiments.figures7_10 import (
+    figure7_speedups,
+    figure8_latencies,
+    figure9_router_fractions,
+    figure10_edp,
+)
 from repro.macrochip.config import scaled_config
 from repro.workloads.replay import replay
 from repro.workloads.sharing import mix_by_name
@@ -94,6 +102,58 @@ class TestFigure6Claims:
                 or p2p.saturated)
 
 
+#: thinned Figure 6 load grids, three loads per panel
+FIGURE6_GRIDS = {
+    "uniform": [0.05, 0.40, 0.90],
+    "transpose": [0.005, 0.015, 0.05],
+    "neighbor": [0.04, 0.12, 0.24],
+    "butterfly": [0.005, 0.015, 0.05],
+}
+
+
+@pytest.fixture(scope="module")
+def figure6_sustained():
+    """Sustained fraction of peak per panel and network: the whole
+    Figure 6 pipeline (all four panels, five networks) at a 150 ns
+    window on the thinned grids.  Two workers only save time: results
+    are bit-identical to a serial run."""
+    result = run_figure6(CFG, window_ns=150.0, load_grids=FIGURE6_GRIDS,
+                         workers=2)
+    return {pattern: {net: max(p.delivered_fraction for p in points)
+                      for net, points in curves.items()}
+            for pattern, curves in result.curves.items()}
+
+
+class TestFigure6Panels:
+    """Each Figure 6 panel's headline property from section 6.1, read
+    off one run_figure6 pass."""
+
+    def test_uniform(self, figure6_sustained):
+        sust = figure6_sustained["uniform"]
+        assert sust["point_to_point"] > sust["limited_point_to_point"]
+        assert sust["point_to_point"] > 0.6
+        assert sust["two_phase"] < sust["token_ring"]
+        assert sust["circuit_switched"] < 0.05
+
+    def test_transpose(self, figure6_sustained):
+        sust = figure6_sustained["transpose"]
+        # the P2P channel caps at 5 GB/s per site (~1.56% of peak) and
+        # the token ring falls below it
+        assert sust["point_to_point"] < 0.02
+        assert sust["token_ring"] < sust["point_to_point"]
+
+    def test_neighbor(self, figure6_sustained):
+        sust = figure6_sustained["neighbor"]
+        # nearest-neighbor maps onto the limited P2P's direct links
+        assert sust["limited_point_to_point"] == max(sust.values())
+
+    def test_butterfly(self, figure6_sustained):
+        sust = figure6_sustained["butterfly"]
+        # half the butterfly traffic is intra-site loopback; the optical
+        # networks only carry the moving half
+        assert sust["token_ring"] < sust["point_to_point"]
+
+
 def _make_trace(pattern_key, mix="LS", ops=15, name="t"):
     spec = SyntheticCoherenceSpec(name, ops_per_core=ops)
     return generate_synthetic_trace(
@@ -146,3 +206,43 @@ class TestBenchmarkClaims:
         trace = _make_trace("uniform")
         r = replay(trace, "point_to_point", CFG)
         assert r.mean_op_latency_ns < 100.0
+
+
+@pytest.fixture(scope="module")
+def smoke_suite():
+    """One smoke-preset closed-loop campaign on the 8x8 configuration:
+    an application kernel (CPU-simulated trace) and two synthetics, on
+    every Figure 7 network (two workers, bit-identical to serial)."""
+    return run_suite("smoke", config=CFG,
+                     workloads=["Radix", "All-to-all", "Neighbor"],
+                     workers=2)
+
+
+class TestFigures7To10Claims:
+    """Each figure's headline claim from section 6.2, derived from one
+    campaign the way Figures 7-10 share one in the paper."""
+
+    def test_figure7_p2p_beats_circuit_switched(self, smoke_suite):
+        for workload, by_net in figure7_speedups(smoke_suite).items():
+            assert by_net["circuit_switched"] == 1.0
+            assert by_net["point_to_point"] > 1.0, workload
+
+    def test_figure8_latency_per_op(self, smoke_suite):
+        latencies = figure8_latencies(smoke_suite)["All-to-all"]
+        # paper: P2P latency per coherence op <= ~100 ns on synthetics
+        assert latencies["point_to_point"] < 100.0
+        # the circuit-switched torus pays its multi-hop path setup
+        assert latencies["circuit_switched"] > 2 * latencies["point_to_point"]
+
+    def test_figure9_router_energy(self, smoke_suite):
+        fractions = figure9_router_fractions(smoke_suite)
+        # forwarding-free neighbor traffic uses almost no router energy;
+        # all-to-all forwards ~75% of packets and pays the most
+        assert fractions["Neighbor"] < fractions["All-to-all"]
+
+    def test_figure10_edp(self, smoke_suite):
+        for workload, by_net in figure10_edp(smoke_suite).items():
+            assert by_net["point_to_point"] == 1.0
+            # paper: arbitrated/circuit-switched networks are 10-100x worse
+            assert by_net["token_ring"] > 5.0, workload
+            assert by_net["circuit_switched"] > 5.0, workload

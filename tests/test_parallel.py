@@ -1,6 +1,7 @@
 """Tests for the parallel shard runner and seed derivation
 (:mod:`repro.core.parallel`)."""
 
+import importlib
 import os
 
 import pytest
@@ -16,7 +17,7 @@ from repro.core.parallel import (
     run_sharded,
 )
 from repro.core.sweep import run_load_point, sweep
-from repro.macrochip.config import small_test_config
+from repro.macrochip.config import scaled_config, small_test_config
 from repro.workloads.synthetic import UniformTraffic
 
 
@@ -84,22 +85,6 @@ def test_available_cpus_when_getaffinity_fails(monkeypatch):
     monkeypatch.setattr(os, "sched_getaffinity", broken, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert available_cpus() == 3
-
-
-def test_bench_runner_cpus_delegates(monkeypatch):
-    """benchmarks/bench_runner._cpus must survive the same failure path
-    (it used to duplicate the try/except inline)."""
-    import importlib.util
-
-    path = os.path.join(os.path.dirname(__file__), os.pardir,
-                        "benchmarks", "bench_runner.py")
-    spec = importlib.util.spec_from_file_location("_bench_runner_under_test",
-                                                  path)
-    mod = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mod)
-    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 5)
-    assert mod._cpus() == 5
 
 
 # -- run_sharded --------------------------------------------------------------
@@ -224,82 +209,59 @@ def test_cost_key_never_changes_results():
 
 # -- LRU-bounded per-process registries ---------------------------------------
 
-def test_context_cache_lru_cap():
-    from repro.core.parallel import (_CONTEXTS, clear_contexts,
-                                     context_cache_limit, get_context,
-                                     set_context_cache_limit)
+def test_context_cache_lru_cap(monkeypatch):
+    from repro.core import parallel
+    from repro.core.parallel import _CONTEXTS, clear_contexts, get_context
 
     clear_contexts()
-    previous = set_context_cache_limit(2)
+    monkeypatch.setattr(parallel, "CONTEXT_CACHE_LIMIT", 2)
     try:
         c100 = get_context("point_to_point", CFG, warmup_ps=100)
         get_context("point_to_point", CFG, warmup_ps=200)
         get_context("point_to_point", CFG, warmup_ps=100)  # touch: now MRU
         get_context("point_to_point", CFG, warmup_ps=300)  # evicts 200
         assert len(_CONTEXTS) == 2
-        assert context_cache_limit() == 2
         # the touched context survived; the LRU one was evicted
         assert get_context("point_to_point", CFG, warmup_ps=100) is c100
         rebuilt = get_context("point_to_point", CFG, warmup_ps=200)
         assert rebuilt.uses == 1  # fresh construction, not a cache hit
-        with pytest.raises(ValueError, match="limit"):
-            set_context_cache_limit(0)
     finally:
-        set_context_cache_limit(previous)
         clear_contexts()
 
 
-def test_lowering_context_cache_limit_evicts_immediately():
-    from repro.core.parallel import (_CONTEXTS, clear_contexts,
-                                     get_context, set_context_cache_limit)
+def test_draw_bank_cache_lru_cap(monkeypatch):
+    from repro.core.sweep import _DRAW_BANKS, _get_draw_bank, clear_draw_banks
 
-    clear_contexts()
-    previous = set_context_cache_limit(8)
-    try:
-        for warmup in (100, 200, 300):
-            get_context("point_to_point", CFG, warmup_ps=warmup)
-        set_context_cache_limit(1)
-        assert len(_CONTEXTS) == 1
-    finally:
-        set_context_cache_limit(previous)
-        clear_contexts()
-
-
-def test_draw_bank_cache_lru_cap():
-    from repro.core.sweep import (_DRAW_BANKS, _get_draw_bank,
-                                  clear_draw_banks, draw_bank_cache_limit,
-                                  set_draw_bank_cache_limit)
-
+    # the package exports the sweep() function under the module's name
+    sweep_module = importlib.import_module("repro.core.sweep")
     pattern = UniformTraffic(CFG.layout)
     clear_draw_banks()
-    previous = set_draw_bank_cache_limit(2)
+    monkeypatch.setattr(sweep_module, "DRAW_BANK_CACHE_LIMIT", 2)
     try:
         bank1 = _get_draw_bank(pattern, 1, CFG.num_sites)
         bank2 = _get_draw_bank(pattern, 2, CFG.num_sites)
         _get_draw_bank(pattern, 1, CFG.num_sites)  # touch: seed 1 is MRU
         _get_draw_bank(pattern, 3, CFG.num_sites)  # evicts seed 2
         assert len(_DRAW_BANKS) == 2
-        assert draw_bank_cache_limit() == 2
         assert _get_draw_bank(pattern, 1, CFG.num_sites) is bank1
         assert _get_draw_bank(pattern, 2, CFG.num_sites) is not bank2
-        with pytest.raises(ValueError, match="limit"):
-            set_draw_bank_cache_limit(-1)
     finally:
-        set_draw_bank_cache_limit(previous)
         clear_draw_banks()
 
 
-def test_lru_eviction_never_changes_results():
+def test_lru_eviction_never_changes_results(monkeypatch):
     """Warm results under a cap of 1 (maximum eviction churn across
     alternating seeds) must equal cold construction exactly."""
-    from repro.core.parallel import (clear_contexts, set_context_cache_limit)
-    from repro.core.sweep import clear_draw_banks, set_draw_bank_cache_limit
+    from repro.core import parallel
+    from repro.core.parallel import clear_contexts
+    from repro.core.sweep import clear_draw_banks
 
+    sweep_module = importlib.import_module("repro.core.sweep")
     pattern = UniformTraffic(CFG.layout)
     clear_contexts()
     clear_draw_banks()
-    prev_ctx = set_context_cache_limit(1)
-    prev_bank = set_draw_bank_cache_limit(1)
+    monkeypatch.setattr(parallel, "CONTEXT_CACHE_LIMIT", 1)
+    monkeypatch.setattr(sweep_module, "DRAW_BANK_CACHE_LIMIT", 1)
     try:
         cold = [run_load_point(net, CFG, pattern, 0.05, window_ns=100.0,
                                seed=seed, warm=False)
@@ -311,8 +273,6 @@ def test_lru_eviction_never_changes_results():
                                                 "token_ring")]
         assert warm == cold
     finally:
-        set_context_cache_limit(prev_ctx)
-        set_draw_bank_cache_limit(prev_bank)
         clear_contexts()
         clear_draw_banks()
 
@@ -333,6 +293,45 @@ def test_load_point_results_bit_identical_serial_vs_parallel():
     assert serial.results == parallel.results  # dataclass field equality
     for a, b in zip(serial.results, parallel.results):
         assert repr(a) == repr(b)  # byte-identical rendering
+
+
+def _scaled_sweep_shards():
+    """An 8-point uniform sweep on the paper's 8x8 configuration: shards
+    large enough for a process pool to pay off."""
+    cfg = scaled_config()
+    pattern = UniformTraffic(cfg.layout)
+    return [Shard(run_load_point,
+                  args=("point_to_point", cfg, pattern, f),
+                  kwargs=dict(window_ns=120.0), label="@%.2f" % f)
+            for f in (0.02, 0.05, 0.10, 0.20, 0.40, 0.60, 0.80, 0.95)]
+
+
+def test_scaled_sweep_identical_on_4_workers_under_both_policies():
+    shards = _scaled_sweep_shards()
+    serial = run_sharded(shards, workers=1)
+    assert len(serial.results) == len(shards)
+    assert serial.mode == "serial"
+    run = run_sharded(shards, workers=4)
+    assert run.results == serial.results
+    # on_error='collect' on a clean run: same results, zero failures
+    collect = run_sharded(shards, workers=4, on_error="collect")
+    assert collect.results == serial.results
+    assert collect.ok and collect.failed == 0
+
+
+def test_4_workers_at_least_twice_as_fast():
+    """The speedup target on a real multi-core host."""
+    if available_cpus() < 4:
+        pytest.skip("needs >= 4 CPUs")
+    shards = _scaled_sweep_shards()
+    serial = run_sharded(shards, workers=1)
+    run = run_sharded(shards, workers=4)
+    assert run.results == serial.results
+    if run.mode == "serial":
+        pytest.skip("no process pool on this host")
+    assert run.wall_clock_s < serial.wall_clock_s / 2.0, (
+        "expected >=2x speedup on 4 workers, got %.2fx"
+        % (serial.wall_clock_s / run.wall_clock_s))
 
 
 def test_sweep_workers_param_matches_serial():

@@ -102,16 +102,16 @@ def test_simulator_reset_restores_fresh_state():
     assert sim.now == 3 and fired[-1] == "c"
 
 
-def test_simulator_reset_preserves_bulk_identity():
-    """reset() must clear the bulk tier in place — engine internals bind
-    it locally, so rebinding would desynchronize a reset simulator."""
+def test_simulator_reset_preserves_queue_identity():
+    """reset() must clear the queue in place — the run loop binds it
+    locally, so rebinding would desynchronize a reset simulator."""
     sim = Simulator()
-    bulk = sim._bulk
     queue = sim._queue
-    sim.at_many((t, (lambda: None), ()) for t in (5, 4, 3))
+    for t in (5, 4, 3):
+        sim.at(t, lambda: None)
     sim.reset()
-    assert sim._bulk is bulk and sim._queue is queue
-    assert not bulk and not queue
+    assert sim._queue is queue
+    assert not queue
 
 
 def test_network_stats_reset():
