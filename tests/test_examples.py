@@ -41,3 +41,23 @@ def test_example_imports_and_has_main(path):
 def test_example_mentions_run_instructions(path):
     text = path.read_text()
     assert "Run:" in text, "%s should document how to run it" % path.stem
+
+
+#: ``compare_networks.py transpose`` stdout, byte for byte: the example's
+#: loads, its 400 ns window and its knee rule pinned end to end
+COMPARE_NETWORKS_TRANSPOSE = """\
+Latency vs offered load [transpose], 64 B packets
+Network                 0.5% load  1.2% load  3.0% load  6.0% load  sustained
+----------------------  ---------  ---------  ---------  ---------  ---------
+Token Ring              11.5 ns    35.8 ns    112.3 ns   121.5 ns   1.1%
+Circuit-Switched        66.6 ns    65.2 ns    75.1 ns    97.2 ns    1.1%
+Point-to-Point          15.1 ns    27.4 ns    102.3 ns   124.5 ns   1.7%
+Limited Point-to-Point  17.7 ns    17.4 ns    17.5 ns    17.9 ns    5.7%
+2-Phase Arb.            5.8 ns     5.8 ns     6.0 ns     6.4 ns     5.6%
+"""
+
+
+def test_compare_networks_transpose_output_is_pinned(capsys):
+    module = _load(EXAMPLES_DIR / "compare_networks.py")
+    module.main("transpose")
+    assert capsys.readouterr().out == COMPARE_NETWORKS_TRANSPOSE
