@@ -12,9 +12,8 @@ import sys
 
 from repro import scaled_config
 from repro.analysis.tables import render_table
-from repro.core.sweep import sweep
-from repro.networks.factory import FIGURE6_NETWORKS, NETWORK_CLASSES
-from repro.workloads.synthetic import make_pattern
+from repro.experiments.figure6 import run_figure6
+from repro.networks.factory import NETWORK_CLASSES
 
 
 LOADS = {
@@ -26,22 +25,18 @@ LOADS = {
 
 
 def main(pattern_key: str) -> None:
-    config = scaled_config()
-    total_peak = config.num_sites * config.site_bandwidth_gb_per_s
     loads = LOADS[pattern_key]
+    result = run_figure6(scaled_config(), window_ns=400.0,
+                         patterns=[pattern_key],
+                         load_grids={pattern_key: loads},
+                         progress=lambda msg: print(msg, file=sys.stderr))
+    knees = {net: best for _, net, best in result.saturation_table()}
     rows = []
-    for net in FIGURE6_NETWORKS:
-        pattern = make_pattern(pattern_key, config.layout)
-        points = sweep(net, config, pattern, loads, window_ns=400.0)
-        best = max(p.delivered_fraction for p in points
-                   if not p.saturated) if any(
-            not p.saturated for p in points) else max(
-            p.delivered_fraction for p in points)
+    for net, points in result.curves[pattern_key].items():
         row = [NETWORK_CLASSES[net].name]
         row += ["%.1f ns" % p.mean_latency_ns for p in points]
-        row.append("%.1f%%" % (best * 100))
+        row.append("%.1f%%" % (knees[net] * 100))
         rows.append(row)
-        print(".. %s done" % net, file=sys.stderr)
     headers = ["Network"] + ["%.1f%% load" % (f * 100) for f in loads]
     headers.append("sustained")
     print(render_table(headers, rows,

@@ -9,13 +9,14 @@ evaluation.
 
 Quickstart::
 
-    from repro import Simulator, scaled_config, build_network
-    from repro.workloads.synthetic import UniformTraffic
+    from repro import scaled_config
     from repro.core.sweep import run_load_point
+    from repro.workloads.synthetic import UniformTraffic
 
     cfg = scaled_config()
-    result = run_load_point("point_to_point", cfg, UniformTraffic(seed=1),
-                            offered_fraction=0.10, packets=20_000)
+    result = run_load_point("point_to_point", cfg,
+                            UniformTraffic(cfg.layout, seed=1),
+                            offered_fraction=0.10, window_ns=200.0)
     print(result.mean_latency_ns, result.throughput_gb_per_s)
 """
 

@@ -39,10 +39,6 @@ class AreaEstimate:
     #: substrate area consumed by routing, cm^2
     routing_area_cm2: float
 
-    @property
-    def routing_fraction_of(self) -> float:  # pragma: no cover - alias
-        return self.routing_area_cm2
-
 
 def estimate_area(count: ComponentCount,
                   config: MacrochipConfig) -> AreaEstimate:

@@ -4,7 +4,7 @@ structured tracing, and invariant checking."""
 from .engine import SimulationError, Simulator
 from .invariants import InvariantMonitor, InvariantViolation, Violation, check_trace
 from .stats import EnergyAccount, LatencySample, NetworkStats, ThroughputMeter
-from .sweep import LoadPointResult, SweepPoint, run_load_point, sweep
+from .sweep import LoadPointResult, SweepPoint, run_load_point
 from .tracing import TraceEvent, TraceRecorder
 
 __all__ = [
@@ -15,7 +15,6 @@ __all__ = [
     "ThroughputMeter",
     "EnergyAccount",
     "run_load_point",
-    "sweep",
     "LoadPointResult",
     "SweepPoint",
     "TraceEvent",

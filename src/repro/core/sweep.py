@@ -1,12 +1,16 @@
-"""Open-loop load sweeps: the harness behind Figure 6.
+"""Open-loop load points: the harness behind Figure 6.
 
-Every site injects fixed-size packets (64 B cache lines) with exponential
+:func:`run_load_point` simulates one point of a latency-vs-load curve.
+Every site injects one-cache-line packets (64 B) with exponential
 inter-arrival times at a configured *offered load*, expressed as a
 fraction of the per-site peak of 320 bytes/ns, exactly the x-axis of
 Figure 6.  Injection runs for a fixed window; the simulation then drains
 (up to a bounded horizon, since a saturated network never finishes) and we
 report mean delivered latency and sustained throughput measured after a
-warmup interval.
+warmup interval.  The methodology is fixed (DESIGN.md F6): the module
+constants below set the warmup, the drain and the saturation verdict.
+Curves — a grid of load points over patterns and networks, sharded
+across workers — are :func:`repro.experiments.figure6.run_figure6`'s job.
 
 Saturation shows up exactly as in the paper: past the knee, throughput
 plateaus and latency grows with the measurement window (the vertical
@@ -23,8 +27,7 @@ from typing import Any, Callable, List, Optional, Tuple
 
 from collections import OrderedDict
 
-from .parallel import (Shard, ShardError, SimContext, WorkerPool,
-                       derive_seed, get_context, run_sharded)
+from .parallel import SimContext, derive_seed, get_context
 from .tracing import TraceRecorder
 from .units import serialization_ps
 from ..macrochip.config import MacrochipConfig
@@ -53,8 +56,20 @@ class LoadPointResult:
     #: still pending)
     stop_reason: str = "horizon"
     #: simulation clock when it ceased: always the horizon,
-    #: ``int(window_ns * 1000 * (1 + drain_factor))``
+    #: ``int(window_ns * 1000 * (1 + DRAIN_FACTOR))``
     stopped_at_ps: int = 0
+
+
+#: deliveries in the first quarter of the injection window are warmup:
+#: latency and throughput are measured over ``[warmup, window]`` only
+WARMUP_FRACTION = 0.25
+#: after injection stops, the run drains for up to this many more
+#: injection windows (a saturated network never finishes)
+DRAIN_FACTOR = 1.0
+#: a point is saturated when it delivers less than this fraction of what
+#: it injected by the end of the drain: 0.99 tolerates the <1% of packets
+#: legitimately in flight when a healthy run hits the drain horizon
+SATURATION_THRESHOLD = 0.99
 
 
 class _DrawBank:
@@ -178,10 +193,6 @@ def _draw_schedules(bank: _DrawBank, mean_gap_ps: int,
 
 
 def _check_load_point_args(offered_fraction: float, window_ns: float,
-                           packet_bytes: int = 64,
-                           warmup_fraction: float = 0.25,
-                           drain_factor: float = 1.0,
-                           saturation_threshold: float = 0.99,
                            rng_block: int = 256) -> None:
     """Raise ``ValueError`` naming the first out-of-range argument of
     :func:`run_load_point`.  The comparisons are written so that NaN
@@ -191,13 +202,6 @@ def _check_load_point_args(offered_fraction: float, window_ns: float,
          0.0 < offered_fraction <= 1.0, "positive and <= 1"),
         ("window_ns", window_ns,
          0.0 < window_ns < math.inf, "finite and positive"),
-        ("packet_bytes", packet_bytes, packet_bytes >= 1, ">= 1"),
-        ("warmup_fraction", warmup_fraction,
-         0.0 <= warmup_fraction < 1.0, "in [0, 1)"),
-        ("drain_factor", drain_factor,
-         0.0 <= drain_factor < math.inf, "finite and >= 0"),
-        ("saturation_threshold", saturation_threshold,
-         0.0 < saturation_threshold <= 1.0, "positive and <= 1"),
         ("rng_block", rng_block, rng_block >= 1, ">= 1"),
     )
     for name, value, ok, expected in checks:
@@ -219,26 +223,25 @@ def run_load_point(network_name: str,
                    pattern: TrafficPattern,
                    offered_fraction: float,
                    window_ns: float = 2000.0,
-                   packet_bytes: int = 64,
                    seed: int = 12345,
-                   drain_factor: float = 1.0,
-                   warmup_fraction: float = 0.25,
                    network_kwargs: Optional[dict] = None,
                    tracer: Optional[TraceRecorder] = None,
                    check_invariants: bool = False,
                    rng_block: int = 256,
-                   saturation_threshold: float = 0.99,
                    warm: bool = True,
                    backend: str = "python") -> LoadPointResult:
     """Simulate one point of a latency-vs-load curve.
 
     ``offered_fraction`` is per-site offered load as a fraction of the
-    320 bytes/ns site peak.  Every site injects Poisson traffic during a
-    fixed ``window_ns`` window; throughput and latency are measured for
-    deliveries inside ``[warmup, window]`` so the post-injection drain of
-    a saturated network cannot dilute the sustained rate.  The run then
-    drains for up to ``drain_factor`` extra windows (a saturated network
-    never finishes, which is the point).
+    320 bytes/ns site peak.  Every site injects Poisson traffic of
+    ``config.cache_line_bytes`` packets during a fixed ``window_ns``
+    window; throughput and latency are measured for deliveries inside
+    ``[warmup, window]`` (:data:`WARMUP_FRACTION`) so the post-injection
+    drain of a saturated network cannot dilute the sustained rate.  The
+    run then drains for up to :data:`DRAIN_FACTOR` extra windows (a
+    saturated network never finishes, which is the point), and the point
+    is saturated when it delivered less than :data:`SATURATION_THRESHOLD`
+    of what it injected.
 
     ``tracer`` attaches a :class:`~repro.core.tracing.TraceRecorder` to
     the network for the run; ``check_invariants=True`` additionally runs
@@ -246,23 +249,14 @@ def run_load_point(network_name: str,
     :class:`~repro.core.invariants.InvariantViolation` on a breach
     (conservation is checked in exactly-once form only — the bounded
     drain horizon legitimately leaves saturated runs with packets in
-    flight).  Both keywords pass through ``sweep(...)`` to every load
-    point of a curve.
+    flight).
 
     ``rng_block`` (>= 1) is validated but has no effect on the draws.
 
-    ``saturation_threshold`` defines the saturation verdict: a point is
-    saturated when it delivers less than this fraction of what it
-    injected by the end of the drain (0.99 by default, which tolerates
-    the <1% of packets legitimately in flight when a healthy run hits
-    the bounded drain horizon).
-
     Out-of-range arguments (``offered_fraction`` outside (0, 1],
-    ``window_ns`` not finite and positive, ``packet_bytes`` < 1,
-    ``warmup_fraction`` outside [0, 1), ``drain_factor`` < 0 or
-    infinite, ``saturation_threshold`` outside (0, 1], ``rng_block`` < 1,
-    or NaN anywhere) raise ``ValueError`` naming the argument before any
-    draw, on either backend.  A window so short that no site's first
+    ``window_ns`` not finite and positive, ``rng_block`` < 1, or NaN)
+    raise ``ValueError`` naming the argument before any draw, on either
+    backend.  A window so short that no site's first
     injection lands before the horizon raises ``ValueError`` too, naming
     the minimum window (one mean injection gap) for that load.
 
@@ -289,16 +283,15 @@ def run_load_point(network_name: str,
     if backend not in BACKENDS:
         raise ValueError("unknown backend %r; valid backends: %s"
                          % (backend, ", ".join(BACKENDS)))
-    _check_load_point_args(offered_fraction, window_ns, packet_bytes,
-                           warmup_fraction, drain_factor,
-                           saturation_threshold, rng_block)
+    _check_load_point_args(offered_fraction, window_ns, rng_block)
+    packet_bytes = config.cache_line_bytes
     site_peak = config.site_bandwidth_gb_per_s  # 320 GB/s = bytes/ns
     rate_gb_per_s = offered_fraction * site_peak
     mean_gap_ps = serialization_ps(packet_bytes, rate_gb_per_s)
     inject_window_ps = int(window_ns * 1000)
     packets_per_site = max(1, inject_window_ps // mean_gap_ps)
-    warmup_ps = int(inject_window_ps * warmup_fraction)
-    horizon = int(inject_window_ps * (1.0 + drain_factor))
+    warmup_ps = int(inject_window_ps * WARMUP_FRACTION)
+    horizon = int(inject_window_ps * (1.0 + DRAIN_FACTOR))
 
     if warm:
         ctx = get_context(network_name, config, warmup_ps,
@@ -321,15 +314,13 @@ def run_load_point(network_name: str,
 
         result = try_run_vectorized(
             ctx, pattern, offered_fraction,
-            packet_bytes=packet_bytes,
             inject_window_ps=inject_window_ps,
             packets_per_site=packets_per_site,
             horizon_ps=horizon,
             site_gaps=site_gaps,
             site_dsts=site_dsts,
             tracer=tracer,
-            check_invariants=check_invariants,
-            saturation_threshold=saturation_threshold)
+            check_invariants=check_invariants)
         if result is not None:
             return result
 
@@ -378,7 +369,7 @@ def run_load_point(network_name: str,
     stats = net.stats
     delivered = stats.delivered_packets
     injected = stats.injected_packets
-    saturated = delivered < injected * saturation_threshold
+    saturated = delivered < injected * SATURATION_THRESHOLD
     mean_lat = stats.latency.mean_ns if len(stats.latency) else float("nan")
     p99 = stats.latency.percentile_ns(99.0) if len(stats.latency) else float("nan")
     # measure over [warmup, last delivery]: an unsaturated network drains
@@ -413,70 +404,3 @@ def to_sweep_point(result: LoadPointResult,
         saturated=result.saturated,
     )
 
-
-def sweep(network_name: str,
-          config: MacrochipConfig,
-          pattern: TrafficPattern,
-          fractions: List[float],
-          window_ns: float = 2000.0,
-          workers: int = 1,
-          progress: Optional[Callable[[str], None]] = None,
-          pool: Optional[WorkerPool] = None,
-          on_error: str = "raise",
-          **kwargs) -> List[SweepPoint]:
-    """Run a list of load points and normalize throughput to total peak.
-
-    Load points are independent simulations, so with ``workers > 1`` they
-    are sharded across processes via :func:`repro.core.parallel.
-    run_sharded`; every point's RNG streams derive from its own arguments,
-    so results are bit-identical to the ``workers=1`` serial path.  High
-    loads inject (and queue) the most packets, so shards are submitted in
-    descending-load order — the run never serializes on a late-submitted
-    expensive tail.  Extra keywords (``saturation_threshold``,
-    ``check_invariants``, ...) pass through to every
-    :func:`run_load_point`.
-
-    Every load point after the first reuses the reset (simulator,
-    network) context and the interned draw bank
-    instead of rebuilding them — bit-identical results, less
-    wall-clock.  ``pool`` lends a persistent
-    :class:`~repro.core.parallel.WorkerPool` so consecutive sweeps reuse
-    worker processes (and their warm contexts) instead of re-spawning.
-
-    ``on_error`` is the per-shard failure policy of
-    :func:`~repro.core.parallel.run_sharded`.  Under ``'collect'`` a
-    load point that fails is *dropped from the returned curve* — the
-    surviving points keep their order — rather than aborting the sweep;
-    callers that need the structured
-    :class:`~repro.core.parallel.ShardError` records should drive
-    :func:`run_sharded` directly (as the figure drivers do).
-
-    ``backend="vectorized"`` (an extra keyword, like the others it
-    reaches every load point) routes each point through the numpy
-    fast path — bit-identical results, see :mod:`repro.core.vectorized`.
-    """
-    if kwargs.get("backend") == "vectorized":
-        # import numpy before a pool forks, so the workers share it
-        from .vectorized import have_numpy
-
-        have_numpy()
-    shards = [
-        Shard(run_load_point,
-              args=(network_name, config, pattern, f),
-              kwargs=dict(window_ns=window_ns, **kwargs),
-              label="%s/%s @%.3f" % (network_name, pattern.name, f))
-        for f in fractions
-    ]
-    run = run_sharded(shards, workers=workers, progress=progress,
-                      cost_key=lambda s: s.args[3], pool=pool,
-                      on_error=on_error)
-    return [to_sweep_point(r, config) for r in run.results
-            if not isinstance(r, ShardError)]
-
-
-def saturation_fraction(points: List[SweepPoint]) -> float:
-    """The highest delivered fraction observed over a sweep — the paper's
-    'sustained bandwidth, % of peak'."""
-    if not points:
-        raise ValueError("empty sweep")
-    return max(p.delivered_fraction for p in points)

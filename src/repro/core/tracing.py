@@ -30,7 +30,7 @@ Design constraints:
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional
+from typing import Dict, List, NamedTuple, Optional
 
 # -- event types --------------------------------------------------------------
 
@@ -101,22 +101,6 @@ class TraceRecorder:
     def by_type(self, etype: str) -> List[TraceEvent]:
         return [e for e in self.events if e.etype == etype]
 
-    def packet_ids(self) -> List[int]:
-        """Distinct pids in first-appearance order."""
-        seen: Dict[int, None] = {}
-        for e in self.events:
-            if e.pid >= 0 and e.pid not in seen:
-                seen[e.pid] = None
-        return list(seen)
-
-    def packet_events(self) -> Dict[int, List[TraceEvent]]:
-        """Per-packet event streams, in emission (causal) order."""
-        streams: Dict[int, List[TraceEvent]] = {}
-        for e in self.events:
-            if e.pid >= 0:
-                streams.setdefault(e.pid, []).append(e)
-        return streams
-
     def resources(self) -> List[str]:
         return sorted({e.resource for e in self.events if e.resource})
 
@@ -139,14 +123,6 @@ class TraceRecorder:
                 e = e._replace(pid=pid)
             out.append(e.to_line())
         return out
-
-
-def iter_grant_intervals(events: Iterable[TraceEvent],
-                         resource: str) -> Iterator[TraceEvent]:
-    """GRANT/RELEASE/WASTE records touching ``resource``, in seq order."""
-    for e in events:
-        if e.resource == resource and e.etype in (GRANT, RELEASE, WASTE):
-            yield e
 
 
 def attach(network, recorder: Optional[TraceRecorder] = None) -> TraceRecorder:

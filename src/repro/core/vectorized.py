@@ -353,24 +353,23 @@ def warn_numpy_fallback(stacklevel: int = 3) -> None:
 def try_run_vectorized(ctx,
                        pattern,
                        offered_fraction: float,
-                       packet_bytes: int,
                        inject_window_ps: int,
                        packets_per_site: int,
                        horizon_ps: int,
                        site_gaps: List[List[int]],
                        site_dsts: List[List[int]],
                        tracer,
-                       check_invariants: bool,
-                       saturation_threshold: float):
+                       check_invariants: bool):
     """Run one load point through a registered kernel, or return None.
 
     ``ctx`` is the run's :class:`~repro.core.parallel.SimContext`: the
-    kernel reads its built network.  ``None`` means "use the scalar
-    engine" — either numpy is missing, the run needs real event
-    dispatch (tracer / invariants), or the network has no kernel.  The
-    fallback is silent by design (except the once-per-process
-    missing-numpy warning): results are identical either way, and the
-    sweep drivers pass ``backend=`` through unconditionally.
+    kernel reads its built network, and packets are one cache line of
+    its config.  ``None`` means "use the scalar engine" — either numpy
+    is missing, the run needs real event dispatch (tracer /
+    invariants), or the network has no kernel.  The fallback is silent
+    by design (except the once-per-process missing-numpy warning):
+    results are identical either way, and ``run_figure6`` passes
+    ``backend=`` through unconditionally.
     """
     if not _load_numpy():
         warn_numpy_fallback()
@@ -382,27 +381,27 @@ def try_run_vectorized(ctx,
     if kernel is None:
         return None
 
-    plan = InjectionPlan(len(site_gaps), packets_per_site, packet_bytes,
+    plan = InjectionPlan(len(site_gaps), packets_per_site,
+                         ctx.network.config.cache_line_bytes,
                          horizon_ps, ctx.warmup_ps, inject_window_ps,
                          site_gaps, site_dsts)
     return _assemble_result(network_name, pattern.name, offered_fraction,
-                            packet_bytes, plan, kernel(ctx.network, plan),
-                            saturation_threshold)
+                            plan, kernel(ctx.network, plan))
 
 
 def _assemble_result(network_name: str, pattern_name: str,
-                     offered_fraction: float, packet_bytes: int,
-                     plan: InjectionPlan, out: KernelOutput,
-                     saturation_threshold: float):
+                     offered_fraction: float, plan: InjectionPlan,
+                     out: KernelOutput):
     """Fold a kernel's delivery arrays into a LoadPointResult.
 
     Every arithmetic step mirrors the scalar collectors operation for
     operation — integer sums, ``(sum / n) / 1000.0`` mean, nearest-rank
     percentile over sorted *distinct* values, ``bytes * 1000.0 /
     max(1, last - warmup)`` throughput — so the floats come out
-    bit-equal, not merely close.
+    bit-equal, not merely close.  The saturation verdict is the scalar
+    path's rule, :data:`repro.core.sweep.SATURATION_THRESHOLD`.
     """
-    from .sweep import LoadPointResult
+    from .sweep import SATURATION_THRESHOLD, LoadPointResult
 
     horizon = plan.horizon_ps
     warmup = plan.warmup_ps
@@ -432,7 +431,7 @@ def _assemble_result(network_name: str, pattern_name: str,
             cum = np.cumsum(counts)
             p99 = int(values[int(np.searchsorted(cum, rank))]) / 1000.0
             last = int(dt[in_window].max())
-            throughput = (n_in * packet_bytes) * 1000.0 / max(
+            throughput = (n_in * plan.packet_bytes) * 1000.0 / max(
                 1, last - warmup)
 
     return LoadPointResult(
@@ -444,7 +443,7 @@ def _assemble_result(network_name: str, pattern_name: str,
         throughput_gb_per_s=throughput,
         delivered_packets=delivered,
         injected_packets=out.injected,
-        saturated=delivered < out.injected * saturation_threshold,
+        saturated=delivered < out.injected * SATURATION_THRESHOLD,
         events_dispatched=out.heap_events + delivered,
         stop_reason="horizon" if pending else "drained",
         stopped_at_ps=horizon,

@@ -49,9 +49,6 @@ class CpuSimulator:
             for _ in range(config.num_sites)
         ]
 
-    def site_of_core(self, core: int) -> int:
-        return core // self.config.cores_per_site
-
     def run(self, kernel: WorkloadKernel) -> CoherenceTrace:
         """Execute the kernel and return its coherence trace."""
         cfg = self.config

@@ -98,16 +98,6 @@ def broadband_switch(tech: Technology = DEFAULT_TECHNOLOGY) -> Component:
     )
 
 
-def switch_4x4(tech: Technology = DEFAULT_TECHNOLOGY) -> Component:
-    """A 4x4 optical switch point of the circuit-switched torus, using the
-    paper's aggressive 0.5 dB assumption (section 4.5)."""
-    return Component(
-        name="switch4x4",
-        loss_db=tech.switch_4x4_loss_db,
-        static_power_mw=tech.switch_power_mw,
-    )
-
-
 def splitter(tech: Technology = DEFAULT_TECHNOLOGY) -> Component:
     """A 1:2 optical power splitter (3 dB ideal split)."""
     return Component(name="splitter", loss_db=tech.splitter_loss_db)

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 
 from . import components as comp
 from .technology import DEFAULT_TECHNOLOGY, Technology
-from ..core.units import db_to_factor
 
 
 def unswitched_link(tech: Technology = DEFAULT_TECHNOLOGY,
@@ -170,9 +169,3 @@ def waveguide_scaling_penalty_db(layout,
     laser)."""
     return max(0.0, scaled_waveguide_loss_db(layout, tech)
                - tech.waveguide_worst_case_loss_db)
-
-
-def power_loss_factor(extra_loss_db: float) -> float:
-    """Linear laser-power multiplier needed to compensate ``extra_loss_db``
-    beyond the canonical (already-budgeted) link."""
-    return db_to_factor(extra_loss_db)

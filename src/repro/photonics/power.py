@@ -71,8 +71,3 @@ def transmit_energy_pj(size_bytes: int,
 def router_energy_pj(size_bytes: int) -> float:
     """Dynamic energy (pJ) for one electronic router traversal."""
     return size_bytes * ROUTER_ENERGY_PJ_PER_BYTE
-
-
-def energy_delay_product(total_energy_pj: float, runtime_ps: int) -> float:
-    """EDP in (pJ x ps); only ratios are ever reported so units cancel."""
-    return total_energy_pj * runtime_ps

@@ -1,7 +1,7 @@
 """Workloads: synthetic traffic, coherence mixes, application kernels,
 and the closed-loop trace replay."""
 
-from .replay import ReplayResult, TraceReplayer, replay
+from .replay import ReplayResult, TraceReplayer
 from .sharing import LESS_SHARING, MORE_SHARING, SharingMix, mix_by_name
 from .synthetic import (
     ButterflyTraffic,
@@ -23,7 +23,6 @@ __all__ = [
     "LESS_SHARING",
     "MORE_SHARING",
     "mix_by_name",
-    "replay",
     "TraceReplayer",
     "ReplayResult",
 ]

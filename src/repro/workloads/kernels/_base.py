@@ -19,7 +19,7 @@ structures striped across the machine.
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Sequence
+from typing import Iterator, List
 
 from ...cpu.trace import MemoryRef
 from ...macrochip.config import MacrochipConfig
@@ -85,10 +85,3 @@ class KernelBase:
     @staticmethod
     def _site_of(core: int, config: MacrochipConfig) -> int:
         return core // config.cores_per_site
-
-
-def stream_over(addresses: Sequence[int], gaps: Sequence[int],
-                writes: Sequence[bool]) -> Iterator[MemoryRef]:
-    """Zip parallel sequences into MemoryRefs (test helper)."""
-    for addr, gap, write in zip(addresses, gaps, writes):
-        yield MemoryRef(gap, addr, write)

@@ -78,10 +78,6 @@ class ReplayResult:
     def mean_op_latency_ns(self) -> float:
         return self.op_latency.mean_ns
 
-    @property
-    def dynamic_energy_pj(self) -> float:
-        return sum(self.energy_by_category.values())
-
 
 def plan_memo(config: MacrochipConfig) -> Dict[tuple, Plan]:
     """The process-wide plan memo for ``config``'s cycle time, message

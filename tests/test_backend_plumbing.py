@@ -22,6 +22,7 @@ import repro.core.vectorized as vectorized
 from repro.core.sweep import BACKENDS, run_load_point
 from repro.experiments import run as run_cli
 from repro.experiments.evaluation import run_suite
+from repro.experiments.figure6 import run_figure6
 from repro.experiments.scaling import simulate_scale_point
 from repro.macrochip.config import small_test_config
 from repro.workloads.synthetic import UniformTraffic
@@ -147,10 +148,8 @@ def test_missing_numpy_falls_back_to_scalar(monkeypatch, no_numpy):
 
 def test_missing_numpy_warns_once_per_process(monkeypatch, no_numpy):
     """The missing-numpy fallback warns exactly once per process:
-    later load points, at other loads or through ``sweep``, are
+    later load points, at other loads or through ``run_figure6``, are
     silent."""
-    from repro.core.sweep import sweep
-
     monkeypatch.setattr(vectorized, "_warned_no_numpy", False)
     pattern = UniformTraffic(CFG.layout)
     kwargs = dict(window_ns=40.0, seed=7, backend="vectorized")
@@ -159,4 +158,6 @@ def test_missing_numpy_warns_once_per_process(monkeypatch, no_numpy):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a repeat would now raise
         run_load_point("point_to_point", CFG, pattern, 0.10, **kwargs)
-        sweep("point_to_point", CFG, pattern, [0.05], **kwargs)
+        run_figure6(CFG, window_ns=40.0, patterns=["uniform"],
+                    networks=["point_to_point"],
+                    load_grids={"uniform": [0.05]}, backend="vectorized")

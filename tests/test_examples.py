@@ -1,16 +1,22 @@
-"""Smoke tests for the example scripts.
+"""Smoke tests for the example scripts and the package's Quickstart.
 
 Each example must parse, import, and expose a ``main``.  Full runs are
-exercised manually (they simulate the 8x8 macrochip and take seconds to
+exercised in CI (they simulate the 8x8 macrochip and take seconds to
 minutes); these tests keep them from rotting against API changes by
-compiling them and checking their imports resolve.
+compiling them and checking their imports resolve, and pin one short
+example's output byte for byte.
 """
 
 import importlib.util
-import os
 import pathlib
+import textwrap
+import types
 
 import pytest
+
+import repro
+import repro.core.sweep
+import repro.workloads.replay
 
 EXAMPLES_DIR = pathlib.Path(__file__).resolve().parent.parent / "examples"
 EXAMPLE_FILES = sorted(EXAMPLES_DIR.glob("*.py"))
@@ -61,3 +67,17 @@ def test_compare_networks_transpose_output_is_pinned(capsys):
     module = _load(EXAMPLES_DIR / "compare_networks.py")
     module.main("transpose")
     assert capsys.readouterr().out == COMPARE_NETWORKS_TRANSPOSE
+
+
+def test_package_quickstart_runs(capsys):
+    """The package docstring's Quickstart block runs as written."""
+    block = textwrap.dedent(repro.__doc__.split("Quickstart::", 1)[1])
+    exec(compile(block, "repro.__doc__", "exec"), {})
+    latency, throughput = map(float, capsys.readouterr().out.split())
+    assert latency > 0 and throughput > 0
+
+
+def test_submodules_are_not_shadowed():
+    """The packages re-export no function under its module's name."""
+    assert isinstance(repro.core.sweep, types.ModuleType)
+    assert isinstance(repro.workloads.replay, types.ModuleType)

@@ -31,13 +31,13 @@ and arbitration actually bites.
 
 import dataclasses
 import functools
-import importlib
 import math
 import random
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import repro.core.sweep as sweep_mod
 from repro.core import tracing, vectorized
 from repro.core.engine import Simulator
 from repro.core.sweep import (_DrawBank, _draw_schedules, _get_draw_bank,
@@ -53,9 +53,6 @@ from repro.workloads.synthetic import (BurstyTraffic, HotspotTraffic,
 
 from .conftest import random_traffic, reference_schedules
 
-#: the sweep module itself (``repro.core`` re-exports a function named
-#: ``sweep``), for patching ``_draw_schedules``
-sweep_mod = importlib.import_module("repro.core.sweep")
 
 CFG = small_test_config(4, 4)
 
@@ -402,7 +399,7 @@ def test_kernel_breaks_injection_event_ties_like_the_engine(
     monkeypatch.setattr(vectorized, "_assemble_result", capture)
     fast = run_load_point(network, config, pattern, 0.3,
                           backend="vectorized", **kwargs)
-    (*_, plan, out, _), = captured
+    (*_, plan, out), = captured
     pairs = sorted((int(t), int(i))
                    for t, i in zip(out.deliver_t, out.deliver_inject)
                    if t <= plan.horizon_ps)
@@ -428,14 +425,14 @@ def test_assembled_result_ignores_delivery_order(network, monkeypatch):
     result = run_load_point(network, CFG, UniformTraffic(CFG.layout), 0.3,
                             window_ns=80.0, seed=7, backend="vectorized")
     assert not math.isnan(result.mean_latency_ns)
-    (*head, out, threshold), = captured
+    (*head, out), = captured
     pairs = list(zip(list(out.deliver_t), list(out.deliver_inject)))
     rng = random.Random(1)
     for _ in range(3):
         rng.shuffle(pairs)
         shuffled = out._replace(deliver_t=[t for t, _ in pairs],
                                 deliver_inject=[i for _, i in pairs])
-        assert assemble(*head, shuffled, threshold) == result
+        assert assemble(*head, shuffled) == result
 
 
 @pytest.mark.parametrize("network,load", LOAD_POINTS)

@@ -26,7 +26,7 @@ from repro.core.parallel import (
     clear_contexts,
     run_sharded,
 )
-from repro.core.sweep import clear_draw_banks, run_load_point, sweep
+from repro.core.sweep import clear_draw_banks, run_load_point
 from repro.macrochip.config import small_test_config
 from repro.workloads.synthetic import UniformTraffic
 
@@ -108,8 +108,6 @@ def test_retired_fault_options_rejected(capsys):
     pattern = UniformTraffic(CFG.layout, seed=1)
     calls = [
         lambda **kw: run_sharded([Shard(_square, args=(1,))], **kw),
-        lambda **kw: sweep("point_to_point", CFG, pattern, [0.05],
-                           window_ns=WINDOW_NS, seed=SEED, **kw),
         lambda **kw: run_figure6(config=CFG, window_ns=WINDOW_NS,
                                  patterns=["uniform"],
                                  networks=["point_to_point"],
@@ -242,16 +240,19 @@ def test_raising_progress_cannot_corrupt_results(workers):
 
 def test_sweep_collect_drops_failed_point():
     """A load point that raises (offered load <= 0) is dropped from the
-    curve instead of aborting the sweep."""
-    pattern = UniformTraffic(CFG.layout, seed=1)
-    points = sweep("point_to_point", CFG, pattern, [0.05, -1.0],
-                   window_ns=WINDOW_NS, seed=SEED, workers=1,
-                   on_error="collect")
+    curve instead of aborting the figure; under the default policy it
+    aborts it."""
+    from repro.experiments.figure6 import run_figure6
+
+    kwargs = dict(config=CFG, window_ns=WINDOW_NS, patterns=["uniform"],
+                  networks=["point_to_point"],
+                  load_grids={"uniform": [0.05, -1.0]})
+    result = run_figure6(on_error="collect", **kwargs)
+    points = result.curves["uniform"]["point_to_point"]
     assert len(points) == 1
     assert points[0].offered_fraction == 0.05
     with pytest.raises(ValueError, match="positive"):
-        sweep("point_to_point", CFG, pattern, [0.05, -1.0],
-              window_ns=WINDOW_NS, seed=SEED, workers=1)
+        run_figure6(**kwargs)
 
 
 def test_figure6_collect_records_failures():

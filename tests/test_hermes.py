@@ -19,7 +19,8 @@ import pytest
 
 from repro.core.engine import Simulator
 from repro.core.parallel import clear_contexts
-from repro.core.sweep import clear_draw_banks, run_load_point, sweep
+from repro.core.sweep import clear_draw_banks, run_load_point
+from repro.experiments.figure6 import run_figure6
 from repro.core.tracing import TraceRecorder
 from repro.macrochip.config import small_test_config
 from repro.networks.base import Packet
@@ -247,13 +248,12 @@ class TestDeterminism:
             assert warm_trace == cold_trace, "trace diverged (cycle %d)" % cycle
 
     def test_pooled_sweep_bit_identical_to_serial(self):
-        pattern = UniformTraffic(CFG.layout, seed=1)
-        fractions = [0.05, 0.15, 0.30, 0.45]
-        serial = sweep("hermes", CFG, pattern, fractions,
-                       window_ns=WINDOW_NS, seed=SEED, workers=1)
-        pooled = sweep("hermes", CFG, pattern, fractions,
-                       window_ns=WINDOW_NS, seed=SEED, workers=4)
-        assert serial == pooled
+        kwargs = dict(window_ns=WINDOW_NS, patterns=["uniform"],
+                      networks=["hermes"],
+                      load_grids={"uniform": [0.05, 0.15, 0.30, 0.45]})
+        serial = run_figure6(CFG, workers=1, **kwargs)
+        pooled = run_figure6(CFG, workers=4, **kwargs)
+        assert serial.curves == pooled.curves
 
     def test_network_reset_clears_counters(self):
         net, sim = _net()
@@ -273,8 +273,9 @@ class TestDeterminism:
 class TestLoadBehavior:
     def test_latency_curve_saturates(self):
         pattern = UniformTraffic(CFG.layout, seed=1)
-        points = sweep("hermes", CFG, pattern, [0.05, 0.30, 0.70],
-                       window_ns=150.0, seed=SEED)
+        points = [run_load_point("hermes", CFG, pattern, f,
+                                 window_ns=150.0, seed=SEED)
+                  for f in (0.05, 0.30, 0.70)]
         latencies = [p.mean_latency_ns for p in points]
         assert latencies == sorted(latencies)
         assert latencies[-1] > 1.5 * latencies[0]

@@ -84,13 +84,17 @@ def test_invariants_hold_for_arbitrary_traffic(network_key, traffic):
 
 
 def test_sweep_kwarg_passthrough():
-    """check_invariants rides through sweep()'s kwargs to every point."""
-    from repro.core.sweep import sweep
+    """check_invariants rides through a load-point shard's kwargs to
+    every point."""
+    from repro.core.parallel import Shard, run_sharded
 
     pattern = make_pattern("uniform", CFG.layout)
-    points = sweep("point_to_point", CFG, pattern, [0.05, 0.2],
-                   window_ns=60.0, check_invariants=True)
-    assert len(points) == 2
+    shards = [Shard(run_load_point, args=("point_to_point", CFG, pattern, f),
+                    kwargs=dict(window_ns=60.0, check_invariants=True))
+              for f in (0.05, 0.2)]
+    run = run_sharded(shards)
+    assert run.failed == 0
+    assert len(run.results) == 2
 
 
 def test_tracer_attach_after_lazy_channel_creation():

@@ -93,12 +93,11 @@ def test_vectorized_load_point_loads_numpy():
 def test_parallel_vectorized_sweep_loads_numpy_in_parent():
     """The parent imports numpy before the pool forks its workers."""
     assert numpy_loaded_after("""
-        from repro.core.sweep import sweep
+        from repro.experiments.figure6 import run_figure6
         from repro.macrochip.config import small_test_config
-        from repro.workloads.synthetic import UniformTraffic
 
-        cfg = small_test_config(2, 2)
-        sweep("point_to_point", cfg, UniformTraffic(cfg.layout),
-              [0.05, 0.1], window_ns=40.0, workers=2,
-              backend="vectorized")
+        run_figure6(small_test_config(2, 2), window_ns=40.0,
+                    patterns=["uniform"], networks=["point_to_point"],
+                    load_grids={"uniform": [0.05, 0.1]}, workers=2,
+                    backend="vectorized")
         """)

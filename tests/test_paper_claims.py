@@ -8,6 +8,7 @@ the reproduction contract spelled out in DESIGN.md.
 
 import pytest
 
+from repro.core.parallel import Shard, run_sharded
 from repro.core.sweep import run_load_point
 from repro.experiments.evaluation import run_suite
 from repro.experiments.figure6 import run_figure6
@@ -30,47 +31,77 @@ CFG = scaled_config()
 PEAK = CFG.num_sites * CFG.site_bandwidth_gb_per_s
 
 
-def sustained(network, pattern_key, fraction, window_ns=400.0, **kwargs):
-    r = run_load_point(network, CFG, make_pattern(pattern_key, CFG.layout),
-                       fraction, window_ns=window_ns, **kwargs)
-    return r
+#: every (network, pattern, offered load, window_ns) point that
+#: TestFigure6Claims reads, each simulated once
+FIGURE6_CLAIM_POINTS = [
+    ("point_to_point", "uniform", 0.90, 600),
+    ("limited_point_to_point", "uniform", 0.42, 600),
+    ("limited_point_to_point", "uniform", 0.70, 600),
+    ("token_ring", "uniform", 0.35, 600),
+    ("token_ring", "uniform", 0.80, 600),
+    ("two_phase", "uniform", 0.30, 600),
+    ("circuit_switched", "uniform", 0.06, 600),
+    ("point_to_point", "uniform", 0.95, 500),
+    ("limited_point_to_point", "uniform", 0.70, 500),
+    ("token_ring", "uniform", 0.70, 500),
+    ("two_phase", "uniform", 0.30, 500),
+    ("circuit_switched", "uniform", 0.30, 500),
+    ("point_to_point", "transpose", 0.05, 600),
+    ("token_ring", "transpose", 0.05, 600),
+    ("limited_point_to_point", "neighbor", 0.24, 600),
+    ("point_to_point", "neighbor", 0.24, 600),
+]
+
+
+@pytest.fixture(scope="module")
+def claim_points():
+    """LoadPointResult per FIGURE6_CLAIM_POINTS entry.  Two workers only
+    save time: results are bit-identical to serial runs."""
+    shards = [Shard(run_load_point,
+                    args=(net, CFG, make_pattern(pattern_key, CFG.layout),
+                          load),
+                    kwargs=dict(window_ns=window_ns),
+                    label="%s/%s @%.2f, %d ns"
+                          % (net, pattern_key, load, window_ns))
+              for net, pattern_key, load, window_ns in FIGURE6_CLAIM_POINTS]
+    run = run_sharded(shards, workers=2,
+                      cost_key=lambda s: s.args[3] * s.kwargs["window_ns"])
+    return dict(zip(FIGURE6_CLAIM_POINTS, run.results))
 
 
 class TestFigure6Claims:
     """Section 6.1 saturation behaviour."""
 
-    def test_p2p_sustains_most_of_peak_on_uniform(self):
-        r = sustained("point_to_point", "uniform", 0.90, window_ns=600)
+    def test_p2p_sustains_most_of_peak_on_uniform(self, claim_points):
+        r = claim_points["point_to_point", "uniform", 0.90, 600]
         assert r.throughput_gb_per_s / PEAK > 0.80
 
-    def test_limited_p2p_saturates_near_half(self):
-        ok = sustained("limited_point_to_point", "uniform", 0.42,
-                       window_ns=600)
+    def test_limited_p2p_saturates_near_half(self, claim_points):
+        ok = claim_points["limited_point_to_point", "uniform", 0.42, 600]
         assert not ok.saturated
-        over = sustained("limited_point_to_point", "uniform", 0.70,
-                         window_ns=600)
+        over = claim_points["limited_point_to_point", "uniform", 0.70, 600]
         assert over.throughput_gb_per_s / PEAK < 0.60
 
-    def test_token_ring_saturates_near_40_percent(self):
-        ok = sustained("token_ring", "uniform", 0.35, window_ns=600)
+    def test_token_ring_saturates_near_40_percent(self, claim_points):
+        ok = claim_points["token_ring", "uniform", 0.35, 600]
         assert not ok.saturated
-        over = sustained("token_ring", "uniform", 0.80, window_ns=600)
+        over = claim_points["token_ring", "uniform", 0.80, 600]
         assert over.throughput_gb_per_s / PEAK < 0.50
 
-    def test_two_phase_saturates_below_15_percent(self):
-        over = sustained("two_phase", "uniform", 0.30, window_ns=600)
+    def test_two_phase_saturates_below_15_percent(self, claim_points):
+        over = claim_points["two_phase", "uniform", 0.30, 600]
         assert over.throughput_gb_per_s / PEAK < 0.20
 
-    def test_circuit_switched_saturates_lowest(self):
-        over = sustained("circuit_switched", "uniform", 0.06, window_ns=600)
+    def test_circuit_switched_saturates_lowest(self, claim_points):
+        over = claim_points["circuit_switched", "uniform", 0.06, 600]
         assert over.throughput_gb_per_s / PEAK < 0.04
 
-    def test_uniform_saturation_ordering(self):
+    def test_uniform_saturation_ordering(self, claim_points):
         """P2P > limited P2P ~ token ring > two-phase > circuit-switched."""
         loads = {"point_to_point": 0.95, "limited_point_to_point": 0.70,
                  "token_ring": 0.70, "two_phase": 0.30,
                  "circuit_switched": 0.30}
-        sust = {net: sustained(net, "uniform", f, window_ns=500)
+        sust = {net: claim_points[net, "uniform", f, 500]
                 .throughput_gb_per_s / PEAK
                 for net, f in loads.items()}
         assert sust["point_to_point"] > sust["limited_point_to_point"]
@@ -78,26 +109,25 @@ class TestFigure6Claims:
         assert sust["token_ring"] > sust["two_phase"]
         assert sust["two_phase"] > sust["circuit_switched"]
 
-    def test_p2p_transpose_capped_at_one_channel(self):
+    def test_p2p_transpose_capped_at_one_channel(self, claim_points):
         """Transpose uses one 5 GB/s link per site: ~1.56% of peak."""
-        r = sustained("point_to_point", "transpose", 0.05, window_ns=600)
+        r = claim_points["point_to_point", "transpose", 0.05, 600]
         frac = r.throughput_gb_per_s / PEAK
         assert frac < 0.020
         assert r.saturated
 
-    def test_token_ring_transpose_below_p2p(self):
+    def test_token_ring_transpose_below_p2p(self, claim_points):
         """Token reacquisition caps one-to-one patterns below ~1.3%."""
-        tr = sustained("token_ring", "transpose", 0.05, window_ns=600)
-        p2p = sustained("point_to_point", "transpose", 0.05, window_ns=600)
+        tr = claim_points["token_ring", "transpose", 0.05, 600]
+        p2p = claim_points["point_to_point", "transpose", 0.05, 600]
         assert tr.throughput_gb_per_s < p2p.throughput_gb_per_s
 
-    def test_limited_p2p_best_on_neighbor(self):
+    def test_limited_p2p_best_on_neighbor(self, claim_points):
         """Nearest-neighbor maps onto direct row/column links: the
         limited point-to-point network sustains ~25% of peak."""
-        r = sustained("limited_point_to_point", "neighbor", 0.24,
-                      window_ns=600)
+        r = claim_points["limited_point_to_point", "neighbor", 0.24, 600]
         assert not r.saturated
-        p2p = sustained("point_to_point", "neighbor", 0.24, window_ns=600)
+        p2p = claim_points["point_to_point", "neighbor", 0.24, 600]
         assert (r.throughput_gb_per_s > p2p.throughput_gb_per_s
                 or p2p.saturated)
 

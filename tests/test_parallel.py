@@ -1,11 +1,11 @@
 """Tests for the parallel shard runner and seed derivation
 (:mod:`repro.core.parallel`)."""
 
-import importlib
 import os
 
 import pytest
 
+import repro.core.sweep as sweep_module
 from repro.core.parallel import (
     Shard,
     ShardReport,
@@ -16,7 +16,8 @@ from repro.core.parallel import (
     resolve_workers,
     run_sharded,
 )
-from repro.core.sweep import run_load_point, sweep
+from repro.core.sweep import run_load_point
+from repro.experiments.figure6 import run_figure6
 from repro.macrochip.config import scaled_config, small_test_config
 from repro.workloads.synthetic import UniformTraffic
 
@@ -232,8 +233,6 @@ def test_context_cache_lru_cap(monkeypatch):
 def test_draw_bank_cache_lru_cap(monkeypatch):
     from repro.core.sweep import _DRAW_BANKS, _get_draw_bank, clear_draw_banks
 
-    # the package exports the sweep() function under the module's name
-    sweep_module = importlib.import_module("repro.core.sweep")
     pattern = UniformTraffic(CFG.layout)
     clear_draw_banks()
     monkeypatch.setattr(sweep_module, "DRAW_BANK_CACHE_LIMIT", 2)
@@ -256,7 +255,6 @@ def test_lru_eviction_never_changes_results(monkeypatch):
     from repro.core.parallel import clear_contexts
     from repro.core.sweep import clear_draw_banks
 
-    sweep_module = importlib.import_module("repro.core.sweep")
     pattern = UniformTraffic(CFG.layout)
     clear_contexts()
     clear_draw_banks()
@@ -335,12 +333,12 @@ def test_4_workers_at_least_twice_as_fast():
 
 
 def test_sweep_workers_param_matches_serial():
-    pattern = UniformTraffic(CFG.layout)
-    serial = sweep("point_to_point", CFG, pattern, [0.02, 0.08],
-                   window_ns=150.0, workers=1)
-    parallel = sweep("point_to_point", CFG, pattern, [0.02, 0.08],
-                     window_ns=150.0, workers=2)
-    assert serial == parallel
+    kwargs = dict(window_ns=150.0, patterns=["uniform"],
+                  networks=["point_to_point"],
+                  load_grids={"uniform": [0.02, 0.08]})
+    serial = run_figure6(CFG, workers=1, **kwargs)
+    parallel = run_figure6(CFG, workers=2, **kwargs)
+    assert serial.curves == parallel.curves
 
 
 def test_load_point_independent_of_pattern_rng_state():

@@ -25,10 +25,10 @@ must stay tier-1 fast; the *values* at scale are pinned separately in
 ``test_golden_figure6.GOLDEN_16``.
 """
 
-import importlib
 
 import pytest
 
+import repro.core.sweep as sweep_mod
 from repro.core.sweep import clear_draw_banks, run_load_point
 from repro.core.parallel import clear_contexts
 from repro.core.tracing import TraceRecorder
@@ -43,9 +43,6 @@ from repro.workloads.synthetic import UniformTraffic
 
 from .conftest import reference_schedules
 
-#: the sweep module itself (``repro.core`` re-exports a function named
-#: ``sweep``), for patching ``_draw_schedules``
-sweep_mod = importlib.import_module("repro.core.sweep")
 
 DIMS = (4, 8, 16)
 WINDOW_NS = 30.0

@@ -1,18 +1,14 @@
 """Tests for the open-loop load-sweep harness (Figure 6 machinery)."""
 
-import importlib
 import math
 
 import pytest
 
-from repro.core.sweep import (BACKENDS, run_load_point, saturation_fraction,
-                              sweep)
+import repro.core.sweep as sweep_mod
+from repro.core.sweep import BACKENDS, run_load_point
+from repro.experiments.figure6 import run_figure6
 from repro.macrochip.config import small_test_config
 from repro.workloads.synthetic import UniformTraffic
-
-#: the sweep module itself (``repro.core`` re-exports a function named
-#: ``sweep``), for patching ``_draw_schedules``
-sweep_mod = importlib.import_module("repro.core.sweep")
 
 
 CFG = small_test_config(4, 4)
@@ -58,11 +54,8 @@ def test_invalid_load_rejected():
 
 #: (argument, bad value) pairs run_load_point must reject.  Without the
 #: check, an infinite load injected 640,000 packets into a 40 ns window,
-#: a zero or negative window returned NaN latency marked unsaturated, a
-#: 0-byte packet reported zero throughput, an inverted warmup returned
-#: NaN latency, a negative drain injected nothing, a threshold of 5
-#: marked a 10 % load saturated, and a negative block size silently
-#: picked another draw path.
+#: a zero or negative window returned NaN latency marked unsaturated,
+#: and a negative block size silently picked another draw path.
 BAD_LOAD_POINT_ARGS = [
     ("offered_fraction", math.inf),
     ("offered_fraction", math.nan),
@@ -72,13 +65,6 @@ BAD_LOAD_POINT_ARGS = [
     ("window_ns", -10.0),
     ("window_ns", math.nan),
     ("window_ns", math.inf),
-    ("packet_bytes", 0),
-    ("warmup_fraction", 1.5),
-    ("warmup_fraction", 1.0),
-    ("warmup_fraction", -0.25),
-    ("drain_factor", -2.0),
-    ("saturation_threshold", 5.0),
-    ("saturation_threshold", 0.0),
     ("rng_block", -3),
     ("rng_block", 0),
 ]
@@ -118,48 +104,58 @@ def test_window_with_no_injection_rejected(backend):
 
 
 def test_sweep_returns_points_in_order():
-    points = sweep("point_to_point", CFG, UniformTraffic(CFG.layout),
-                   [0.02, 0.05], window_ns=200)
+    result = run_figure6(CFG, window_ns=200, patterns=["uniform"],
+                         networks=["point_to_point"],
+                         load_grids={"uniform": [0.02, 0.05]})
+    points = result.curves["uniform"]["point_to_point"]
     assert [p.offered_fraction for p in points] == [0.02, 0.05]
     for p in points:
         assert not math.isnan(p.mean_latency_ns)
 
 
 def test_saturation_fraction():
-    points = sweep("point_to_point", CFG, UniformTraffic(CFG.layout),
-                   [0.02, 0.05], window_ns=200)
-    assert saturation_fraction(points) == max(
-        p.delivered_fraction for p in points)
-    with pytest.raises(ValueError):
-        saturation_fraction([])
+    """The sustained fraction at the knee is the best delivered fraction
+    among unsaturated points, or the best overall if every point
+    saturated."""
+    result = run_figure6(CFG, window_ns=200, patterns=["uniform"],
+                         networks=["circuit_switched"],
+                         load_grids={"uniform": [0.02, 0.05, 0.5]})
+    points = result.curves["uniform"]["circuit_switched"]
+    assert [p.saturated for p in points] == [False, False, True]
+    assert result.saturation_table() == [
+        ("uniform", "circuit_switched", points[1].delivered_fraction)]
+    assert points[2].delivered_fraction > points[1].delivered_fraction
+    result.curves["uniform"]["circuit_switched"] = points[2:]
+    assert result.saturation_table() == [
+        ("uniform", "circuit_switched", points[2].delivered_fraction)]
 
 
 def test_saturation_threshold_default_is_pinned():
     """The paper-methodology verdict: saturated iff delivered <
-    0.99 * injected after the bounded drain.  The 0.99 default is
+    0.99 * injected after the bounded drain.  The 0.99 constant is
     pinned here so a silent change shows up as a test failure, not a
     drifted Figure 6 summary."""
-    import inspect
-
-    sig = inspect.signature(run_load_point)
-    assert sig.parameters["saturation_threshold"].default == 0.99
+    assert sweep_mod.SATURATION_THRESHOLD == 0.99
 
 
-def test_saturation_threshold_changes_verdict():
+def test_saturation_threshold_changes_verdict(monkeypatch):
     """A near-knee point flips verdict as the threshold crosses its
-    delivered/injected ratio — same simulation, different rule."""
+    delivered/injected ratio — same simulation, different rule, on
+    either engine."""
     pattern = UniformTraffic(CFG.layout)
-    base = run_load_point("circuit_switched", CFG, pattern, 0.5,
-                          window_ns=200)
-    assert base.saturated
-    ratio = base.delivered_packets / base.injected_packets
-    lenient = run_load_point("circuit_switched", CFG, pattern, 0.5,
-                             window_ns=200,
-                             saturation_threshold=ratio * 0.5)
-    assert not lenient.saturated
-    # the simulation itself is untouched by the verdict rule
-    assert lenient.delivered_packets == base.delivered_packets
-    assert lenient.events_dispatched == base.events_dispatched
+    for backend in BACKENDS:
+        monkeypatch.undo()
+        base = run_load_point("circuit_switched", CFG, pattern, 0.5,
+                              window_ns=200, backend=backend)
+        assert base.saturated
+        ratio = base.delivered_packets / base.injected_packets
+        monkeypatch.setattr(sweep_mod, "SATURATION_THRESHOLD", ratio * 0.5)
+        lenient = run_load_point("circuit_switched", CFG, pattern, 0.5,
+                                 window_ns=200, backend=backend)
+        assert not lenient.saturated
+        # the simulation itself is untouched by the verdict rule
+        assert lenient.delivered_packets == base.delivered_packets
+        assert lenient.events_dispatched == base.events_dispatched
 
 
 def test_deterministic_for_fixed_seed():
@@ -185,14 +181,15 @@ STOP_FIELD_CASES = [
                          ids=[c[2] for c in STOP_FIELD_CASES])
 @pytest.mark.parametrize("drain_factor", [1.0, 0.5])
 def test_stop_fields_on_fixed_path(network, load, reason, drain_factor,
-                                   backend):
+                                   backend, monkeypatch):
     """``stop_reason`` says whether the queue emptied within the run;
-    ``stopped_at_ps`` is always the horizon (window plus bounded drain),
-    whichever way the run ended and on either engine."""
+    ``stopped_at_ps`` is always the horizon (window plus the
+    ``DRAIN_FACTOR`` drain), whichever way the run ended and on either
+    engine."""
     window_ns = 200
+    monkeypatch.setattr(sweep_mod, "DRAIN_FACTOR", drain_factor)
     r = run_load_point(network, CFG, UniformTraffic(CFG.layout), load,
-                       window_ns=window_ns, drain_factor=drain_factor,
-                       backend=backend)
+                       window_ns=window_ns, backend=backend)
     assert r.stop_reason == reason
     assert r.stopped_at_ps == int(window_ns * 1000 * (1 + drain_factor))
     assert r.saturated == (reason == "horizon")

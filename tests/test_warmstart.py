@@ -19,26 +19,22 @@ pure function of its arguments, independent of process history.
 """
 
 import gc
-import importlib
 
 import pytest
 
+import repro.core.sweep as sweep_mod
 from repro.core.engine import Simulator
 from repro.core.interning import clear_interned, intern_table, interned_count
 from repro.core.parallel import (WorkerPool, clear_contexts, get_context,
                                  run_sharded, Shard)
 from repro.core.stats import NetworkStats
-from repro.core.sweep import (clear_draw_banks, run_load_point, sweep,
-                              to_sweep_point)
+from repro.core.sweep import clear_draw_banks, run_load_point, to_sweep_point
 from repro.core.tracing import TraceRecorder
 from repro.macrochip.config import small_test_config
 from repro.networks.base import Packet
 from repro.networks.factory import available_networks, build_network
 from repro.workloads.synthetic import BurstyTraffic, UniformTraffic
 
-#: the sweep module itself (``repro.core`` re-exports a function named
-#: ``sweep``), for patching ``_DrawBank``
-sweep_mod = importlib.import_module("repro.core.sweep")
 
 CFG = small_test_config(4, 4)
 
@@ -245,10 +241,20 @@ def _fresh_points(network, pattern, fractions):
             for f in fractions]
 
 
+def _warm_points(network, pattern, fractions, workers=1, pool=None):
+    """The same points through warm contexts and the interned draw
+    bank, sharded as run_figure6 shards them."""
+    shards = [Shard(run_load_point, args=(network, CFG, pattern, f),
+                    kwargs=dict(window_ns=WINDOW_NS, seed=SEED))
+              for f in fractions]
+    run = run_sharded(shards, workers=workers, pool=pool)
+    return [to_sweep_point(r, CFG) for r in run.results]
+
+
 @pytest.mark.parametrize("workers", [1, 2, 4])
 def test_sweep_warm_identical_across_worker_counts(workers):
-    got = sweep("point_to_point", CFG, _pattern(), FRACTIONS,
-                window_ns=WINDOW_NS, seed=SEED, workers=workers)
+    got = _warm_points("point_to_point", _pattern(), FRACTIONS,
+                       workers=workers)
     assert got == _fresh_points("point_to_point", _pattern(), FRACTIONS)
 
 
@@ -277,8 +283,8 @@ def test_worker_pool_survives_across_run_sharded_calls():
 
 def test_sweep_accepts_borrowed_pool():
     with WorkerPool(workers=2) as pool:
-        a = sweep("token_ring", CFG, _pattern(), FRACTIONS,
-                  window_ns=WINDOW_NS, seed=SEED, workers=2, pool=pool)
+        a = _warm_points("token_ring", _pattern(), FRACTIONS, workers=2,
+                         pool=pool)
     assert a == _fresh_points("token_ring", _pattern(), FRACTIONS)
 
 
@@ -324,8 +330,7 @@ def test_serial_bursty_sweep_shares_one_draw_bank(monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(sweep_mod._DrawBank, "__init__", counting_init)
-    points = sweep("point_to_point", CFG, pattern, fractions,
-                   window_ns=WINDOW_NS, seed=SEED)
+    points = _warm_points("point_to_point", pattern, fractions)
     monkeypatch.undo()
     assert len(built) == 1
     assert points == _fresh_points("point_to_point", pattern, fractions)
