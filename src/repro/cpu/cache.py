@@ -45,8 +45,10 @@ class SetAssociativeCache:
         self._set_mask = self.num_sets - 1
         self._set_bits = self.num_sets.bit_length() - 1
         self._line_shift = line_bytes.bit_length() - 1
-        # per set: line address -> dirty bit, in LRU order (MRU last)
-        self._sets: List[Dict[int, int]] = [{} for _ in range(self.num_sets)]
+        # per set: line address -> dirty bit, in LRU order (MRU last);
+        # None until the set first gets a line, so a cache a workload
+        # barely touches costs one list slot per set
+        self._sets: List[Optional[Dict[int, int]]] = [None] * self.num_sets
 
     # -- address helpers ----------------------------------------------------
 
@@ -69,7 +71,8 @@ class SetAssociativeCache:
     # -- operations ----------------------------------------------------------
 
     def contains(self, addr: int) -> bool:
-        return self.line_address(addr) in self._sets[self.set_index(addr)]
+        entries = self._sets[self.set_index(addr)]
+        return entries is not None and self.line_address(addr) in entries
 
     def access(self, addr: int, is_write: bool) -> AccessResult:
         """Look up (and on miss, allocate) the line holding ``addr``.
@@ -85,7 +88,10 @@ class SetAssociativeCache:
         set: a hit moves the line to MRU (dirty on a write) and returns
         None; a miss allocates it and returns the miss's
         :class:`AccessResult`."""
-        entries = self._sets[self.set_index(line)]
+        index = self.set_index(line)
+        entries = self._sets[index]
+        if entries is None:
+            entries = self._sets[index] = {}
         dirty = entries.pop(line, None)
         if dirty is not None:
             entries[line] = 1 if is_write else dirty  # move to MRU
@@ -105,19 +111,20 @@ class SetAssociativeCache:
         """Drop the line holding ``addr`` (remote invalidation).  Returns
         True if the line was present."""
         entries = self._sets[self.set_index(addr)]
-        return entries.pop(self.line_address(addr), None) is not None
+        return (entries is not None
+                and entries.pop(self.line_address(addr), None) is not None)
 
     def mark_clean(self, addr: int) -> None:
         """Clear the dirty bit (after an ownership downgrade)."""
         entries = self._sets[self.set_index(addr)]
         line = self.line_address(addr)
-        if line in entries:
+        if entries is not None and line in entries:
             entries[line] = 0
 
     @property
     def resident_lines(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self._sets if s is not None)
 
     def lines(self) -> List[int]:
         """All resident line addresses (for tests)."""
-        return [line for s in self._sets for line in s]
+        return [line for s in self._sets if s is not None for line in s]

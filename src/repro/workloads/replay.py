@@ -14,21 +14,27 @@ over the runtime by :mod:`repro.analysis.edp`).
 
 How the replay runs:
 
-* **Compiled plans.**  An operation's message plan depends only on
-  ``(kind, requester, home, owner, sharers)`` and the config's message
-  sizes and latencies, so :func:`compiled_plan` expands it through
-  :func:`~repro.cpu.coherence.message_plan` once per key into nested
-  tuples and stores it in a process-wide :func:`intern_memo`.  Every
-  network and every trace replayed in the process shares these plans.
-* **Integer core state.**  :meth:`TraceReplayer.run` turns each core's
-  operations into ``(gap_ps, site, plan)`` rows.  A core's progress is
-  three ints: the row it is on, when that row issued, and how many
-  completing messages it still waits for.  MSHR waiters are core ids.
-* **No per-op cycles.**  Events carry ``(core, step)``, and each packet
-  is a :class:`ReplayPacket` holding the same pair, with the replayer's
-  ``_delivered`` method as its callback.  No closure is built per op,
-  nothing per op refers back to itself, and a finished replay leaves no
-  garbage for the cyclic collector.
+* **Compiled plans, one per shape.**  Which messages an operation needs
+  depends only on its *shape* ``(kind, remote owner or not, sharer
+  count)`` and the config's message sizes and latencies; its sites only
+  fill in each message's ends.  :func:`compiled_plan` expands a
+  canonical op of the shape through
+  :func:`~repro.cpu.coherence.message_plan` once into nested tuples whose
+  ends are *roles* (see :data:`Step`), and stores it in a process-wide
+  :func:`intern_memo`.  Every network and every trace replayed in the
+  process shares these few plans.
+* **Sites bound at issue.**  When a core issues an op, it builds the
+  op's ``(requester, home, owner, *sharers)`` tuple once and hands it to
+  each message of the plan, which reads its ``src`` and ``dst`` from it.
+* **Integer core state.**  The replayer reads each core's ops straight
+  from the trace.  A core's progress is three ints: the op it is on,
+  when that op issued, and how many completing messages it still waits
+  for.  MSHR waiters are core ids.
+* **No per-op cycles.**  Events carry ``(core, step, sites)``, and each
+  packet is a :class:`ReplayPacket` holding the same three, with the
+  replayer's ``_delivered`` method as its callback.  No closure is built
+  per op, nothing per op refers back to itself, and a finished replay
+  leaves no garbage for the cyclic collector.
 """
 
 from __future__ import annotations
@@ -47,8 +53,10 @@ from ..networks.base import Packet, _packet_ids
 from ..networks.factory import build_network
 
 #: one message of a compiled plan: ``(src, dst, size_bytes, kind,
-#: counts_toward_completion, children)``, where each child is
-#: ``(extra_delay_ps, step)``, injected that long after this step lands
+#: counts_toward_completion, children)``, where ``src`` and ``dst`` are
+#: roles (0 requester, 1 home, 2 owner, 3 + i sharer i) that index an
+#: op's sites, and each child is ``(extra_delay_ps, step)``, injected
+#: that long after this step lands
 Step = Tuple[int, int, int, str, bool, tuple]
 #: a compiled plan: ``(completions, root_steps)``; ``completions`` is how
 #: many steps must land before the op completes, 0 for a writeback
@@ -81,7 +89,8 @@ class ReplayResult:
 
 def plan_memo(config: MacrochipConfig) -> Dict[tuple, Plan]:
     """The process-wide plan memo for ``config``'s cycle time, message
-    sizes and protocol latencies (the only config fields a plan reads)."""
+    sizes and protocol latencies (the only config fields a plan reads),
+    keyed by shape: ``(kind value, no remote owner, sharer count)``."""
     return intern_memo(
         ("replay_plans", config.cycle_ps, config.control_message_bytes,
          config.data_message_bytes, config.directory_latency_cycles,
@@ -89,8 +98,14 @@ def plan_memo(config: MacrochipConfig) -> Dict[tuple, Plan]:
 
 
 def compiled_plan(op: CoherenceOp, config: MacrochipConfig) -> Plan:
-    """``op``'s message plan as nested tuples (see :data:`Plan`)."""
-    steps = message_plan(op, config.control_message_bytes,
+    """The message plan of ``op``'s shape as nested tuples (see
+    :data:`Plan`), its ends roles rather than sites: ``message_plan``
+    expands a canonical op whose sites are its roles."""
+    canonical = CoherenceOp(
+        core=0, gap_cycles=0, kind=op.kind, requester=0, home=1,
+        owner=None if op.owner is None else 2,
+        sharers=tuple(range(3, 3 + len(op.sharers))))
+    steps = message_plan(canonical, config.control_message_bytes,
                          config.data_message_bytes,
                          config.directory_latency_cycles,
                          config.memory_latency_cycles)
@@ -116,43 +131,59 @@ def compiled_plan(op: CoherenceOp, config: MacrochipConfig) -> Plan:
 
 
 class ReplayPacket(Packet):
-    """A replay message: the core it belongs to and its plan step."""
+    """A replay message: the core it belongs to, its plan step and the
+    sites its op binds the step's roles to."""
 
-    __slots__ = ("core", "step")
+    __slots__ = ("core", "step", "sites")
 
-    def __init__(self, core: int, step: Step,
+    def __init__(self, core: int, step: Step, sites: tuple,
                  on_delivered: Callable[[Packet], None]) -> None:
         # Packet.__init__ with every field taken from the step
         self.pid = next(_packet_ids)
-        self.src, self.dst, self.size_bytes, self.kind = step[:4]
+        self.src = sites[step[0]]
+        self.dst = sites[step[1]]
+        self.size_bytes = step[2]
+        self.kind = step[3]
         self.on_delivered = on_delivered
         self.t_inject = -1
         self.t_deliver = -1
         self.hops = 0
         self.core = core
         self.step = step
+        self.sites = sites
 
 
 class TraceReplayer:
-    """Drives a coherence trace through one network, closed-loop."""
+    """Drives a coherence trace through one network, closed-loop.
+
+    Each core's ops are read from ``trace.ops_by_core`` as they issue;
+    the per-op work is a shape lookup in :func:`plan_memo` and the op's
+    sites tuple.  The trace must have been built for ``config``'s core
+    count.
+    """
 
     def __init__(self, trace: CoherenceTrace, network_name: str,
                  config: MacrochipConfig,
                  network_kwargs: Optional[dict] = None) -> None:
+        cores = len(trace.ops_by_core)
+        if trace.num_cores != config.num_cores or cores != config.num_cores:
+            raise ValueError(
+                "trace %r was built for %d cores (%d core op lists), but "
+                "the config has %d" % (trace.workload, trace.num_cores,
+                                       cores, config.num_cores))
         self.trace = trace
         self.config = config
         self.sim = Simulator()
         self.network = build_network(network_name, config, self.sim,
                                      **(network_kwargs or {}))
+        self._ops = trace.ops_by_core
+        self._plans = plan_memo(config)
         self._op_latency = LatencySample()
         self._mshrs_free = [config.mshrs_per_site] * config.num_sites
         self._mshr_waiters: List[Deque[int]] = [
             deque() for _ in range(config.num_sites)]
-        cores = len(trace.ops_by_core)
-        #: per core: its ``(gap_ps, site, plan)`` rows (built by run), the
-        #: row it is on, when that row issued, and its completing
-        #: messages still due
-        self._rows: List[List[Tuple[int, int, Plan]]] = []
+        #: per core: the op it is on, when that op issued, and its
+        #: completing messages still due
         self._index = [0] * cores
         self._issued_at = [0] * cores
         self._remaining = [0] * cores
@@ -160,25 +191,10 @@ class TraceReplayer:
     # -- public --------------------------------------------------------------
 
     def run(self) -> ReplayResult:
-        config = self.config
-        cycle = config.cycle_ps
-        plans = plan_memo(config)
-        rows = self._rows
-        for ops in self.trace.ops_by_core:
-            core_rows = []
-            for op in ops:
-                # the kind's value string: hashing the member itself
-                # runs Enum.__hash__, a Python call per op
-                key = (op.kind._value_, op.requester, op.home, op.owner,
-                       op.sharers)
-                plan = plans.get(key)
-                if plan is None:
-                    plan = plans[key] = compiled_plan(op, config)
-                core_rows.append((op.gap_cycles * cycle, op.requester, plan))
-            rows.append(core_rows)
-        for core, core_rows in enumerate(rows):
-            if core_rows:
-                self.sim.at(core_rows[0][0], self._issue, core)
+        cycle = self.config.cycle_ps
+        for core, ops in enumerate(self._ops):
+            if ops:
+                self.sim.at(ops[0].gap_cycles * cycle, self._issue, core)
         events = self.sim.run()
         return ReplayResult(
             network=self.network.name,
@@ -195,16 +211,26 @@ class TraceReplayer:
     # -- core state machine ----------------------------------------------------
 
     def _issue(self, core: int) -> None:
-        _, site, (completions, roots) = self._rows[core][self._index[core]]
+        op = self._ops[core][self._index[core]]
+        site = op.requester
         mshrs_free = self._mshrs_free
         if mshrs_free[site] == 0:
             self._mshr_waiters[site].append(core)
             return
         mshrs_free[site] -= 1
+        # the kind's value string: hashing the member itself runs
+        # Enum.__hash__, a Python call per op
+        shape = (op.kind._value_, op.owner is None, len(op.sharers))
+        plan = self._plans.get(shape)
+        if plan is None:
+            plan = self._plans[shape] = compiled_plan(op, self.config)
+        completions, roots = plan
+        # the sites the plan's roles index
+        sites = (site, op.home, op.owner) + op.sharers
         sim = self.sim
         now = sim.now
         for step in roots:
-            sim.at(now, self._inject, core, step)
+            sim.at(now, self._inject, core, step, sites)
         if completions:
             self._issued_at[core] = now
             self._remaining[core] = completions
@@ -220,16 +246,17 @@ class TraceReplayer:
             self.sim.schedule(0, self._issue, waiters.popleft())
         index = self._index[core] + 1
         self._index[core] = index
-        core_rows = self._rows[core]
-        if index < len(core_rows):
-            self.sim.schedule(core_rows[index][0], self._issue, core)
+        ops = self._ops[core]
+        if index < len(ops):
+            self.sim.schedule(ops[index].gap_cycles * self.config.cycle_ps,
+                              self._issue, core)
 
     # -- message plan execution --------------------------------------------------
 
-    def _inject(self, core: int, step: Step) -> None:
-        # the event carries its step: a writeback's inject fires after
-        # its core has already moved on to the next row
-        self.network.inject(ReplayPacket(core, step, self._delivered))
+    def _inject(self, core: int, step: Step, sites: tuple) -> None:
+        # the event carries its step and sites: a writeback's inject
+        # fires after its core has already moved on to the next op
+        self.network.inject(ReplayPacket(core, step, sites, self._delivered))
 
     def _delivered(self, packet: ReplayPacket) -> None:
         core = packet.core
@@ -243,9 +270,9 @@ class TraceReplayer:
                 # network stamped t_deliver with the current time
                 self._op_latency.add(packet.t_deliver
                                      - self._issued_at[core])
-                self._advance(core, self._rows[core][self._index[core]][1])
+                self._advance(core, packet.sites[0])
         for delay, child in step[5]:
-            self.sim.schedule(delay, self._inject, core, child)
+            self.sim.schedule(delay, self._inject, core, child, packet.sites)
 
 
 def replay(trace: CoherenceTrace, network_name: str,

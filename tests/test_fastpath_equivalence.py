@@ -283,35 +283,82 @@ def _shape_patterns(layout):
     return names
 
 
+def _draw_network_kwargs(data, network):
+    """Random constructor knobs for ``network``'s model ({} for a
+    network without any the kernels read)."""
+    if network == "hermes":
+        return dict(cluster_rows=data.draw(st.integers(1, 4),
+                                           label="cluster_rows"),
+                    cluster_cols=data.draw(st.integers(1, 4),
+                                           label="cluster_cols"))
+    if network in ("two_phase", "two_phase_alt"):
+        return dict(trees_per_column=data.draw(st.integers(1, 4),
+                                               label="trees_per_column"),
+                    tree_reconfig_ps=data.draw(st.integers(0, 60000),
+                                               label="tree_reconfig_ps"))
+    if network == "circuit_switched":
+        return dict(engines_per_site=data.draw(st.integers(1, 8),
+                                               label="engines_per_site"))
+    if network == "token_ring":
+        return dict(grant_overhead_ps=data.draw(st.integers(0, 400),
+                                                label="grant_overhead_ps"))
+    return {}
+
+
+def _draw_pattern(data, name, layout, seed):
+    """``(pattern, repro text)``: the named pattern, with random
+    parameters for the bursty and hotspot ones."""
+    if name == "lockstep":
+        return Lockstep(layout, seed=seed), "Lockstep(layout, seed=%d)" % seed
+    if name == "bursty":
+        burstiness = data.draw(st.floats(1.0, 16.0), label="burstiness")
+        burst_length = data.draw(st.integers(1, 64), label="burst_length")
+        return (BurstyTraffic(layout, seed=seed, burstiness=burstiness,
+                              burst_length=burst_length),
+                "BurstyTraffic(layout, seed=%d, burstiness=%r, "
+                "burst_length=%d)" % (seed, burstiness, burst_length))
+    if name == "hotspot":
+        fraction = data.draw(st.floats(0.0, 1.0), label="hotspot_fraction")
+        return (HotspotTraffic(layout, seed=seed, hotspot_fraction=fraction),
+                "HotspotTraffic(layout, seed=%d, hotspot_fraction=%r)"
+                % (seed, fraction))
+    return (make_pattern(name, layout, seed=seed),
+            "make_pattern(%r, layout, seed=%d)" % (name, seed))
+
+
 @needs_numpy
 @pytest.mark.parametrize("network", vectorized_networks())
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_kernel_matches_engine_on_random_shapes(network, data):
     """Every kernel against the engine on random grids, loads, windows,
-    seeds and patterns, lockstep ties included.  A result that delivered
-    nothing inside the window (the electrical baseline on an 8x8 grid at
-    a short window, say) has NaN latencies on both engines alike."""
+    seeds, network knobs and patterns (bursty and hotspot parameters and
+    lockstep ties included).  A result that delivered nothing inside the
+    window (the electrical baseline on an 8x8 grid at a short window,
+    say) has NaN latencies on both engines alike."""
     rows = data.draw(st.integers(2, 8), label="rows")
     cols = data.draw(st.integers(2, 8), label="cols")
     load = data.draw(st.floats(0.01, 0.8), label="load")
     window_ns = data.draw(st.floats(20.0, 200.0), label="window_ns")
     seed = data.draw(st.integers(0, 2 ** 16), label="seed")
+    network_kwargs = _draw_network_kwargs(data, network)
     config = small_test_config(rows, cols)
     name = data.draw(st.sampled_from(_shape_patterns(config.layout)),
                      label="pattern")
-    pattern = (Lockstep(config.layout, seed=seed) if name == "lockstep"
-               else make_pattern(name, config.layout, seed=seed))
+    pattern, pattern_repro = _draw_pattern(data, name, config.layout, seed)
     repro = ("run_load_point(%r, small_test_config(%d, %d), %s, %r, "
-             "window_ns=%r, seed=%d)"
-             % (network, rows, cols, name, load, window_ns, seed))
+             "window_ns=%r, seed=%d, network_kwargs=%r)"
+             % (network, rows, cols, pattern_repro, load, window_ns, seed,
+                network_kwargs))
     try:
         scalar = run_load_point(network, config, pattern, load,
-                                window_ns=window_ns, seed=seed)
+                                window_ns=window_ns, seed=seed,
+                                network_kwargs=network_kwargs)
     except ValueError:  # the window is shorter than every first gap
         assume(False)
     fast = run_load_point(network, config, pattern, load,
                           window_ns=window_ns, seed=seed,
+                          network_kwargs=network_kwargs,
                           backend="vectorized")
     assert _nan_free(fast) == _nan_free(scalar), repro
 

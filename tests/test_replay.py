@@ -3,12 +3,14 @@
 import gc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.invariants import InvariantMonitor
-from repro.cpu.coherence import CoherenceOp, OpKind
+from repro.cpu.coherence import CoherenceOp, OpKind, message_plan
 from repro.cpu.trace import CoherenceTrace
-from repro.macrochip.config import small_test_config
-from repro.workloads.replay import TraceReplayer, replay
+from repro.macrochip.config import scaled_config, small_test_config
+from repro.workloads.replay import (TraceReplayer, compiled_plan,
+                                    plan_memo, replay)
 
 from .test_golden_replay import NETWORKS, TRACES, all_to_all
 
@@ -153,3 +155,101 @@ def test_replay_holds_every_invariant(trace_name, network):
     result = replayer.run()
     monitor.verify()
     assert result.messages_sent == replayer.network.stats.delivered_packets
+
+
+@pytest.mark.parametrize("built_for, replayed_on", [
+    (small_test_config(4, 4), scaled_config()),
+    (scaled_config(), small_test_config(4, 4)),
+], ids=["4x4-on-8x8", "8x8-on-4x4"])
+def test_trace_for_another_machine_is_rejected(built_for, replayed_on):
+    """A trace's cores are the config's cores: one built for a different
+    core count is refused up front, naming both counts."""
+    trace = make_trace(built_for, {0: [gets(0, 0, 1)]})
+    with pytest.raises(ValueError) as info:
+        TraceReplayer(trace, "point_to_point", replayed_on)
+    message = str(info.value)
+    assert str(built_for.num_cores) in message
+    assert str(replayed_on.num_cores) in message
+
+
+def test_trace_with_a_wrong_core_list_count_is_rejected(cfg):
+    trace = make_trace(cfg, {0: [gets(0, 0, 1)]})
+    trace.ops_by_core.append([])
+    with pytest.raises(ValueError, match="%d core op lists" % (
+            cfg.num_cores + 1)):
+        TraceReplayer(trace, "point_to_point", cfg)
+
+
+def _bind(step, sites):
+    """A template step with its roles replaced by ``sites``."""
+    src, dst, size, kind, completes, children = step
+    return (sites[src], sites[dst], size, kind, completes,
+            tuple((delay, _bind(child, sites)) for delay, child in children))
+
+
+def _reference_plan(op, cfg):
+    """``message_plan(op)`` as a ``(completions, roots)`` tree of
+    ``(src, dst, size, kind, completes, ((delay_ps, child), ...))``."""
+    steps = message_plan(op, cfg.control_message_bytes,
+                         cfg.data_message_bytes,
+                         cfg.directory_latency_cycles,
+                         cfg.memory_latency_cycles)
+    stalls = op.kind is not OpKind.WRITEBACK
+
+    def node(i):
+        step = steps[i]
+        return (step.src, step.dst, step.size_bytes, step.kind,
+                stalls and step.completes,
+                tuple((steps[c].extra_delay_cycles * cfg.cycle_ps, node(c))
+                      for c in range(len(steps))
+                      if steps[c].depends_on == i))
+
+    completions = sum(stalls and step.completes for step in steps)
+    return completions, tuple(node(i) for i, step in enumerate(steps)
+                              if step.depends_on is None)
+
+
+@st.composite
+def coherence_ops(draw, sites=16):
+    """An op of any kind: home at the requester or not, no owner or a
+    remote one, and for a write 0-6 distinct sharers other than the
+    requester (the home and the owner among them or not)."""
+    kind = draw(st.sampled_from(list(OpKind)), label="kind")
+    requester = draw(st.integers(0, sites - 1), label="requester")
+    others = [s for s in range(sites) if s != requester]
+    home = draw(st.one_of(st.just(requester), st.sampled_from(others)),
+                label="home")
+    owner = draw(st.one_of(st.none(), st.sampled_from(others)),
+                 label="owner")
+    sharers = () if kind is OpKind.GET_S else tuple(draw(
+        st.lists(st.sampled_from(others), max_size=6, unique=True),
+        label="sharers"))
+    return CoherenceOp(core=0, gap_cycles=0, kind=kind,
+                       requester=requester, home=home, owner=owner,
+                       sharers=sharers)
+
+
+@settings(max_examples=200, deadline=None)
+@given(op=coherence_ops())
+def test_template_bound_to_sites_is_the_ops_message_plan(op):
+    """A shape's plan, its roles bound to one op's sites, is exactly
+    that op's ``message_plan``: every step's ends, size, kind and
+    completion flag, the dependency tree, the delays and the child
+    order.  A protocol that branched on a site would fail here."""
+    cfg = small_test_config(4, 4)
+    completions, roots = compiled_plan(op, cfg)
+    sites = (op.requester, op.home, op.owner) + op.sharers
+    bound = (completions, tuple(_bind(step, sites) for step in roots))
+    assert bound == _reference_plan(op, cfg)
+
+
+@pytest.mark.parametrize("trace_name", list(TRACES))
+def test_memo_holds_one_plan_per_shape(trace_name):
+    trace, cfg = TRACES[trace_name]()
+    memo = plan_memo(cfg)
+    memo.clear()  # a lazily filled cache: emptying it changes no result
+    replay(trace, "point_to_point", cfg)
+    shapes = {(op.kind.value, op.owner is None, len(op.sharers))
+              for ops in trace.ops_by_core for op in ops}
+    assert len(shapes) > 1
+    assert set(memo) == shapes
