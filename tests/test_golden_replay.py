@@ -19,6 +19,12 @@ token ring's waiter set spans all 64 snake positions and the releasing
 site competes with the other waiters; there the two-phase networks'
 ``wasted_slots``/``granted_slots`` counters are pinned too.
 
+The traces above are synthetic or hand-built.  ``lu`` is a real-sharing
+trace: the LU kernel run through the CPU simulator on the Table 4
+config (40 references per core: 17,353 operations, 69 of them
+invalidating more than one sharer), pinned the same way on
+point-to-point, the token ring and the two-phase network.
+
 A change to the replay layer that moves the order of a single event
 (and so its sequence number) moves ``events`` or a latency here.  If a
 model change is meant to move results, regenerate the table with::
@@ -29,9 +35,11 @@ model change is meant to move results, regenerate the table with::
 import pytest
 
 from repro.cpu.coherence import CoherenceOp, OpKind
+from repro.cpu.system import generate_trace
 from repro.cpu.trace import CoherenceTrace
 from repro.macrochip.config import scaled_config, small_test_config
 from repro.networks.factory import EXTENDED_NETWORKS, FIGURE7_NETWORKS
+from repro.workloads.kernels import LuKernel
 from repro.workloads.replay import TraceReplayer, replay
 from repro.workloads.sharing import mix_by_name
 from repro.workloads.synthetic import make_pattern
@@ -40,6 +48,7 @@ from repro.workloads.synthetic_coherence import (SyntheticCoherenceSpec,
 
 NETWORKS = list(dict.fromkeys(FIGURE7_NETWORKS + EXTENDED_NETWORKS))
 SCALED_NETWORKS = ("token_ring", "two_phase", "two_phase_alt")
+LU_NETWORKS = ("point_to_point", "token_ring", "two_phase")
 PERCENTILES = (1, 10, 25, 50, 75, 90, 99, 100)
 
 
@@ -92,6 +101,12 @@ def scaled():
     return trace, cfg
 
 
+def lu():
+    """The LU kernel's CPU-simulator trace on the 8x8 (Table 4) config."""
+    cfg = scaled_config()
+    return generate_trace(LuKernel(refs_per_core=40), cfg), cfg
+
+
 TRACES = {"all_to_all": all_to_all, "hand_built": hand_built}
 
 
@@ -133,7 +148,8 @@ def _print_table(title, entries):
 
 
 def print_pins():
-    """Print the PINS and SCALED_PINS tables for the current code."""
+    """Print the PINS, SCALED_PINS and LU_PINS tables for the current
+    code."""
     entries = []
     for name, build in TRACES.items():
         trace, cfg = build()
@@ -143,6 +159,9 @@ def print_pins():
     trace, cfg = scaled()
     _print_table("SCALED_PINS", [(net, scaled_summary(trace, net, cfg))
                                  for net in SCALED_NETWORKS])
+    trace, cfg = lu()
+    _print_table("LU_PINS", [(net, scaled_summary(trace, net, cfg))
+                             for net in LU_NETWORKS])
 
 
 PINS = {
@@ -364,3 +383,52 @@ def scaled_trace():
 def test_scaled_replay_result_is_pinned(scaled_trace, network):
     trace, cfg = scaled_trace
     assert scaled_summary(trace, network, cfg) == SCALED_PINS[network]
+
+
+LU_PINS = {
+    'point_to_point': dict(
+        network='Point-to-Point',
+        workload='LU',
+        runtime_ps=1695400,
+        ops_completed=17353,
+        messages_sent=37028,
+        events=91409,
+        latency=(17353, 359756200, 6600, 101200),
+        percentiles=(12400, 12400, 12400, 12400, 30000, 38000, 60000, 101200),
+        energy={'optical': 632630.3999999844},
+    ),
+    'token_ring': dict(
+        network='Token Ring',
+        workload='LU',
+        runtime_ps=1818355,
+        ops_completed=17353,
+        messages_sent=37028,
+        events=129557,
+        latency=(17353, 404488665, 3460, 170515),
+        percentiles=(12400, 12400, 12400, 12400, 31905, 47335, 90430, 170515),
+        energy={'optical': 632630.3999999817},
+    ),
+    'two_phase': dict(
+        network='2-Phase Arb.',
+        workload='LU',
+        runtime_ps=3701200,
+        ops_completed=17353,
+        messages_sent=37028,
+        events=294300,
+        latency=(17353, 914427300, 12400, 847500),
+        percentiles=(12400, 12400, 12400, 12400, 44400, 154100, 458200, 847500),
+        energy={'optical': 632630.3999999848},
+        slots=(94208, 14475),
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def lu_trace():
+    return lu()
+
+
+@pytest.mark.parametrize("network", LU_NETWORKS)
+def test_lu_replay_result_is_pinned(lu_trace, network):
+    trace, cfg = lu_trace
+    assert scaled_summary(trace, network, cfg) == LU_PINS[network]
