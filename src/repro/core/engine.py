@@ -17,6 +17,9 @@ A small, fast, deterministic event engine.  Design choices:
   so a hook installed or removed mid-run (by a callback) takes effect at
   the next dispatched event; an unbounded run compares against a horizon
   no event time reaches.
+* **The clock is a plain attribute.**  ``now`` is a slot that only
+  ``run`` (and ``reset``) write; every other reader takes it as it is,
+  without a property call per read.
 """
 
 from __future__ import annotations
@@ -48,10 +51,12 @@ class Simulator:
     ['b', 'a']
     """
 
-    __slots__ = ("_now", "_queue", "_seq", "_running", "_stopped", "trace")
+    __slots__ = ("now", "_queue", "_seq", "_running", "_stopped", "trace")
 
     def __init__(self) -> None:
-        self._now = 0
+        #: current simulation time in picoseconds; written only by
+        #: :meth:`run` and :meth:`reset`, read-only to everyone else
+        self.now = 0
         self._queue: List[Tuple[int, int, Callable[..., Any], tuple]] = []
         self._seq = 0
         self._running = False
@@ -69,24 +74,19 @@ class Simulator:
         #: effect at the next dispatched event.
         self.trace: Optional[Callable[[int, Callable, tuple], None]] = None
 
-    @property
-    def now(self) -> int:
-        """Current simulation time in picoseconds."""
-        return self._now
-
     def schedule(self, delay_ps: int, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` to run ``delay_ps`` after the current time."""
         if delay_ps < 0:
             raise SimulationError("cannot schedule into the past (delay=%d)" % delay_ps)
         seq = self._seq
-        heappush(self._queue, (self._now + delay_ps, seq, fn, args))
+        heappush(self._queue, (self.now + delay_ps, seq, fn, args))
         self._seq = seq + 1
 
     def at(self, time_ps: int, fn: Callable[..., Any], *args: Any) -> None:
         """Schedule ``fn(*args)`` at absolute time ``time_ps``."""
-        if time_ps < self._now:
+        if time_ps < self.now:
             raise SimulationError(
-                "cannot schedule at %d before now=%d" % (time_ps, self._now)
+                "cannot schedule at %d before now=%d" % (time_ps, self.now)
             )
         seq = self._seq
         heappush(self._queue, (time_ps, seq, fn, args))
@@ -108,7 +108,7 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("cannot reset a running simulator")
-        self._now = 0
+        self.now = 0
         self._queue.clear()
         self._seq = 0
         self._stopped = False
@@ -154,7 +154,7 @@ class Simulator:
                 if time_ps > horizon:
                     heappush(queue, item)
                     break
-                self._now = time_ps
+                self.now = time_ps
                 if self.trace is not None:
                     self.trace(time_ps, item[2], item[3])
                 item[2](*item[3])
@@ -163,6 +163,6 @@ class Simulator:
                     break
         finally:
             self._running = False
-        if until_ps is not None and not self._stopped and self._now < until_ps:
-            self._now = until_ps
+        if until_ps is not None and not self._stopped and self.now < until_ps:
+            self.now = until_ps
         return dispatched

@@ -266,15 +266,32 @@ class NetworkStats:
     def on_inject(self) -> None:
         self.injected_packets += 1
 
-    def on_deliver(self, now_ps: int, inject_ps: int, size_bytes: int) -> None:
+    def on_deliver(self, now_ps: int, inject_ps: int, size_bytes: int,
+                   energy_category: Optional[str] = None,
+                   energy_pj: float = 0.0) -> None:
+        """Record one delivery: its count, its latency and bytes if it
+        lands inside the measurement window, and (when ``energy_category``
+        is given) its transmit energy, which accrues inside the window or
+        not.  A network calls this once per delivered packet."""
         self.delivered_packets += 1
+        if energy_category is not None:
+            # EnergyAccount.add, inlined
+            by_category = self.energy._by_category
+            by_category[energy_category] = (
+                by_category.get(energy_category, 0.0) + energy_pj)
         meter = self.throughput
         if now_ps < meter.warmup_ps:
             return
         window_end = meter.window_end_ps
         if window_end is not None and now_ps > window_end:
             return
-        self.latency.add(now_ps - inject_ps)
+        # LatencySample.add, inlined
+        latency = self.latency
+        value = now_ps - inject_ps
+        counts = latency._counts
+        counts[value] = counts.get(value, 0) + 1
+        latency._n += 1
+        latency._sum += value
         # ThroughputMeter.record past its (just checked) window test
         meter._bytes += size_bytes
         meter._packets += 1

@@ -280,25 +280,27 @@ class InterSiteNetwork:
         return ch
 
     def _deliver(self, packet: Packet) -> None:
-        """Record stats and dynamic energy, then hand the packet to the
-        sink.  Subclasses call this (directly or via Channel callbacks)
-        at arrival time."""
+        """Record stats and dynamic energy (one
+        :meth:`~repro.core.stats.NetworkStats.on_deliver` call), then
+        hand the packet to the sink.  Subclasses call this (directly or
+        via Channel callbacks) at arrival time."""
         now = self.sim.now
         packet.t_deliver = now
         if self.tracer is not None:
             self.tracer.emit(now, tracing.DELIVER, pid=packet.pid,
                              src=packet.src, dst=packet.dst,
                              size_bytes=packet.size_bytes)
-        stats = self.stats
         size = packet.size_bytes
-        stats.on_deliver(now, packet.t_inject, size)
         if packet.src != packet.dst:
-            # the electrical loopback costs no transmit energy
             key = (size, packet.hops or 1)
             pj = self._energy_cache.get(key)
             if pj is None:
                 pj = self._energy_cache[key] = self._transmit_energy_pj(*key)
-            stats.energy.add(self.energy_category, pj)
+            self.stats.on_deliver(now, packet.t_inject, size,
+                                  self.energy_category, pj)
+        else:
+            # the electrical loopback costs no transmit energy
+            self.stats.on_deliver(now, packet.t_inject, size)
         if packet.on_delivered is not None:
             packet.on_delivered(packet)
         if self._sink is not None:

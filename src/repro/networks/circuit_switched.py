@@ -158,14 +158,20 @@ class CircuitSwitchedTorus(InterSiteNetwork):
         port = self._rx_port_table[packet.dst]
         if port is None:
             port = self._rx_port(packet.dst)
-        tx = port.serialization_ps(packet.size_bytes)
+        # Channel.serialization_ps, its memo read inline
+        tx = port._tx_cache.get(packet.size_bytes)
+        if tx is None:
+            tx = port.serialization_ps(packet.size_bytes)
         idx = packet.src * self._num_sites + packet.dst
         flight = self._flight_table[idx]
         if flight < 0:
             flight = propagation_ps(
                 self.config.layout.torus_distance_cm(packet.src, packet.dst))
             self._flight_table[idx] = flight
-        start = max(self.sim.now, port.next_free - flight)
+        now = self.sim.now
+        start = port.next_free - flight
+        if start < now:
+            start = now
         done_at_src = start + tx
         port.next_free = done_at_src + flight
         port.busy_ps += tx
@@ -173,7 +179,7 @@ class CircuitSwitchedTorus(InterSiteNetwork):
             # destination ingress occupancy, in arrival-side time (what
             # port.next_free serializes): the interval the last-hop
             # receiver is busy with this packet's bits
-            self.tracer.emit(self.sim.now, tracing.GRANT, pid=packet.pid,
+            self.tracer.emit(now, tracing.GRANT, pid=packet.pid,
                              src=packet.src, dst=packet.dst,
                              resource=port.name,
                              start_ps=start + flight,

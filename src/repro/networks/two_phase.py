@@ -153,16 +153,16 @@ class TwoPhaseArbitratedNetwork(InterSiteNetwork):
 
     # -- protocol ----------------------------------------------------------
 
-    def _route(self, packet: Packet) -> None:
-        packet.hops = 1
-        self._arbitrate(packet)
-
     def _arbitrate(self, packet: Packet) -> None:
         """Phase 1: post the request; all domain members assign slot Tr.
 
         The earliest slot is request flight + arb slot + notification
         flight + switch setup after "now" (precombined in _arb_lead_ps).
+        This is also the network's ``_route``: ``inject`` hands a packet
+        straight to arbitration, and a re-arbitration sets ``hops`` to
+        the 1 it already is.
         """
+        packet.hops = 1
         row = self._row_of[packet.src]
         ch = self._channel_table[row * self._num_sites + packet.dst]
         if ch is None:
@@ -184,6 +184,8 @@ class TwoPhaseArbitratedNetwork(InterSiteNetwork):
                              resource="slot:" + ch.name,
                              start_ps=tr, end_ps=tr + dur)
         self.sim.at(tr, self._slot_begins, packet, dur)
+
+    _route = _arbitrate
 
     def _slot_begins(self, packet: Packet, dur: int) -> None:
         """Phase 2 happened; at Tr the sender needs a switch tree for the

@@ -30,11 +30,15 @@ How the replay runs:
   from the trace.  A core's progress is three ints: the op it is on,
   when that op issued, and how many completing messages it still waits
   for.  MSHR waiters are core ids.
-* **No per-op cycles.**  Events carry ``(core, step, sites)``, and each
-  packet is a :class:`ReplayPacket` holding the same three, with the
-  replayer's ``_delivered`` method as its callback.  No closure is built
-  per op, nothing per op refers back to itself, and a finished replay
-  leaves no garbage for the cyclic collector.
+* **Events carry the packet.**  A message is built as a
+  :class:`ReplayPacket` holding ``(core, step, sites)`` when it is
+  scheduled, and its event calls ``network.inject(packet)`` directly:
+  no replayer frame sits between the engine and the network.  The
+  packet's callback is the replayer's ``_delivered`` method, which
+  schedules the step's children the same way.
+* **No per-op cycles.**  No closure is built per op, nothing per op
+  refers back to itself, and a finished replay leaves no garbage for
+  the cyclic collector.
 """
 
 from __future__ import annotations
@@ -159,7 +163,7 @@ class TraceReplayer:
     Each core's ops are read from ``trace.ops_by_core`` as they issue;
     the per-op work is a shape lookup in :func:`plan_memo` and the op's
     sites tuple.  The trace must have been built for ``config``'s core
-    count.
+    count and site count; a mismatch raises ``ValueError``.
     """
 
     def __init__(self, trace: CoherenceTrace, network_name: str,
@@ -171,12 +175,27 @@ class TraceReplayer:
                 "trace %r was built for %d cores (%d core op lists), but "
                 "the config has %d" % (trace.workload, trace.num_cores,
                                        cores, config.num_cores))
+        # the core count can match while the site count differs (16x8
+        # and 32x4): a core's ops are requested by its own site, so each
+        # core's first op shows which site the trace put it on
+        per_site = config.cores_per_site
+        for core, ops in enumerate(trace.ops_by_core):
+            if ops and ops[0].requester != core // per_site:
+                raise ValueError(
+                    "trace %r was built for another site count: core %d's "
+                    "ops are requested by site %d, but the config (%d "
+                    "sites, %d cores per site) puts core %d on site %d"
+                    % (trace.workload, core, ops[0].requester,
+                       config.num_sites, per_site, core, core // per_site))
         self.trace = trace
         self.config = config
         self.sim = Simulator()
         self.network = build_network(network_name, config, self.sim,
                                      **(network_kwargs or {}))
         self._ops = trace.ops_by_core
+        # a config property that rounds a float: read once, not per op
+        self._cycle_ps = config.cycle_ps
+        self._net_inject = self.network.inject
         self._plans = plan_memo(config)
         self._op_latency = LatencySample()
         self._mshrs_free = [config.mshrs_per_site] * config.num_sites
@@ -191,7 +210,7 @@ class TraceReplayer:
     # -- public --------------------------------------------------------------
 
     def run(self) -> ReplayResult:
-        cycle = self.config.cycle_ps
+        cycle = self._cycle_ps
         for core, ops in enumerate(self._ops):
             if ops:
                 self.sim.at(ops[0].gap_cycles * cycle, self._issue, core)
@@ -229,8 +248,11 @@ class TraceReplayer:
         sites = (site, op.home, op.owner) + op.sharers
         sim = self.sim
         now = sim.now
+        # the packet rides its inject event: a writeback's inject fires
+        # after its core has already moved on to the next op
         for step in roots:
-            sim.at(now, self._inject, core, step, sites)
+            sim.at(now, self._net_inject,
+                   ReplayPacket(core, step, sites, self._delivered))
         if completions:
             self._issued_at[core] = now
             self._remaining[core] = completions
@@ -248,15 +270,10 @@ class TraceReplayer:
         self._index[core] = index
         ops = self._ops[core]
         if index < len(ops):
-            self.sim.schedule(ops[index].gap_cycles * self.config.cycle_ps,
+            self.sim.schedule(ops[index].gap_cycles * self._cycle_ps,
                               self._issue, core)
 
     # -- message plan execution --------------------------------------------------
-
-    def _inject(self, core: int, step: Step, sites: tuple) -> None:
-        # the event carries its step and sites: a writeback's inject
-        # fires after its core has already moved on to the next op
-        self.network.inject(ReplayPacket(core, step, sites, self._delivered))
 
     def _delivered(self, packet: ReplayPacket) -> None:
         core = packet.core
@@ -272,7 +289,9 @@ class TraceReplayer:
                                      - self._issued_at[core])
                 self._advance(core, packet.sites[0])
         for delay, child in step[5]:
-            self.sim.schedule(delay, self._inject, core, child, packet.sites)
+            self.sim.schedule(delay, self._net_inject,
+                              ReplayPacket(core, child, packet.sites,
+                                           self._delivered))
 
 
 def replay(trace: CoherenceTrace, network_name: str,

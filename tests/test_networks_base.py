@@ -101,6 +101,31 @@ class TestInterSiteNetwork:
         sim.run()
         assert net.stats.energy.get("optical") == 0.0
 
+    def test_energy_accrues_for_off_site_deliveries_outside_window(
+            self, small_config, sim):
+        """A delivery past the measurement window counts as delivered
+        and is charged its transmit energy, but adds no latency; a
+        loopback delivery there is charged nothing."""
+        assert small_config.loopback_latency_ps > 100
+        net = _DirectNetwork(small_config, sim)
+        net.stats.throughput.window_end_ps = 100
+        net.inject(Packet(0, 5, 64))   # delivered at 1000 ps, in the drain
+        net.inject(Packet(4, 4, 64))   # loopback, one cycle: past it too
+        sim.run()
+        assert net.stats.delivered_packets == 2
+        assert len(net.stats.latency) == 0
+        assert net.stats.throughput.packets == 0
+        assert net.stats.energy.categories() == {
+            "optical": pytest.approx(76.8)}
+
+    def test_warmup_delivery_is_charged_energy(self, small_config, sim):
+        net = _DirectNetwork(small_config, sim, warmup_ps=5000)
+        net.inject(Packet(0, 5, 64))   # delivered at 1000 ps, in warmup
+        sim.run()
+        assert net.stats.delivered_packets == 1
+        assert len(net.stats.latency) == 0
+        assert net.stats.energy.get("optical") == pytest.approx(76.8)
+
     def test_on_delivered_callback_fires(self, small_config, sim):
         net = _DirectNetwork(small_config, sim)
         hits = []

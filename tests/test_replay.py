@@ -12,6 +12,11 @@ from repro.macrochip.config import scaled_config, small_test_config
 from repro.workloads.replay import (TraceReplayer, compiled_plan,
                                     plan_memo, replay)
 
+from repro.workloads.sharing import mix_by_name
+from repro.workloads.synthetic import make_pattern
+from repro.workloads.synthetic_coherence import (SyntheticCoherenceSpec,
+                                                 generate_synthetic_trace)
+
 from .test_golden_replay import NETWORKS, TRACES, all_to_all
 
 
@@ -170,6 +175,26 @@ def test_trace_for_another_machine_is_rejected(built_for, replayed_on):
     message = str(info.value)
     assert str(built_for.num_cores) in message
     assert str(replayed_on.num_cores) in message
+
+
+@pytest.mark.parametrize("built_for, replayed_on", [
+    (small_test_config(4, 4),
+     small_test_config(8, 4).with_overrides(cores_per_site=4)),
+    (small_test_config(8, 4).with_overrides(cores_per_site=4),
+     small_test_config(4, 4)),
+], ids=["16x8-on-32x4", "32x4-on-16x8"])
+def test_trace_for_another_site_count_is_rejected(built_for, replayed_on):
+    """Same core count, different sites: each core's first op names the
+    site the trace put it on, so the mismatch is refused up front (it
+    used to replay silently one way and raise IndexError the other)."""
+    assert built_for.num_cores == replayed_on.num_cores
+    spec = SyntheticCoherenceSpec("All-to-all", ops_per_core=5)
+    trace = generate_synthetic_trace(
+        spec, make_pattern("uniform", built_for.layout), mix_by_name("LS"),
+        built_for)
+    with pytest.raises(ValueError, match="trace 'All-to-all-LS' was built "
+                       "for another site count"):
+        TraceReplayer(trace, "point_to_point", replayed_on)
 
 
 def test_trace_with_a_wrong_core_list_count_is_rejected(cfg):

@@ -190,6 +190,35 @@ class TestNetworkStats:
         assert len(s.latency) == 1
         assert s.latency.mean_ps == 2000
 
+    @pytest.mark.parametrize("now_ps", [50, 2001], ids=["warmup", "drain"])
+    def test_energy_accrues_outside_the_window(self, now_ps):
+        """A delivery in the warmup or the drain counts as delivered and
+        adds its transmit energy, but no latency and no throughput."""
+        s = NetworkStats(warmup_ps=100, window_end_ps=2000)
+        s.on_deliver(now_ps, 0, 64, "optical", 76.8)
+        assert s.delivered_packets == 1
+        assert s.energy.categories() == {"optical": 76.8}
+        assert len(s.latency) == 0
+        assert s.throughput.packets == 0
+        assert s.throughput.bytes == 0
+
+    def test_energy_in_window_adds_to_every_meter(self):
+        s = NetworkStats(warmup_ps=100, window_end_ps=2000)
+        s.on_deliver(1500, 500, 64, "optical", 76.8)
+        s.on_deliver(1600, 500, 64, "optical", 76.8)
+        assert s.delivered_packets == 2
+        assert s.latency.histogram() == [[1000, 1], [1100, 1]]
+        assert s.throughput.bytes == 128
+        assert s.energy.get("optical") == 76.8 + 76.8
+
+    def test_no_energy_category_adds_no_energy(self):
+        """The loopback form of the call: no category, no energy."""
+        s = NetworkStats()
+        s.on_deliver(now_ps=1000, inject_ps=0, size_bytes=64)
+        assert s.delivered_packets == 1
+        assert s.energy.categories() == {}
+        assert s.latency.mean_ps == 1000
+
 
 def test_mean_helper():
     assert mean([1.0, 2.0, 3.0]) == 2.0
