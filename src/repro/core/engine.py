@@ -18,8 +18,8 @@ A small, fast, deterministic event engine.  Design choices:
   the next dispatched event; an unbounded run compares against a horizon
   no event time reaches.
 * **The clock is a plain attribute.**  ``now`` is a slot that only
-  ``run`` (and ``reset``) write; every other reader takes it as it is,
-  without a property call per read.
+  ``run`` writes; every other reader takes it as it is, without a
+  property call per read.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ class Simulator:
 
     def __init__(self) -> None:
         #: current simulation time in picoseconds; written only by
-        #: :meth:`run` and :meth:`reset`, read-only to everyone else
+        #: :meth:`run`, read-only to everyone else
         self.now = 0
         self._queue: List[Tuple[int, int, Callable[..., Any], tuple]] = []
         self._seq = 0
@@ -95,24 +95,6 @@ class Simulator:
     def stop(self) -> None:
         """Stop the run loop after the currently dispatching event returns."""
         self._stopped = True
-
-    def reset(self) -> None:
-        """Return to freshly-constructed state so the instance can be
-        reused for another run (the warm-start protocol).
-
-        Clears the queue **in place** — ``_queue`` must never be rebound
-        (the run loop holds a local alias) — and rewinds the clock and
-        sequence counter, so a reused simulator schedules and dispatches
-        exactly like a new one.  Must not be called from inside a running
-        dispatch loop.
-        """
-        if self._running:
-            raise SimulationError("cannot reset a running simulator")
-        self.now = 0
-        self._queue.clear()
-        self._seq = 0
-        self._stopped = False
-        self.trace = None
 
     def pending(self) -> int:
         """Number of events still queued."""

@@ -8,8 +8,8 @@ is a pure function of its key, so two network instances built from equal
 configs can share a single copy.  This module is the registry that makes
 that sharing explicit:
 
-* within one process, every load point of a sweep (and every warm-start
-  :class:`~repro.core.parallel.SimContext`) reuses the same tables
+* within one process, every load point of a sweep builds a fresh
+  network (:class:`~repro.core.parallel.SimContext`) on the same tables
   instead of recomputing them per construction;
 * under the ``fork`` start method, tables built in the parent before the
   worker pool spawns are shared across all workers via copy-on-write —

@@ -19,13 +19,10 @@ that shards such grids across worker processes:
   *across* ``run_sharded`` calls (pass it as ``pool=``), so a multi-call
   driver (figure sweeps, campaigns, benchmarks) pays process spin-up
   once instead of per call.
-* :class:`SimContext` / :func:`get_context` — the warm-start context
-  registry: one constructed ``(network, config)`` simulation instance
-  per process, keyed by config fingerprint and reset between uses, so an
-  entire sweep reuses one network instead of re-creating channels and
-  derived tables per load point (see ``repro.core.sweep``).
-  The registry is LRU-bounded (``CONTEXT_CACHE_LIMIT``) so long-lived
-  workers never grow it without limit.
+* :class:`SimContext` — one ``(simulator, network)`` pair, built
+  fresh for every load point (see ``repro.core.sweep``); the derived
+  tables it reads are interned (:mod:`repro.core.interning`), so a
+  build costs a few hundredths of a millisecond.
 
 Determinism contract
 --------------------
@@ -66,13 +63,11 @@ import pickle
 import time
 import traceback as _traceback
 import warnings
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 __all__ = [
     "available_cpus",
-    "clear_contexts",
     "derive_seed",
     "get_context",
     "resolve_workers",
@@ -440,16 +435,11 @@ def _submission_order(shards: Sequence[Shard],
 
 
 class SimContext:
-    """One reusable (network, config) simulation instance.
+    """One (network, config) simulation instance: a
+    :class:`~repro.core.engine.Simulator` and the network built on it,
+    used for one load point and then dropped."""
 
-    Owns a :class:`~repro.core.engine.Simulator` and the network built
-    on it.  :meth:`reset` rewinds simulator and network to
-    freshly-constructed state; :func:`get_context` calls it before every
-    reuse, so results are bit-identical to a fresh context (the contract
-    ``tests/test_warmstart.py`` locks).
-    """
-
-    __slots__ = ("sim", "network", "network_name", "warmup_ps", "uses")
+    __slots__ = ("sim", "network", "network_name", "warmup_ps")
 
     def __init__(self, network_name: str, config: Any, warmup_ps: int,
                  network_kwargs: Optional[Dict[str, Any]] = None) -> None:
@@ -465,70 +455,17 @@ class SimContext:
         self.network = build_network(network_name, config, self.sim,
                                      warmup_ps=warmup_ps,
                                      **(network_kwargs or {}))
-        #: how many runs this context has served (diagnostics/tests)
-        self.uses = 0
-
-    def reset(self) -> None:
-        """Rewind simulator and network to as-constructed state."""
-        self.sim.reset()
-        self.network.reset()
-
-
-#: per-process warm-start context registry, keyed by the full context
-#: fingerprint and LRU-bounded (a long campaign cycling through many
-#: configs in persistent workers must not grow memory without limit).
-#: Workers forked *before* the parent populated it start empty and build
-#: their own; contexts are never shipped across processes (Simulator
-#: callbacks are not picklable, and need not be — the registry is looked
-#: up inside the shard body).
-_CONTEXTS: "OrderedDict[Any, SimContext]" = OrderedDict()
-
-#: cap on cached warm contexts per process: a full Figure 6 run needs
-#: one per (network, window) pair — six networks a few windows deep fit
-#: comfortably; eviction only costs a construction on next use
-CONTEXT_CACHE_LIMIT = 32
-
-
-def _context_key(network_name: str, config: Any, warmup_ps: int,
-                 network_kwargs: Optional[Dict[str, Any]]) -> Any:
-    """Hashable fingerprint of everything that shapes a built network.
-    The config dataclasses are frozen (hashable, value-compared), so
-    equal configs — however constructed — share a context."""
-    kwargs = tuple(sorted((network_kwargs or {}).items()))
-    return (network_name, config, warmup_ps, kwargs)
 
 
 def get_context(network_name: str, config: Any, warmup_ps: int,
                 network_kwargs: Optional[Dict[str, Any]] = None
                 ) -> SimContext:
-    """The process's warm context for this fingerprint, reset and ready.
+    """A new :class:`SimContext`.
 
-    First use constructs (fresh by definition); every later use resets
-    the cached instance, which the reset protocol guarantees is
-    indistinguishable from fresh construction.  The registry is
-    LRU-bounded (``CONTEXT_CACHE_LIMIT``): evicting a context
-    never affects results — only whether the next use pays construction.
+    Kept only as the entry point the benchmark's ``parallel.context_*``
+    timers wrap; it goes when the benchmark stops timing it.
     """
-    key = _context_key(network_name, config, warmup_ps, network_kwargs)
-    ctx = _CONTEXTS.get(key)
-    if ctx is None:
-        ctx = SimContext(network_name, config, warmup_ps, network_kwargs)
-        _CONTEXTS[key] = ctx
-        while len(_CONTEXTS) > CONTEXT_CACHE_LIMIT:
-            _CONTEXTS.popitem(last=False)
-    else:
-        _CONTEXTS.move_to_end(key)
-        ctx.reset()
-    ctx.uses += 1
-    return ctx
-
-
-def clear_contexts() -> int:
-    """Drop every cached warm context (tests / memory pressure);
-    returns how many were dropped."""
-    n = len(_CONTEXTS)
-    _CONTEXTS.clear()
-    return n
+    return SimContext(network_name, config, warmup_ps, network_kwargs)
 
 
 def _pick_context():
@@ -550,12 +487,11 @@ class WorkerPool:
     a suite's trace build + replay grid, benchmark loops) pay that
     spin-up each time.  A ``WorkerPool`` is created lazily on first use,
     then passed to any number of ``run_sharded(..., pool=...)`` calls;
-    worker processes — and therefore their per-process warm-start
-    context registries (:func:`get_context`) and interned tables — stay
-    alive between calls.  Close it (or use it as a context manager) when
-    the run is over; after :meth:`close` ``mode`` reads ``"serial"``
-    until the next :meth:`acquire` spawns fresh workers.  A run that
-    loses a worker closes the broken pool the same way.
+    worker processes — and therefore their interned tables and draw
+    banks — stay alive between calls.  Close it (or use it as a context
+    manager) when the run is over; after :meth:`close` ``mode`` reads
+    ``"serial"`` until the next :meth:`acquire` spawns fresh workers.  A
+    run that loses a worker closes the broken pool the same way.
 
     Falls back to serial exactly like ``run_sharded`` does when the
     platform cannot provide a pool; ``workers=1`` never creates

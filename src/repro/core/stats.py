@@ -34,13 +34,6 @@ class LatencySample:
         self._n = 0
         self._sum = 0
 
-    def reset(self) -> None:
-        """Drop every observation (in place; the histogram dict is kept
-        so a long-lived collector does not thrash the allocator)."""
-        self._counts.clear()
-        self._n = 0
-        self._sum = 0
-
     def add(self, value_ps: int) -> None:
         """Record one latency observation."""
         counts = self._counts
@@ -156,16 +149,6 @@ class ThroughputMeter:
         self._first_ps: Optional[int] = None
         self._last_ps: Optional[int] = None
 
-    def reset(self, window_end_ps: Optional[int] = None) -> None:
-        """Zero the meter; ``window_end_ps`` restores the measurement
-        window (warm-start runs set it per run anyway, exactly as the
-        sweep harness does after constructing fresh stats)."""
-        self.window_end_ps = window_end_ps
-        self._bytes = 0
-        self._packets = 0
-        self._first_ps = None
-        self._last_ps = None
-
     def record(self, time_ps: int, size_bytes: int) -> None:
         if time_ps < self.warmup_ps:
             return
@@ -204,9 +187,6 @@ class EnergyAccount:
     def __init__(self) -> None:
         self._by_category: Dict[str, float] = {}
 
-    def reset(self) -> None:
-        self._by_category.clear()
-
     def add(self, category: str, picojoules: float) -> None:
         self._by_category[category] = self._by_category.get(category, 0.0) + picojoules
 
@@ -237,20 +217,6 @@ class NetworkStats:
         self.latency = LatencySample()
         self.throughput = ThroughputMeter(warmup_ps, window_end_ps)
         self.energy = EnergyAccount()
-        self.injected_packets = 0
-        self.delivered_packets = 0
-        self.dropped_packets = 0
-        # remembered so reset() restores the as-constructed window even
-        # after a run has moved throughput.window_end_ps
-        self._constructed_window_end_ps = window_end_ps
-
-    def reset(self) -> None:
-        """Return to freshly-constructed state (same warmup and window
-        as the constructor call) so one instance can serve every load
-        point of a warm-start sweep."""
-        self.latency.reset()
-        self.throughput.reset(self._constructed_window_end_ps)
-        self.energy.reset()
         self.injected_packets = 0
         self.delivered_packets = 0
         self.dropped_packets = 0

@@ -27,7 +27,7 @@ from typing import Any, Callable, List, Optional, Tuple
 
 from collections import OrderedDict
 
-from .parallel import SimContext, derive_seed, get_context
+from .parallel import derive_seed, get_context
 from .tracing import TraceRecorder
 from .units import serialization_ps
 from ..macrochip.config import MacrochipConfig
@@ -85,9 +85,8 @@ class _DrawBank:
 
     One bank therefore serves *every* load point of a sweep (and every
     network — schedules are network-independent), with each site's
-    stream prefix growing monotonically.  Warm runs share interned
-    banks (:func:`_get_draw_bank`); ``warm=False`` runs get a private
-    one.
+    stream prefix growing monotonically.  Runs share interned banks
+    (:func:`_get_draw_bank`); ``warm=False`` runs get a private one.
     """
 
     __slots__ = ("pattern", "seed", "num_sites", "_gap_rngs",
@@ -260,14 +259,12 @@ def run_load_point(network_name: str,
     injection lands before the horizon raises ``ValueError`` too, naming
     the minimum window (one mean injection gap) for that load.
 
-    The (simulator, network) pair comes from the per-process context
-    registry (:func:`repro.core.parallel.get_context`) — reset to
-    as-constructed state instead of rebuilt — and the injection draws
-    from an interned :class:`_DrawBank` shared across load points.
-    ``warm=False`` runs the same code on a private
-    :class:`~repro.core.parallel.SimContext` and a private bank, shared
-    with nothing: the fresh-construction reference the reset protocol is
-    tested against.  Results are bit-identical either way.
+    Every call builds its own (simulator, network) pair
+    (:class:`~repro.core.parallel.SimContext`) on the process's interned
+    tables.  ``warm`` only selects where the injection draws come from:
+    the interned :class:`_DrawBank` shared across load points (default),
+    or, with ``warm=False``, a private bank shared with nothing.
+    Results are bit-identical either way.
 
     ``backend`` selects the execution engine: ``"python"`` (default) is
     the scalar event loop; ``"vectorized"`` routes the run through
@@ -293,12 +290,11 @@ def run_load_point(network_name: str,
     warmup_ps = int(inject_window_ps * WARMUP_FRACTION)
     horizon = int(inject_window_ps * (1.0 + DRAIN_FACTOR))
 
+    ctx = get_context(network_name, config, warmup_ps,
+                      network_kwargs=network_kwargs)
     if warm:
-        ctx = get_context(network_name, config, warmup_ps,
-                          network_kwargs=network_kwargs)
         bank = _get_draw_bank(pattern, seed, config.num_sites)
     else:
-        ctx = SimContext(network_name, config, warmup_ps, network_kwargs)
         bank = _DrawBank(pattern, seed, config.num_sites)
     site_gaps, site_dsts = _draw_schedules(bank, mean_gap_ps,
                                            packets_per_site)
@@ -355,6 +351,10 @@ def run_load_point(network_name: str,
 
     events = sim.run(until_ps=horizon)
     stop_reason = "horizon" if sim.pending() else "drained"
+    # events left past the horizon refer back to the network (network ->
+    # sim -> queue -> bound method -> network): drop them, so the run's
+    # objects go with their last reference instead of to the cyclic GC
+    sim._queue.clear()
 
     if check_invariants:
         from .invariants import InvariantViolation, check_trace

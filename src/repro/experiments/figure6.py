@@ -94,13 +94,12 @@ def run_figure6(config: MacrochipConfig = None,
     high-load shards are submitted first (cost-keyed by offered load) so
     the pool never idles on a long tail.
 
-    Every load point is warm-started: each worker process keeps one
-    reset-reused (simulator, network) context per network and shares
-    the interned draw bank across the whole grid — bit-identical
-    results, less wall-clock.  ``pool`` lends a persistent
+    Every load point builds its own (simulator, network) pair on the
+    process's interned tables, and the load points of one pattern share
+    one interned draw bank.  ``pool`` lends a persistent
     :class:`~repro.core.parallel.WorkerPool` so multiple figure runs
-    (or a figure run and a suite run) reuse worker processes and
-    their warm contexts.
+    (or a figure run and a suite run) reuse worker processes, and with
+    them those tables and banks.
 
     Unknown ``patterns`` or ``networks``, and a ``load_grids`` without
     a grid for some requested pattern, raise ``ValueError`` before any

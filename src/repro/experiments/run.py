@@ -23,6 +23,7 @@ points at each feasible scale up to 16x16).
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -217,6 +218,9 @@ def main(argv=None) -> int:
     window = args.window_ns
     if window is None:
         window = {"smoke": 200.0, "quick": 500.0, "full": 1200.0}[args.preset]
+    elif not 0.0 < window < math.inf:
+        parser.error("--window-ns must be finite and positive, got %r"
+                     % (window,))
 
     artifact = args.artifact
     if args.networks and artifact == "all":

@@ -51,9 +51,9 @@ class Packet:
                  pid: Optional[int] = None):
         # pid=None draws from the process-global counter (historical
         # behavior); harnesses that need run-reproducible raw ids pass
-        # their own per-run allocation (see repro.core.sweep) so a warm
-        # rerun emits the same pids as a cold one, not just the same
-        # canonically-renumbered trace
+        # their own per-run allocation (see repro.core.sweep) so a rerun
+        # emits the same pids, not just the same canonically-renumbered
+        # trace
         self.pid = next(_packet_ids) if pid is None else pid
         self.src = src
         self.dst = dst
@@ -112,13 +112,6 @@ class Channel:
     def queue_delay_ps(self) -> int:
         """How long a packet injected now would wait before transmitting."""
         return max(0, self.next_free - self.sim.now)
-
-    def reset(self) -> None:
-        """Return to freshly-constructed state: idle timeline, zero busy
-        accounting.  ``_tx_cache`` is a pure per-size memo and survives
-        (identical values would be recomputed)."""
-        self.next_free = 0
-        self.busy_ps = 0
 
     def send(self, packet: Packet, on_arrival: Callable[..., None],
              site: Optional[int] = None) -> int:
@@ -221,27 +214,6 @@ class InterSiteNetwork:
         resources not listed default to capacity 1."""
         return {}
 
-    def reset(self) -> None:
-        """Return the network to freshly-constructed state.
-
-        The warm-start contract (locked by ``tests/test_warmstart.py``):
-        after ``reset()`` — paired with ``Simulator.reset()`` on the
-        owning simulator — a run must be bit-identical to one on a newly
-        constructed instance.  What it clears: statistics, channel
-        timelines, sink, tracer, and (via :meth:`_reset_state`) every
-        subclass's mutable protocol state.  What it deliberately keeps:
-        lazily-created channels (their timelines are rewound, which is
-        exactly the state a fresh lazy creation would produce) and the
-        pure derived-value memos (serialization, energy, slot, and
-        propagation tables — identical values would be recomputed).
-        """
-        self.stats.reset()
-        for ch in self._owned_channels:
-            ch.reset()
-        self._sink = None
-        self.set_tracer(None)
-        self._reset_state()
-
     def inject(self, packet: Packet) -> None:
         """Accept a packet for delivery.  Subclasses route it."""
         now = self.sim.now
@@ -260,13 +232,6 @@ class InterSiteNetwork:
 
     def _route(self, packet: Packet) -> None:
         raise NotImplementedError
-
-    def _reset_state(self) -> None:
-        """Clear subclass protocol state (token positions, switch trees,
-        engine queues, diagnostic counters, ...) back to as-constructed.
-        The base implementation is a no-op: purely channel-based
-        networks (point-to-point, electrical baseline) have nothing
-        beyond what :meth:`reset` already rewinds."""
 
     # -- shared helpers ----------------------------------------------------
 

@@ -86,15 +86,6 @@ class CircuitSwitchedTorus(InterSiteNetwork):
         #: circuits established (setup count), for tests/diagnostics
         self.circuits_established = 0
 
-    def _reset_state(self) -> None:
-        # refill the engine pools, drop queued packets, zero diagnostics
-        # (rx ports are channels — the base reset rewinds their
-        # timelines; the interned per-pair tables are pure and stay)
-        for s in range(self._num_sites):
-            self._engines_free[s] = self.engines_per_site
-            self._engine_queue[s].clear()
-        self.circuits_established = 0
-
     # -- path geometry -----------------------------------------------------
 
     def switch_hops(self, src: int, dst: int) -> int:
@@ -224,7 +215,7 @@ def _vectorized_circuit_switched(net: CircuitSwitchedTorus,
     :func:`~repro.core.vectorized.injection_order` stream, merged with
     each bucket on ``(time, seq)``.  Delivers — terminal in a sweep —
     are batched into arrays.  The per-pair setup/ack and flight costs
-    fill the *same* interned memos the scalar instances share, so warm
+    fill the *same* interned memos the scalar instances share, so the
     fills accumulate across backends too.
     """
     n = net._num_sites

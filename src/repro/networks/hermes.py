@@ -26,8 +26,8 @@ site-level point-to-point network — the hierarchy trades peak throughput
 for a much smaller global waveguide plant (see ``complexity.py``).
 
 The model follows the package contract: serialized :class:`Channel`
-servers, interned derived geometry, ``_reset_state`` for warm-start, and
-trace events on every channel so the invariant checkers apply unchanged.
+servers, interned derived geometry, and trace events on every channel so
+the invariant checkers apply unchanged.
 """
 
 from __future__ import annotations
@@ -174,15 +174,7 @@ class HermesHierarchicalNetwork(InterSiteNetwork):
         #: for every cluster member that physically sees a ring
         #: transmission it is not the source of
         self._snoop: Optional[Callable[[int, Packet], None]] = None
-        #: diagnostic counters (reset with the run)
-        self.intra_packets = 0
-        self.inter_packets = 0
-        self.snoop_events = 0
-
-    def _reset_state(self) -> None:
-        # channels are rewound by the base reset; geometry and channel
-        # tables are pure and stay
-        self._snoop = None
+        #: diagnostic counters
         self.intra_packets = 0
         self.inter_packets = 0
         self.snoop_events = 0

@@ -73,20 +73,13 @@ class LimitedPointToPointNetwork(InterSiteNetwork):
         # _fwd_table[src*n+dst] is None for peers (direct channel) and the
         # (a, b) forwarder-candidate pair otherwise.  The n^2 build is
         # the costliest network construction in the package, and both
-        # tables are pure functions of the layout — interned, so sweeps
-        # and warm contexts build them once per layout per process (and
-        # forked workers inherit them copy-on-write).
+        # tables are pure functions of the layout — interned, so a sweep
+        # builds them once per layout per process (and forked workers
+        # inherit them copy-on-write).
         self._fwd_table, self._coords = intern_table(
             ("lp2p-routing", layout), lambda: _build_routing_tables(layout))
         self._channel_table: List[Optional[Channel]] = [None] * (n * n)
         #: forwarded packets (for Figure 9 style reporting and tests)
-        self.forwarded_packets = 0
-        self.direct_packets = 0
-
-    def _reset_state(self) -> None:
-        # channels are rewound by the base reset; the routing tables
-        # are pure and stay.  Only the diagnostic
-        # counters carry run state.
         self.forwarded_packets = 0
         self.direct_packets = 0
 

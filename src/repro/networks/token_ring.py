@@ -138,7 +138,7 @@ class TokenRingCrossbar(InterSiteNetwork):
         self.grant_overhead_ps = grant_overhead_ps
         self._token_table: List[Optional[_TokenState]] = [None] * n
         # snake-ring geometry: pure functions of the layout, interned so
-        # sweeps and warm contexts share one copy per layout
+        # every network built on one layout shares one copy
         self._snake_pos, self._snake_site = intern_table(
             ("snake-geometry", layout),
             lambda: ([layout.snake_position(s) for s in range(n)],
@@ -150,14 +150,6 @@ class TokenRingCrossbar(InterSiteNetwork):
         #: src*n+dst propagation table (consulted per grant), the one
         #: the replay kernel reads
         self._prop_table = pair_propagation_table(layout)
-
-    def _reset_state(self) -> None:
-        # a token nobody has requested yet is indistinguishable from a
-        # fresh one (position 0 at time 0, circulating), so dropping the
-        # lazily-created states restores as-constructed behavior exactly
-        table = self._token_table
-        for i in range(len(table)):
-            table[i] = None
 
     # -- token geometry ----------------------------------------------------
 

@@ -108,16 +108,6 @@ class TwoPhaseArbitratedNetwork(InterSiteNetwork):
         self.wasted_slots = 0
         self.granted_slots = 0
 
-    def _reset_state(self) -> None:
-        # drop lazily-created switch-tree state back to untouched (a
-        # fresh entry starts "idle since the distant past", which is
-        # exactly what lazy creation produces) and zero the diagnostics
-        table = self._tree_table
-        for i in range(len(table)):
-            table[i] = None
-        self.wasted_slots = 0
-        self.granted_slots = 0
-
     # -- resources ---------------------------------------------------------
 
     def channel(self, row: int, dst: int) -> Channel:

@@ -87,6 +87,20 @@ class TestRunCli:
         assert exc.value.code == 2
         assert "workers" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("window", ["-5", "0", "nan", "inf"])
+    def test_main_rejects_bad_window_before_simulating(self, window,
+                                                       figure6_stubs,
+                                                       capsys):
+        from repro.experiments.run import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--artifact", "figure6", "--window-ns", window])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--window-ns must be finite and positive" in err
+        assert "Traceback" not in err
+        assert figure6_stubs == {}  # no load point was run
+
     @pytest.fixture
     def figure6_stubs(self, monkeypatch):
         """Capture the kwargs `generate` hands the Figure 6 driver,

@@ -497,10 +497,10 @@ def test_vectorized_backend_traces_byte_identical(network, load):
 @needs_numpy
 @pytest.mark.parametrize("network", NETWORKS)
 def test_vectorized_warm_context_reuse_cycle(network):
-    """Warm-start contexts survive vectorized runs: alternating load
-    points through the same per-process context (low, high, low again)
-    must each be bit-identical to a cold scalar run — the kernel's
-    network-state reset leaves nothing behind between points."""
+    """Vectorized runs on the interned draw bank, alternating load
+    points (low, high, low again), must each be bit-identical to a
+    scalar run on a private bank: nothing one point leaves behind in
+    the process reaches the next."""
     _, low, high = next(r for r in NETWORK_LOADS if r[0] == network)
     pattern = UniformTraffic(CFG.layout)
 

@@ -23,10 +23,9 @@ from repro.core.parallel import (
     ShardError,
     ShardExecutionError,
     WorkerPool,
-    clear_contexts,
     run_sharded,
 )
-from repro.core.sweep import clear_draw_banks, run_load_point
+from repro.core.sweep import run_load_point
 from repro.macrochip.config import small_test_config
 from repro.workloads.synthetic import UniformTraffic
 
@@ -44,15 +43,6 @@ NETWORKS = [
     "circuit_switched",
     "hermes",
 ]
-
-
-@pytest.fixture(autouse=True)
-def _fresh_registries():
-    clear_contexts()
-    clear_draw_banks()
-    yield
-    clear_contexts()
-    clear_draw_banks()
 
 
 def _pool_available():

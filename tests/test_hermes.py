@@ -10,18 +10,14 @@ Covers the model-specific contracts the shared matrices can't:
 * broadcast semantics — every cluster member physically sees every ring
   transmission (the ``set_snoop`` observer) and the snoop detection
   energy is charged;
-* determinism across seeds and ``reset()``-equals-fresh per the
-  ``test_warmstart.py`` conventions (byte-identical canonical traces
-  over reuse cycles, bit-identical pooled sweeps).
+* determinism across seeds and bit-identical pooled sweeps.
 """
 
 import pytest
 
 from repro.core.engine import Simulator
-from repro.core.parallel import clear_contexts
-from repro.core.sweep import clear_draw_banks, run_load_point
+from repro.core.sweep import run_load_point
 from repro.experiments.figure6 import run_figure6
-from repro.core.tracing import TraceRecorder
 from repro.macrochip.config import small_test_config
 from repro.networks.base import Packet
 from repro.networks.factory import build_network
@@ -34,15 +30,6 @@ from .conftest import random_traffic, run_traced
 CFG = small_test_config(4, 4)
 WINDOW_NS = 80.0
 SEED = 7
-
-
-@pytest.fixture(autouse=True)
-def _fresh_registries():
-    clear_contexts()
-    clear_draw_banks()
-    yield
-    clear_contexts()
-    clear_draw_banks()
 
 
 def _net(config=CFG, **kwargs):
@@ -206,21 +193,13 @@ class TestBroadcast:
         snoop_pj = net.stats.energy.get("snoop")
         assert snoop_pj == pytest.approx(3 * 64 * 8 * 65.0 / 1000.0)
 
-    def test_snoop_hook_detached_by_reset(self):
-        net, sim = _net()
-        net.set_snoop(lambda site, p: None)
-        net.reset()
-        assert net._snoop is None
-        assert net.snoop_events == 0
 
+# -- determinism -------------------------------------------------------------
 
-# -- determinism and warm-start ----------------------------------------------
-
-def _point(load, warm, tracer=None):
+def _point(load, warm):
     pattern = UniformTraffic(CFG.layout, seed=1)
     return run_load_point("hermes", CFG, pattern, load,
-                          window_ns=WINDOW_NS, seed=SEED, warm=warm,
-                          tracer=tracer)
+                          window_ns=WINDOW_NS, seed=SEED, warm=warm)
 
 
 class TestDeterminism:
@@ -235,18 +214,6 @@ class TestDeterminism:
                            window_ns=WINDOW_NS, seed=2)
         assert a != b
 
-    def test_reset_equals_fresh_over_reuse_cycles(self):
-        def canonical(warm):
-            rec = TraceRecorder()
-            res = _point(0.30, warm=warm, tracer=rec)
-            return res, "\n".join(rec.canonical_lines())
-
-        cold_res, cold_trace = canonical(warm=False)
-        for cycle in range(3):
-            warm_res, warm_trace = canonical(warm=True)
-            assert warm_res == cold_res, "results diverged (cycle %d)" % cycle
-            assert warm_trace == cold_trace, "trace diverged (cycle %d)" % cycle
-
     def test_pooled_sweep_bit_identical_to_serial(self):
         kwargs = dict(window_ns=WINDOW_NS, patterns=["uniform"],
                       networks=["hermes"],
@@ -254,18 +221,6 @@ class TestDeterminism:
         serial = run_figure6(CFG, workers=1, **kwargs)
         pooled = run_figure6(CFG, workers=4, **kwargs)
         assert serial.curves == pooled.curves
-
-    def test_network_reset_clears_counters(self):
-        net, sim = _net()
-        net.set_sink(lambda p: None)
-        sim.at(0, net.inject, Packet(1, 11, 64))
-        sim.run()
-        assert net.inter_packets == 1
-        net.reset()
-        assert net.intra_packets == 0
-        assert net.inter_packets == 0
-        assert net.snoop_events == 0
-        assert net.stats.delivered_packets == 0
 
 
 # -- load behavior and invariants --------------------------------------------

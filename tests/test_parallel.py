@@ -208,27 +208,7 @@ def test_cost_key_never_changes_results():
     assert [r.index for r in keyed.reports] == list(range(8))
 
 
-# -- LRU-bounded per-process registries ---------------------------------------
-
-def test_context_cache_lru_cap(monkeypatch):
-    from repro.core import parallel
-    from repro.core.parallel import _CONTEXTS, clear_contexts, get_context
-
-    clear_contexts()
-    monkeypatch.setattr(parallel, "CONTEXT_CACHE_LIMIT", 2)
-    try:
-        c100 = get_context("point_to_point", CFG, warmup_ps=100)
-        get_context("point_to_point", CFG, warmup_ps=200)
-        get_context("point_to_point", CFG, warmup_ps=100)  # touch: now MRU
-        get_context("point_to_point", CFG, warmup_ps=300)  # evicts 200
-        assert len(_CONTEXTS) == 2
-        # the touched context survived; the LRU one was evicted
-        assert get_context("point_to_point", CFG, warmup_ps=100) is c100
-        rebuilt = get_context("point_to_point", CFG, warmup_ps=200)
-        assert rebuilt.uses == 1  # fresh construction, not a cache hit
-    finally:
-        clear_contexts()
-
+# -- the LRU-bounded draw-bank registry ---------------------------------------
 
 def test_draw_bank_cache_lru_cap(monkeypatch):
     from repro.core.sweep import _DRAW_BANKS, _get_draw_bank, clear_draw_banks
@@ -249,16 +229,12 @@ def test_draw_bank_cache_lru_cap(monkeypatch):
 
 
 def test_lru_eviction_never_changes_results(monkeypatch):
-    """Warm results under a cap of 1 (maximum eviction churn across
-    alternating seeds) must equal cold construction exactly."""
-    from repro.core import parallel
-    from repro.core.parallel import clear_contexts
+    """Warm results under a draw-bank cap of 1 (maximum eviction churn
+    across alternating seeds) must equal private banks exactly."""
     from repro.core.sweep import clear_draw_banks
 
     pattern = UniformTraffic(CFG.layout)
-    clear_contexts()
     clear_draw_banks()
-    monkeypatch.setattr(parallel, "CONTEXT_CACHE_LIMIT", 1)
     monkeypatch.setattr(sweep_module, "DRAW_BANK_CACHE_LIMIT", 1)
     try:
         cold = [run_load_point(net, CFG, pattern, 0.05, window_ns=100.0,
@@ -271,7 +247,6 @@ def test_lru_eviction_never_changes_results(monkeypatch):
                                                 "token_ring")]
         assert warm == cold
     finally:
-        clear_contexts()
         clear_draw_banks()
 
 

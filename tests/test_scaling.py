@@ -3,7 +3,7 @@
 The determinism and invariant contracts the
 repo already enforces at the paper's 8x8 scale are properties of the
 *machinery*, not of one grid size — so they must hold verbatim at 4x4 and
-16x16 too.  The matrix below parameterizes four contracts over
+16x16 too.  The matrix below parameterizes three contracts over
 {4x4, 8x8, 16x16} x all six networks:
 
 * **invariants** — a load point runs clean under
@@ -11,8 +11,6 @@ repo already enforces at the paper's 8x8 scale are properties of the
   no-overlap checks);
 * **determinism** — two fresh runs of the same arguments produce
   byte-identical canonical traces and equal results;
-* **reset-equals-fresh** — a warm (context-reusing) run is bit-identical
-  to a cold one at the same point;
 * **fastpath equivalence** — a run on the batched RNG draws matches one
   driven by the one-draw-per-packet reference schedule exactly.
 
@@ -20,7 +18,7 @@ Plus closed-form geometry sanity at every scale (snake ring length,
 torus distances, HERMES cluster/gateway counts, limited-p2p peer
 provisioning) and the analytical scaling study's own unit surface.
 
-Loads are small and windows short: the matrix is 3 x 6 x 4 contracts and
+Loads are small and windows short: the matrix is 3 x 6 x 3 contracts and
 must stay tier-1 fast; the *values* at scale are pinned separately in
 ``test_golden_figure6.GOLDEN_16``.
 """
@@ -29,8 +27,7 @@ must stay tier-1 fast; the *values* at scale are pinned separately in
 import pytest
 
 import repro.core.sweep as sweep_mod
-from repro.core.sweep import clear_draw_banks, run_load_point
-from repro.core.parallel import clear_contexts
+from repro.core.sweep import run_load_point
 from repro.core.tracing import TraceRecorder
 from repro.experiments.scaling import (
     AXES, LASER_BUDGET_W, MAX_LAUNCH_DBM, SCALING_DIMS, ScalePoint,
@@ -63,22 +60,11 @@ MATRIX = [(dim, net) for dim in DIMS for net in EXTENDED_NETWORKS]
 MATRIX_IDS = ["%dx%d-%s" % (d, d, n) for d, n in MATRIX]
 
 
-@pytest.fixture(autouse=True)
-def _fresh_registries():
-    """Cold per-process context/draw-bank registries per test, so the
-    warm-vs-cold comparisons construct-then-reuse inside the test."""
-    clear_contexts()
-    clear_draw_banks()
-    yield
-    clear_contexts()
-    clear_draw_banks()
-
-
-def _run(network, dim, warm=False, tracer=None):
+def _run(network, dim, tracer=None):
     cfg = grid_config(dim)
     return run_load_point(network, cfg, UniformTraffic(cfg.layout),
                           LOADS[network], window_ns=WINDOW_NS, seed=SEED,
-                          warm=warm, tracer=tracer, check_invariants=True)
+                          tracer=tracer, check_invariants=True)
 
 
 def _result_tuple(r):
@@ -86,7 +72,7 @@ def _result_tuple(r):
             r.mean_latency_ns, r.throughput_gb_per_s)
 
 
-# -- the four contracts, over the full matrix --------------------------------
+# -- the three contracts, over the full matrix -------------------------------
 
 
 @pytest.mark.parametrize("dim,network", MATRIX, ids=MATRIX_IDS)
@@ -107,16 +93,6 @@ def test_repeated_runs_are_byte_identical(dim, network):
         traces.append("\n".join(tracer.canonical_lines()).encode())
     assert traces[0] == traces[1]
     assert results[0] == results[1]
-
-
-@pytest.mark.parametrize("dim,network", MATRIX, ids=MATRIX_IDS)
-def test_warm_reset_equals_fresh(dim, network):
-    cold = _result_tuple(_run(network, dim, warm=False))
-    # two consecutive warm runs: the second reuses the reset context
-    first_warm = _result_tuple(_run(network, dim, warm=True))
-    reused = _result_tuple(_run(network, dim, warm=True))
-    assert first_warm == cold
-    assert reused == cold
 
 
 @pytest.mark.parametrize("dim,network", MATRIX, ids=MATRIX_IDS)
