@@ -5,14 +5,22 @@ site's 8 cores).  The model is functional — it tracks presence, dirtiness,
 and LRU order so the CPU simulator can decide hit/miss and generate
 evictions — while timing is applied by the caller.
 
-Addresses are plain integers; the line index/tag split follows the usual
-``addr -> [tag | set | offset]`` decomposition.
+Addresses are plain non-negative integers; the line index/tag split
+follows the usual ``addr -> [tag | set | offset]`` decomposition.
+
+A trace build keeps 64 of these caches full for its whole run, so a
+resident line is one int, not an object: each set is a list of its line
+addresses in LRU order (MRU last), a dirty line stored as its bitwise
+complement ``~line``.  Line addresses are non-negative, so a negative
+member is a dirty line (``~0 == -1`` covers line 0) for every line size,
+1 byte included.  A lookup is two C-level ``in`` scans of at most
+``ways`` ints; an eviction pops the set's head.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import List, Optional
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -42,13 +50,13 @@ class SetAssociativeCache:
         self.num_sets = size_bytes // (line_bytes * ways)
         if not _is_power_of_two(self.num_sets):
             raise ValueError("set count must be a power of two")
-        self._set_mask = self.num_sets - 1
         self._set_bits = self.num_sets.bit_length() - 1
+        self._hash_shift = 32 - self._set_bits
         self._line_shift = line_bytes.bit_length() - 1
-        # per set: line address -> dirty bit, in LRU order (MRU last);
-        # None until the set first gets a line, so a cache a workload
-        # barely touches costs one list slot per set
-        self._sets: List[Optional[Dict[int, int]]] = [None] * self.num_sets
+        # per set: its lines in LRU order (MRU last), a dirty one stored
+        # as ~line; None until the set first gets a line, so a cache a
+        # workload barely touches costs one list slot per set
+        self._sets: List[Optional[List[int]]] = [None] * self.num_sets
 
     # -- address helpers ----------------------------------------------------
 
@@ -66,65 +74,84 @@ class SetAssociativeCache:
         """
         line = addr >> self._line_shift
         h = (line * 0x9E3779B1) & 0xFFFFFFFF
-        return h >> (32 - self._set_bits)
+        return h >> self._hash_shift
 
     # -- operations ----------------------------------------------------------
 
     def contains(self, addr: int) -> bool:
-        entries = self._sets[self.set_index(addr)]
-        return entries is not None and self.line_address(addr) in entries
+        members = self._sets[self.set_index(addr)]
+        line = self.line_address(addr)
+        return members is not None and (line in members or ~line in members)
 
     def access(self, addr: int, is_write: bool) -> AccessResult:
         """Look up (and on miss, allocate) the line holding ``addr``.
 
         Returns hit/miss plus the victim line if an allocation evicted one
         (and whether that victim was dirty, i.e. needs a writeback).
+        Raises ``ValueError`` on a negative address.
         """
+        if addr < 0:
+            raise ValueError("address must be non-negative, got %r" % addr)
         miss = self.reference(self.line_address(addr), is_write)
         return AccessResult(hit=True) if miss is None else miss
 
     def reference(self, line: int, is_write: bool) -> Optional[AccessResult]:
-        """:meth:`access` for a line address, with one lookup in its
-        set: a hit moves the line to MRU (dirty on a write) and returns
-        None; a miss allocates it and returns the miss's
-        :class:`AccessResult`."""
-        index = self.set_index(line)
-        entries = self._sets[index]
-        if entries is None:
-            entries = self._sets[index] = {}
-        dirty = entries.pop(line, None)
-        if dirty is not None:
-            entries[line] = 1 if is_write else dirty  # move to MRU
+        """:meth:`access` for a (non-negative) line address: a hit moves
+        the line to MRU (dirty on a write) and returns None; a miss
+        allocates it and returns the miss's :class:`AccessResult`."""
+        # set_index, inlined
+        index = ((line >> self._line_shift) * 0x9E3779B1
+                 & 0xFFFFFFFF) >> self._hash_shift
+        members = self._sets[index]
+        if members is None:
+            self._sets[index] = [~line if is_write else line]
+            return AccessResult(hit=False)
+        if line in members:  # clean hit
+            members.remove(line)
+            members.append(~line if is_write else line)
+            return None
+        dirty = ~line
+        if dirty in members:  # dirty hit: stays dirty
+            members.remove(dirty)
+            members.append(dirty)
             return None
         # miss: allocate, evicting LRU if the set is full
         writeback = None
         evicted = None
-        if len(entries) >= self.ways:
-            evicted = next(iter(entries))
-            if entries.pop(evicted):
-                writeback = evicted
-        entries[line] = 1 if is_write else 0
+        if len(members) >= self.ways:
+            evicted = members.pop(0)
+            if evicted < 0:
+                evicted = writeback = ~evicted
+        members.append(dirty if is_write else line)
         return AccessResult(hit=False, writeback_line=writeback,
                             evicted_line=evicted)
 
     def invalidate(self, addr: int) -> bool:
         """Drop the line holding ``addr`` (remote invalidation).  Returns
         True if the line was present."""
-        entries = self._sets[self.set_index(addr)]
-        return (entries is not None
-                and entries.pop(self.line_address(addr), None) is not None)
+        members = self._sets[self.set_index(addr)]
+        if members is None:
+            return False
+        line = self.line_address(addr)
+        for member in (line, ~line):
+            if member in members:
+                members.remove(member)
+                return True
+        return False
 
     def mark_clean(self, addr: int) -> None:
-        """Clear the dirty bit (after an ownership downgrade)."""
-        entries = self._sets[self.set_index(addr)]
+        """Clear the dirty bit (after an ownership downgrade); the line
+        keeps its LRU position."""
+        members = self._sets[self.set_index(addr)]
         line = self.line_address(addr)
-        if entries is not None and line in entries:
-            entries[line] = 0
+        if members is not None and ~line in members:
+            members[members.index(~line)] = line
 
     @property
     def resident_lines(self) -> int:
         return sum(len(s) for s in self._sets if s is not None)
 
     def lines(self) -> List[int]:
-        """All resident line addresses (for tests)."""
-        return [line for s in self._sets if s is not None for line in s]
+        """All resident line addresses (for tests), each set LRU first."""
+        return [member if member >= 0 else ~member
+                for s in self._sets if s is not None for member in s]

@@ -17,7 +17,7 @@ import heapq
 from typing import Iterable, List, Optional, Protocol, Sequence
 
 from .cache import SetAssociativeCache
-from .coherence import CoherenceOp, LineState, OpKind
+from .coherence import CoherenceOp, OpKind
 from .directory import Directory
 from .trace import CoherenceTrace, CoreStream, MemoryRef
 from ..macrochip.config import MacrochipConfig
@@ -90,20 +90,15 @@ class CpuSimulator:
 
         result = cache.reference(line, ref.write)
         if result is None:  # L2 hit
-            if ref.write:
-                entry = self.directory.entry(line)
-                if entry.owner == site and entry.state in (
-                        LineState.MODIFIED, LineState.EXCLUSIVE):
-                    # silent E->M upgrade, no network traffic
-                    entry.state = LineState.MODIFIED
-                else:
-                    # write to a Shared/Owned line: upgrade with
-                    # invalidations
-                    outcome = self.directory.write(line, site)
-                    self._emit(trace, core, site, line, OpKind.UPGRADE,
-                               owner=None, sharers=outcome.invalidated,
-                               vtime=vtime, last_op_vtime=last_op_vtime)
-                    return
+            # a write to an E/M line upgrades silently, with no network
+            # traffic; to a Shared/Owned line, it upgrades with
+            # invalidations
+            if ref.write and not self.directory.upgrade_silently(line, site):
+                outcome = self.directory.write(line, site)
+                self._emit(trace, core, site, line, OpKind.UPGRADE,
+                           owner=None, sharers=outcome.invalidated,
+                           vtime=vtime, last_op_vtime=last_op_vtime)
+                return
             vtime[core] += cfg.l2_hit_latency_cycles
             return
 

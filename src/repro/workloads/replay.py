@@ -39,6 +39,11 @@ How the replay runs:
 * **No per-op cycles.**  No closure is built per op, nothing per op
   refers back to itself, and a finished replay leaves no garbage for
   the cyclic collector.
+* **No per-delivery record.**  The network's measurement window closes
+  before time 0, so a delivery books only its count and energy: the
+  network's latency histogram, which would hold one bucket per distinct
+  message latency, is never filled, since the replay times operations
+  with its own :class:`~repro.core.stats.LatencySample`.
 """
 
 from __future__ import annotations
@@ -192,6 +197,11 @@ class TraceReplayer:
         self.sim = Simulator()
         self.network = build_network(network_name, config, self.sim,
                                      **(network_kwargs or {}))
+        # a replay reads only the network's injection count and energy;
+        # a measurement window that closes before time 0 keeps every
+        # delivery out of the unread latency histogram and throughput
+        # meter (NetworkStats.on_deliver still books its count and energy)
+        self.network.stats.throughput.window_end_ps = -1
         self._ops = trace.ops_by_core
         # a config property that rounds a float: read once, not per op
         self._cycle_ps = config.cycle_ps

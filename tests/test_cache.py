@@ -1,5 +1,7 @@
 """Tests for the set-associative cache model."""
 
+from collections import OrderedDict
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -158,3 +160,100 @@ def test_capacity_never_exceeded(lines):
     for line_no in lines:
         cache.access(line_no * 64, False)
         assert cache.resident_lines <= 4096 // 64
+
+
+class ReferenceLru:
+    """The cache as one ``OrderedDict`` per set: line -> dirty, LRU
+    first.  Written for clarity, not memory, to check the int-list sets
+    against."""
+
+    def __init__(self, cache):
+        self.cache = cache
+        self.sets = {}
+
+    def _set(self, addr):
+        return self.sets.setdefault(self.cache.set_index(addr),
+                                    OrderedDict())
+
+    def access(self, addr, is_write):
+        line = self.cache.line_address(addr)
+        entries = self._set(addr)
+        if line in entries:
+            entries.move_to_end(line)
+            entries[line] = entries[line] or is_write
+            return (True, None, None)
+        evicted = writeback = None
+        if len(entries) >= self.cache.ways:
+            evicted, dirty = entries.popitem(last=False)
+            if dirty:
+                writeback = evicted
+        entries[line] = is_write
+        return (False, writeback, evicted)
+
+    def invalidate(self, addr):
+        return self._set(addr).pop(self.cache.line_address(addr),
+                                   None) is not None
+
+    def mark_clean(self, addr):
+        entries = self._set(addr)
+        line = self.cache.line_address(addr)
+        if line in entries:
+            entries[line] = False
+
+    def lines(self):
+        return [line for index in sorted(self.sets)
+                for line in self.sets[index]]
+
+
+CACHE_OPS = st.lists(
+    st.tuples(st.sampled_from(["read", "write", "invalidate", "clean"]),
+              st.integers(min_value=0, max_value=47),
+              st.integers(min_value=0, max_value=63)),
+    min_size=20, max_size=200)
+
+
+@pytest.mark.parametrize("line_bytes", [1, 64])
+@pytest.mark.parametrize("ways", [1, 2, 8])
+@settings(max_examples=60, deadline=None)
+@given(ops=CACHE_OPS)
+def test_matches_ordered_dict_lru_reference(ways, line_bytes, ops):
+    """Every access result, invalidation and resident line (in LRU
+    order per set) agrees with a per-set OrderedDict LRU over random
+    access/invalidate/mark_clean sequences.  Three times as many line
+    numbers as the 2 sets of ``ways`` lines hold force evictions; line 0
+    and, at 1-byte lines, line address 0 itself are among them."""
+    cache = SetAssociativeCache(2 * ways * line_bytes, line_bytes, ways)
+    ref = ReferenceLru(cache)
+    for op, line_no, offset in ops:
+        addr = line_no % (6 * ways) * line_bytes + offset % line_bytes
+        if op in ("read", "write"):
+            got = cache.access(addr, op == "write")
+            assert (got.hit, got.writeback_line,
+                    got.evicted_line) == ref.access(addr, op == "write")
+        elif op == "invalidate":
+            assert cache.invalidate(addr) == ref.invalidate(addr)
+        else:
+            cache.mark_clean(addr)
+            ref.mark_clean(addr)
+        assert cache.contains(addr) == (
+            cache.line_address(addr) in ref._set(addr))
+        by_set = sorted(cache.lines(),
+                        key=lambda line: cache.set_index(line))
+        assert by_set == ref.lines()
+    assert cache.resident_lines == len(ref.lines())
+
+
+def test_dirty_line_zero_at_one_byte_lines():
+    """Line address 0 stored dirty is its complement, -1: it must read
+    back as line 0 and write back as line 0."""
+    c = SetAssociativeCache(1, 1, 1)  # one set of one 1-byte line
+    c.access(0, is_write=True)
+    assert c.contains(0) and c.lines() == [0]
+    r = c.access(1, is_write=False)
+    assert (r.evicted_line, r.writeback_line) == (0, 0)
+    assert c.lines() == [1]
+
+
+def test_negative_address_rejected():
+    with pytest.raises(ValueError, match="non-negative"):
+        make_cache().access(-64, is_write=False)

@@ -162,6 +162,22 @@ def test_replay_holds_every_invariant(trace_name, network):
     assert result.messages_sent == replayer.network.stats.delivered_packets
 
 
+@pytest.mark.parametrize("network", NETWORKS)
+def test_replay_books_no_per_delivery_record(network):
+    """A replay reads only the network's injection count and energy, so
+    its deliveries stay out of the network's latency histogram and
+    throughput meter while their count and energy are still booked."""
+    trace, cfg = all_to_all()
+    replayer = TraceReplayer(trace, network, cfg)
+    result = replayer.run()
+    stats = replayer.network.stats
+    assert stats.delivered_packets == result.messages_sent > 0
+    assert len(stats.latency) == 0
+    assert stats.throughput.packets == 0 and stats.throughput.bytes == 0
+    assert result.energy_by_category
+    assert sum(result.energy_by_category.values()) > 0
+
+
 @pytest.mark.parametrize("built_for, replayed_on", [
     (small_test_config(4, 4), scaled_config()),
     (scaled_config(), small_test_config(4, 4)),
