@@ -70,6 +70,14 @@ class CoherenceOp:
         if self.owner is not None and self.owner == self.requester:
             raise ValueError("requester cannot be its own remote owner")
 
+    def __reduce__(self):
+        """Pickle as a constructor call on the 8 fields: smaller and
+        faster than the slotted dataclass's state dict, and a shipped op
+        passes ``__post_init__``'s checks again when it is loaded."""
+        return (CoherenceOp, (self.core, self.gap_cycles, self.kind,
+                              self.requester, self.home, self.owner,
+                              self.sharers, self.line))
+
 
 @dataclass(frozen=True)
 class MessageStep:

@@ -52,6 +52,33 @@ class TestRecord:
             assert copy == original
             assert repr(copy) == repr(original)
 
+    @pytest.mark.parametrize("kind, owner, sharers", [
+        (kind, owner, sharers) for kind in OpKind for owner in (None, 3)
+        for sharers in ((), (4, 6))
+        if not (kind is OpKind.GET_S and sharers)])
+    def test_pickle_round_trip_every_shape(self, kind, owner, sharers):
+        original = CoherenceOp(core=9, gap_cycles=5, kind=kind, requester=1,
+                               home=2, owner=owner, sharers=sharers,
+                               line=0x1C0)
+        for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+            copy = pickle.loads(pickle.dumps(original, protocol))
+            assert copy == original
+            assert copy.kind is kind
+
+    def test_unpickling_validates_through_the_constructor(self):
+        """An op is loaded by calling CoherenceOp on its fields, so a
+        pickle carrying fields no op may have fails to load."""
+        ok = op(OpKind.GET_S, owner=2)
+        assert ok.__reduce__()[0] is CoherenceOp
+
+        class Tampered:
+            def __reduce__(self):
+                cls, fields = ok.__reduce__()
+                return cls, fields[:5] + (fields[3],) + fields[6:]
+
+        with pytest.raises(ValueError, match="its own remote owner"):
+            pickle.loads(pickle.dumps(Tampered()))
+
 
 class TestGetS:
     def test_memory_supply(self):
