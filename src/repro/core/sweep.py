@@ -208,6 +208,57 @@ def _check_load_point_args(offered_fraction: float, window_ns: float,
             raise ValueError("%s must be %s, got %r" % (name, expected, value))
 
 
+def _load_point_timing(config: MacrochipConfig, offered_fraction: float,
+                       window_ns: float) -> Tuple[int, int, int, int]:
+    """``(mean_gap_ps, inject_window_ps, packets_per_site, horizon_ps)``
+    of a load point at ``offered_fraction`` over ``window_ns``."""
+    rate_gb_per_s = offered_fraction * config.site_bandwidth_gb_per_s
+    mean_gap_ps = serialization_ps(config.cache_line_bytes, rate_gb_per_s)
+    inject_window_ps = int(window_ns * 1000)
+    packets_per_site = max(1, inject_window_ps // mean_gap_ps)
+    horizon = int(inject_window_ps * (1.0 + DRAIN_FACTOR))
+    return mean_gap_ps, inject_window_ps, packets_per_site, horizon
+
+
+def _raise_if_injects_nothing(first_ps: int, horizon: int,
+                              mean_gap_ps: int, window_ns: float,
+                              offered_fraction: float) -> None:
+    """The one "injects nothing" rule: the earliest first injection of
+    any site, ``first_ps``, must land by the drain horizon."""
+    if first_ps > horizon:
+        raise ValueError(
+            "window_ns=%r injects nothing at offered_fraction=%r: every "
+            "site's first injection lands past the %d ps horizon; use a "
+            "window of at least one mean injection gap, %g ns"
+            % (window_ns, offered_fraction, horizon, mean_gap_ps / 1000.0))
+
+
+def check_injects_something(config: MacrochipConfig,
+                            pattern: TrafficPattern,
+                            offered_fraction: float, window_ns: float,
+                            seed: int = 12345) -> None:
+    """Raise the ``ValueError`` :func:`run_load_point` would raise with
+    these arguments, without simulating: out-of-range arguments, or a
+    window in which every site's first injection lands past the drain
+    horizon (the message names the minimum window, one mean injection
+    gap at that load).
+
+    The first gaps come from the same interned per-site streams the
+    load point draws, so no fixed window bound stands in for them: at
+    load 0.002 one mean gap is 100 ns, yet a 40 ns window still injects
+    at some of 64 sites.
+    """
+    _check_load_point_args(offered_fraction, window_ns)
+    mean_gap_ps, _, _, horizon = _load_point_timing(
+        config, offered_fraction, window_ns)
+    bank = _get_draw_bank(pattern, seed, config.num_sites)
+    bank.extend(1)
+    scale_gaps = bank.pattern.scale_gaps
+    first = min(scale_gaps(unit[:1], mean_gap_ps)[0] for unit in bank._unit)
+    _raise_if_injects_nothing(first, horizon, mean_gap_ps, window_ns,
+                              offered_fraction)
+
+
 @dataclass(frozen=True)
 class SweepPoint:
     offered_fraction: float
@@ -255,9 +306,10 @@ def run_load_point(network_name: str,
     Out-of-range arguments (``offered_fraction`` outside (0, 1],
     ``window_ns`` not finite and positive, ``rng_block`` < 1, or NaN)
     raise ``ValueError`` naming the argument before any draw, on either
-    backend.  A window so short that no site's first
-    injection lands before the horizon raises ``ValueError`` too, naming
-    the minimum window (one mean injection gap) for that load.
+    backend.  A window so short that no site's first injection lands
+    before the horizon raises ``ValueError`` too
+    (:func:`check_injects_something`, which a driver can run over a
+    whole grid before simulating any of it).
 
     Every call builds its own (simulator, network) pair
     (:class:`~repro.core.parallel.SimContext`) on the process's interned
@@ -282,13 +334,9 @@ def run_load_point(network_name: str,
                          % (backend, ", ".join(BACKENDS)))
     _check_load_point_args(offered_fraction, window_ns, rng_block)
     packet_bytes = config.cache_line_bytes
-    site_peak = config.site_bandwidth_gb_per_s  # 320 GB/s = bytes/ns
-    rate_gb_per_s = offered_fraction * site_peak
-    mean_gap_ps = serialization_ps(packet_bytes, rate_gb_per_s)
-    inject_window_ps = int(window_ns * 1000)
-    packets_per_site = max(1, inject_window_ps // mean_gap_ps)
+    mean_gap_ps, inject_window_ps, packets_per_site, horizon = (
+        _load_point_timing(config, offered_fraction, window_ns))
     warmup_ps = int(inject_window_ps * WARMUP_FRACTION)
-    horizon = int(inject_window_ps * (1.0 + DRAIN_FACTOR))
 
     ctx = get_context(network_name, config, warmup_ps,
                       network_kwargs=network_kwargs)
@@ -298,12 +346,8 @@ def run_load_point(network_name: str,
         bank = _DrawBank(pattern, seed, config.num_sites)
     site_gaps, site_dsts = _draw_schedules(bank, mean_gap_ps,
                                            packets_per_site)
-    if min(gaps[0] for gaps in site_gaps) > horizon:
-        raise ValueError(
-            "window_ns=%r injects nothing at offered_fraction=%r: every "
-            "site's first injection lands past the %d ps horizon; use a "
-            "window of at least one mean injection gap, %g ns"
-            % (window_ns, offered_fraction, horizon, mean_gap_ps / 1000.0))
+    _raise_if_injects_nothing(min(gaps[0] for gaps in site_gaps), horizon,
+                              mean_gap_ps, window_ns, offered_fraction)
 
     if backend == "vectorized":
         from .vectorized import try_run_vectorized

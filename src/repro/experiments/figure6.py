@@ -13,7 +13,8 @@ from typing import Dict, List, Optional, Tuple
 
 from ..analysis.tables import render_series, render_table
 from ..core.parallel import Shard, ShardError, WorkerPool, run_sharded
-from ..core.sweep import SweepPoint, run_load_point, to_sweep_point
+from ..core.sweep import (SweepPoint, check_injects_something,
+                          run_load_point, to_sweep_point)
 from ..core.vectorized import have_numpy
 from ..macrochip.config import MacrochipConfig, scaled_config
 from ..networks.factory import (FIGURE6_NETWORKS, NETWORK_CLASSES,
@@ -74,6 +75,25 @@ class Figure6Result:
         return rows
 
 
+def check_figure6_grid(config: MacrochipConfig, window_ns: float,
+                       patterns: Optional[List[str]] = None,
+                       load_grids: Optional[Dict[str, List[float]]] = None
+                       ) -> None:
+    """Raise ``ValueError`` if any (pattern, load) of the grid would
+    inject nothing in ``window_ns``
+    (:func:`~repro.core.sweep.check_injects_something`), before any load
+    point is simulated.  The check does not depend on the network.  A
+    load outside (0, 1] is left to its own shard, which rejects it (so
+    ``on_error='collect'`` drops just that point)."""
+    grids = load_grids or LOAD_GRIDS
+    for pattern_key in patterns or PANEL_ORDER:
+        pattern = make_pattern(pattern_key, config.layout)
+        for fraction in grids[pattern_key]:
+            if 0.0 < fraction <= 1.0:
+                check_injects_something(config, pattern, fraction,
+                                        window_ns)
+
+
 def run_figure6(config: MacrochipConfig = None,
                 window_ns: float = 1200.0,
                 patterns: Optional[List[str]] = None,
@@ -101,9 +121,10 @@ def run_figure6(config: MacrochipConfig = None,
     (or a figure run and a suite run) reuse worker processes, and with
     them those tables and banks.
 
-    Unknown ``patterns`` or ``networks``, and a ``load_grids`` without
-    a grid for some requested pattern, raise ``ValueError`` before any
-    load point runs.
+    Unknown ``patterns`` or ``networks``, a ``load_grids`` without a
+    grid for some requested pattern, and a window in which some load
+    point would inject nothing (:func:`check_figure6_grid`) raise
+    ``ValueError`` before any load point runs.
 
     ``on_error`` is the per-shard failure policy of
     :func:`~repro.core.parallel.run_sharded`: under ``'collect'`` a
@@ -132,6 +153,7 @@ def run_figure6(config: MacrochipConfig = None,
         raise ValueError("load_grids has no grid for pattern(s) %s; it "
                          "has %s" % (", ".join(map(repr, missing)),
                                      ", ".join(map(repr, grids)) or "none"))
+    check_figure6_grid(cfg, window_ns, pats, grids)
     keys = []
     shards = []
     for pattern_key in pats:

@@ -27,17 +27,28 @@ import math
 import os
 import sys
 import time
-from typing import Dict
+from typing import Dict, Optional
 
 from .evaluation import run_suite
-from .figure6 import figure6_text, run_figure6
+from .figure6 import check_figure6_grid, figure6_text, run_figure6
 from .figures7_10 import all_figures_text
 from .table_experiments import all_tables_text
 from ..core.parallel import WorkerPool, resolve_workers
+from ..macrochip.config import MacrochipConfig, scaled_config
 
 
 def _progress(message: str) -> None:
     print(".. %s" % message, file=sys.stderr)
+
+
+def _signaling_config(signaling: str) -> Optional[MacrochipConfig]:
+    """The scaled configuration at ``signaling``; None (each driver's
+    default configuration) for the NRZ baseline."""
+    if signaling == "nrz":
+        return None
+    base = scaled_config()
+    return base.with_overrides(
+        tech=base.tech.with_overrides(signaling=signaling))
 
 
 def generate(artifact: str, preset: str,
@@ -70,13 +81,7 @@ def generate(artifact: str, preset: str,
     ``cache_dir`` (``--cache``) keeps the Figures 7-10 traces and
     replay results on disk so an interrupted run resumes.
     """
-    config = None
-    if signaling != "nrz":
-        from ..macrochip.config import scaled_config
-
-        base = scaled_config()
-        config = base.with_overrides(
-            tech=base.tech.with_overrides(signaling=signaling))
+    config = _signaling_config(signaling)
     outputs: Dict[str, str] = {}
     if artifact in ("tables", "all"):
         outputs["tables"] = all_tables_text(config)
@@ -227,6 +232,15 @@ def main(argv=None) -> int:
         artifact = "figure6"
     if args.cache and artifact not in ("figures", "all"):
         parser.error("--cache applies to --artifact figures or all")
+    if artifact in ("figure6", "all"):
+        # the same grid check run_figure6 makes, as a usage error
+        # before anything is simulated
+        try:
+            check_figure6_grid(
+                _signaling_config(args.signaling) or scaled_config(), window)
+        except ValueError as exc:
+            parser.error("--window-ns %r is too short for Figure 6: %s"
+                         % (window, exc))
 
     started = time.time()
     try:

@@ -101,6 +101,33 @@ class TestRunCli:
         assert "Traceback" not in err
         assert figure6_stubs == {}  # no load point was run
 
+    def test_main_rejects_window_that_injects_nothing(self, figure6_stubs,
+                                                      capsys):
+        """0.001 ns is finite and positive, but at the grid's lowest
+        load (mean gap 20 ns) no site injects in it: a usage error
+        before any load point runs, not a traceback from a shard."""
+        from repro.experiments.run import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--artifact", "figure6", "--preset", "smoke",
+                  "--window-ns", "0.001"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--window-ns 0.001 is too short for Figure 6" in err
+        assert "injects nothing" in err and "20 ns" in err
+        assert "Traceback" not in err
+        assert figure6_stubs == {}
+
+    def test_main_keeps_a_short_window_that_injects(self, figure6_stubs):
+        """40 ns is below one mean gap at load 0.002 (100 ns), yet some
+        of the 64 sites inject in it: the grid check passes it on."""
+        from repro.experiments.run import main
+
+        rc = main(["--artifact", "figure6", "--preset", "smoke",
+                   "--window-ns", "40"])
+        assert rc == 0
+        assert figure6_stubs["kwargs"]["window_ns"] == 40.0
+
     @pytest.fixture
     def figure6_stubs(self, monkeypatch):
         """Capture the kwargs `generate` hands the Figure 6 driver,

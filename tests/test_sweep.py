@@ -9,11 +9,12 @@ import repro.core.sweep as sweep_mod
 from repro.core.engine import Simulator
 from repro.core.interning import clear_interned, intern_table, interned_count
 from repro.core.parallel import Shard, WorkerPool, run_sharded
-from repro.core.sweep import (BACKENDS, clear_draw_banks, run_load_point,
+from repro.core.sweep import (BACKENDS, check_injects_something,
+                              clear_draw_banks, run_load_point,
                               to_sweep_point)
 from repro.core.tracing import TraceRecorder
 from repro.experiments.figure6 import run_figure6
-from repro.macrochip.config import small_test_config
+from repro.macrochip.config import scaled_config, small_test_config
 from repro.networks.base import Packet
 from repro.networks.factory import available_networks, build_network
 from repro.workloads.synthetic import (BurstyTraffic, TransposeTraffic,
@@ -110,6 +111,49 @@ def test_window_with_no_injection_rejected(backend):
     message = str(exc.value)
     assert "window_ns=0.01" in message
     assert "4 ns" in message
+
+
+def test_figure6_rejects_a_window_that_injects_nothing(monkeypatch):
+    """run_figure6 checks its whole grid before submitting a shard: at
+    0.001 ns the first load injects nothing, so nothing is simulated."""
+    import repro.experiments.figure6 as figure6
+
+    def no_shards(*args, **kwargs):
+        raise AssertionError("a shard was submitted")
+
+    monkeypatch.setattr(figure6, "run_sharded", no_shards)
+    with pytest.raises(ValueError, match="injects nothing"):
+        figure6.run_figure6(scaled_config(), window_ns=0.001,
+                            networks=["point_to_point"])
+
+
+def test_figure6_grid_check_passes_a_window_that_injects():
+    """40 ns is below one mean gap at load 0.002 (100 ns), but some of
+    the 64 sites draw a first gap inside its 80 ns horizon."""
+    from repro.experiments.figure6 import check_figure6_grid
+
+    check_figure6_grid(scaled_config(), 40.0)
+    with pytest.raises(ValueError, match="100 ns"):
+        check_figure6_grid(scaled_config(), 1.0, patterns=["transpose"])
+
+
+def test_grid_check_agrees_with_the_load_point():
+    """check_injects_something raises exactly when run_load_point
+    would, on a window around a 4x4 grid's first injections."""
+    pattern = UniformTraffic(CFG.layout)
+    for window_ns in (0.02, 0.05, 0.1, 0.2, 0.5, 2.0):
+        try:
+            check_injects_something(CFG, pattern, 0.05, window_ns)
+            checked = None
+        except ValueError as exc:
+            checked = str(exc)
+        try:
+            run_load_point("point_to_point", CFG, pattern, 0.05,
+                           window_ns=window_ns)
+            ran = None
+        except ValueError as exc:
+            ran = str(exc)
+        assert checked == ran, window_ns
 
 
 def test_sweep_returns_points_in_order():
