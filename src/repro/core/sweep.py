@@ -398,7 +398,7 @@ def run_load_point(network_name: str,
     # events left past the horizon refer back to the network (network ->
     # sim -> queue -> bound method -> network): drop them, so the run's
     # objects go with their last reference instead of to the cyclic GC
-    sim._queue.clear()
+    sim.clear()
 
     if check_invariants:
         from .invariants import InvariantViolation, check_trace

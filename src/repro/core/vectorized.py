@@ -23,7 +23,9 @@ of arbitration state.  This module exploits that:
   networks (HERMES, and the calendar kernels below): a tight loop over
   flat integer state that merges the injection stream with the
   protocol events in the engine's ``(time, seq)`` dispatch order
-  exactly — sequence numbers are allocated at the same points — while
+  exactly (``seq`` is an event's place in the engine's scheduling
+  order; a kernel numbers its events at the points where the engine
+  schedules them) while
   keeping *deliver* events out of the queue entirely.  ``_deliver`` is
   terminal in a sweep (no sink, no chained callbacks) and statistics
   are order-independent integer accumulations, so delivery times can
@@ -213,10 +215,11 @@ class InjectionOrder(NamedTuple):
     """:func:`injection_order`'s stream: the flat indices ``site*pps +
     idx`` and times of the in-horizon injections (int64 arrays), their
     count, whether any injection fell past the horizon, and per site
-    the ``seq`` the engine stamped on its next injection —
-    ``run_load_point`` stamps the first ones ``0..num_sites-1``, so the
-    first free ``seq`` is ``num_sites``.  A kernel restamps a site as
-    each of its injections dispatches and pushes the next."""
+    the ``seq`` of its next injection, its place in the engine's
+    scheduling order — ``run_load_point`` schedules the first ones
+    first, as ``0..num_sites-1``, so the first free ``seq`` is
+    ``num_sites``.  A kernel renumbers a site as each of its injections
+    dispatches and schedules the next."""
 
     j: Any
     t: Any
@@ -231,7 +234,7 @@ def injection_order(plan: InjectionPlan, group=None) -> InjectionOrder:
     Sorted by time — by ``(group, time)`` with ``group``, an int64
     array over flat injection indices, for a kernel that replays each
     group on its own — with each tied run in :func:`_injection_key`
-    order, the order of the ``seq`` the engine stamped on them.  Each
+    order, the order in which the engine scheduled them.  Each
     site's injections come in index order.  A kernel merges the stream
     with its protocol events on ``(time, seq)``.
     """
@@ -289,11 +292,12 @@ def _dispatches_first(x, y, site_times: List[List[int]], pps: int) -> bool:
     ``(time, seq)`` order; both fall at the same time and differ.
 
     An injection is its flat index ``site*pps + idx`` (an int), a
-    protocol event the tuple ``(time, parent, push_index)``.  The
-    engine stamps ``seq`` when an event is pushed, that is while its
-    parent dispatches, so ``(time, seq)`` sorts exactly like ``(time,
-    key(parent), push_index)``.  ``run_load_point`` stamped every site's
-    first injection, in site order, before anything ran: its key is
+    protocol event the tuple ``(time, parent, push_index)``.  An
+    event's ``seq`` is its place in scheduling order, and an event is
+    scheduled while its parent dispatches, so ``(time, seq)`` sorts
+    exactly like ``(time, key(parent), push_index)``.
+    ``run_load_point`` scheduled every site's first injection, in site
+    order, before anything ran: its key is
     ``(time, (), site)``.  Walk both parent chains back until the parents' times
     differ, the parents meet or both are injections.  An injection is
     pushed by its site's previous injection, at index 1 (after the

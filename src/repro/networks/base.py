@@ -28,6 +28,7 @@ from ..core.interning import intern_memo
 from ..core.stats import NetworkStats
 from ..core.tracing import TraceRecorder
 from ..core.units import serialization_ps
+from ..core.vectorized import pair_propagation_table
 from ..macrochip.config import MacrochipConfig
 from ..photonics.power import transmit_energy_pj
 
@@ -183,6 +184,9 @@ class InterSiteNetwork:
         #: else.  Attach with set_tracer()/tracing.attach().
         self.tracer: Optional[TraceRecorder] = None
         self._owned_channels: List[Channel] = []
+        #: flat src*n+dst optical flight times, interned per layout (the
+        #: table the replay kernels read)
+        self._prop_table = pair_propagation_table(config.layout)
         # per-(size, hops) dynamic-energy cache: transmit_energy_pj is a
         # pure function of size and the (fixed) technology point, so the
         # float pipeline runs once per distinct key instead of per
@@ -277,4 +281,5 @@ class InterSiteNetwork:
         return transmit_energy_pj(size_bytes, self.config.tech) * hops
 
     def propagation_ps(self, src: int, dst: int) -> int:
-        return self.config.layout.propagation_delay_ps(src, dst)
+        """Optical flight time between two sites."""
+        return self._prop_table[src * self.config.layout.num_sites + dst]

@@ -203,7 +203,8 @@ def _vectorized_circuit_switched(net: CircuitSwitchedTorus,
     Engine contention (a site's fixed pool of circuit engines, with a
     FIFO overflow queue drained at teardown) couples packets through
     dispatch order, so the load point replays the engine's ``(time,
-    seq)`` dispatch order exactly over flat integer state.  Like the
+    seq)`` dispatch order (``seq``: an event's place in scheduling
+    order) exactly over flat integer state.  Like the
     two-phase kernel, the replay is *calendar-segmented* rather than
     heap-driven: a circuit-ready event trails its request by at least
     the smallest setup+ack round trip (one control hop plus its flight)

@@ -316,10 +316,10 @@ def _vectorized_hermes(net: HermesHierarchicalNetwork, plan) -> KernelOutput:
     and of each gateway-pair global channel.  A gateway's ring channel
     carries both its own intra-cluster injections and the rebroadcasts
     of inbound cross-cluster traffic, so dispatch order matters and the
-    kernel replays the engine's ``(time, seq)`` discipline exactly; the
-    electronic gateway hops are replayed as their own events because
-    each dispatch allocates a sequence number the scalar engine also
-    allocates.  Delivers are batched out of the heap as usual — with
+    kernel replays the engine's ``(time, seq)`` discipline exactly
+    (``seq``: an event's place in scheduling order); the electronic
+    gateway hops are replayed as their own events because the scalar
+    engine schedules each one, so each takes a place in that order.  Delivers are batched out of the heap as usual — with
     one twist: a global-channel arrival whose destination *is* the
     gateway delivers synchronously inside the arrival event (no extra
     event, no extra seq), so that arrival goes straight into the

@@ -172,9 +172,10 @@ def _vectorized_limited_p2p(net: LimitedPointToPointNetwork,
     The adaptive forwarder choice reads channel ``next_free`` at inject
     time, so dispatch order matters and the load point cannot collapse
     to a closed form.  Instead the kernel replays the engine's
-    ``(time, seq)`` dispatch order over flat integer state — sequence
-    numbers are allocated at exactly the points the engine allocates
-    them, *including* for delivers, which never enter the replay: a
+    ``(time, seq)`` dispatch order over flat integer state — ``seq``
+    is an event's place in the engine's scheduling order, and sequence
+    numbers are allocated at exactly the points the engine schedules
+    events, *including* delivers, which never enter the replay: a
     sweep ``_deliver`` is terminal (stats only, order-independent), so
     delivery times are collected into arrays and folded in at the end.
 

@@ -147,9 +147,6 @@ class TokenRingCrossbar(InterSiteNetwork):
         #: bundle rate, shared across instances)
         self._tx_cache: Dict[int, int] = intern_memo(
             ("ring-tx", self.bundle_gb_per_s), dict)
-        #: src*n+dst propagation table (consulted per grant), the one
-        #: the replay kernel reads
-        self._prop_table = pair_propagation_table(layout)
 
     # -- token geometry ----------------------------------------------------
 

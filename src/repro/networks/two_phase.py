@@ -85,8 +85,6 @@ class TwoPhaseArbitratedNetwork(InterSiteNetwork):
         n = layout.num_sites
         self._num_sites = n
         self._cols = layout.cols
-        #: flat src*n+dst flight times (the table the kernel reads)
-        self._prop_table = pair_propagation_table(layout)
         # precomputed coordinate tables: row of a source, column of a
         # destination (the only geometry the protocol consults per
         # packet) — pure functions of the layout, interned per layout
@@ -246,9 +244,9 @@ def _vectorized_two_phase(net: TwoPhaseArbitratedNetwork,
     Injections (whose gaps can be arbitrarily small) come from the
     :func:`~repro.core.vectorized.injection_order` stream, walked with
     an index; a same-picosecond tie with a bucket event compares the
-    injection's ``seq`` (each site keeps the one its next injection was
-    stamped with) against the event's, so ties resolve exactly as the
-    engine's heap would.  Events scheduled past the horizon are
+    injection's ``seq`` (each site keeps the scheduling-order place of
+    its next injection) against the event's, so ties resolve exactly as
+    the engine's same-time batches do.  Events scheduled past the horizon are
     counted as pending and never stored (the engine would never
     dispatch them).  Delivers are batched out of the replay entirely
     (terminal in a sweep).  Reads every knob off the instance

@@ -1,7 +1,9 @@
 """Tests for the discrete-event simulation kernel."""
 
+import heapq
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.core.engine import SimulationError, Simulator
 
@@ -451,3 +453,199 @@ def test_stop_at_exactly_the_horizon(sim):
     assert sim.now == 100
     sim.at(150, lambda: None)  # clock must not have run past the event
     assert sim.run() == 1
+
+
+# -- the engine against a reference (time, seq) heap --------------------------
+# The engine keeps one heap entry per distinct time and a batch of events
+# per time; its contract is that of one heap of (time, seq, fn, args) with
+# seq counting every at/schedule call.  Random programs, whose callbacks
+# schedule at the current time, at an already-busy future time or later,
+# stop the run, read pending() or raise, must play out alike on both.
+
+class _ReferenceSimulator:
+    """The dispatch contract as the plainest code: one event heap."""
+
+    def __init__(self):
+        self.now = 0
+        self.queue = []
+        self.seq = 0
+        self.stopped = False
+
+    def at(self, time_ps, fn, *args):
+        heapq.heappush(self.queue, (time_ps, self.seq, fn, args))
+        self.seq += 1
+
+    def schedule(self, delay_ps, fn, *args):
+        self.at(self.now + delay_ps, fn, *args)
+
+    def stop(self):
+        self.stopped = True
+
+    def pending(self):
+        return len(self.queue)
+
+    def run(self, until_ps=None):
+        self.stopped = False
+        dispatched = 0
+        while self.queue and (until_ps is None or self.queue[0][0] <= until_ps):
+            time_ps, _, fn, args = heapq.heappop(self.queue)
+            self.now = time_ps
+            fn(*args)
+            dispatched += 1
+            if self.stopped:
+                return dispatched
+        if until_ps is not None and self.now < until_ps:
+            self.now = until_ps
+        return dispatched
+
+
+class _Boom(Exception):
+    pass
+
+
+#: what a callback may do: schedule at delay 0, at the k-th pending time
+#: after now, or later; stop the run; record pending(); raise
+_ACTIONS = st.one_of(
+    st.tuples(st.just("now"), st.just(0)),
+    st.tuples(st.just("busy"), st.integers(min_value=0, max_value=7)),
+    st.tuples(st.just("later"), st.integers(min_value=1, max_value=40)),
+    st.tuples(st.sampled_from(["stop", "pending", "raise"]), st.just(0)))
+#: between runs: run to a horizon (None: unbounded), or schedule an event
+#: at now + offset, often at now itself, behind a part-dispatched batch
+_DRIVER = st.one_of(
+    st.tuples(st.just("run"),
+              st.none() | st.integers(min_value=0, max_value=120)),
+    st.tuples(st.just("at"), st.integers(min_value=0, max_value=3)))
+
+
+def _play(sim, initial, behaviours, driver, limit=80):
+    """Play one program on ``sim``; return everything it observed."""
+    log = []
+    times = []
+    count = [0]
+
+    def add(time_ps):
+        tag = count[0]
+        count[0] += 1
+        times.append(time_ps)
+        sim.at(time_ps, fire, tag)
+
+    def fire(tag):
+        now = sim.now
+        log.append(("fire", now, tag))
+        for kind, arg in behaviours[tag % len(behaviours)]:
+            if kind == "stop":
+                sim.stop()
+            elif kind == "pending":
+                log.append(("pending", sim.pending()))
+            elif kind == "raise":
+                raise _Boom
+            elif count[0] >= limit:
+                continue
+            elif kind == "now":
+                tag = count[0]
+                count[0] += 1
+                times.append(now)
+                sim.schedule(0, fire, tag)
+            elif kind == "later":
+                add(now + arg)
+            else:
+                busy = sorted({t for t in times if t > now})
+                add(busy[arg % len(busy)] if busy else now + 1)
+
+    def run(until_ps):
+        try:
+            dispatched = sim.run(until_ps)
+        except _Boom:
+            dispatched = "raised"
+        log.append(("run", dispatched, sim.now, sim.pending()))
+
+    for time_ps in initial:
+        add(time_ps)
+    for kind, arg in driver:
+        if kind == "run":
+            run(arg)
+        else:
+            add(sim.now + arg)
+    # each run dispatches at least one event, and at most limit events
+    # are scheduled past the initial ones and the driver's, so this many
+    # runs drain the queue (a broken engine fails instead of hanging)
+    for _ in range(limit + len(initial) + len(driver)):
+        if not sim.pending():
+            break
+        run(None)
+    return log
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=30), min_size=1,
+                max_size=12),
+       st.lists(st.lists(_ACTIONS, max_size=4), min_size=1, max_size=8),
+       st.lists(_DRIVER, max_size=8))
+def test_engine_matches_a_reference_heap(initial, behaviours, driver):
+    sim = Simulator()
+    traced = []
+    sim.trace = lambda t, fn, args: traced.append((t, args[0]))
+    log = _play(sim, initial, behaviours, driver)
+    assert log == _play(_ReferenceSimulator(), initial, behaviours, driver)
+    assert traced == [(e[1], e[2]) for e in log if e[0] == "fire"]
+
+
+def test_stopped_batch_keeps_its_place_ahead_of_later_events(sim):
+    """A batch cut by stop() resumes ahead of an event scheduled at the
+    same time after the cut."""
+    fired = []
+    sim.at(5, fired.append, "a")
+    sim.at(5, sim.stop)
+    sim.at(5, fired.append, "b")
+    sim.at(5, fired.append, "c")
+    sim.run()
+    assert sim.pending() == 2
+    sim.at(5, fired.append, "late")
+    assert sim.run() == 3
+    assert fired == ["a", "b", "c", "late"]
+
+
+def test_raising_callback_leaves_the_rest_of_its_batch_queued(sim):
+    fired = []
+
+    def boom():
+        sim.schedule(0, fired.append, "same-time")
+        raise RuntimeError("callback failure")
+
+    sim.at(5, boom)
+    sim.at(5, fired.append, "b")
+    with pytest.raises(RuntimeError):
+        sim.run()
+    assert sim.now == 5
+    assert sim.pending() == 2
+    sim.run()
+    assert fired == ["b", "same-time"]
+
+
+def test_pending_from_a_callback_excludes_dispatched_events(sim):
+    seen = []
+    for _ in range(3):
+        sim.at(5, lambda: seen.append(sim.pending()))
+    sim.at(9, lambda: seen.append(sim.pending()))
+    sim.run()
+    assert seen == [3, 2, 1, 0]
+
+
+def test_clear_drops_every_pending_event(sim):
+    fired = []
+    sim.at(5, fired.append, 1)
+    sim.at(5, fired.append, 2)
+    sim.at(9, fired.append, 3)
+    sim.clear()
+    assert sim.pending() == 0
+    assert sim.run() == 0
+    sim.at(5, fired.append, 4)
+    sim.run()
+    assert fired == [4]
+
+
+def test_clear_is_rejected_mid_run(sim):
+    sim.at(5, sim.clear)
+    with pytest.raises(SimulationError):
+        sim.run()
