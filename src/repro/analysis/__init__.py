@@ -10,9 +10,7 @@ from .power import (
 )
 from .area import area_table, bandwidth_density_gb_per_s_per_mm
 from .plot import ascii_plot, plot_figure6_panel
-from .report import markdown_table, suite_markdown
 from .tables import format_count, render_series, render_table
-from .traffic import ClassBreakdown, TrafficCollector, TrafficMatrix
 from .validate import quick_validation, validate_tables
 
 __all__ = [
@@ -32,11 +30,6 @@ __all__ = [
     "bandwidth_density_gb_per_s_per_mm",
     "ascii_plot",
     "plot_figure6_panel",
-    "markdown_table",
-    "suite_markdown",
-    "TrafficMatrix",
-    "ClassBreakdown",
-    "TrafficCollector",
     "quick_validation",
     "validate_tables",
 ]

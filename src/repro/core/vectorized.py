@@ -1,7 +1,7 @@
 """Opt-in vectorized execution backend for ``run_load_point``.
 
 The scalar engine (:mod:`repro.core.engine`) dispatches one Python
-callback per event.  That is exact, flexible — and, for the six
+callback per event.  That is exact, flexible — and, for the
 fixed-function network models driven by the open-loop sweep harness, far
 more general than needed: a load point's entire event population is
 determined by the injection schedule plus each network's (small) piece
@@ -13,9 +13,9 @@ of arbitration state.  This module exploits that:
   are turned into absolute per-site arrival arrays once, instead of one
   ``schedule()`` call per packet.  Replay kernels take them as one
   stream in the engine's dispatch order (:func:`injection_order`).
-* **Bulk kernels for contention-free spans.**  Networks whose only
-  shared resource is a per-pair FIFO channel (point-to-point, the
-  electrical baseline) never need an event loop at all: per-channel
+* **Bulk kernels for contention-free spans.**  A network whose only
+  shared resource is a per-pair FIFO channel (point-to-point) never
+  needs an event loop at all: per-channel
   delivery times follow the closed-form recurrence
   ``finish_i = max(t_i, finish_{i-1}) + tx``, evaluated for every packet
   at once with a segmented cumulative maximum.

@@ -1,14 +1,6 @@
-"""Extension experiments beyond the paper's evaluation.
+"""Ablations of the calibration constants our adaptation introduces
+(see DESIGN.md section 5 and EXPERIMENTS.md's calibration notes):
 
-The paper's conclusion names two future-work directions; both are
-implemented here, along with ablations of the calibration constants our
-adaptation introduces (see DESIGN.md section 5):
-
-* :func:`message_passing_comparison` — the five networks under
-  MPI-style workloads (ring shift, halo exchange, all-to-all,
-  allreduce);
-* :func:`memory_technology_sweep` — sensitivity of the closed-loop
-  results to local memory latency (stacked DRAM vs conventional);
 * :func:`two_phase_reconfig_ablation` — sustained bandwidth vs the
   broadband-switch retuning time that gates the two-phase network;
 * :func:`conversion_overhead_ablation` — limited-P2P forwarding cost vs
@@ -19,67 +11,12 @@ adaptation introduces (see DESIGN.md section 5):
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import List, Tuple
 
 from ..analysis.tables import render_table
 from ..core.sweep import run_load_point
-from ..cpu.system import generate_trace
 from ..macrochip.config import MacrochipConfig, scaled_config
-from ..networks.factory import FIGURE6_NETWORKS, NETWORK_CLASSES
-from ..workloads.kernels import RadixKernel
-from ..workloads.message_passing import (
-    MESSAGE_PASSING_WORKLOADS,
-    run_message_passing,
-)
-from ..workloads.replay import replay
 from ..workloads.synthetic import UniformTraffic
-
-
-def message_passing_comparison(config: MacrochipConfig = None,
-                               networks: List[str] = None,
-                               progress=None) -> str:
-    """Run every message-passing workload on every network; returns the
-    rendered comparison table (runtime + effective bandwidth)."""
-    cfg = config or scaled_config()
-    nets = networks or list(FIGURE6_NETWORKS)
-    rows = []
-    for workload in sorted(MESSAGE_PASSING_WORKLOADS):
-        for net in nets:
-            if progress:
-                progress("mp %s on %s" % (workload, net))
-            r = run_message_passing(workload, net, cfg)
-            rows.append((workload, NETWORK_CLASSES[net].name,
-                         "%.1f us" % (r.runtime_ns / 1000.0),
-                         "%.0f GB/s" % r.effective_bandwidth_gb_per_s))
-    return render_table(
-        ["Workload", "Network", "Runtime", "Delivered BW"], rows,
-        title="Extension: message-passing workloads (paper future work)")
-
-
-def memory_technology_sweep(config: MacrochipConfig = None,
-                            memory_cycles: List[int] = None,
-                            progress=None) -> str:
-    """Closed-loop radix runtime per network as local memory latency
-    varies (the paper's second future-work axis)."""
-    cfg = config or scaled_config()
-    cycles_grid = memory_cycles or [25, 50, 150]
-    kernel = RadixKernel(refs_per_core=400)
-    rows = []
-    nets = ["point_to_point", "token_ring", "circuit_switched"]
-    for cycles in cycles_grid:
-        tuned = cfg.with_overrides(memory_latency_cycles=cycles)
-        trace = generate_trace(kernel, tuned)
-        for net in nets:
-            if progress:
-                progress("memory %d cycles on %s" % (cycles, net))
-            r = replay(trace, net, tuned)
-            rows.append(("%d cycles (%.0f ns)" % (cycles, cycles * 0.2),
-                         NETWORK_CLASSES[net].name,
-                         "%.1f us" % (r.runtime_ns / 1000.0),
-                         "%.1f ns" % r.mean_op_latency_ns))
-    return render_table(
-        ["Memory latency", "Network", "Radix runtime", "Latency/op"], rows,
-        title="Extension: memory-technology sensitivity (radix kernel)")
 
 
 def _knee(network: str, cfg: MacrochipConfig, fractions: List[float],
@@ -170,11 +107,4 @@ def ablation_report(config: MacrochipConfig = None,
 
 
 if __name__ == "__main__":  # pragma: no cover
-    import sys
-
-    progress = lambda m: print("..", m, file=sys.stderr)  # noqa: E731
-    print(message_passing_comparison(progress=progress))
-    print()
-    print(memory_technology_sweep(progress=progress))
-    print()
     print(ablation_report())

@@ -35,6 +35,7 @@ from .figures7_10 import all_figures_text
 from .table_experiments import all_tables_text
 from ..core.parallel import WorkerPool, resolve_workers
 from ..macrochip.config import MacrochipConfig, scaled_config
+from ..networks.factory import check_network_keys
 
 
 def _progress(message: str) -> None:
@@ -205,6 +206,11 @@ def main(argv=None) -> int:
                              "rate per wavelength, higher detection "
                              "energy, ~4.8 dB eye penalty)")
     args = parser.parse_args(argv)
+    if args.networks:
+        try:
+            check_network_keys(args.networks)
+        except ValueError as exc:
+            parser.error(str(exc))
 
     if args.command == "scaling":
         started = time.time()

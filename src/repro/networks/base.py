@@ -38,16 +38,14 @@ _packet_ids = itertools.count()
 class Packet:
     """One network message.
 
-    ``kind`` distinguishes coherence message classes ('req', 'data', 'inv',
-    'ack', ...) for statistics; ``on_delivered`` is an optional callback the
-    coherence replay layer uses to chain protocol steps.
+    ``on_delivered`` is an optional callback the coherence replay layer
+    uses to chain protocol steps.
     """
 
     __slots__ = ("pid", "src", "dst", "size_bytes", "t_inject", "t_deliver",
-                 "kind", "on_delivered", "hops")
+                 "on_delivered", "hops")
 
     def __init__(self, src: int, dst: int, size_bytes: int,
-                 kind: str = "data",
                  on_delivered: Optional[Callable[["Packet"], None]] = None,
                  pid: Optional[int] = None):
         # pid=None draws from the process-global counter (historical
@@ -59,15 +57,14 @@ class Packet:
         self.src = src
         self.dst = dst
         self.size_bytes = size_bytes
-        self.kind = kind
         self.on_delivered = on_delivered
         self.t_inject = -1
         self.t_deliver = -1
         self.hops = 0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return ("Packet(#%d %d->%d %dB %s)"
-                % (self.pid, self.src, self.dst, self.size_bytes, self.kind))
+        return ("Packet(#%d %d->%d %dB)"
+                % (self.pid, self.src, self.dst, self.size_bytes))
 
 
 class Channel:
@@ -166,9 +163,6 @@ class InterSiteNetwork:
     #: "circuit" (circuit switched), "arbitrated" (arbitration-based
     #: switching), or "electronic" (optical with electronic routing).
     switching_class = "abstract"
-    #: the energy category each delivered off-site packet's transmit
-    #: energy accrues to
-    energy_category = "optical"
 
     def __init__(self, config: MacrochipConfig, sim: Simulator,
                  warmup_ps: int = 0) -> None:
@@ -261,12 +255,13 @@ class InterSiteNetwork:
                              size_bytes=packet.size_bytes)
         size = packet.size_bytes
         if packet.src != packet.dst:
-            key = (size, packet.hops or 1)
+            hops = packet.hops or 1
+            key = (size, hops)
             pj = self._energy_cache.get(key)
             if pj is None:
-                pj = self._energy_cache[key] = self._transmit_energy_pj(*key)
-            self.stats.on_deliver(now, packet.t_inject, size,
-                                  self.energy_category, pj)
+                pj = self._energy_cache[key] = (
+                    transmit_energy_pj(size, self.config.tech) * hops)
+            self.stats.on_deliver(now, packet.t_inject, size, "optical", pj)
         else:
             # the electrical loopback costs no transmit energy
             self.stats.on_deliver(now, packet.t_inject, size)
@@ -274,11 +269,6 @@ class InterSiteNetwork:
             packet.on_delivered(packet)
         if self._sink is not None:
             self._sink(packet)
-
-    def _transmit_energy_pj(self, size_bytes: int, hops: int) -> float:
-        """Dynamic energy of one ``size_bytes`` packet over ``hops``
-        transmissions (filled once per key into ``_energy_cache``)."""
-        return transmit_energy_pj(size_bytes, self.config.tech) * hops
 
     def propagation_ps(self, src: int, dst: int) -> int:
         """Optical flight time between two sites."""

@@ -1,8 +1,9 @@
-"""Construction of the five evaluated networks by name.
+"""Construction of the networks by name.
 
-The evaluation compares six configurations (the two-phase network is
-evaluated in base and ALT forms), identified by the short keys used
-throughout the experiments and benchmarks:
+The evaluation compares the five architectures in six configurations
+(the two-phase network is evaluated in base and ALT forms); HERMES is
+the one extension.  The table lists every key the factory builds, as
+used throughout the experiments and benchmarks:
 
 ==========================  ==========================================
 key                         architecture
@@ -23,7 +24,6 @@ from typing import Callable, Dict, Iterable, List
 
 from .base import InterSiteNetwork
 from .circuit_switched import CircuitSwitchedTorus
-from .electrical_baseline import ElectricalBaselineNetwork
 from .hermes import HermesHierarchicalNetwork
 from .limited_point_to_point import LimitedPointToPointNetwork
 from .point_to_point import PointToPointNetwork
@@ -35,7 +35,6 @@ from ..macrochip.config import MacrochipConfig
 
 NETWORK_CLASSES: Dict[str, Callable[..., InterSiteNetwork]] = {
     "point_to_point": PointToPointNetwork,
-    "electrical_baseline": ElectricalBaselineNetwork,
     "limited_point_to_point": LimitedPointToPointNetwork,
     "two_phase": TwoPhaseArbitratedNetwork,
     "two_phase_alt": TwoPhaseAltNetwork,

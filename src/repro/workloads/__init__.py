@@ -26,17 +26,3 @@ __all__ = [
     "TraceReplayer",
     "ReplayResult",
 ]
-
-from .message_passing import (  # noqa: E402
-    MESSAGE_PASSING_WORKLOADS,
-    MessagePassingRunner,
-    MessagePassingResult,
-    run_message_passing,
-)
-
-__all__ += [
-    "MESSAGE_PASSING_WORKLOADS",
-    "MessagePassingRunner",
-    "MessagePassingResult",
-    "run_message_passing",
-]

@@ -152,7 +152,6 @@ class ReplayPacket(Packet):
         self.src = sites[step[0]]
         self.dst = sites[step[1]]
         self.size_bytes = step[2]
-        self.kind = step[3]
         self.on_delivered = on_delivered
         self.t_inject = -1
         self.t_deliver = -1

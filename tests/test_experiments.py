@@ -232,25 +232,6 @@ class TestSuiteRendering:
                                   for i, cell in enumerate(row)], key
 
 
-class TestFullScale:
-    """Section 3's 2015 platform numbers."""
-
-    def test_report_contains_section3_claims(self):
-        from repro.experiments.full_scale import full_scale_report
-
-        text = full_scale_report()
-        assert "2560" in text  # 2.56 TB/s per site
-        assert "163.8" in text  # 160 TB/s aggregate
-        assert "1024" in text  # laser modules
-        assert "closes" in text
-
-    def test_scaling_is_8x(self):
-        from repro.experiments.full_scale import scaling_comparison
-
-        text = scaling_comparison()
-        assert "64" in text and "8" in text
-
-
 class TestParallelDrivers:
     """Serial-vs-parallel equivalence of the figure drivers (the
     determinism contract of repro.core.parallel)."""

@@ -1,30 +1,11 @@
-"""Tests for the extension experiments (future work + ablations)."""
-
-import pytest
+"""Tests for the calibration ablations."""
 
 from repro.experiments.extensions import (
     circuit_engine_ablation,
     conversion_overhead_ablation,
-    memory_technology_sweep,
-    message_passing_comparison,
     two_phase_reconfig_ablation,
 )
-from repro.macrochip.config import small_test_config, scaled_config
-
-
-def test_message_passing_comparison_renders():
-    cfg = small_test_config(4, 4)
-    text = message_passing_comparison(
-        cfg, networks=["point_to_point", "token_ring"])
-    assert "ring_shift" in text
-    assert "all_reduce" in text
-    assert "Token Ring" in text
-
-
-def test_memory_sweep_monotone_for_p2p():
-    cfg = small_test_config(4, 4)
-    text = memory_technology_sweep(cfg, memory_cycles=[10, 200])
-    assert "10 cycles" in text and "200 cycles" in text
+from repro.macrochip.config import scaled_config
 
 
 def test_two_phase_reconfig_ablation_is_monotone():

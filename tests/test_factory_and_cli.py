@@ -118,6 +118,26 @@ class TestRunCli:
         assert "Traceback" not in err
         assert figure6_stubs == {}
 
+    @pytest.mark.parametrize("command", [[], ["scaling"]])
+    def test_main_rejects_unknown_network_before_simulating(
+            self, command, figure6_stubs, capsys):
+        """An unknown --network key (``electrical_baseline`` among them:
+        no factory network is electrical) is a usage error naming the
+        valid keys, on both the artifact pipeline and the scaling
+        study."""
+        from repro.experiments.run import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--network", "bogus",
+                            "--network", "electrical_baseline",
+                            "--preset", "smoke", "--window-ns", "100"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert ("unknown network(s) 'bogus', 'electrical_baseline'; "
+                "choose from circuit_switched, hermes," in err)
+        assert "Traceback" not in err
+        assert figure6_stubs == {}
+
     def test_main_keeps_a_short_window_that_injects(self, figure6_stubs):
         """40 ns is below one mean gap at load 0.002 (100 ns), yet some
         of the 64 sites inject in it: the grid check passes it on."""
@@ -241,7 +261,6 @@ class TestTaxonomy:
     def test_every_network_is_classified(self, small_config):
         expected = {
             "point_to_point": "none",
-            "electrical_baseline": "none",
             "limited_point_to_point": "electronic",
             "two_phase": "arbitrated",
             "two_phase_alt": "arbitrated",
@@ -258,4 +277,4 @@ class TestTaxonomy:
         unswitched = [k for k in available_networks()
                       if build_network(k, small_config,
                                        Simulator()).switching_class == "none"]
-        assert unswitched == ["electrical_baseline", "point_to_point"]
+        assert unswitched == ["point_to_point"]

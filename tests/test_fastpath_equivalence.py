@@ -46,7 +46,7 @@ from repro.core.tracing import TraceRecorder
 from repro.core.vectorized import have_numpy, vectorized_networks
 from repro.macrochip.config import scaled_config, small_test_config
 from repro.networks.base import Packet
-from repro.networks.factory import build_network
+from repro.networks.factory import NETWORK_CLASSES, build_network
 from repro.workloads.synthetic import (BurstyTraffic, HotspotTraffic,
                                       UniformTraffic, make_pattern,
                                       pattern_names)
@@ -204,14 +204,30 @@ VEC_PATTERNS = ("uniform", "transpose")
 
 
 def test_vectorized_registry_covers_all_networks():
-    """Every network the sweeps drive — HERMES's snoopy broadcast
-    included — has a registered kernel: any future gap is a test
-    failure, not a silent slow path."""
-    registered = vectorized_networks()
-    for key in ("point_to_point", "limited_point_to_point", "token_ring",
-                "two_phase", "two_phase_alt", "circuit_switched",
-                "electrical_baseline", "hermes"):
-        assert key in registered
+    """Every factory network — HERMES's snoopy broadcast included — has
+    a registered kernel: a network added without one is a test failure,
+    not a silent slow path."""
+    assert set(vectorized_networks()) == set(NETWORK_CLASSES)
+
+
+@needs_numpy
+@pytest.mark.parametrize("network,delivered",
+                         [("point_to_point", 873), ("circuit_switched", 41)])
+def test_window_without_measured_deliveries_has_nan_latency(network,
+                                                            delivered):
+    """A 10 ns window at half load on the 8x8 macrochip: packets land,
+    but none inside the measurement window, so both engines report NaN
+    latencies and zero throughput alike."""
+    config = scaled_config()
+    pattern = UniformTraffic(config.layout)
+    scalar = run_load_point(network, config, pattern, 0.5, window_ns=10.0)
+    fast = run_load_point(network, config, pattern, 0.5, window_ns=10.0,
+                          backend="vectorized")
+    assert scalar.delivered_packets == delivered
+    assert math.isnan(scalar.mean_latency_ns)
+    assert math.isnan(scalar.p99_latency_ns)
+    assert scalar.throughput_gb_per_s == 0.0
+    assert _nan_free(fast) == _nan_free(scalar)
 
 
 @needs_numpy
@@ -334,8 +350,8 @@ def test_kernel_matches_engine_on_random_shapes(network, data):
     """Every kernel against the engine on random grids, loads, windows,
     seeds, network knobs and patterns (bursty and hotspot parameters and
     lockstep ties included).  A result that delivered nothing inside the
-    window (the electrical baseline on an 8x8 grid at a short window,
-    say) has NaN latencies on both engines alike."""
+    window (see test_window_without_measured_deliveries_has_nan_latency)
+    has NaN latencies on both engines alike."""
     rows = data.draw(st.integers(2, 8), label="rows")
     cols = data.draw(st.integers(2, 8), label="cols")
     load = data.draw(st.floats(0.01, 0.8), label="load")

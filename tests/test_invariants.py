@@ -1,10 +1,10 @@
 """The cross-network invariant harness and its mutation smoke tests.
 
 Part 1 sweeps seeds x loads x traffic patterns across all five Figure 6
-architectures and the HERMES extension (plus the ALT variant and the
-electrical baseline, which ride in through ALL_NETWORKS) and
-asserts every physical invariant holds — packet conservation, causal
-timestamps, channel non-overlap, arbitration exclusivity.
+architectures and the HERMES extension (plus the ALT variant, which
+rides in through ALL_NETWORKS) and asserts every physical invariant
+holds — packet conservation, causal timestamps, channel non-overlap,
+arbitration exclusivity.
 
 Part 2 is the mutation smoke: for each checker class a deliberately
 broken network model (dropped packets, double delivery, a channel that

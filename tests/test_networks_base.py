@@ -134,6 +134,6 @@ class TestInterSiteNetwork:
         assert len(hits) == 1
 
     def test_packet_repr_and_validation(self):
-        p = Packet(1, 2, 64, kind="req")
+        p = Packet(1, 2, 64)
         assert "1->2" in repr(p)
         assert p.t_inject == -1
