@@ -105,7 +105,6 @@ _COUNT_BY_KEY = {
     "circuit_switched": complexity.circuit_switched_count,
     "two_phase": lambda cfg: complexity.two_phase_count(cfg, alt=False),
     "two_phase_alt": lambda cfg: complexity.two_phase_count(cfg, alt=True),
-    "hermes": complexity.hermes_count,
 }
 
 

@@ -25,9 +25,9 @@ Two ways to run them:
   ``run_load_point(check_invariants=True)`` uses);
 * **post-hoc** — :func:`check_trace` over any recorded event list.
 
-``python -m repro.core.invariants`` runs the CI smoke: the five Figure 6
-networks plus the HERMES extension under several loads/patterns with
-every checker enabled.
+``python -m repro.core.invariants`` runs the CI smoke: the six Figure 7
+network configurations under several loads/patterns with every checker
+enabled.
 """
 
 from __future__ import annotations
@@ -291,8 +291,8 @@ def run_smoke(networks: Optional[Sequence[str]] = None,
               seeds: Sequence[int] = (12345,),
               window_ns: float = 120.0,
               verbose: bool = True) -> int:
-    """Run invariant-checked load points over the extended network set
-    (the five Figure 6 networks plus HERMES).
+    """Run invariant-checked load points over the six Figure 7 network
+    configurations (the five Figure 6 networks plus the ALT variant).
 
     Returns the number of load points checked; raises
     :class:`InvariantViolation` on the first breach.  This is the CI
@@ -300,11 +300,11 @@ def run_smoke(networks: Optional[Sequence[str]] = None,
     """
     from .sweep import run_load_point
     from ..macrochip.config import small_test_config
-    from ..networks.factory import EXTENDED_NETWORKS
+    from ..networks.factory import FIGURE7_NETWORKS
     from ..workloads.synthetic import make_pattern
 
     if networks is None:
-        networks = EXTENDED_NETWORKS
+        networks = FIGURE7_NETWORKS
     config = small_test_config(4, 4)
     checked = 0
     for network in networks:

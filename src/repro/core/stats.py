@@ -14,8 +14,6 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional
 
-from .units import to_ns
-
 
 class LatencySample:
     """Streaming latency statistics (values in picoseconds).
@@ -106,10 +104,6 @@ class LatencySample:
         if not self._counts:
             raise ValueError("no samples recorded")
         return max(self._counts)
-
-    @property
-    def max_ns(self) -> float:
-        return self.max_ps / 1000.0
 
     def percentile_ps(self, pct: float) -> int:
         """Exact percentile (nearest-rank) of recorded latencies."""
@@ -284,8 +278,3 @@ def mean(values: List[float]) -> float:
     if not values:
         return float("nan")
     return sum(values) / len(values)
-
-
-def format_ns(ps: int) -> str:
-    """Human-readable time: '12.8 ns'."""
-    return "%.1f ns" % to_ns(ps)

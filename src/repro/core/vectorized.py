@@ -20,7 +20,7 @@ of arbitration state.  This module exploits that:
   ``finish_i = max(t_i, finish_{i-1}) + tx``, evaluated for every packet
   at once with a segmented cumulative maximum.
 * **Replay loops with batched terminal delivers** for the arbitrated
-  networks (HERMES, and the calendar kernels below): a tight loop over
+  networks (the calendar kernels below): a tight loop over
   flat integer state that merges the injection stream with the
   protocol events in the engine's ``(time, seq)`` dispatch order
   exactly (``seq`` is an event's place in the engine's scheduling
@@ -46,13 +46,12 @@ of arbitration state.  This module exploits that:
   churn with C-level ``list.sort`` while preserving the exact
   ``(time, seq)`` dispatch order.
 
-Every network the sweeps drive — HERMES's snoopy broadcast included —
-has a registered kernel.  The backend is **opt-in**
-(``run_load_point(..., backend="vectorized")``) and falls back to the
-scalar engine — silently, with identical results — whenever exactness
-would require the real event loop: a tracer is attached, invariant
-checking is on, numpy is unavailable, or the network has no registered
-kernel.  The equivalence contract — bit-equal
+Every network the sweeps drive has a registered kernel.  The backend
+is **opt-in** (``run_load_point(..., backend="vectorized")``) and falls
+back to the scalar engine — silently, with identical results — whenever
+exactness would require the real event loop: a tracer is attached,
+invariant checking is on, numpy is unavailable, or the network has no
+registered kernel.  The equivalence contract — bit-equal
 :class:`~repro.core.sweep.LoadPointResult` fields and byte-identical
 canonical traces — is locked by ``tests/test_fastpath_equivalence.py``.
 

@@ -27,36 +27,28 @@ import math
 import os
 import sys
 import time
-from typing import Dict, Optional
+from typing import Dict
 
 from .evaluation import run_suite
 from .figure6 import check_figure6_grid, figure6_text, run_figure6
 from .figures7_10 import all_figures_text
+from .scaling import (SCALING_DIMS, breakpoint_table_text, scaling_sweep,
+                      simulate_scale_point)
 from .table_experiments import all_tables_text
 from ..core.parallel import WorkerPool, resolve_workers
-from ..macrochip.config import MacrochipConfig, scaled_config
+from ..macrochip.config import scaled_config
 from ..networks.factory import check_network_keys
+from ..workloads.synthetic import pattern_names
 
 
 def _progress(message: str) -> None:
     print(".. %s" % message, file=sys.stderr)
 
 
-def _signaling_config(signaling: str) -> Optional[MacrochipConfig]:
-    """The scaled configuration at ``signaling``; None (each driver's
-    default configuration) for the NRZ baseline."""
-    if signaling == "nrz":
-        return None
-    base = scaled_config()
-    return base.with_overrides(
-        tech=base.tech.with_overrides(signaling=signaling))
-
-
 def generate(artifact: str, preset: str,
               window_ns: float, workers: int = 1,
               on_error: str = "raise",
               networks=None,
-              signaling: str = "nrz",
               backend: str = "python",
               cache_dir: str = None) -> Dict[str, str]:
     """Produce {artifact_name: text} for the requested artifact set.
@@ -69,9 +61,7 @@ def generate(artifact: str, preset: str,
     dropped from the artifacts).
 
     ``networks`` restricts the Figure 6 sweep to the named factory keys
-    (``--network hermes`` runs just the extension network); ``signaling``
-    selects the line coding of the technology point (``nrz``, the
-    bit-identical default, or ``pam4``) for every artifact.
+    (``--network two_phase`` runs just the two-phase network).
 
     ``backend`` selects the Figure 6 execution engine (``--backend``):
     ``python`` (default) is the exact scalar event loop, ``vectorized``
@@ -82,13 +72,12 @@ def generate(artifact: str, preset: str,
     ``cache_dir`` (``--cache``) keeps the Figures 7-10 traces and
     replay results on disk so an interrupted run resumes.
     """
-    config = _signaling_config(signaling)
     outputs: Dict[str, str] = {}
     if artifact in ("tables", "all"):
-        outputs["tables"] = all_tables_text(config)
+        outputs["tables"] = all_tables_text()
     with WorkerPool(workers) as shared_pool:
         if artifact in ("figure6", "all"):
-            result = run_figure6(config=config, networks=networks,
+            result = run_figure6(networks=networks,
                                  window_ns=window_ns, progress=_progress,
                                  workers=workers,
                                  pool=shared_pool, on_error=on_error,
@@ -99,7 +88,7 @@ def generate(artifact: str, preset: str,
                 _progress("figure6 FAILED shard: %s" % err)
             outputs["figure6"] = figure6_text(result)
         if artifact in ("figures", "all"):
-            suite = run_suite(preset, config=config, progress=_progress,
+            suite = run_suite(preset, progress=_progress,
                               workers=workers, pool=shared_pool,
                               on_error=on_error, cache_dir=cache_dir)
             for err in suite.failures:
@@ -119,9 +108,6 @@ def run_scaling(max_dim: int, simulate: bool = False,
     feasible scale that is cheap enough to simulate (<= 16x16; a 32x32
     point-to-point network materializes ~1M channel-table entries and is
     covered analytically only)."""
-    from .scaling import (breakpoint_table_text, scaling_sweep,
-                          simulate_scale_point)
-
     results = scaling_sweep(networks=networks, max_dim=max_dim)
     text = breakpoint_table_text(results, max_dim=max_dim)
     if simulate:
@@ -159,9 +145,8 @@ def main(argv=None) -> int:
                              "load points at each feasible scale "
                              "(<= 16x16)")
     parser.add_argument("--pattern", default="uniform",
-                        help="traffic pattern for scaling --simulate "
-                             "(uniform, transpose, butterfly, neighbor, "
-                             "bursty, hotspot, adversarial)")
+                        choices=pattern_names(),
+                        help="traffic pattern for scaling --simulate")
     parser.add_argument("--artifact", default="all",
                         choices=["tables", "figure6", "figures", "all"])
     parser.add_argument("--preset", default="quick",
@@ -188,8 +173,8 @@ def main(argv=None) -> int:
                         metavar="KEY", dest="networks",
                         help="restrict the Figure 6 sweep to this network "
                              "factory key (repeatable; e.g. --network "
-                             "hermes); implies --artifact figure6 unless "
-                             "an artifact is named")
+                             "two_phase); implies --artifact figure6 "
+                             "unless an artifact is named")
     parser.add_argument("--backend", default="python",
                         choices=["python", "vectorized"],
                         help="Figure 6 execution engine: python (exact "
@@ -198,13 +183,6 @@ def main(argv=None) -> int:
                              "results, falls back to python per load "
                              "point when numpy or a network kernel is "
                              "missing)")
-    parser.add_argument("--signaling", default="nrz",
-                        choices=["nrz", "pam4"],
-                        help="line coding of the technology point: nrz "
-                             "(the paper's baseline; bit-identical "
-                             "default) or pam4 (2 bits/symbol: double "
-                             "rate per wavelength, higher detection "
-                             "energy, ~4.8 dB eye penalty)")
     args = parser.parse_args(argv)
     if args.networks:
         try:
@@ -213,6 +191,9 @@ def main(argv=None) -> int:
             parser.error(str(exc))
 
     if args.command == "scaling":
+        if args.max_dim < SCALING_DIMS[0]:
+            parser.error("--max-dim %d admits no scale (smallest is %d)"
+                         % (args.max_dim, SCALING_DIMS[0]))
         started = time.time()
         text = run_scaling(args.max_dim, simulate=args.simulate,
                            pattern=args.pattern, networks=args.networks)
@@ -242,8 +223,7 @@ def main(argv=None) -> int:
         # the same grid check run_figure6 makes, as a usage error
         # before anything is simulated
         try:
-            check_figure6_grid(
-                _signaling_config(args.signaling) or scaled_config(), window)
+            check_figure6_grid(scaled_config(), window)
         except ValueError as exc:
             parser.error("--window-ns %r is too short for Figure 6: %s"
                          % (window, exc))
@@ -257,7 +237,7 @@ def main(argv=None) -> int:
         print(".. sharding across %d workers" % workers, file=sys.stderr)
     outputs = generate(artifact, args.preset, window, workers=workers,
                        on_error=args.on_error,
-                       networks=args.networks, signaling=args.signaling,
+                       networks=args.networks,
                        backend=args.backend, cache_dir=args.cache)
     for name, text in outputs.items():
         print()

@@ -9,12 +9,11 @@ scale at which each architecture collapses along any of three axes:
 
 * **wavelengths** — a site's channel fan-out outgrows its 128-transmitter
   bank: point-to-point needs one channel per destination site
-  (``num_sites``), limited point-to-point one per row/column peer plus
-  the two router ports (``rows + cols``), and a HERMES gateway one per
-  remote cluster (``clusters - 1``).  The channel-provisioning floors in
-  the simulators clamp at one wavelength so the *simulation* still runs;
-  this study reports the point where that clamp starts lying about
-  bandwidth.
+  (``num_sites``) and limited point-to-point one per row/column peer
+  plus the two router ports (``rows + cols``).  The channel-provisioning
+  floors in the simulators clamp at one wavelength so the *simulation*
+  still runs; this study reports the point where that clamp starts
+  lying about bandwidth.
 * **PD loss budget** — the launch power needed to close the worst-case
   link (canonical 17 dB budget + the network's extra loss + the
   waveguide-distance scaling penalty + any signaling eye penalty)
@@ -30,8 +29,8 @@ scale at which each architecture collapses along any of three axes:
 Worst-case waveguide distance grows linearly with the die edge
 (:func:`repro.photonics.loss.waveguide_scaling_penalty_db`), so loss-prone
 topologies (token ring's pass-by modulators, the circuit switch's hop
-chain) collapse quickly while the hierarchical and point-to-point plants
-hold on longer — the Table-4-style breakpoint table this module prints is
+chain) collapse quickly while the point-to-point plants hold on
+longer — the Table-4-style breakpoint table this module prints is
 the quantitative version of the paper's scalability argument.
 """
 
@@ -44,7 +43,7 @@ from ..core.units import db_to_factor
 from ..macrochip.config import MacrochipConfig, grid_config
 from ..macrochip.provisioning import provision
 from ..networks.complexity import ALL_COUNTS, ComponentCount
-from ..networks.factory import EXTENDED_NETWORKS
+from ..networks.factory import FIGURE6_NETWORKS
 from ..photonics.loss import waveguide_scaling_penalty_db
 
 
@@ -86,13 +85,6 @@ def wavelength_demand(network: str, cfg: MacrochipConfig) -> Tuple[int, int]:
         # ports the electronic hops enter through
         peers = (layout.rows - 1) + (layout.cols - 1)
         return peers + 2, supply
-    if network == "hermes":
-        # a gateway sources one global channel per remote cluster
-        from ..networks.hermes import normalize_cluster_dims
-
-        cr, cc = normalize_cluster_dims(layout, 2, 2)
-        clusters = layout.num_sites // (cr * cc)
-        return max(1, clusters - 1), supply
     # token_ring / circuit_switched / two_phase: scale-invariant fan-out
     return 1, supply
 
@@ -195,7 +187,7 @@ def analyze_network(network: str, dim: int,
 def scaling_sweep(networks: List[str] = None,
                   max_dim: int = 32) -> List[ScalingResult]:
     """Analyze every network at every scale up to ``max_dim``."""
-    keys = networks or list(EXTENDED_NETWORKS)
+    keys = networks or list(FIGURE6_NETWORKS)
     dims = [d for d in SCALING_DIMS if d <= max_dim]
     if not dims:
         raise ValueError("max_dim %d admits no scale (smallest is %d)"
@@ -272,21 +264,17 @@ def breakpoint_table_text(results: List[ScalingResult] = None,
 
 def simulate_scale_point(network: str, dim: int, load_fraction: float = 0.05,
                          window_ns: float = 50.0, pattern: str = "uniform",
-                         seed: int = 1234, backend: str = "python",
-                         check_invariants: bool = True):
+                         seed: int = 1234):
     """Run one short simulated load point at an arbitrary grid size.
 
-    Used by the CLI's ``--simulate`` flag, the CI scaling smoke, and the
-    scaling benchmark preset; returns the :class:`LoadPointResult`.
-    Simulation is meant for dims <= 16 — a 32x32 point-to-point network
-    materializes O(sites^2) channel state (~1M entries) and is analyzed
-    analytically instead.
+    Used by the CLI's ``--simulate`` flag and the CI scaling smoke;
+    returns the :class:`LoadPointResult`.  Simulation is meant for
+    dims <= 16 — a 32x32 point-to-point network materializes
+    O(sites^2) channel state (~1M entries) and is analyzed analytically
+    instead.
 
-    Invariant checking is on by default (this is a smoke-test entry
-    point).  It forces the scalar engine — the checkers consume a real
-    event trace — so ``backend="vectorized"`` only takes effect with
-    ``check_invariants=False``, which is how the PR 9 benchmark times
-    the fast path at 16x16.  Results are bit-identical in all cases.
+    This is a smoke-test entry point, so every point runs on the scalar
+    engine with the invariant checkers attached to its event trace.
     """
     from ..core.sweep import run_load_point
     from ..workloads.synthetic import make_pattern
@@ -295,5 +283,4 @@ def simulate_scale_point(network: str, dim: int, load_fraction: float = 0.05,
     pat = make_pattern(pattern, cfg.layout, seed=seed)
     return run_load_point(network, cfg, pat, load_fraction,
                           window_ns=window_ns, seed=seed,
-                          check_invariants=check_invariants,
-                          backend=backend)
+                          check_invariants=True)

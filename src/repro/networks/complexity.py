@@ -15,11 +15,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List
 
-from .hermes import normalize_cluster_dims
 from ..macrochip.config import MacrochipConfig, scaled_config
 from ..photonics.loss import (
     circuit_switched_extra_loss_db,
-    hermes_extra_loss_db,
     snoop_extra_loss_db,
     token_ring_extra_loss_db,
     two_phase_extra_loss_db,
@@ -237,43 +235,6 @@ def two_phase_arbitration_count(config: MacrochipConfig = None) -> ComponentCoun
     )
 
 
-def hermes_count(config: MacrochipConfig = None,
-                 cluster_rows: int = 2,
-                 cluster_cols: int = 2) -> ComponentCount:
-    """HERMES hierarchical broadcast (extension network).
-
-    Every site drives its full modulator bank onto its cluster's
-    broadcast ring, and every other cluster member carries drop banks
-    for all of it (the broadcast cost: ``(k-1) x 128`` receivers per
-    site).  Each of the ``G`` gateways adds one more bank each way for
-    the global crossbar.  Ring waveguides are a loop per cluster
-    (``k x 128 / WDM`` out plus as many back); the global layer needs
-    only ``128 / WDM`` guides per gateway — the small global plant the
-    hierarchy buys.  One electronic router per gateway.
-    """
-    cfg = config or scaled_config()
-    cr, cc = normalize_cluster_dims(cfg.layout, cluster_rows, cluster_cols)
-    k = cr * cc
-    clusters = cfg.num_sites // k
-    tx_site = cfg.transmitters_per_site
-    wdm = cfg.wavelengths_per_waveguide
-    tx = _total_tx(cfg) + clusters * tx_site
-    rx = cfg.num_sites * (k - 1) * tx_site + clusters * tx_site
-    ring_guides = clusters * (k * tx_site // wdm) * 2
-    global_guides = clusters * (tx_site // wdm)
-    rings_passed = (k - 1) * wdm
-    return ComponentCount(
-        network="HERMES",
-        transmitters=tx,
-        receivers=rx,
-        waveguides=ring_guides + global_guides,
-        switches=clusters,
-        switch_kind="electronic gateway routers",
-        laser_feeds=tx,
-        extra_loss_db=hermes_extra_loss_db(k, rings_passed, cfg.tech),
-    )
-
-
 #: Registry used by Table 5 / Table 6 generators.
 ALL_COUNTS: Dict[str, Callable[[MacrochipConfig], ComponentCount]] = {
     "token_ring": token_ring_count,
@@ -283,7 +244,6 @@ ALL_COUNTS: Dict[str, Callable[[MacrochipConfig], ComponentCount]] = {
     "two_phase": lambda cfg=None: two_phase_count(cfg, alt=False),
     "two_phase_alt": lambda cfg=None: two_phase_count(cfg, alt=True),
     "two_phase_arbitration": two_phase_arbitration_count,
-    "hermes": hermes_count,
 }
 
 

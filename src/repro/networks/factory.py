@@ -1,9 +1,9 @@
 """Construction of the networks by name.
 
 The evaluation compares the five architectures in six configurations
-(the two-phase network is evaluated in base and ALT forms); HERMES is
-the one extension.  The table lists every key the factory builds, as
-used throughout the experiments and benchmarks:
+(the two-phase network is evaluated in base and ALT forms).  The table
+lists every key the factory builds, as used throughout the experiments
+and benchmarks:
 
 ==========================  ==========================================
 key                         architecture
@@ -14,7 +14,6 @@ key                         architecture
 ``two_phase_alt``           ALT variant with doubled switch trees
 ``token_ring``              token-ring crossbar, Corona adaptation (4.4)
 ``circuit_switched``        circuit-switched torus adaptation (4.5)
-``hermes``                  HERMES hierarchical broadcast (extension)
 ==========================  ==========================================
 """
 
@@ -24,7 +23,6 @@ from typing import Callable, Dict, Iterable, List
 
 from .base import InterSiteNetwork
 from .circuit_switched import CircuitSwitchedTorus
-from .hermes import HermesHierarchicalNetwork
 from .limited_point_to_point import LimitedPointToPointNetwork
 from .point_to_point import PointToPointNetwork
 from .token_ring import TokenRingCrossbar
@@ -40,7 +38,6 @@ NETWORK_CLASSES: Dict[str, Callable[..., InterSiteNetwork]] = {
     "two_phase_alt": TwoPhaseAltNetwork,
     "token_ring": TokenRingCrossbar,
     "circuit_switched": CircuitSwitchedTorus,
-    "hermes": HermesHierarchicalNetwork,
 }
 
 #: the five architectures of Figure 6 (ALT excluded, as in the paper)
@@ -61,11 +58,6 @@ FIGURE7_NETWORKS: List[str] = [
     "two_phase",
     "two_phase_alt",
 ]
-
-#: the paper's Figure 6 set plus the HERMES extension network — used by
-#: extension studies and the invariant smoke; the paper-exact FIGURE6 /
-#: FIGURE7 lists above stay untouched so the pinned artifacts do too
-EXTENDED_NETWORKS: List[str] = FIGURE6_NETWORKS + ["hermes"]
 
 
 def available_networks() -> List[str]:

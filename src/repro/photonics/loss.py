@@ -123,22 +123,6 @@ def snoop_extra_loss_db(snoopers: int = 8) -> float:
     return factor_to_db(float(snoopers))
 
 
-def hermes_extra_loss_db(cluster_size: int = 4,
-                         rings_passed: int = None,
-                         tech: Technology = DEFAULT_TECHNOLOGY) -> float:
-    """HERMES hierarchical broadcast: every intra-cluster transmission is
-    physically split across all ``cluster_size`` cluster members (a
-    factor of the member count, like the snooped arbitration guides), and
-    each wavelength passes the off-resonance modulator rings of the other
-    cluster members on the shared broadcast ring."""
-    from ..core.units import factor_to_db
-
-    if rings_passed is None:
-        rings_passed = (cluster_size - 1) * 8
-    return (factor_to_db(float(cluster_size))
-            + rings_passed * tech.modulator_off_resonance_loss_db)
-
-
 def scaled_waveguide_loss_db(layout,
                              tech: Technology = DEFAULT_TECHNOLOGY) -> float:
     """Worst-case substrate waveguide loss for an arbitrary macrochip.

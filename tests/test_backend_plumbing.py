@@ -1,5 +1,5 @@
 """Backend selection plumbing: CLI round-trip, the suite cache manifest,
-the scaling entry point, and the numpy-optional degradation seams (PR 9).
+and the numpy-optional degradation seams.
 
 The vectorized backend is only useful if asking for it actually reaches
 the hot loop — these tests pin the plumbing between the user-facing
@@ -23,7 +23,6 @@ from repro.core.sweep import BACKENDS, run_load_point
 from repro.experiments import run as run_cli
 from repro.experiments.evaluation import run_suite
 from repro.experiments.figure6 import run_figure6
-from repro.experiments.scaling import simulate_scale_point
 from repro.macrochip.config import small_test_config
 from repro.workloads.synthetic import UniformTraffic
 
@@ -94,21 +93,6 @@ def test_campaign_fingerprint_helper_defaults_to_python(tmp_path):
         doc = json.load(fh)
     assert "backend" not in doc
     assert doc["version"] >= 3
-
-
-# -- scaling entry point ------------------------------------------------------
-
-def test_simulate_scale_point_backend_bit_identical():
-    """The scaling study's simulated smoke points accept the backend
-    knob (with invariant checking off, which forces scalar otherwise)
-    and stay bit-identical."""
-    scalar = simulate_scale_point("point_to_point", 4,
-                                  check_invariants=False)
-    fast = simulate_scale_point("point_to_point", 4,
-                                check_invariants=False,
-                                backend="vectorized")
-    assert scalar.delivered_packets > 0
-    assert fast == scalar
 
 
 # -- numpy-optional seams -----------------------------------------------------

@@ -106,55 +106,6 @@ def test_counts_scale_with_configuration():
     assert c.waveguides == 16 * 16 * 3
 
 
-class TestHermesCounts:
-    """Extension network: counts for the hierarchical broadcast design."""
-
-    def test_hermes_8x8(self):
-        from repro.networks.complexity import hermes_count
-
-        c = hermes_count()
-        # 64 site ring banks + 16 gateway global banks of 128 each
-        assert c.transmitters == 10240
-        # broadcast cost: (k-1) x 128 drop banks per site + global
-        assert c.receivers == 26624
-        # 16 cluster ring loops of 128 guides + 16 x 16 global guides
-        assert c.waveguides == 2304
-        assert c.switches == 16
-        assert "electronic" in c.switch_kind  # no optical switch power
-        assert c.laser_feeds == 10240
-        # 4-way broadcast split + 24 off-resonance ring passes
-        assert c.extra_loss_db == pytest.approx(8.420599913279624)
-
-    def test_hermes_4x4(self):
-        from repro.macrochip.config import small_test_config
-        from repro.networks.complexity import hermes_count
-
-        c = hermes_count(small_test_config(4, 4))
-        assert c.transmitters == 2560
-        assert c.receivers == 6656
-        assert c.waveguides == 576
-        assert c.switches == 4
-
-    def test_hermes_registered_but_not_in_paper_table(self):
-        from repro.networks.complexity import ALL_COUNTS, hermes_count
-
-        assert ALL_COUNTS["hermes"] is hermes_count
-        assert "HERMES" not in [c.network for c in table6_rows()]
-
-    def test_hermes_global_plant_smaller_than_p2p(self):
-        """The hierarchy's selling point: far fewer waveguides than the
-        full point-to-point mesh at the same site count."""
-        from repro.networks.complexity import hermes_count
-
-        assert hermes_count().waveguides < p2p_count().waveguides
-
-    def test_hermes_static_power_available(self):
-        from repro.analysis.power import static_power_w
-
-        w = static_power_w("hermes")
-        assert w > 0.0
-
-
 class TestGeneralizedWorstHops:
     """PR 8 regression: worst-hop counts were hard-coded 8x8 constants
     (31 / 7 / 6); they are now layout-derived, with the 8x8 values

@@ -7,7 +7,6 @@ import pytest
 from repro.core.engine import Simulator
 from repro.macrochip.config import small_test_config
 from repro.networks.factory import (
-    EXTENDED_NETWORKS,
     FIGURE6_NETWORKS,
     FIGURE7_NETWORKS,
     NETWORK_CLASSES,
@@ -32,11 +31,8 @@ class TestFactory:
         assert len(FIGURE7_NETWORKS) == 6
         assert "two_phase_alt" not in FIGURE6_NETWORKS
         assert "two_phase_alt" in FIGURE7_NETWORKS
-        # the paper-exact lists exclude the HERMES extension; the
-        # extended list is the Figure 6 set plus HERMES, in order
-        assert "hermes" not in FIGURE6_NETWORKS
-        assert "hermes" not in FIGURE7_NETWORKS
-        assert EXTENDED_NETWORKS == FIGURE6_NETWORKS + ["hermes"]
+        # the factory builds exactly the paper's six configurations
+        assert available_networks() == sorted(FIGURE7_NETWORKS)
 
     def test_kwargs_forwarded(self, small_config):
         net = build_network("two_phase", small_config, Simulator(),
@@ -134,9 +130,42 @@ class TestRunCli:
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert ("unknown network(s) 'bogus', 'electrical_baseline'; "
-                "choose from circuit_switched, hermes," in err)
+                "choose from circuit_switched, limited_point_to_point,"
+                in err)
         assert "Traceback" not in err
         assert figure6_stubs == {}
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--max-dim", "2"], "--max-dim 2 admits no scale (smallest is 4)"),
+        (["--max-dim", "8", "--simulate", "--pattern", "bogus"],
+         "invalid choice: 'bogus'"),
+        (["--pattern", "bogus"], "invalid choice: 'bogus'"),
+    ], ids=["max-dim-below-smallest", "simulate-bad-pattern",
+            "bad-pattern"])
+    def test_scaling_rejects_bad_input_before_any_work(self, argv, message,
+                                                       capsys):
+        """A --max-dim below the smallest scale and an unknown --pattern
+        are usage errors (exit 2), raised before the analytical sweep
+        prints anything."""
+        from repro.experiments.run import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["scaling"] + argv)
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert message in err.splitlines()[-1]
+        assert "Traceback" not in err
+
+    def test_committed_tables_match_the_generator(self):
+        """results/tables.txt is what `run --artifact tables --out
+        results/` writes today."""
+        from repro.experiments.table_experiments import all_tables_text
+
+        path = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "results", "tables.txt")
+        with open(path) as fh:
+            assert fh.read() == all_tables_text() + "\n"
 
     def test_main_keeps_a_short_window_that_injects(self, figure6_stubs):
         """40 ns is below one mean gap at load 0.002 (100 ns), yet some
@@ -182,27 +211,11 @@ class TestRunCli:
         list into the sweep driver."""
         from repro.experiments.run import main
 
-        rc = main(["--network", "hermes"])
+        rc = main(["--network", "limited_point_to_point"])
         assert rc == 0
         assert figure6_stubs["driver"] == "fixed"
-        assert figure6_stubs["kwargs"]["networks"] == ["hermes"]
-
-    def test_signaling_flag_reaches_figure6_config(self, figure6_stubs):
-        from repro.experiments.run import main
-
-        rc = main(["--artifact", "figure6", "--signaling", "pam4"])
-        assert rc == 0
-        cfg = figure6_stubs["kwargs"]["config"]
-        assert cfg.tech.signaling == "pam4"
-
-    def test_generate_tables_pam4_differ_from_nrz(self):
-        from repro.experiments.run import generate
-
-        nrz = generate("tables", "smoke", window_ns=100.0)["tables"]
-        pam4 = generate("tables", "smoke", window_ns=100.0,
-                        signaling="pam4")["tables"]
-        assert "NRZ vs PAM4" in nrz  # comparison table always present
-        assert nrz != pam4  # the active-format tables move under PAM4
+        assert figure6_stubs["kwargs"]["networks"] == [
+            "limited_point_to_point"]
 
     @pytest.fixture
     def suite_stubs(self, monkeypatch):
@@ -245,7 +258,7 @@ class TestRunCli:
         from repro.core.parallel import WorkerPool
         from repro.experiments import run as run_mod
 
-        monkeypatch.setattr(run_mod, "all_tables_text", lambda cfg: "t")
+        monkeypatch.setattr(run_mod, "all_tables_text", lambda: "t")
         out = run_mod.generate("all", "smoke", window_ns=100.0, workers=2,
                                cache_dir="cache-dir")
         assert set(out) == {"tables", "figure6", "figures7_10"}
@@ -266,7 +279,6 @@ class TestTaxonomy:
             "two_phase_alt": "arbitrated",
             "token_ring": "arbitrated",
             "circuit_switched": "circuit",
-            "hermes": "electronic",
         }
         assert set(expected) == set(NETWORK_CLASSES)
         for key, cls_name in expected.items():

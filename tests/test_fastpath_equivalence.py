@@ -64,7 +64,6 @@ NETWORK_LOADS = [
     ("token_ring", 0.05, 0.30),
     ("two_phase", 0.02, 0.08),
     ("circuit_switched", 0.01, 0.03),
-    ("hermes", 0.05, 0.30),
 ]
 
 NETWORKS = [key for key, _, _ in NETWORK_LOADS]
@@ -204,9 +203,8 @@ VEC_PATTERNS = ("uniform", "transpose")
 
 
 def test_vectorized_registry_covers_all_networks():
-    """Every factory network — HERMES's snoopy broadcast included — has
-    a registered kernel: a network added without one is a test failure,
-    not a silent slow path."""
+    """Every factory network has a registered kernel: a network added
+    without one is a test failure, not a silent slow path."""
     assert set(vectorized_networks()) == set(NETWORK_CLASSES)
 
 
@@ -302,11 +300,6 @@ def _shape_patterns(layout):
 def _draw_network_kwargs(data, network):
     """Random constructor knobs for ``network``'s model ({} for a
     network without any the kernels read)."""
-    if network == "hermes":
-        return dict(cluster_rows=data.draw(st.integers(1, 4),
-                                           label="cluster_rows"),
-                    cluster_cols=data.draw(st.integers(1, 4),
-                                           label="cluster_cols"))
     if network in ("two_phase", "two_phase_alt"):
         return dict(trees_per_column=data.draw(st.integers(1, 4),
                                                label="trees_per_column"),
@@ -391,11 +384,6 @@ def _tie_scenario(network, config):
     whose last hop leaves on ``site``'s channel toward ``dst``, an event
     pushed ``lead_ps`` earlier by the hop before."""
     net = build_network(network, config, Simulator())
-    if network == "hermes":  # rebroadcast on the far gateway's ring
-        gateway = net._gateway[1]
-        dst = next(s for s in range(config.num_sites)
-                   if net._cluster_of[s] == 1 and s != gateway)
-        return net._gateway[0], dst, gateway, net.gateway_latency_ps
     # forwarded through the lower-id candidate (both first legs idle)
     src, dst = 0, config.layout.site_at(1, 1)
     return (src, dst, min(net.forwarder_candidates(src, dst)),
@@ -405,12 +393,11 @@ def _tie_scenario(network, config):
 @needs_numpy
 @pytest.mark.parametrize("stamped_before_push", [True, False],
                          ids=["injection-first", "event-first"])
-@pytest.mark.parametrize("network", ["hermes", "limited_point_to_point"])
+@pytest.mark.parametrize("network", ["limited_point_to_point"])
 def test_kernel_breaks_injection_event_ties_like_the_engine(
         monkeypatch, network, stamped_before_push):
     """A site injects onto its channel at the picosecond a packet's last
-    hop (a HERMES rebroadcast, a limited point-to-point forward) takes
-    the same channel.  The engine dispatches whichever was pushed
+    hop (a limited point-to-point forward) takes the same channel.  The engine dispatches whichever was pushed
     first: the injection when its site's previous injection dispatched
     before the event that pushed the hop, else the hop.  The kernel must
     hand the channel to the same packet, so every packet's ``(deliver,

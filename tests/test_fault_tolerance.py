@@ -33,15 +33,13 @@ CFG = small_test_config(2, 2)
 WINDOW_NS = 60.0
 SEED = 7
 
-#: all five photonic architectures of the paper's Figure 6, plus the
-#: HERMES extension (a single 2x2 cluster on this reduced macrochip)
+#: all five photonic architectures of the paper's Figure 6
 NETWORKS = [
     "point_to_point",
     "limited_point_to_point",
     "token_ring",
     "two_phase",
     "circuit_switched",
-    "hermes",
 ]
 
 

@@ -47,15 +47,6 @@ GOLDEN = [
     ("circuit_switched", 0.03, 51.94138253638254, 342.21935656001955, 1069, 1088, 4297),
 ]
 
-
-#: HERMES extension pins — same protocol (8x8, uniform, 120 ns window),
-#: kept out of GOLDEN so the paper-exact Figure 6 coverage check below
-#: stays meaningful.
-GOLDEN_HERMES = [
-    ("hermes", 0.02, 22.850458987783593, 408.04245991565875, 768, 768, 4877),
-    ("hermes", 0.30, 33.30673646954727, 4822.044444444445, 11456, 11456, 72528),
-]
-
 #: Cross-scale pins: the same protocol on a 16x16 (256-site) macrochip
 #: built with ``grid_config(16)`` — per-site resources held at the
 #: Table 4 point.  Kept out of GOLDEN so the Figure 6 coverage check
@@ -78,7 +69,6 @@ GOLDEN_BREAKPOINTS = {
     "point_to_point": (16, ("wavelengths",)),
     "limited_point_to_point": (32, ("pd_budget", "laser_power")),
     "two_phase": (16, ("pd_budget", "laser_power")),
-    "hermes": (32, ("wavelengths", "pd_budget", "laser_power")),
 }
 
 #: NRZ-vs-PAM4 pin pair for the point-to-point network at the same low
@@ -111,23 +101,6 @@ def test_figure6_datapoint_is_pinned(cfg, network, load, mean_latency_ns,
     assert result.events_dispatched == events
     # floats are deterministic too; approx() only tolerates platform
     # libm jitter in expovariate, not model drift
-    assert result.mean_latency_ns == pytest.approx(mean_latency_ns,
-                                                   rel=1e-12)
-    assert result.throughput_gb_per_s == pytest.approx(throughput,
-                                                       rel=1e-12)
-
-
-@pytest.mark.parametrize(
-    "network,load,mean_latency_ns,throughput,delivered,injected,events",
-    GOLDEN_HERMES, ids=["%s@%.2f" % (g[0], g[1]) for g in GOLDEN_HERMES])
-def test_hermes_datapoint_is_pinned(cfg, network, load, mean_latency_ns,
-                                    throughput, delivered, injected,
-                                    events):
-    result = run_load_point(network, cfg, UniformTraffic(cfg.layout), load,
-                            window_ns=120.0)
-    assert result.delivered_packets == delivered
-    assert result.injected_packets == injected
-    assert result.events_dispatched == events
     assert result.mean_latency_ns == pytest.approx(mean_latency_ns,
                                                    rel=1e-12)
     assert result.throughput_gb_per_s == pytest.approx(throughput,
@@ -202,7 +175,7 @@ def test_scaling_breakpoints_are_pinned():
 
 def test_scaling_breakpoints_move_in_the_physical_direction():
     """Direction asserts behind the pins: the lossy shared-medium
-    networks collapse before the hierarchical/point-to-point plants,
+    networks collapse before the point-to-point plants,
     everything is feasible at the paper's own 8x8, and infeasibility is
     monotone (once broken, a network stays broken as the grid grows)."""
     from repro.experiments.scaling import scaling_sweep
@@ -222,10 +195,8 @@ def test_scaling_breakpoints_move_in_the_physical_direction():
         # laser power grows strictly with scale for every network
         powers = [p.laser_power_w for p in res.points]
         assert powers == sorted(powers) and powers[0] < powers[-1]
-    # hierarchy buys scale: hermes and limited p2p outlast the shared
-    # media (token ring / circuit switch / two-phase) and the full
+    # electronic routing buys scale: limited p2p outlasts the full
     # crossbar's wavelength wall
-    assert results["hermes"].breakpoint_dim > results["token_ring"].breakpoint_dim
     assert (results["limited_point_to_point"].breakpoint_dim
             > results["point_to_point"].breakpoint_dim)
 

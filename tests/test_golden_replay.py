@@ -2,8 +2,8 @@
 
 Every :class:`~repro.workloads.replay.ReplayResult` field is asserted
 exactly (replay is deterministic: integer picosecond times and
-sequence-number tie-breaks), on every network of ``FIGURE7_NETWORKS``
-and ``EXTENDED_NETWORKS``, for two traces:
+sequence-number tie-breaks), on every network of ``FIGURE7_NETWORKS``,
+for two traces:
 
 * ``all_to_all``: a 4x4 synthetic All-to-all trace (uniform homes, the
   LS sharing mix, 20 operations per core);
@@ -38,7 +38,7 @@ from repro.cpu.coherence import CoherenceOp, OpKind
 from repro.cpu.system import generate_trace
 from repro.cpu.trace import CoherenceTrace
 from repro.macrochip.config import scaled_config, small_test_config
-from repro.networks.factory import EXTENDED_NETWORKS, FIGURE7_NETWORKS
+from repro.networks.factory import FIGURE7_NETWORKS
 from repro.workloads.kernels import LuKernel
 from repro.workloads.replay import TraceReplayer, replay
 from repro.workloads.sharing import mix_by_name
@@ -46,7 +46,7 @@ from repro.workloads.synthetic import make_pattern
 from repro.workloads.synthetic_coherence import (SyntheticCoherenceSpec,
                                                  generate_synthetic_trace)
 
-NETWORKS = list(dict.fromkeys(FIGURE7_NETWORKS + EXTENDED_NETWORKS))
+NETWORKS = list(FIGURE7_NETWORKS)
 SCALED_NETWORKS = ("token_ring", "two_phase", "two_phase_alt")
 LU_NETWORKS = ("point_to_point", "token_ring", "two_phase")
 PERCENTILES = (1, 10, 25, 50, 75, 90, 99, 100)
@@ -231,17 +231,6 @@ PINS = {
         percentiles=(14700, 19400, 20200, 26800, 48500, 73200, 139100, 231100),
         energy={'optical': 248620.80000000077},
     ),
-    ('all_to_all', 'hermes'): dict(
-        network='HERMES',
-        workload='All-to-all-LS',
-        runtime_ps=1288676,
-        ops_completed=2560,
-        messages_sent=5433,
-        events=34012,
-        latency=(2560, 114442951, 3075, 82197),
-        percentiles=(13050, 13050, 29516, 39838, 64475, 65262, 80588, 82197),
-        energy={'snoop': 453972.4800000024, 'router': 14830560.0, 'optical': 545231.9999999988},
-    ),
     ('hand_built', 'token_ring'): dict(
         network='Token Ring',
         workload='hand-built',
@@ -307,17 +296,6 @@ PINS = {
         latency=(12, 153000, 8100, 19800),
         percentiles=(8100, 8100, 9500, 10400, 17400, 17800, 19800, 19800),
         energy={'optical': 1631.9999999999998},
-    ),
-    ('hand_built', 'hermes'): dict(
-        network='HERMES',
-        workload='hand-built',
-        runtime_ps=46350,
-        ops_completed=12,
-        messages_sent=55,
-        events=186,
-        latency=(12, 97200, 2900, 13275),
-        percentiles=(2900, 2900, 3075, 3900, 13050, 13275, 13275, 13275),
-        energy={'snoop': 2121.6, 'optical': 1631.9999999999995},
     ),
 }
 

@@ -1,9 +1,8 @@
 """The cross-network invariant harness and its mutation smoke tests.
 
-Part 1 sweeps seeds x loads x traffic patterns across all five Figure 6
-architectures and the HERMES extension (plus the ALT variant, which
-rides in through ALL_NETWORKS) and asserts every physical invariant
-holds — packet conservation, causal timestamps, channel non-overlap,
+Part 1 sweeps seeds x loads x traffic patterns across the six Figure 7
+network configurations (the five architectures plus the ALT variant)
+and asserts every physical invariant holds — packet conservation, causal timestamps, channel non-overlap,
 arbitration exclusivity.
 
 Part 2 is the mutation smoke: for each checker class a deliberately
@@ -32,7 +31,7 @@ from repro.core.tracing import TraceEvent, TraceRecorder
 from repro.macrochip.config import small_test_config
 from repro.networks.base import Channel, Packet
 from repro.networks.circuit_switched import CircuitSwitchedTorus
-from repro.networks.factory import EXTENDED_NETWORKS, NETWORK_CLASSES
+from repro.networks.factory import FIGURE7_NETWORKS, NETWORK_CLASSES
 from repro.networks.point_to_point import PointToPointNetwork
 from repro.networks.token_ring import TokenRingCrossbar
 from repro.workloads.synthetic import make_pattern
@@ -43,13 +42,13 @@ ALL_NETWORKS = sorted(NETWORK_CLASSES)
 
 # -- part 1: the property sweep ----------------------------------------------
 
-@pytest.mark.parametrize("network_key", EXTENDED_NETWORKS)
+@pytest.mark.parametrize("network_key", FIGURE7_NETWORKS)
 @pytest.mark.parametrize("pattern_name", ["uniform", "neighbor"])
 @pytest.mark.parametrize("load", [0.05, 0.35])
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_load_point_invariants(network_key, pattern_name, load, seed):
-    """run_load_point(check_invariants=True) passes on every Figure 6
-    network plus HERMES across >= 3 seeds x >= 2 loads x >= 2 traffic
+    """run_load_point(check_invariants=True) passes on every Figure 7
+    network configuration across >= 3 seeds x >= 2 loads x >= 2 traffic
     patterns."""
     pattern = make_pattern(pattern_name, CFG.layout)
     result = run_load_point(network_key, CFG, pattern, load,

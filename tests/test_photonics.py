@@ -218,10 +218,3 @@ class TestSignaling:
         again = config_from_dict(config_to_dict(cfg, full=True))
         assert again.tech.signaling == "pam4"
         assert again == cfg
-
-    def test_hermes_extra_loss(self):
-        # 4-way broadcast split (6.02 dB) + 24 ring passes at 0.1 dB
-        assert loss.hermes_extra_loss_db(4, 24) == pytest.approx(
-            db_to_factor(0) * 0 + 8.420599913279624)
-        # default rings_passed derives from the cluster size
-        assert loss.hermes_extra_loss_db(4) == loss.hermes_extra_loss_db(4, 24)

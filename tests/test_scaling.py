@@ -4,7 +4,7 @@ The determinism and invariant contracts the
 repo already enforces at the paper's 8x8 scale are properties of the
 *machinery*, not of one grid size — so they must hold verbatim at 4x4 and
 16x16 too.  The matrix below parameterizes three contracts over
-{4x4, 8x8, 16x16} x all six networks:
+{4x4, 8x8, 16x16} x the five Figure 6 networks:
 
 * **invariants** — a load point runs clean under
   ``run_load_point(check_invariants=True)`` (causality, conservation,
@@ -15,10 +15,9 @@ repo already enforces at the paper's 8x8 scale are properties of the
   driven by the one-draw-per-packet reference schedule exactly.
 
 Plus closed-form geometry sanity at every scale (snake ring length,
-torus distances, HERMES cluster/gateway counts, limited-p2p peer
-provisioning) and the analytical scaling study's own unit surface.
+torus distances, limited-p2p peer provisioning) and the analytical scaling study's own unit surface.
 
-Loads are small and windows short: the matrix is 3 x 6 x 3 contracts and
+Loads are small and windows short: the matrix is 3 x 5 x 3 contracts and
 must stay tier-1 fast; the *values* at scale are pinned separately in
 ``test_golden_figure6.GOLDEN_16``.
 """
@@ -34,7 +33,7 @@ from repro.experiments.scaling import (
     analyze_network, breakpoint_table_text, scaling_sweep,
     simulate_scale_point, wavelength_demand)
 from repro.macrochip.config import grid_config
-from repro.networks.factory import EXTENDED_NETWORKS, build_network
+from repro.networks.factory import FIGURE6_NETWORKS, build_network
 from repro.photonics.layout import MacrochipLayout
 from repro.workloads.synthetic import UniformTraffic
 
@@ -53,10 +52,9 @@ LOADS = {
     "token_ring": 0.10,
     "two_phase": 0.04,
     "circuit_switched": 0.01,
-    "hermes": 0.10,
 }
 
-MATRIX = [(dim, net) for dim in DIMS for net in EXTENDED_NETWORKS]
+MATRIX = [(dim, net) for dim in DIMS for net in FIGURE6_NETWORKS]
 MATRIX_IDS = ["%dx%d-%s" % (d, d, n) for d, n in MATRIX]
 
 
@@ -130,21 +128,6 @@ def test_torus_distances_closed_form(dim):
 
 
 @pytest.mark.parametrize("dim", DIMS)
-def test_hermes_cluster_counts_closed_form(dim):
-    from repro.core.engine import Simulator
-    from repro.core.stats import NetworkStats
-
-    cfg = grid_config(dim)
-    net = build_network("hermes", cfg, Simulator(), NetworkStats())
-    assert net.cluster_size == 4  # 2x2 clusters divide every even grid
-    assert net.num_clusters == dim * dim // 4
-    # a gateway's global bank splits across the remote clusters
-    expected_wl = max(1, cfg.transmitters_per_site
-                      // max(1, net.num_clusters - 1))
-    assert net.global_wavelengths == expected_wl
-
-
-@pytest.mark.parametrize("dim", DIMS)
 def test_limited_p2p_channel_provisioning_closed_form(dim):
     from repro.core.engine import Simulator
     from repro.core.stats import NetworkStats
@@ -162,7 +145,7 @@ def test_limited_p2p_channel_provisioning_closed_form(dim):
 
 def test_scaling_sweep_covers_all_networks_and_dims():
     results = scaling_sweep(max_dim=32)
-    assert [r.network for r in results] == list(EXTENDED_NETWORKS)
+    assert [r.network for r in results] == list(FIGURE6_NETWORKS)
     for res in results:
         assert tuple(p.dim for p in res.points) == SCALING_DIMS
         for p in res.points:
@@ -177,7 +160,7 @@ def test_analyze_network_is_exact_at_the_paper_point():
     from repro.analysis.power import network_power
     from repro.networks.complexity import ALL_COUNTS
 
-    for net in EXTENDED_NETWORKS:
+    for net in FIGURE6_NETWORKS:
         point = analyze_network(net, 8)
         count = ALL_COUNTS[net](grid_config(8))
         assert point.total_extra_db == pytest.approx(count.extra_loss_db)
@@ -190,7 +173,6 @@ def test_wavelength_demand_closed_forms():
     cfg = grid_config(16)
     assert wavelength_demand("point_to_point", cfg) == (256, 128)
     assert wavelength_demand("limited_point_to_point", cfg) == (32, 128)
-    assert wavelength_demand("hermes", cfg) == (63, 128)
     for shared in ("token_ring", "circuit_switched", "two_phase"):
         needed, avail = wavelength_demand(shared, cfg)
         assert needed == 1 and avail == 128
@@ -214,7 +196,7 @@ def test_analyze_network_rejects_unknown_key():
 
 def test_breakpoint_table_mentions_every_network():
     text = breakpoint_table_text(max_dim=32)
-    for net in EXTENDED_NETWORKS:
+    for net in FIGURE6_NETWORKS:
         assert net in text
     assert "OVERSUBSCRIBED" in text  # the 32x32 edge-fiber note
 

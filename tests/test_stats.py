@@ -10,7 +10,6 @@ from repro.core.stats import (
     LatencySample,
     NetworkStats,
     ThroughputMeter,
-    format_ns,
     mean,
 )
 
@@ -33,7 +32,6 @@ class TestLatencySample:
         assert s.mean_ns == 2.0
         assert s.min_ps == 1000
         assert s.max_ps == 3000
-        assert s.max_ns == 3.0
 
     def test_percentiles_nearest_rank(self):
         s = LatencySample()
@@ -223,7 +221,3 @@ class TestNetworkStats:
 def test_mean_helper():
     assert mean([1.0, 2.0, 3.0]) == 2.0
     assert math.isnan(mean([]))
-
-
-def test_format_ns():
-    assert format_ns(12800) == "12.8 ns"
