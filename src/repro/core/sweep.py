@@ -122,11 +122,11 @@ class _DrawBank:
 
 #: per-process draw-bank registry.  Keyed by everything the draws depend
 #: on; pattern constructor seeds are irrelevant (split() replaces the
-#: RNG), so the class + layout + draw signature (parametrized patterns'
-#: knobs) identify the destination function.  The
-#: registry is LRU-bounded: banks grow with the deepest load point they
-#: served, so a long-lived worker cycling through many (seed, pattern)
-#: combinations must not keep them all.
+#: RNG), and no pattern takes other constructor knobs, so the class +
+#: layout identify the destination function.  The registry is
+#: LRU-bounded: banks grow with the deepest load point they served, so a
+#: long-lived worker cycling through many (seed, pattern) combinations
+#: must not keep them all.
 _DRAW_BANKS: "OrderedDict[Any, _DrawBank]" = OrderedDict()
 
 #: cap on cached draw banks per process: one bank serves every network
@@ -139,11 +139,7 @@ DRAW_BANK_CACHE_LIMIT = 8
 
 def _get_draw_bank(pattern: TrafficPattern, seed: int,
                    num_sites: int) -> _DrawBank:
-    # draw_signature() carries any constructor knobs that alter the
-    # destination streams (e.g. a hotspot fraction), so differently
-    # parametrized instances of one pattern class never share a bank
-    key = (seed, pattern.__class__, pattern.layout, num_sites,
-           getattr(pattern, "draw_signature", tuple)())
+    key = (seed, pattern.__class__, pattern.layout, num_sites)
     bank = _DRAW_BANKS.get(key)
     if bank is None:
         bank = _DrawBank(pattern, seed, num_sites)

@@ -104,9 +104,6 @@ class TraceRecorder:
     def resources(self) -> List[str]:
         return sorted({e.resource for e in self.events if e.resource})
 
-    def to_lines(self) -> List[str]:
-        return [e.to_line() for e in self.events]
-
     def canonical_lines(self) -> List[str]:
         """Serialized records with pids renumbered by first appearance.
 

@@ -40,7 +40,6 @@ from ..cpu.system import generate_trace
 from ..cpu.trace import CoherenceTrace
 from ..cpu.trace_io import dump_trace, load_trace
 from ..macrochip.config import MacrochipConfig, scaled_config
-from ..macrochip.configio import config_to_dict
 from ..networks.factory import FIGURE7_NETWORKS, check_network_keys
 from ..workloads.kernels import FIGURE7_KERNELS
 from ..workloads.replay import ReplayResult, replay
@@ -53,8 +52,9 @@ from ..workloads.synthetic_coherence import (
 )
 
 #: bumped whenever a cached file's format changes (4: results hold the
-#: whole ReplayResult, latency histogram included)
-_CACHE_VERSION = 4
+#: whole ReplayResult, latency histogram included; 5: the manifest's
+#: config is ``asdict(config)``)
+_CACHE_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ def _open_cache(cache_dir: str, preset: Preset,
     for sub in ("traces", "results"):
         os.makedirs(os.path.join(cache_dir, sub), exist_ok=True)
     manifest = {"version": _CACHE_VERSION, "preset": asdict(preset),
-                "config": config_to_dict(config, full=True)}
+                "config": asdict(config)}
     path = os.path.join(cache_dir, "manifest.json")
     if os.path.exists(path):
         with open(path) as fh:

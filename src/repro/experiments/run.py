@@ -16,8 +16,7 @@ missing (see :func:`repro.experiments.evaluation.run_suite`).
 The ``scaling`` command runs the scaling-limit study instead: every
 network analyzed at 4x4 through ``--max-dim``, reporting the first grid
 size where laser power, wavelength provisioning, or the PD-side loss
-budget collapses (add ``--simulate`` to also run short simulated load
-points at each feasible scale up to 16x16).
+budget collapses.
 """
 
 from __future__ import annotations
@@ -32,13 +31,11 @@ from typing import Dict
 from .evaluation import run_suite
 from .figure6 import check_figure6_grid, figure6_text, run_figure6
 from .figures7_10 import all_figures_text
-from .scaling import (SCALING_DIMS, breakpoint_table_text, scaling_sweep,
-                      simulate_scale_point)
+from .scaling import SCALING_DIMS, breakpoint_table_text, scaling_sweep
 from .table_experiments import all_tables_text
 from ..core.parallel import WorkerPool, resolve_workers
 from ..macrochip.config import scaled_config
 from ..networks.factory import check_network_keys
-from ..workloads.synthetic import pattern_names
 
 
 def _progress(message: str) -> None:
@@ -100,34 +97,6 @@ def generate(artifact: str, preset: str,
     return outputs
 
 
-def run_scaling(max_dim: int, simulate: bool = False,
-                pattern: str = "uniform",
-                networks=None) -> str:
-    """Produce the scaling-limit breakpoint table (the ``scaling``
-    command), optionally appending short simulated load points at every
-    feasible scale that is cheap enough to simulate (<= 16x16; a 32x32
-    point-to-point network materializes ~1M channel-table entries and is
-    covered analytically only)."""
-    results = scaling_sweep(networks=networks, max_dim=max_dim)
-    text = breakpoint_table_text(results, max_dim=max_dim)
-    if simulate:
-        lines = ["", "Simulated smoke points (pattern=%s, 50 ns window, "
-                     "5%% load):" % pattern]
-        for res in results:
-            for point in res.points:
-                if point.dim > 16 or not point.feasible:
-                    continue
-                r = simulate_scale_point(res.network, point.dim,
-                                         pattern=pattern)
-                lines.append(
-                    "  %-24s %2dx%-2d  %7d delivered  mean %8.2f ns  "
-                    "%8.1f GB/s" % (res.network, point.dim, point.dim,
-                                    r.delivered_packets, r.mean_latency_ns,
-                                    r.throughput_gb_per_s))
-        text += "\n" + "\n".join(lines)
-    return text
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         description="Regenerate the paper's tables and figures.")
@@ -140,13 +109,6 @@ def main(argv=None) -> int:
                         help="largest grid dimension for the scaling "
                              "study (sweeps 4x4, 8x8, 16x16, 32x32 up "
                              "to this bound)")
-    parser.add_argument("--simulate", action="store_true",
-                        help="scaling study: also run short simulated "
-                             "load points at each feasible scale "
-                             "(<= 16x16)")
-    parser.add_argument("--pattern", default="uniform",
-                        choices=pattern_names(),
-                        help="traffic pattern for scaling --simulate")
     parser.add_argument("--artifact", default="all",
                         choices=["tables", "figure6", "figures", "all"])
     parser.add_argument("--preset", default="quick",
@@ -195,8 +157,9 @@ def main(argv=None) -> int:
             parser.error("--max-dim %d admits no scale (smallest is %d)"
                          % (args.max_dim, SCALING_DIMS[0]))
         started = time.time()
-        text = run_scaling(args.max_dim, simulate=args.simulate,
-                           pattern=args.pattern, networks=args.networks)
+        results = scaling_sweep(networks=args.networks,
+                                max_dim=args.max_dim)
+        text = breakpoint_table_text(results, max_dim=args.max_dim)
         print(text)
         if args.out:
             os.makedirs(args.out, exist_ok=True)

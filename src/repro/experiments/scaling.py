@@ -36,8 +36,8 @@ the quantitative version of the paper's scalability argument.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 from ..core.units import db_to_factor
 from ..macrochip.config import MacrochipConfig, grid_config
@@ -260,27 +260,3 @@ def breakpoint_table_text(results: List[ScalingResult] = None,
     lines.append("Laser-plant edge fibers: "
                  + "; ".join(edge_fiber_note(d) for d in dims))
     return "\n".join(lines)
-
-
-def simulate_scale_point(network: str, dim: int, load_fraction: float = 0.05,
-                         window_ns: float = 50.0, pattern: str = "uniform",
-                         seed: int = 1234):
-    """Run one short simulated load point at an arbitrary grid size.
-
-    Used by the CLI's ``--simulate`` flag and the CI scaling smoke;
-    returns the :class:`LoadPointResult`.  Simulation is meant for
-    dims <= 16 — a 32x32 point-to-point network materializes
-    O(sites^2) channel state (~1M entries) and is analyzed analytically
-    instead.
-
-    This is a smoke-test entry point, so every point runs on the scalar
-    engine with the invariant checkers attached to its event trace.
-    """
-    from ..core.sweep import run_load_point
-    from ..workloads.synthetic import make_pattern
-
-    cfg = grid_config(dim)
-    pat = make_pattern(pattern, cfg.layout, seed=seed)
-    return run_load_point(network, cfg, pat, load_fraction,
-                          window_ns=window_ns, seed=seed,
-                          check_invariants=True)

@@ -107,10 +107,6 @@ class Channel:
             self._tx_cache[size_bytes] = tx
         return tx
 
-    def queue_delay_ps(self) -> int:
-        """How long a packet injected now would wait before transmitting."""
-        return max(0, self.next_free - self.sim.now)
-
     def send(self, packet: Packet, on_arrival: Callable[..., None],
              site: Optional[int] = None) -> int:
         """Transmit ``packet``; returns the arrival time at the far end.

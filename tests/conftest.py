@@ -27,7 +27,6 @@ from repro.core.parallel import derive_seed
 from repro.macrochip.config import MacrochipConfig, scaled_config, small_test_config
 from repro.networks.base import Packet
 from repro.networks.factory import build_network
-from repro.workloads.synthetic import BurstyTraffic
 
 #: (delay_ps, src, dst, size_bytes) injection plan entry
 Traffic = List[Tuple[int, int, int, int]]
@@ -44,21 +43,10 @@ def random_traffic(seed: int, num_sites: int, n_packets: int = 120,
             for _ in range(n_packets)]
 
 
-def reference_gap(pattern, rng: random.Random, mean_gap_ps: int) -> int:
-    """One inter-arrival gap drawn the historical per-packet way.
-
-    Plain patterns draw ``max(1, int(rng.expovariate(1 / mean)))``;
-    bursty draws the ON exponential, then the burst-exit test, then —
-    only on exit — the OFF exponential.  Written out here, independent
-    of the patterns' ``unit_gaps``/``scale_gaps`` hooks.
-    """
-    if isinstance(pattern, BurstyTraffic):
-        mean_on = max(1.0, mean_gap_ps / pattern.burstiness)
-        mean_off = max(1.0, (mean_gap_ps - mean_on) * pattern.burst_length)
-        gap = int(rng.expovariate(1.0 / mean_on))
-        if rng.random() < 1.0 / pattern.burst_length:
-            gap += int(rng.expovariate(1.0 / mean_off))
-        return max(1, gap)
+def reference_gap(rng: random.Random, mean_gap_ps: int) -> int:
+    """One inter-arrival gap drawn the historical per-packet way,
+    ``max(1, int(rng.expovariate(1 / mean)))``: written out here,
+    independent of the patterns' ``unit_gaps``/``scale_gaps`` hooks."""
     return max(1, int(rng.expovariate(1.0 / mean_gap_ps)))
 
 
@@ -77,7 +65,7 @@ def reference_schedules(bank, mean_gap_ps: int, packets_per_site: int):
     for site in range(bank.num_sites):
         rng = random.Random(derive_seed(seed, "gap", site))
         pat = pattern.split(derive_seed(seed, "dst", site))
-        site_gaps.append([reference_gap(pattern, rng, mean_gap_ps)
+        site_gaps.append([reference_gap(rng, mean_gap_ps)
                           for _ in range(packets_per_site)])
         site_dsts.append([pat.destination(site)
                           for _ in range(packets_per_site)])

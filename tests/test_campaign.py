@@ -15,7 +15,6 @@ import repro.experiments.evaluation as evaluation
 from repro.experiments.evaluation import PRESETS, run_suite
 from repro.experiments.figures7_10 import all_figures_text
 from repro.macrochip.config import small_test_config
-from repro.macrochip.configio import config_to_dict
 from repro.networks.factory import FIGURE7_NETWORKS
 
 
@@ -169,7 +168,7 @@ def test_manifest_written_on_creation(cache):
     with open(os.path.join(cache, "manifest.json")) as fh:
         doc = json.load(fh)
     assert doc["preset"] == asdict(PRESETS["smoke"])
-    assert doc["config"] == config_to_dict(CFG, full=True)
+    assert doc["config"] == asdict(CFG)
     # replay runs on the scalar engine only: no backend to record
     assert "backend" not in doc
 

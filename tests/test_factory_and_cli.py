@@ -138,15 +138,15 @@ class TestRunCli:
     @pytest.mark.parametrize("argv,message", [
         (["--max-dim", "2"], "--max-dim 2 admits no scale (smallest is 4)"),
         (["--max-dim", "8", "--simulate", "--pattern", "bogus"],
-         "invalid choice: 'bogus'"),
-        (["--pattern", "bogus"], "invalid choice: 'bogus'"),
+         "unrecognized arguments: --simulate --pattern bogus"),
+        (["--pattern", "bogus"], "unrecognized arguments: --pattern bogus"),
     ], ids=["max-dim-below-smallest", "simulate-bad-pattern",
             "bad-pattern"])
     def test_scaling_rejects_bad_input_before_any_work(self, argv, message,
                                                        capsys):
-        """A --max-dim below the smallest scale and an unknown --pattern
-        are usage errors (exit 2), raised before the analytical sweep
-        prints anything."""
+        """A --max-dim below the smallest scale and the deleted
+        --simulate/--pattern flags are usage errors (exit 2), raised
+        before the analytical sweep prints anything."""
         from repro.experiments.run import main
 
         with pytest.raises(SystemExit) as exc:
@@ -166,6 +166,16 @@ class TestRunCli:
                             "results", "tables.txt")
         with open(path) as fh:
             assert fh.read() == all_tables_text() + "\n"
+
+    def test_committed_scaling_table_matches_the_generator(self):
+        """results/scaling.txt is what `run scaling --max-dim 32 --out
+        results/` writes today."""
+        from repro.experiments.scaling import breakpoint_table_text
+
+        path = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "results", "scaling.txt")
+        with open(path) as fh:
+            assert fh.read() == breakpoint_table_text(max_dim=32) + "\n"
 
     def test_main_keeps_a_short_window_that_injects(self, figure6_stubs):
         """40 ns is below one mean gap at load 0.002 (100 ns), yet some

@@ -47,8 +47,7 @@ from repro.core.vectorized import have_numpy, vectorized_networks
 from repro.macrochip.config import scaled_config, small_test_config
 from repro.networks.base import Packet
 from repro.networks.factory import NETWORK_CLASSES, build_network
-from repro.workloads.synthetic import (BurstyTraffic, HotspotTraffic,
-                                      UniformTraffic, make_pattern,
+from repro.workloads.synthetic import (UniformTraffic, make_pattern,
                                       pattern_names)
 
 from .conftest import random_traffic, reference_schedules
@@ -88,16 +87,10 @@ BLOCK_SIZES = (1, 7, 64, 1024)
 #: second extends the bank, the third reads a prefix of it
 SCHEDULE_POINTS = ((1300, 40), (400, 90), (900, 60))
 
-#: every registered pattern at its defaults, plus a second bursty
-#: parametrization and a non-default hotspot mix
+#: every registered pattern
 DRAW_PATTERNS = {name: functools.partial(make_pattern, name, CFG.layout,
                                          seed=11)
                  for name in pattern_names()}
-DRAW_PATTERNS["bursty-8x3"] = functools.partial(
-    BurstyTraffic, CFG.layout, seed=11, burstiness=8.0, burst_length=3)
-DRAW_PATTERNS["hotspot-0.6"] = functools.partial(
-    HotspotTraffic, CFG.layout, seed=11, hotspot_fraction=0.6,
-    hotspots=[0, 5])
 
 
 @pytest.mark.parametrize("block", BLOCK_SIZES)
@@ -257,6 +250,37 @@ class Lockstep(UniformTraffic):
         return [1.0] * count
 
 
+class Clumped(UniformTraffic):
+    """Irregular traffic: gaps come in clumps and a share of packets
+    converges on site 0.
+
+    Each unit gap is 0 (1 ps once scaled) except with probability
+    ``1 / CLUMP``, when it is ``CLUMP`` unit exponentials long, so the
+    mean gap stays the offered one.  A source other than site 0 sends
+    to it with probability ``HOT_SHARE``, else uniformly."""
+
+    name = "Clumped"
+    CLUMP = 6
+    HOT_SHARE = 0.3
+
+    def unit_gaps(self, rng, count):
+        rand = rng.random
+        gaps = []
+        for _ in range(count):
+            x = rand()
+            gaps.append(self.CLUMP * -math.log(1.0 - x)
+                        if rand() * self.CLUMP < 1.0 else 0.0)
+        return gaps
+
+    def destination(self, src):
+        if src and self.rng.random() < self.HOT_SHARE:
+            return 0
+        return super().destination(src)
+
+    def destinations(self, src, count):
+        return [self.destination(src) for _ in range(count)]
+
+
 @needs_numpy
 @pytest.mark.parametrize("load", [0.02, 0.3])
 @pytest.mark.parametrize("config", [small_test_config(4, 4),
@@ -286,8 +310,9 @@ def _nan_free(result):
 
 
 def _shape_patterns(layout):
-    """Every registered pattern defined on ``layout``, plus lockstep."""
-    names = ["lockstep"]
+    """Every registered pattern defined on ``layout``, plus lockstep and
+    clumped."""
+    names = ["lockstep", "clumped"]
     for name in pattern_names():
         try:
             make_pattern(name, layout)
@@ -314,23 +339,12 @@ def _draw_network_kwargs(data, network):
     return {}
 
 
-def _draw_pattern(data, name, layout, seed):
-    """``(pattern, repro text)``: the named pattern, with random
-    parameters for the bursty and hotspot ones."""
+def _draw_pattern(name, layout, seed):
+    """``(pattern, repro text)``: the named pattern."""
     if name == "lockstep":
         return Lockstep(layout, seed=seed), "Lockstep(layout, seed=%d)" % seed
-    if name == "bursty":
-        burstiness = data.draw(st.floats(1.0, 16.0), label="burstiness")
-        burst_length = data.draw(st.integers(1, 64), label="burst_length")
-        return (BurstyTraffic(layout, seed=seed, burstiness=burstiness,
-                              burst_length=burst_length),
-                "BurstyTraffic(layout, seed=%d, burstiness=%r, "
-                "burst_length=%d)" % (seed, burstiness, burst_length))
-    if name == "hotspot":
-        fraction = data.draw(st.floats(0.0, 1.0), label="hotspot_fraction")
-        return (HotspotTraffic(layout, seed=seed, hotspot_fraction=fraction),
-                "HotspotTraffic(layout, seed=%d, hotspot_fraction=%r)"
-                % (seed, fraction))
+    if name == "clumped":
+        return Clumped(layout, seed=seed), "Clumped(layout, seed=%d)" % seed
     return (make_pattern(name, layout, seed=seed),
             "make_pattern(%r, layout, seed=%d)" % (name, seed))
 
@@ -341,7 +355,7 @@ def _draw_pattern(data, name, layout, seed):
 @given(data=st.data())
 def test_kernel_matches_engine_on_random_shapes(network, data):
     """Every kernel against the engine on random grids, loads, windows,
-    seeds, network knobs and patterns (bursty and hotspot parameters and
+    seeds, network knobs and patterns (clumped gaps and destinations and
     lockstep ties included).  A result that delivered nothing inside the
     window (see test_window_without_measured_deliveries_has_nan_latency)
     has NaN latencies on both engines alike."""
@@ -354,7 +368,7 @@ def test_kernel_matches_engine_on_random_shapes(network, data):
     config = small_test_config(rows, cols)
     name = data.draw(st.sampled_from(_shape_patterns(config.layout)),
                      label="pattern")
-    pattern, pattern_repro = _draw_pattern(data, name, config.layout, seed)
+    pattern, pattern_repro = _draw_pattern(name, config.layout, seed)
     repro = ("run_load_point(%r, small_test_config(%d, %d), %s, %r, "
              "window_ns=%r, seed=%d, network_kwargs=%r)"
              % (network, rows, cols, pattern_repro, load, window_ns, seed,

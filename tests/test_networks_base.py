@@ -32,12 +32,6 @@ class TestChannel:
         sim.run()
         assert ch.busy_ps == 5000 * 12800
 
-    def test_queue_delay(self, sim):
-        ch = Channel(sim, 5.0, 0)
-        assert ch.queue_delay_ps() == 0
-        ch.send(Packet(0, 1, 64), lambda p: None)
-        assert ch.queue_delay_ps() == 12800
-
     def test_reserve_blocks_timeline(self, sim):
         ch = Channel(sim, 5.0, 0)
         ch.reserve(1000, 500)

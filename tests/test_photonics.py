@@ -207,14 +207,3 @@ class TestSignaling:
     def test_unknown_signaling_rejected(self):
         with pytest.raises(ValueError):
             Technology(signaling="qam16")
-
-    def test_signaling_survives_config_roundtrip(self):
-        from repro.macrochip.config import scaled_config
-        from repro.macrochip.configio import config_from_dict, config_to_dict
-
-        cfg = scaled_config()
-        cfg = cfg.with_overrides(
-            tech=cfg.tech.with_overrides(signaling="pam4"))
-        again = config_from_dict(config_to_dict(cfg, full=True))
-        assert again.tech.signaling == "pam4"
-        assert again == cfg

@@ -31,7 +31,7 @@ from repro.core.tracing import TraceRecorder
 from repro.experiments.scaling import (
     AXES, LASER_BUDGET_W, MAX_LAUNCH_DBM, SCALING_DIMS, ScalePoint,
     analyze_network, breakpoint_table_text, scaling_sweep,
-    simulate_scale_point, wavelength_demand)
+    wavelength_demand)
 from repro.macrochip.config import grid_config
 from repro.networks.factory import FIGURE6_NETWORKS, build_network
 from repro.photonics.layout import MacrochipLayout
@@ -199,8 +199,3 @@ def test_breakpoint_table_mentions_every_network():
     for net in FIGURE6_NETWORKS:
         assert net in text
     assert "OVERSUBSCRIBED" in text  # the 32x32 edge-fiber note
-
-
-def test_simulate_scale_point_runs_at_16x16():
-    result = simulate_scale_point("point_to_point", 16, window_ns=20.0)
-    assert result.delivered_packets > 0

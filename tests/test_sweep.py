@@ -17,8 +17,7 @@ from repro.experiments.figure6 import run_figure6
 from repro.macrochip.config import scaled_config, small_test_config
 from repro.networks.base import Packet
 from repro.networks.factory import available_networks, build_network
-from repro.workloads.synthetic import (BurstyTraffic, TransposeTraffic,
-                                       UniformTraffic)
+from repro.workloads.synthetic import TransposeTraffic, UniformTraffic
 
 
 CFG = small_test_config(4, 4)
@@ -406,36 +405,10 @@ def test_sweep_accepts_borrowed_pool():
 # -- the interned draw bank --------------------------------------------------
 
 
-def test_draw_bank_keys_on_pattern_parameters(fresh_draw_banks):
-    """Regression: the warm draw bank used to key destination caches on
-    (seed, pattern class, layout) only, so two differently-parametrized
-    instances of one pattern class shared cached streams — the second
-    configuration silently replayed the first one's destinations.  The
-    key now includes ``draw_signature()``."""
-    from repro.workloads.synthetic import HotspotTraffic
-
-    def warm_run(fraction):
-        return run_load_point(
-            "point_to_point", CFG,
-            HotspotTraffic(CFG.layout, seed=1, hotspot_fraction=fraction),
-            0.10, window_ns=WINDOW_NS, seed=SEED, warm=True)
-
-    # populate the bank with the all-uniform configuration, then run the
-    # all-hotspot one through the same interned bank registry
-    mild = warm_run(0.0)
-    extreme = warm_run(1.0)
-    clear_draw_banks()
-    fresh_extreme = warm_run(1.0)
-    assert extreme == fresh_extreme
-    assert extreme != mild  # the knob visibly changes the traffic
-
-
-def test_serial_bursty_sweep_shares_one_draw_bank(fresh_draw_banks,
-                                                  monkeypatch):
-    """The draw bank serves bursty like every other pattern: a serial
-    3-point sweep builds exactly one bank, and its points equal runs on
-    private instances."""
-    pattern = BurstyTraffic(CFG.layout, seed=1)
+def test_serial_sweep_shares_one_draw_bank(fresh_draw_banks, monkeypatch):
+    """A serial 3-point sweep builds exactly one draw bank, and its
+    points equal runs on private instances."""
+    pattern = UniformTraffic(CFG.layout, seed=1)
     fractions = [0.05, 0.10, 0.20]
     built = []
     init = sweep_mod._DrawBank.__init__

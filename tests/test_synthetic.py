@@ -7,11 +7,9 @@ from hypothesis import given, strategies as st
 
 from repro.core.parallel import derive_seed
 from repro.photonics.layout import MacrochipLayout
+from repro.experiments.figure6 import LOAD_GRIDS
 from repro.workloads.synthetic import (
-    AdversarialTraffic,
-    BurstyTraffic,
     ButterflyTraffic,
-    HotspotTraffic,
     NeighborTraffic,
     TransposeTraffic,
     UniformTraffic,
@@ -34,11 +32,6 @@ def _blocked(total, block):
         out.append(take)
         remaining -= take
     return out
-
-
-def _gaps(pat, rng, mean_gap_ps, count):
-    """``count`` gaps at ``mean_gap_ps`` through the pattern's two hooks."""
-    return pat.scale_gaps(pat.unit_gaps(rng, count), mean_gap_ps)
 
 
 class TestUniform:
@@ -156,151 +149,11 @@ def test_make_pattern_factory():
 
 
 def test_sweep_ranges_match_paper_axes():
-    assert UniformTraffic.sweep_max_fraction == 1.0
-    assert TransposeTraffic.sweep_max_fraction == 0.06
-    assert NeighborTraffic.sweep_max_fraction == 0.25
-    assert ButterflyTraffic.sweep_max_fraction == 0.06
-
-
-# -- heavy-traffic patterns (PR 8) -------------------------------------------
-
-
-class TestBursty:
-    def test_validates_knobs(self):
-        with pytest.raises(ValueError):
-            BurstyTraffic(LAYOUT, burstiness=0.5)
-        with pytest.raises(ValueError):
-            BurstyTraffic(LAYOUT, burst_length=0)
-
-    def test_unit_gaps_deterministic_under_reseed(self):
-        pat = BurstyTraffic(LAYOUT, seed=9)
-        a = _gaps(pat, random.Random(5), 1000, 200)
-        b = _gaps(pat, random.Random(5), 1000, 200)
-        assert a == b and all(g >= 1 for g in a)
-
-    def test_split_streams_depend_only_on_seed(self):
-        """A split clone's gaps are a pure function of its seed — not of
-        how much the parent (or a sibling) has drawn."""
-        parent = BurstyTraffic(LAYOUT, seed=1)
-        fresh = _gaps(parent.split(77), random.Random(77), 500, 50)
-        _gaps(parent, random.Random(3), 500, 500)  # unrelated draws
-        again = _gaps(parent.split(77), random.Random(77), 500, 50)
-        assert fresh == again
-
-    @pytest.mark.parametrize("block", BATCH_SIZES)
-    def test_unit_gaps_block_size_independent(self, block):
-        """The renewal process is memoryless across draws, so blocked
-        and one-at-a-time draws consume the RNG identically — the
-        property the sweep's draw bank relies on when it extends a
-        stream in uneven chunks."""
-        total = 1500
-        pat = BurstyTraffic(LAYOUT, seed=0)
-        rng_a = random.Random(11)
-        unbatched = []
-        for _ in range(total):
-            unbatched.extend(pat.unit_gaps(rng_a, 1))
-        rng_b = random.Random(11)
-        batched = []
-        for take in _blocked(total, block):
-            batched.extend(pat.unit_gaps(rng_b, take))
-        assert batched == unbatched
-        assert pat.scale_gaps(batched, 800) == pat.scale_gaps(unbatched, 800)
-
-    def test_long_run_mean_matches_offered_load(self):
-        """The ON/OFF means are balanced so the long-run mean gap is the
-        offered one: same average load as Poisson, delivered in clumps."""
-        pat = BurstyTraffic(LAYOUT, seed=0)
-        mean_gap = 10_000
-        gaps = _gaps(pat, random.Random(123), mean_gap, 200_000)
-        observed = sum(gaps) / len(gaps)
-        assert observed == pytest.approx(mean_gap, rel=0.05)
-
-    def test_is_actually_burstier_than_poisson(self):
-        """Squared coefficient of variation well above the exponential's
-        1.0 — the clumping the pattern exists to produce."""
-        pat = BurstyTraffic(LAYOUT, seed=0)
-        gaps = _gaps(pat, random.Random(123), 10_000, 100_000)
-        mean = sum(gaps) / len(gaps)
-        var = sum((g - mean) ** 2 for g in gaps) / len(gaps)
-        assert var / mean ** 2 > 2.0
-
-    def test_draw_signature_carries_the_knobs(self):
-        assert (BurstyTraffic(LAYOUT, burstiness=8.0).draw_signature()
-                != BurstyTraffic(LAYOUT, burstiness=4.0).draw_signature())
-
-
-class TestHotspot:
-    def test_validates_knobs(self):
-        with pytest.raises(ValueError):
-            HotspotTraffic(LAYOUT, hotspot_fraction=1.5)
-        with pytest.raises(ValueError):
-            HotspotTraffic(LAYOUT, hotspots=[64])  # off the 8x8 die
-
-    def test_never_self(self):
-        pat = HotspotTraffic(LAYOUT, seed=7, hotspot_fraction=0.9)
-        for src in range(64):
-            for _ in range(30):
-                assert pat.destination(src) != src
-
-    def test_concentration_matches_configured_fraction(self):
-        """The hot site receives ~(fraction + uniform residue) of the
-        traffic from a non-hot source, within sampling tolerance."""
-        fraction = 0.2
-        pat = HotspotTraffic(LAYOUT, seed=3, hotspot_fraction=fraction)
-        n = 40_000
-        hits = sum(1 for _ in range(n) if pat.destination(13) == 0)
-        expected = fraction + (1 - fraction) / 63  # uniform leg can hit 0 too
-        assert hits / n == pytest.approx(expected, rel=0.08)
-
-    def test_zero_fraction_degenerates_to_uniform_rate(self):
-        pat = HotspotTraffic(LAYOUT, seed=3, hotspot_fraction=0.0)
-        n = 40_000
-        hits = sum(1 for _ in range(n) if pat.destination(13) == 0)
-        assert hits / n == pytest.approx(1 / 63, rel=0.15)
-
-    def test_multiple_hotspots_share_the_hot_traffic(self):
-        pat = HotspotTraffic(LAYOUT, seed=3, hotspot_fraction=0.5,
-                             hotspots=[0, 63])
-        n = 20_000
-        dests = [pat.destination(13) for _ in range(n)]
-        hot0 = dests.count(0) / n
-        hot63 = dests.count(63) / n
-        assert hot0 == pytest.approx(hot63, rel=0.15)
-        # the uniform leg can land on either hot site too
-        assert hot0 + hot63 == pytest.approx(0.5 + 2 * 0.5 / 63, rel=0.10)
-
-    def test_draw_signature_separates_configurations(self):
-        a = HotspotTraffic(LAYOUT, hotspot_fraction=0.2)
-        b = HotspotTraffic(LAYOUT, hotspot_fraction=0.8)
-        c = HotspotTraffic(LAYOUT, hotspot_fraction=0.2, hotspots=[5])
-        assert len({a.draw_signature(), b.draw_signature(),
-                    c.draw_signature()}) == 3
-
-
-class TestAdversarial:
-    def test_is_torus_antipode(self):
-        pat = AdversarialTraffic(LAYOUT)
-        for src in range(64):
-            dst = pat.destination(src)
-            assert dst != src
-            # maximal torus distance: rows//2 + cols//2 hops
-            assert LAYOUT.torus_hop_counts(src, dst) == (4, 4)
-
-    def test_is_involution(self):
-        pat = AdversarialTraffic(LAYOUT)
-        for src in range(64):
-            assert pat.destination(pat.destination(src)) == src
-
-    def test_each_destination_has_one_sender(self):
-        pat = AdversarialTraffic(LAYOUT)
-        dests = [pat.destination(s) for s in range(64)]
-        assert len(set(dests)) == 64
-
-    def test_consumes_no_rng(self):
-        pat = AdversarialTraffic(LAYOUT, seed=5)
-        state = pat.rng.getstate()
-        pat.destinations(7, 100)
-        assert pat.rng.getstate() == state
+    """Figure 6's x-axes stop at different loads per pattern (uniform's
+    last point sits just short of its full-load axis end)."""
+    assert {name: grid[-1] for name, grid in LOAD_GRIDS.items()} == {
+        "uniform": 0.95, "transpose": 0.06, "neighbor": 0.25,
+        "butterfly": 0.06}
 
 
 @given(st.integers(min_value=0, max_value=63))
