@@ -14,11 +14,9 @@ that shards such grids across worker processes:
   plus arguments).
 * :func:`run_sharded` — execute a list of shards in-process or on a
   local process pool, returning results in submission order together
-  with per-shard telemetry (:class:`ShardReport`).
-* :class:`WorkerPool` — a persistent pool of worker processes that lives
-  *across* ``run_sharded`` calls (pass it as ``pool=``), so a multi-call
-  driver (figure sweeps, campaigns, benchmarks) pays process spin-up
-  once instead of per call.
+  with per-shard telemetry (:class:`ShardReport`).  A pool run owns
+  its worker processes: they start with the call and are shut down
+  before it returns or raises.
 * :class:`SimContext` — one ``(simulator, network)`` pair, built
   fresh for every load point (see ``repro.core.sweep``); the derived
   tables it reads are interned (:mod:`repro.core.interning`), so a
@@ -48,10 +46,7 @@ Serial and pool runs apply the same per-shard policy (``on_error=``):
 A worker process that dies (OOM-killed, segfaulted, ``kill -9``) is not
 a shard failure: under either policy ``run_sharded`` raises
 ``concurrent.futures.process.BrokenProcessPool`` naming the shards that
-were in flight, and the :class:`WorkerPool` spawns fresh workers on its
-next use.  Drivers that must survive a lost worker resume from their own
-per-shard results (``run --cache``), which the determinism contract
-makes bit-identical to an uninterrupted run.
+were in flight; the next ``run_sharded`` call starts fresh workers.
 """
 
 from __future__ import annotations
@@ -78,7 +73,6 @@ __all__ = [
     "ShardedRun",
     "SimContext",
     "run_sharded",
-    "WorkerPool",
 ]
 
 #: seeds are kept inside 63 bits so they stay exact in JSON and C longs
@@ -248,26 +242,10 @@ class ShardedRun:
             text += ", %d failed" % self.failed
         return text
 
-    def failure_report(self) -> str:
-        """Multi-line structured report of every failed shard (empty
-        string when the run was clean)."""
-        errors = self.errors
-        if not errors:
-            return ""
-        lines = ["%d/%d shard(s) failed:" % (len(errors), len(self.results))]
-        lines.extend("  " + str(e) for e in errors)
-        return "\n".join(lines)
-
 
 def _events_of(result: Any) -> int:
     """Best-effort events-dispatched telemetry from a shard result."""
-    events = getattr(result, "events_dispatched", 0)
-    if isinstance(result, dict):
-        events = result.get("events_dispatched", 0)
-    try:
-        return int(events)
-    except (TypeError, ValueError):
-        return 0
+    return int(getattr(result, "events_dispatched", 0))
 
 
 # -- guarded shard invocation -------------------------------------------------
@@ -359,24 +337,30 @@ def _execute_serially(tasks: Sequence[Tuple[int, Shard]], collect: bool,
         _finish(index, task[1], ok, value, elapsed, pid, collect, emit)
 
 
-def _execute_on_pool(pool: WorkerPool, tasks: Sequence[Tuple[int, Shard]],
-                     collect: bool, emit: EmitFn) -> None:
-    """Run ``tasks`` on ``pool``'s workers, reporting each shard as it
-    completes.
+def _execute_on_pool(n_workers: int, tasks: Sequence[Tuple[int, Shard]],
+                     collect: bool, emit: EmitFn) -> str:
+    """Run ``tasks`` on ``n_workers`` worker processes started for this
+    call, reporting each shard as it completes; return the start method
+    (``'serial'`` when no pool could be created and the tasks ran
+    in-process instead).
 
     Every shard is submitted up front, in ``tasks`` order; the executor
     feeds its workers first-in first-out.  A raising shard's exception
     travels back as data (:func:`_invoke_guarded`), so ``collect``
     never breaks the pool.  A dead worker does: every unfinished shard
     then fails with ``BrokenProcessPool``, which is re-raised naming the
-    shards that were in flight, after the broken executor is dropped so
-    the pool's next use spawns fresh workers.  Under ``raise`` the first
-    shard exception cancels every shard not yet started.
+    shards that were in flight.  However the loop ends, the workers are
+    shut down before this returns, and shards not yet started are
+    cancelled.
     """
-    executor = pool.acquire()
-    if executor is None:
+    try:
+        from concurrent.futures import ProcessPoolExecutor
+
+        context = _pick_context()
+        executor = ProcessPoolExecutor(n_workers, mp_context=context)
+    except (ImportError, OSError, ValueError):
         _execute_serially(tasks, collect, emit)
-        return
+        return "serial"
     from concurrent.futures import as_completed
     from concurrent.futures.process import (EXTRA_QUEUED_CALLS,
                                             BrokenProcessPool)
@@ -398,23 +382,21 @@ def _execute_on_pool(pool: WorkerPool, tasks: Sequence[Tuple[int, Shard]],
                 value = _capture_failure(exc, require_picklable=False)
             _finish(index, shard, ok, value, elapsed, pid, collect, emit)
     except BrokenProcessPool as exc:
-        pool.close()
         # the executor hands shards to its workers in submission order,
         # keeping EXTRA_QUEUED_CALLS queued beyond them, so the first
         # unfinished shards are the ones that were in flight
         unfinished = [shard.label or "shard %d" % index
                       for future, (index, shard) in futures.items()
                       if isinstance(future.exception(), BrokenProcessPool)]
-        in_flight = unfinished[:pool.workers + EXTRA_QUEUED_CALLS]
+        in_flight = unfinished[:n_workers + EXTRA_QUEUED_CALLS]
         raise BrokenProcessPool(
             "a worker process died with shard(s) in flight: %s "
             "(%d of %d shard(s) unfinished)"
             % (", ".join(in_flight) or "none", len(unfinished),
                len(tasks))) from exc
-    except BaseException:
-        for future in futures:
-            future.cancel()
-        raise
+    finally:
+        executor.shutdown(wait=True, cancel_futures=True)
+    return context.get_start_method()
 
 
 def _submission_order(shards: Sequence[Shard],
@@ -479,68 +461,10 @@ def _pick_context():
     return multiprocessing.get_context()
 
 
-class WorkerPool:
-    """A persistent process pool that outlives ``run_sharded``.
-
-    ``run_sharded`` normally creates and tears down a fresh pool per
-    call; drivers that issue many calls (a figure's per-pattern sweeps,
-    a suite's trace build + replay grid, benchmark loops) pay that
-    spin-up each time.  A ``WorkerPool`` is created lazily on first use,
-    then passed to any number of ``run_sharded(..., pool=...)`` calls;
-    worker processes — and therefore their interned tables and draw
-    banks — stay alive between calls.  Close it (or use it as a context
-    manager) when the run is over; after :meth:`close` ``mode`` reads
-    ``"serial"`` until the next :meth:`acquire` spawns fresh workers.  A
-    run that loses a worker closes the broken pool the same way.
-
-    Falls back to serial exactly like ``run_sharded`` does when the
-    platform cannot provide a pool; ``workers=1`` never creates
-    processes (nor imports the process machinery) at all.
-    """
-
-    def __init__(self, workers: Optional[int] = None) -> None:
-        self.workers = resolve_workers(workers)
-        self._executor = None
-        self._failed = False
-        self.mode = "serial"
-
-    def acquire(self):
-        """The live ``ProcessPoolExecutor``, created on first use; None
-        when serial (workers=1 or pool creation failed)."""
-        if self._executor is None and not self._failed and self.workers > 1:
-            try:
-                from concurrent.futures import ProcessPoolExecutor
-
-                context = _pick_context()
-                self._executor = ProcessPoolExecutor(self.workers,
-                                                     mp_context=context)
-                self.mode = context.get_start_method()
-            except (ImportError, OSError, ValueError):
-                self._failed = True
-                self.mode = "serial"
-        return self._executor
-
-    def close(self) -> None:
-        """Shut the workers down once their current shards finish,
-        cancelling any not yet started; idempotent.  The pool object can
-        be reused afterwards (a new set of workers spawns on next use)."""
-        executor, self._executor = self._executor, None
-        self.mode = "serial"
-        if executor is not None:
-            executor.shutdown(wait=True, cancel_futures=True)
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-
 def run_sharded(shards: Sequence[Shard],
                 workers: Optional[int] = 1,
                 progress: Optional[Callable[[str], None]] = None,
                 cost_key: Optional[Callable[[Shard], float]] = None,
-                pool: Optional[WorkerPool] = None,
                 on_error: str = "raise") -> ShardedRun:
     """Execute every shard and return results in submission order.
 
@@ -564,12 +488,6 @@ def run_sharded(shards: Sequence[Shard],
     with or without a cost key — ordering is purely a wall-clock
     optimization (see the determinism contract above).
 
-    ``pool`` (optional) is a :class:`WorkerPool` to run on instead of a
-    throwaway per-call pool; the pool's worker count takes precedence
-    over ``workers`` and the workers stay alive after the call (the
-    caller owns shutdown).  Results are bit-identical either way — a
-    persistent pool only changes where process spin-up cost is paid.
-
     A raising ``progress`` callback is disarmed after its first failure
     and can never corrupt results — telemetry is strictly write-only.
     """
@@ -578,8 +496,6 @@ def run_sharded(shards: Sequence[Shard],
                          % (on_error,))
     collect = on_error == "collect"
     shards = list(shards)
-    if pool is not None:
-        workers = pool.workers
     n_workers = min(resolve_workers(workers), max(1, len(shards)))
     started = time.perf_counter()
     results: List[Any] = [None] * len(shards)
@@ -621,13 +537,7 @@ def run_sharded(shards: Sequence[Shard],
         # keep natural order: results are index-keyed, so ordering is
         # progress-message cosmetics only)
         tasks = [(i, shards[i]) for i in _submission_order(shards, cost_key)]
-        run_pool = pool if pool is not None else WorkerPool(n_workers)
-        try:
-            _execute_on_pool(run_pool, tasks, collect, _emit)
-            mode = run_pool.mode
-        finally:
-            if pool is None:
-                run_pool.close()
+        mode = _execute_on_pool(n_workers, tasks, collect, _emit)
     else:
         _execute_serially(list(enumerate(shards)), collect, _emit)
         mode = "serial"

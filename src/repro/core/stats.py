@@ -12,7 +12,7 @@ Provides:
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 
 class LatencySample:
@@ -47,32 +47,6 @@ class LatencySample:
         if not isinstance(other, LatencySample):
             return NotImplemented
         return self._counts == other._counts
-
-    def histogram(self) -> List[List[int]]:
-        """``[value_ps, count]`` pairs in ascending value order: the
-        whole state, JSON-ready (:meth:`from_histogram` inverts it)."""
-        return [[value, self._counts[value]] for value in sorted(self._counts)]
-
-    @classmethod
-    def from_histogram(cls, pairs: List[List[int]]) -> "LatencySample":
-        """Rebuild a sample from :meth:`histogram` output.
-
-        Raises ``ValueError`` on a pair no recorded sample produces: a
-        count below one, or a value listed twice.
-        """
-        sample = cls()
-        counts = sample._counts
-        for value, count in pairs:
-            if count < 1:
-                raise ValueError("latency histogram pair [%r, %r]: count "
-                                 "must be at least 1" % (value, count))
-            if value in counts:
-                raise ValueError("latency histogram pair [%r, %r]: value "
-                                 "listed twice" % (value, count))
-            counts[value] = count
-            sample._n += count
-            sample._sum += value * count
-        return sample
 
     @property
     def count(self) -> int:
@@ -223,9 +197,6 @@ class NetworkStats:
         recorded trace."""
         return self.injected_packets - self.delivered_packets - self.dropped_packets
 
-    def on_inject(self) -> None:
-        self.injected_packets += 1
-
     def on_deliver(self, now_ps: int, inject_ps: int, size_bytes: int,
                    energy_category: Optional[str] = None,
                    energy_pj: float = 0.0) -> None:
@@ -258,23 +229,3 @@ class NetworkStats:
         if meter._first_ps is None:
             meter._first_ps = now_ps
         meter._last_ps = now_ps
-
-    def summary(self) -> Dict[str, float]:
-        """A plain-dict summary convenient for tables and tests."""
-        return {
-            "injected": self.injected_packets,
-            "delivered": self.delivered_packets,
-            "mean_latency_ns": self.latency.mean_ns if len(self.latency) else float("nan"),
-            "p99_latency_ns": (
-                self.latency.percentile_ns(99.0) if len(self.latency) else float("nan")
-            ),
-            "throughput_gbps": self.throughput.bytes_per_ns(),
-            "energy_pj": self.energy.total_pj,
-        }
-
-
-def mean(values: List[float]) -> float:
-    """Arithmetic mean; NaN for an empty list (explicit, non-raising)."""
-    if not values:
-        return float("nan")
-    return sum(values) / len(values)

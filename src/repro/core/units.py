@@ -36,11 +36,6 @@ def us(value: float) -> int:
     return int(round(value * PS_PER_US))
 
 
-def to_ns(ps: int) -> float:
-    """Convert integer picoseconds to float nanoseconds."""
-    return ps / PS_PER_NS
-
-
 def gbps_to_bytes_per_ps(gb_per_s: float) -> float:
     """Convert a bandwidth in GB/s (1e9 bytes/s) to bytes per picosecond."""
     return gb_per_s * 1e9 / PS_PER_S

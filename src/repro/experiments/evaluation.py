@@ -11,34 +11,16 @@ Presets trade fidelity for time:
 * ``full``  — the sizes used for EXPERIMENTS.md (minutes of CPU time);
 * ``quick`` — reduced reference counts for interactive runs;
 * ``smoke`` — tiny sizes for CI/benchmark harnesses (seconds).
-
-``run_suite(cache_dir=...)`` makes a run resumable.  Each trace and
-replay result is written by the shard that produced it, through a
-temporary file, and a rerun simulates only what is missing::
-
-    <cache_dir>/
-      manifest.json                       preset sizing + full config
-      traces/<workload>.json              coherence traces (cpu.trace_io)
-      results/<workload>__<network>.json  one ReplayResult each
-
-The manifest records what produced the cache.  A directory written under
-another preset or config, or one holding cached files but no manifest,
-is rejected rather than mixed with fresh results.
 """
 
 from __future__ import annotations
 
-import json
-import os
-from contextlib import nullcontext
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from ..core.parallel import Shard, ShardError, WorkerPool, run_sharded
-from ..core.stats import LatencySample
+from ..core.parallel import Shard, ShardError, run_sharded
 from ..cpu.system import generate_trace
 from ..cpu.trace import CoherenceTrace
-from ..cpu.trace_io import dump_trace, load_trace
 from ..macrochip.config import MacrochipConfig, scaled_config
 from ..networks.factory import FIGURE7_NETWORKS, check_network_keys
 from ..workloads.kernels import FIGURE7_KERNELS
@@ -50,11 +32,6 @@ from ..workloads.synthetic_coherence import (
     SyntheticCoherenceSpec,
     generate_synthetic_trace,
 )
-
-#: bumped whenever a cached file's format changes (4: results hold the
-#: whole ReplayResult, latency histogram included; 5: the manifest's
-#: config is ``asdict(config)``)
-_CACHE_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -124,90 +101,22 @@ def _synthetic_trace_task(name: str, pattern_key: str, mix_name: str,
     return trace
 
 
-def _cache_file(cache_dir: Optional[str], sub: str,
-                name: str) -> Optional[str]:
-    if cache_dir is None:
-        return None
-    return os.path.join(cache_dir, sub, "%s.json" % name)
-
-
-def _save(path: str, value) -> None:
-    """Write one cache file through a temporary file, so an interrupted
-    run never leaves a truncated entry behind."""
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        if isinstance(value, CoherenceTrace):
-            dump_trace(value, fh)
-        elif isinstance(value, ReplayResult):
-            json.dump(dict(vars(value),
-                           op_latency=value.op_latency.histogram()), fh)
-        else:
-            json.dump(value, fh, indent=2, sort_keys=True)
-    os.replace(tmp, path)
-
-
-def _load_result(path: str) -> ReplayResult:
-    with open(path) as fh:
-        doc = json.load(fh)
-    doc["op_latency"] = LatencySample.from_histogram(doc["op_latency"])
-    return ReplayResult(**doc)
-
-
-def _persisted(path: Optional[str], task: Callable, *args):
-    """Shard body: ``task(*args)``, saved to ``path`` (when set) as soon
-    as it exists.  A failing task raises first, so it is never saved."""
-    value = task(*args)
-    if path is not None:
-        _save(path, value)
-    return value
-
-
-def _open_cache(cache_dir: str, preset: Preset,
-                config: MacrochipConfig) -> None:
-    """Write the manifest of a fresh ``cache_dir``, or check that an
-    existing one was produced by this preset and config."""
-    for sub in ("traces", "results"):
-        os.makedirs(os.path.join(cache_dir, sub), exist_ok=True)
-    manifest = {"version": _CACHE_VERSION, "preset": asdict(preset),
-                "config": asdict(config)}
-    path = os.path.join(cache_dir, "manifest.json")
-    if os.path.exists(path):
-        with open(path) as fh:
-            if json.load(fh) == manifest:
-                return
-        problem = ("was written by a different preset or config "
-                   "(manifest mismatch)")
-    elif any(os.listdir(os.path.join(cache_dir, sub))
-             for sub in ("traces", "results")):
-        problem = ("holds cached files but no manifest, so they cannot "
-                   "be matched to this preset and config")
-    else:
-        _save(path, manifest)
-        return
-    raise ValueError("cache_dir %r %s; delete it or pick another directory"
-                     % (cache_dir, problem))
-
-
 def _trace_shards(preset: Preset, config: MacrochipConfig,
-                  workloads: List[str],
-                  cache_dir: Optional[str]) -> Dict[str, Shard]:
+                  workloads: List[str]) -> Dict[str, Shard]:
     """One trace-building shard per named workload: a CPU simulation for
     an application kernel, a synthesis for a coherence benchmark."""
     shards: Dict[str, Shard] = {}
     for kernel_cls in FIGURE7_KERNELS:
         if kernel_cls.name in workloads:
             shards[kernel_cls.name] = Shard(
-                _persisted,
-                args=(_cache_file(cache_dir, "traces", kernel_cls.name),
-                      _kernel_trace_task, kernel_cls,
-                      preset.kernel_refs_per_core, config),
+                _kernel_trace_task,
+                args=(kernel_cls, preset.kernel_refs_per_core, config),
                 label="cpu-sim %s" % kernel_cls.name)
     for name, pattern_key, mix_name in FIGURE7_SYNTHETIC:
         if name in workloads:
             shards[name] = Shard(
-                _persisted,
-                args=(_cache_file(cache_dir, "traces", name),
-                      _synthetic_trace_task, name, pattern_key, mix_name,
+                _synthetic_trace_task,
+                args=(name, pattern_key, mix_name,
                       preset.synthetic_ops_per_core, config),
                 label="synthesize %s" % name)
     return shards
@@ -236,9 +145,7 @@ def run_suite(preset_name: str = "quick",
               workloads: Optional[List[str]] = None,
               progress: Optional[Callable[[str], None]] = None,
               workers: int = 1,
-              on_error: str = "raise",
-              cache_dir: Optional[str] = None,
-              pool: Optional[WorkerPool] = None) -> SuiteResult:
+              on_error: str = "raise") -> SuiteResult:
     """Run the full (or filtered) benchmark suite.
 
     Unknown ``workloads`` or ``networks`` raise ``ValueError`` before
@@ -247,19 +154,13 @@ def run_suite(preset_name: str = "quick",
     With ``workers > 1`` both stages parallelize: trace generation shards
     per workload, and the replay grid shards per (workload, network)
     pair, largest trace first.  Every simulation is independently seeded
-    by its arguments, so the grid is identical to a serial run.  Both
-    stages share one :class:`~repro.core.parallel.WorkerPool`: ``pool``
-    if the caller lends one, else a pool opened for this call.
+    by its arguments, so the grid is identical to a serial run.
 
     ``on_error`` is the per-shard failure policy for both stages (see
     :func:`~repro.core.parallel.run_sharded`): under ``'collect'`` a
     failed trace build drops that workload's whole row, a failed replay
     drops one grid cell, and every failure is recorded in
     :attr:`SuiteResult.failures` instead of aborting the suite.
-
-    ``cache_dir`` makes the run resumable (layout in the module
-    docstring): only what is missing from it is simulated, and a failure
-    is never saved, so the next run retries exactly the failed work.
     """
     try:
         preset = PRESETS[preset_name]
@@ -275,37 +176,19 @@ def run_suite(preset_name: str = "quick",
     check_network_keys(nets)
     wanted = [w for w in WORKLOAD_ORDER if workloads is None or w in workloads]
     cfg = config or scaled_config()
-    if cache_dir is not None:
-        _open_cache(cache_dir, preset, cfg)
     suite = SuiteResult(preset=preset.name, config=cfg)
     policy = dict(workers=workers, progress=progress, on_error=on_error)
-    traces: Dict[str, CoherenceTrace] = {}
-    cells: Dict[Tuple[str, str], ReplayResult] = {}
-    for workload in wanted:
-        path = _cache_file(cache_dir, "traces", workload)
-        if path is not None and os.path.exists(path):
-            traces[workload] = load_trace(path)
-    owned = WorkerPool(workers) if pool is None else nullcontext(pool)
-    with owned as shared:
-        missing = [w for w in wanted if w not in traces]
-        traces.update(_execute(_trace_shards(preset, cfg, missing,
-                                             cache_dir),
-                               suite.failures, pool=shared, **policy))
-        suite.traces = {w: traces[w] for w in wanted if w in traces}
-        replays: Dict[Tuple[str, str], Shard] = {}
-        for workload, trace in suite.traces.items():
-            for net in nets:
-                path = _cache_file(cache_dir, "results",
-                                   "%s__%s" % (workload, net))
-                if path is not None and os.path.exists(path):
-                    cells[workload, net] = _load_result(path)
-                else:
-                    replays[workload, net] = Shard(
-                        _persisted, args=(path, replay, trace, net, cfg),
-                        label="replay %s on %s" % (workload, net))
-        cells.update(_execute(replays, suite.failures, pool=shared,
-                              cost_key=lambda s: s.args[2].total_ops,
-                              **policy))
+    traces = _execute(_trace_shards(preset, cfg, wanted), suite.failures,
+                      **policy)
+    suite.traces = {w: traces[w] for w in wanted if w in traces}
+    replays: Dict[Tuple[str, str], Shard] = {}
+    for workload, trace in suite.traces.items():
+        for net in nets:
+            replays[workload, net] = Shard(
+                replay, args=(trace, net, cfg),
+                label="replay %s on %s" % (workload, net))
+    cells = _execute(replays, suite.failures,
+                     cost_key=lambda s: s.args[0].total_ops, **policy)
     for workload in suite.traces:
         row = {net: cells[workload, net] for net in nets
                if (workload, net) in cells}

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis.tables import render_series, render_table
-from ..core.parallel import Shard, ShardError, WorkerPool, run_sharded
+from ..core.parallel import Shard, ShardError, run_sharded
 from ..core.sweep import (SweepPoint, check_injects_something,
                           run_load_point, to_sweep_point)
 from ..core.vectorized import have_numpy
@@ -101,7 +101,6 @@ def run_figure6(config: MacrochipConfig = None,
                 load_grids: Optional[Dict[str, List[float]]] = None,
                 progress=None,
                 workers: int = 1,
-                pool: Optional[WorkerPool] = None,
                 on_error: str = "raise",
                 backend: str = "python") -> Figure6Result:
     """Run the Figure 6 sweeps over the exact fixed load grids.
@@ -116,10 +115,7 @@ def run_figure6(config: MacrochipConfig = None,
 
     Every load point builds its own (simulator, network) pair on the
     process's interned tables, and the load points of one pattern share
-    one interned draw bank.  ``pool`` lends a persistent
-    :class:`~repro.core.parallel.WorkerPool` so multiple figure runs
-    (or a figure run and a suite run) reuse worker processes, and with
-    them those tables and banks.
+    one interned draw bank.
 
     Unknown ``patterns`` or ``networks``, a ``load_grids`` without a
     grid for some requested pattern, and a window in which some load
@@ -172,8 +168,7 @@ def run_figure6(config: MacrochipConfig = None,
     if backend == "vectorized":
         have_numpy()  # import numpy before a pool forks: workers share it
     run = run_sharded(shards, workers=workers, progress=progress,
-                      cost_key=lambda s: s.args[3], pool=pool,
-                      on_error=on_error)
+                      cost_key=lambda s: s.args[3], on_error=on_error)
     if progress:
         progress(run.summary())
     for (pattern_key, net), point in zip(keys, run.results):

@@ -4,14 +4,11 @@ Usage::
 
     python -m repro.experiments.run --artifact all --preset quick
     python -m repro.experiments.run --artifact figure6 --out results/
-    python -m repro.experiments.run --artifact figures --cache runs/quick
     python -m repro.experiments.run scaling --max-dim 32
 
 Artifacts: ``tables`` (1, 4, 5, 6), ``figure6``, ``figures`` (7-10), or
 ``all``.  Output goes to stdout and, with ``--out DIR``, to one text file
-per artifact.  ``--cache DIR`` makes Figures 7-10 resumable: traces and
-replay results are kept in DIR, and a rerun simulates only what is
-missing (see :func:`repro.experiments.evaluation.run_suite`).
+per artifact.
 
 The ``scaling`` command runs the scaling-limit study instead: every
 network analyzed at 4x4 through ``--max-dim``, reporting the first grid
@@ -33,7 +30,7 @@ from .figure6 import check_figure6_grid, figure6_text, run_figure6
 from .figures7_10 import all_figures_text
 from .scaling import SCALING_DIMS, breakpoint_table_text, scaling_sweep
 from .table_experiments import all_tables_text
-from ..core.parallel import WorkerPool, resolve_workers
+from ..core.parallel import resolve_workers
 from ..macrochip.config import scaled_config
 from ..networks.factory import check_network_keys
 
@@ -46,11 +43,11 @@ def generate(artifact: str, preset: str,
               window_ns: float, workers: int = 1,
               on_error: str = "raise",
               networks=None,
-              backend: str = "python",
-              cache_dir: str = None) -> Dict[str, str]:
+              backend: str = "python") -> Dict[str, str]:
     """Produce {artifact_name: text} for the requested artifact set.
 
-    One persistent worker pool serves every artifact of the invocation.
+    ``workers`` is passed to every driver; each one starts and stops its
+    own worker processes.
 
     ``on_error`` is the per-shard failure policy threaded into every
     driver (``--on-error collect`` keeps a long run alive past a raising
@@ -65,32 +62,26 @@ def generate(artifact: str, preset: str,
     the numpy-batched fast path of :mod:`repro.core.vectorized` —
     bit-identical curves, with automatic scalar fallback where a
     network has no kernel or numpy is missing.
-
-    ``cache_dir`` (``--cache``) keeps the Figures 7-10 traces and
-    replay results on disk so an interrupted run resumes.
     """
     outputs: Dict[str, str] = {}
     if artifact in ("tables", "all"):
         outputs["tables"] = all_tables_text()
-    with WorkerPool(workers) as shared_pool:
-        if artifact in ("figure6", "all"):
-            result = run_figure6(networks=networks,
-                                 window_ns=window_ns, progress=_progress,
-                                 workers=workers,
-                                 pool=shared_pool, on_error=on_error,
-                                 backend=backend)
-            _progress("figure6: %d load points, %d simulator events"
-                      % (result.load_points, result.total_events))
-            for err in result.failures:
-                _progress("figure6 FAILED shard: %s" % err)
-            outputs["figure6"] = figure6_text(result)
-        if artifact in ("figures", "all"):
-            suite = run_suite(preset, progress=_progress,
-                              workers=workers, pool=shared_pool,
-                              on_error=on_error, cache_dir=cache_dir)
-            for err in suite.failures:
-                _progress("figures7-10 FAILED shard: %s" % err)
-            outputs["figures7_10"] = all_figures_text(suite)
+    if artifact in ("figure6", "all"):
+        result = run_figure6(networks=networks,
+                             window_ns=window_ns, progress=_progress,
+                             workers=workers, on_error=on_error,
+                             backend=backend)
+        _progress("figure6: %d load points, %d simulator events"
+                  % (result.load_points, result.total_events))
+        for err in result.failures:
+            _progress("figure6 FAILED shard: %s" % err)
+        outputs["figure6"] = figure6_text(result)
+    if artifact in ("figures", "all"):
+        suite = run_suite(preset, progress=_progress, workers=workers,
+                          on_error=on_error)
+        for err in suite.failures:
+            _progress("figures7-10 FAILED shard: %s" % err)
+        outputs["figures7_10"] = all_figures_text(suite)
     if not outputs:
         raise SystemExit("unknown artifact %r (tables|figure6|figures|all)"
                          % artifact)
@@ -114,10 +105,6 @@ def main(argv=None) -> int:
     parser.add_argument("--preset", default="quick",
                         choices=["smoke", "quick", "full"],
                         help="workload sizing for figures 7-10")
-    parser.add_argument("--cache", default=None, metavar="DIR",
-                        help="figures 7-10: keep traces and replay "
-                             "results in DIR and simulate only what is "
-                             "missing there (resumable runs)")
     parser.add_argument("--window-ns", type=float, default=None,
                         help="injection window for figure 6 load points")
     parser.add_argument("--out", default=None,
@@ -180,8 +167,6 @@ def main(argv=None) -> int:
     artifact = args.artifact
     if args.networks and artifact == "all":
         artifact = "figure6"
-    if args.cache and artifact not in ("figures", "all"):
-        parser.error("--cache applies to --artifact figures or all")
     if artifact in ("figure6", "all"):
         # the same grid check run_figure6 makes, as a usage error
         # before anything is simulated
@@ -201,7 +186,7 @@ def main(argv=None) -> int:
     outputs = generate(artifact, args.preset, window, workers=workers,
                        on_error=args.on_error,
                        networks=args.networks,
-                       backend=args.backend, cache_dir=args.cache)
+                       backend=args.backend)
     for name, text in outputs.items():
         print()
         print("=" * 72)

@@ -46,6 +46,12 @@ from ..macrochip.config import MacrochipConfig
 #: 31-hop worst case on the 8x8 torus (4 * (4+4) - 1).
 SWITCH_POINTS_PER_CROSSING = 4
 
+#: O-E conversion + decode + switch actuation at one switch point
+CONTROL_HOP_CYCLES = 20
+
+#: circuit teardown after the data has left the source
+TEARDOWN_CYCLES = 2
+
 
 class CircuitSwitchedTorus(InterSiteNetwork):
     """Optical circuit-switched torus with optical control-path setup."""
@@ -55,15 +61,12 @@ class CircuitSwitchedTorus(InterSiteNetwork):
 
     def __init__(self, config: MacrochipConfig, sim: Simulator,
                  warmup_ps: int = 0,
-                 control_hop_cycles: int = 20,
-                 engines_per_site: int = 8,
-                 teardown_cycles: int = 2) -> None:
+                 engines_per_site: int = 8) -> None:
         super().__init__(config, sim, warmup_ps)
         self.data_gb_per_s = (config.transmitters_per_site
                               * config.wavelength_gb_per_s)
-        #: O-E conversion + decode + switch actuation at one switch point
-        self.control_hop_ps = config.cycles_ps(control_hop_cycles)
-        self.teardown_ps = config.cycles_ps(teardown_cycles)
+        self.control_hop_ps = config.cycles_ps(CONTROL_HOP_CYCLES)
+        self.teardown_ps = config.cycles_ps(TEARDOWN_CYCLES)
         #: optical flight time between adjacent switch points
         self.hop_prop_ps = propagation_ps(
             config.layout.site_pitch_cm / SWITCH_POINTS_PER_CROSSING)

@@ -1,5 +1,5 @@
-"""Backend selection plumbing: CLI round-trip, the suite cache manifest,
-and the numpy-optional degradation seams.
+"""Backend selection plumbing: CLI round-trip and the numpy-optional
+degradation seams.
 
 The vectorized backend is only useful if asking for it actually reaches
 the hot loop — these tests pin the plumbing between the user-facing
@@ -10,8 +10,6 @@ raises an actionable ImportError from :func:`require_numpy` while
 ``try_run_vectorized`` degrades silently to the scalar engine.
 """
 
-import json
-import os
 import sys
 import warnings
 from types import SimpleNamespace
@@ -21,7 +19,6 @@ import pytest
 import repro.core.vectorized as vectorized
 from repro.core.sweep import BACKENDS, run_load_point
 from repro.experiments import run as run_cli
-from repro.experiments.evaluation import run_suite
 from repro.experiments.figure6 import run_figure6
 from repro.macrochip.config import small_test_config
 from repro.workloads.synthetic import UniformTraffic
@@ -79,20 +76,6 @@ def test_backends_tuple_is_the_cli_choice_list():
     """The CLI choices and the sweep-layer validation must never drift
     apart — both are derived from / match BACKENDS."""
     assert BACKENDS == ("python", "vectorized")
-
-
-# -- suite cache fingerprint --------------------------------------------------
-
-def test_campaign_fingerprint_helper_defaults_to_python(tmp_path):
-    """The Figures 7-10 replay always runs the python engine, so the
-    ``run_suite(cache_dir=...)`` manifest carries no backend key."""
-    cache_dir = str(tmp_path / "cache")
-    run_suite("smoke", config=CFG, networks=["point_to_point"],
-              workloads=["Radix"], cache_dir=cache_dir)
-    with open(os.path.join(cache_dir, "manifest.json")) as fh:
-        doc = json.load(fh)
-    assert "backend" not in doc
-    assert doc["version"] >= 3
 
 
 # -- numpy-optional seams -----------------------------------------------------

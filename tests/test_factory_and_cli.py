@@ -246,36 +246,29 @@ class TestRunCli:
                             lambda suite: "stub figures")
         return calls
 
-    def test_cache_flag_reaches_run_suite(self, suite_stubs, tmp_path):
+    def test_cache_flag_is_rejected(self, suite_stubs, tmp_path, capsys):
+        """The resumable cache is gone: ``--cache`` is a usage error
+        before anything is simulated."""
         from repro.experiments.run import main
 
-        rc = main(["--artifact", "figures", "--cache", str(tmp_path)])
-        assert rc == 0
-        assert suite_stubs["kwargs"]["cache_dir"] == str(tmp_path)
-
-    def test_cache_flag_needs_a_figures_artifact(self, suite_stubs,
-                                                 tmp_path):
-        from repro.experiments.run import main
-
-        with pytest.raises(SystemExit):
-            main(["--artifact", "figure6", "--cache", str(tmp_path)])
+        with pytest.raises(SystemExit) as exc:
+            main(["--artifact", "figures", "--cache", str(tmp_path)])
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
         assert suite_stubs == {}
 
-    def test_generate_all_shares_one_pool(self, figure6_stubs, suite_stubs,
-                                          monkeypatch):
-        """`--artifact all` opens one worker pool and lends it to both
-        the Figure 6 sweep and run_suite."""
-        from repro.core.parallel import WorkerPool
+    def test_generate_all_passes_workers_to_each_driver(
+            self, figure6_stubs, suite_stubs, monkeypatch):
+        """`--artifact all` hands its worker count to the Figure 6 sweep
+        and to run_suite; each starts and stops its own workers."""
         from repro.experiments import run as run_mod
 
         monkeypatch.setattr(run_mod, "all_tables_text", lambda: "t")
-        out = run_mod.generate("all", "smoke", window_ns=100.0, workers=2,
-                               cache_dir="cache-dir")
+        out = run_mod.generate("all", "smoke", window_ns=100.0, workers=2)
         assert set(out) == {"tables", "figure6", "figures7_10"}
-        pool = suite_stubs["kwargs"]["pool"]
-        assert isinstance(pool, WorkerPool)
-        assert figure6_stubs["kwargs"]["pool"] is pool
-        assert suite_stubs["kwargs"]["cache_dir"] == "cache-dir"
+        for stubs in (figure6_stubs, suite_stubs):
+            assert stubs["kwargs"]["workers"] == 2
+            assert "pool" not in stubs["kwargs"]
 
 
 class TestTaxonomy:

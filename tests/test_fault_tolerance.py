@@ -4,12 +4,14 @@ A *raising* shard follows the error policy on both loops: ``'raise'``
 propagates it, ``'collect'`` turns it into a :class:`ShardError` result
 slot while every other result survives.  A worker *killed* mid-flight
 (OOM/segfault, injected here via ``os.kill(..., SIGKILL)``) fails the
-run loudly with ``BrokenProcessPool`` naming the shard, and the same
-:class:`WorkerPool` then serves the next run on fresh workers.  A pool
-run is bit-identical to the serial run on every photonic network, and
-the retired retry/timeout options are rejected at every layer.
+run loudly with ``BrokenProcessPool`` naming the shard, and the next
+run starts fresh workers.  Every pool run shuts its workers down before
+it returns or raises.  A pool run is bit-identical to the serial run on
+every photonic network, and the retired retry/timeout options are
+rejected at every layer.
 """
 
+import multiprocessing
 import os
 import signal
 import threading
@@ -22,7 +24,6 @@ from repro.core.parallel import (
     Shard,
     ShardError,
     ShardExecutionError,
-    WorkerPool,
     run_sharded,
 )
 from repro.core.sweep import run_load_point
@@ -44,8 +45,8 @@ NETWORKS = [
 
 
 def _pool_available():
-    with WorkerPool(2) as probe:
-        return probe.acquire() is not None
+    return run_sharded([Shard(_square, args=(i,)) for i in range(2)],
+                       workers=2).mode != "serial"
 
 
 # -- shard bodies (module-level, picklable) -----------------------------------
@@ -137,7 +138,7 @@ def test_collect_keeps_19_of_20(workers):
     assert run.failed == 1 and not run.ok
     assert run.errors == [err]
     assert ", 1 failed" in run.summary()
-    assert "boom7" in run.failure_report()
+    assert multiprocessing.active_children() == []  # no worker outlives it
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -145,6 +146,7 @@ def test_raise_policy_still_propagates(workers):
     with pytest.raises(ValueError, match="boom"):
         run_sharded([Shard(_square, args=(1,)), Shard(_boom, args=(2,))],
                     workers=workers, on_error="raise")
+    assert multiprocessing.active_children() == []
 
 
 def test_unpicklable_exception_transport():
@@ -179,10 +181,8 @@ def test_pool_bit_identical_to_serial(network):
     shards = [Shard(run_load_point, args=(network, CFG, pattern, f),
                     kwargs=kwargs, label="@%.2f" % f) for f in fractions]
     serial = run_sharded(shards, workers=1)
-    with WorkerPool(2) as pool:
-        pooled = run_sharded(shards, pool=pool,
-                             cost_key=lambda s: s.args[3])
-        assert pooled.mode != "serial"
+    pooled = run_sharded(shards, workers=2, cost_key=lambda s: s.args[3])
+    assert pooled.mode != "serial"
     assert pooled.results == serial.results  # dataclass field equality
     for got, want in zip(pooled.results, serial.results):
         assert repr(got) == repr(want)  # byte-identical rendering
@@ -191,22 +191,20 @@ def test_pool_bit_identical_to_serial(network):
 @pytest.mark.parametrize("on_error", ["raise", "collect"])
 def test_killed_worker_fails_loudly(on_error):
     """A SIGKILLed worker fails the run at once, under either policy,
-    naming the shard it held; the same pool then runs a fresh shard
-    list on new workers."""
+    naming the shard it held, and leaves no worker process behind; the
+    next call runs a fresh shard list on new workers."""
     if not _pool_available():
         pytest.skip("platform cannot create worker pools")
     shards = [Shard(_square, args=(i,), label="sq%d" % i) for i in range(4)]
     shards[1] = Shard(_kill_own_worker, args=(1,), label="killed-shard")
-    with WorkerPool(2) as pool:
-        started = time.monotonic()
-        with pytest.raises(BrokenProcessPool, match="killed-shard"):
-            run_sharded(shards, pool=pool, on_error=on_error)
-        assert time.monotonic() - started < 10
-        assert pool.mode == "serial"  # the broken executor was dropped
-        fresh = [Shard(_square, args=(i,), label="sq%d" % i)
-                 for i in range(6)]
-        run = run_sharded(fresh, pool=pool, on_error=on_error)
-        assert run.mode != "serial"
+    started = time.monotonic()
+    with pytest.raises(BrokenProcessPool, match="killed-shard"):
+        run_sharded(shards, workers=2, on_error=on_error)
+    assert time.monotonic() - started < 10
+    assert multiprocessing.active_children() == []
+    fresh = [Shard(_square, args=(i,), label="sq%d" % i) for i in range(6)]
+    run = run_sharded(fresh, workers=2, on_error=on_error)
+    assert run.mode != "serial"
     assert run.results == [i * i for i in range(6)] and run.ok
 
 
@@ -256,32 +254,3 @@ def test_figure6_collect_records_failures():
     rows = result.saturation_table()  # must not crash on partial curves
     assert rows and rows[0][0] == "uniform"
     assert "failed" in figure6_text(result)
-
-
-def test_campaign_never_caches_failures(tmp_path, monkeypatch):
-    """A failed replay must not be written to the suite cache: the next
-    run_suite over the same cache_dir retries exactly that pair."""
-    import repro.experiments.evaluation as evaluation
-
-    real = evaluation.replay
-
-    def flaky(trace, network, config):
-        if network == "token_ring" and not hasattr(flaky, "healed"):
-            raise RuntimeError("injected replay failure")
-        return real(trace, network, config)
-
-    monkeypatch.setattr(evaluation, "replay", flaky)
-    results_dir = tmp_path / "c" / "results"
-    kwargs = dict(config=CFG, networks=["point_to_point", "token_ring"],
-                  workloads=["Radix"], cache_dir=str(tmp_path / "c"),
-                  on_error="collect")
-    suite = evaluation.run_suite("smoke", **kwargs)
-    assert "token_ring" not in suite.results["Radix"]
-    assert len(suite.failures) == 1
-    assert suite.failures[0].error_type == "RuntimeError"
-    assert sorted(os.listdir(results_dir)) == ["Radix__point_to_point.json"]
-    flaky.healed = True  # second run: the injected fault is gone
-    suite = evaluation.run_suite("smoke", **kwargs)
-    assert suite.results["Radix"]["token_ring"].runtime_ps > 0
-    assert len(os.listdir(results_dir)) == 2
-    assert suite.failures == []

@@ -6,6 +6,9 @@ load point, CPU trace generation and closed-loop replay, the tables
 artifact — never pay for it.  A vectorized sweep over a pool imports it
 in the parent before the workers fork, so they share its pages.
 
+The process-pool machinery is lazy the same way: ``concurrent.futures``
+and ``multiprocessing`` load only when a run actually starts workers.
+
 Each check runs in a fresh interpreter: in this one, other tests have
 long since loaded numpy.
 """
@@ -27,13 +30,13 @@ needs_numpy = pytest.mark.skipif(
     not have_numpy(), reason="numpy not installed (pip install repro[fast])")
 
 
-def numpy_loaded_after(code: str) -> bool:
-    """Run ``code`` in a fresh interpreter; whether numpy was imported
-    by the time it finished."""
+def loaded_after(code: str, modules) -> list:
+    """Run ``code`` in a fresh interpreter; which of ``modules`` were
+    imported by the time it finished."""
     script = textwrap.dedent(code) + textwrap.dedent("""
         import json, sys
-        print(json.dumps("numpy" in sys.modules))
-        """)
+        print(json.dumps([m for m in %r if m in sys.modules]))
+        """ % (list(modules),))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (SRC, env.get("PYTHONPATH")) if p)
@@ -41,6 +44,13 @@ def numpy_loaded_after(code: str) -> bool:
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
     return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def numpy_loaded_after(code: str) -> bool:
+    return bool(loaded_after(code, ["numpy"]))
+
+
+POOL_MODULES = ["concurrent.futures", "multiprocessing"]
 
 
 LOAD_POINT = """
@@ -76,11 +86,12 @@ def test_replay_leaves_numpy_unloaded():
 
 
 def test_tables_artifact_leaves_numpy_unloaded(tmp_path):
-    """``python -m repro.experiments.run --artifact tables``."""
-    assert not numpy_loaded_after("""
+    """``python -m repro.experiments.run --artifact tables``, which
+    loads no process-pool machinery either."""
+    assert loaded_after("""
         from repro.experiments import run
         assert run.main(["--artifact", "tables", "--out", %r]) == 0
-        """ % str(tmp_path))
+        """ % str(tmp_path), ["numpy"] + POOL_MODULES) == []
     assert os.path.exists(tmp_path / "tables.txt")
 
 
@@ -101,3 +112,14 @@ def test_parallel_vectorized_sweep_loads_numpy_in_parent():
                     load_grids={"uniform": [0.05, 0.1]}, workers=2,
                     backend="vectorized")
         """)
+
+
+def test_serial_run_leaves_pool_machinery_unloaded():
+    """A serial ``run_sharded`` never imports the process machinery."""
+    assert loaded_after("""
+        from repro.core.parallel import Shard, run_sharded
+
+        run = run_sharded([Shard(abs, args=(-i,)) for i in range(3)])
+        assert run.results == [0, 1, 2] and run.mode == "serial"
+        """, POOL_MODULES) == []
+

@@ -10,7 +10,6 @@ from repro.core.stats import (
     LatencySample,
     NetworkStats,
     ThroughputMeter,
-    mean,
 )
 
 
@@ -69,36 +68,15 @@ class TestLatencySample:
 
     @given(st.lists(st.integers(min_value=0, max_value=10**6),
                     max_size=100))
-    def test_histogram_equality_and_roundtrip(self, values):
+    def test_equality_ignores_insertion_order(self, values):
         s, reordered = LatencySample(), LatencySample()
         for v in values:
             s.add(v)
         for v in reversed(values):
             reordered.add(v)
         assert s == reordered  # insertion order is not state
-        back = LatencySample.from_histogram(s.histogram())
-        assert back == s
-        assert (back.count, back.sum_ps) == (s.count, s.sum_ps)
-        if values:
-            assert (back.min_ps, back.max_ps) == (s.min_ps, s.max_ps)
-            assert back.percentile_ps(50) == s.percentile_ps(50)
         s.add(7)
         assert s != reordered
-
-    @pytest.mark.parametrize("pairs, message", [
-        ([[5000, 0], [7000, 2]], r"\[5000, 0\]: count must be at least 1"),
-        ([[5000, -1], [7000, 2]], r"\[5000, -1\]: count must be at least 1"),
-        ([[7000, 2], [7000, 1]], r"\[7000, 1\]: value listed twice"),
-    ], ids=["zero-count", "negative-count", "repeated-value"])
-    def test_from_histogram_rejects_contradictions(self, pairs, message):
-        with pytest.raises(ValueError, match=message):
-            LatencySample.from_histogram(pairs)
-
-    def test_from_histogram_reads_min_max_off_observed_values(self):
-        s = LatencySample.from_histogram([[5000, 1], [7000, 2]])
-        assert (s.count, s.sum_ps, s.min_ps, s.max_ps) == (3, 19000, 5000,
-                                                           7000)
-        assert LatencySample.from_histogram([]) == LatencySample()
 
 
 class TestThroughputMeter:
@@ -143,9 +121,7 @@ class TestEnergyAccount:
 class TestNetworkStats:
     def test_deliver_updates_everything(self):
         s = NetworkStats(warmup_ps=0)
-        s.on_inject()
         s.on_deliver(now_ps=2000, inject_ps=500, size_bytes=64)
-        assert s.injected_packets == 1
         assert s.delivered_packets == 1
         assert s.latency.mean_ps == 1500
 
@@ -154,15 +130,6 @@ class TestNetworkStats:
         s.on_deliver(now_ps=500, inject_ps=100, size_bytes=64)
         assert len(s.latency) == 0
         assert s.delivered_packets == 1
-
-    def test_summary_keys(self):
-        s = NetworkStats()
-        s.on_inject()
-        s.on_deliver(1000, 0, 64)
-        summary = s.summary()
-        assert summary["injected"] == 1
-        assert summary["delivered"] == 1
-        assert summary["mean_latency_ns"] == pytest.approx(1.0)
 
     def test_post_window_deliveries_not_in_latency(self):
         """Latency sampling shares the throughput meter's measurement
@@ -205,7 +172,8 @@ class TestNetworkStats:
         s.on_deliver(1500, 500, 64, "optical", 76.8)
         s.on_deliver(1600, 500, 64, "optical", 76.8)
         assert s.delivered_packets == 2
-        assert s.latency.histogram() == [[1000, 1], [1100, 1]]
+        assert (len(s.latency), s.latency.min_ps, s.latency.max_ps) == (
+            2, 1000, 1100)
         assert s.throughput.bytes == 128
         assert s.energy.get("optical") == 76.8 + 76.8
 
@@ -216,8 +184,3 @@ class TestNetworkStats:
         assert s.delivered_packets == 1
         assert s.energy.categories() == {}
         assert s.latency.mean_ps == 1000
-
-
-def test_mean_helper():
-    assert mean([1.0, 2.0, 3.0]) == 2.0
-    assert math.isnan(mean([]))

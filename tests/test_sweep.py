@@ -8,7 +8,7 @@ import pytest
 import repro.core.sweep as sweep_mod
 from repro.core.engine import Simulator
 from repro.core.interning import clear_interned, intern_table, interned_count
-from repro.core.parallel import Shard, WorkerPool, run_sharded
+from repro.core.parallel import Shard, run_sharded
 from repro.core.sweep import (BACKENDS, check_injects_something,
                               clear_draw_banks, run_load_point,
                               to_sweep_point)
@@ -355,13 +355,13 @@ def _fresh_points(network, pattern, fractions):
             for f in fractions]
 
 
-def _warm_points(network, pattern, fractions, workers=1, pool=None):
+def _warm_points(network, pattern, fractions, workers=1):
     """The same points through the interned draw bank, sharded as
     run_figure6 shards them."""
     shards = [Shard(run_load_point, args=(network, CFG, pattern, f),
                     kwargs=dict(window_ns=WINDOW_NS, seed=SEED))
               for f in fractions]
-    run = run_sharded(shards, workers=workers, pool=pool)
+    run = run_sharded(shards, workers=workers)
     return [to_sweep_point(r, CFG) for r in run.results]
 
 
@@ -370,36 +370,6 @@ def test_sweep_warm_identical_across_worker_counts(workers):
     got = _warm_points("point_to_point", _pattern(), FRACTIONS,
                        workers=workers)
     assert got == _fresh_points("point_to_point", _pattern(), FRACTIONS)
-
-
-def test_worker_pool_survives_across_run_sharded_calls():
-    shards = [Shard(run_load_point,
-                    args=("point_to_point", CFG, _pattern(), f),
-                    kwargs=dict(window_ns=WINDOW_NS, seed=SEED, warm=True))
-              for f in FRACTIONS]
-    baseline = run_sharded(shards, workers=1).results
-    with WorkerPool(workers=2) as pool:
-        first = run_sharded(shards, workers=2, pool=pool)
-        second = run_sharded(shards, workers=2, pool=pool)
-        assert first.results == baseline
-        assert second.results == baseline
-        if pool.mode != "serial":
-            # same worker processes served both calls (the pool's point)
-            pids_first = {r.worker_pid for r in first.reports}
-            pids_second = {r.worker_pid for r in second.reports}
-            assert pids_first & pids_second
-    # close() is idempotent and the pool can be reused after closing
-    pool.close()
-    third = run_sharded(shards, workers=2, pool=pool)
-    assert third.results == baseline
-    pool.close()
-
-
-def test_sweep_accepts_borrowed_pool():
-    with WorkerPool(workers=2) as pool:
-        a = _warm_points("token_ring", _pattern(), FRACTIONS, workers=2,
-                         pool=pool)
-    assert a == _fresh_points("token_ring", _pattern(), FRACTIONS)
 
 
 # -- the interned draw bank --------------------------------------------------

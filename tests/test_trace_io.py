@@ -1,17 +1,12 @@
-"""Tests for coherence-trace serialization."""
+"""Tests for the coherence-trace text that ``test_kernel_trace_pins``
+pins."""
 
 import io
 import json
 
-import pytest
-
 from repro.cpu.coherence import CoherenceOp, OpKind
-from repro.cpu.system import generate_trace
 from repro.cpu.trace import CoherenceTrace
-from repro.cpu.trace_io import dump_trace, load_trace
-from repro.macrochip.config import small_test_config
-from repro.workloads.kernels import RadixKernel
-from repro.workloads.replay import replay
+from repro.cpu.trace_io import dump_trace
 
 
 def sample_trace():
@@ -32,58 +27,20 @@ def sample_trace():
     return trace
 
 
-def test_roundtrip_through_file(tmp_path):
-    path = str(tmp_path / "trace.json")
-    original = sample_trace()
-    dump_trace(original, path)
-    loaded = load_trace(path)
-    assert loaded.workload == "sample"
-    assert loaded.num_cores == 4
-    assert loaded.total_instructions == 100
-    assert loaded.ops_by_core == original.ops_by_core
-
-
-def test_roundtrip_through_stream():
+def test_dump_trace_document():
+    """One fixed-shape row per op, one list per core; a missing owner is
+    written as -1."""
     buf = io.StringIO()
     dump_trace(sample_trace(), buf)
-    buf.seek(0)
-    loaded = load_trace(buf)
-    assert loaded.ops_by_core[0][1].sharers == (1, 2)
-    assert loaded.ops_by_core[0][0].owner == 2
-    assert loaded.ops_by_core[0][1].owner is None or True
-
-
-def test_none_owner_preserved():
-    buf = io.StringIO()
-    dump_trace(sample_trace(), buf)
-    buf.seek(0)
-    loaded = load_trace(buf)
-    assert loaded.ops_by_core[0][1].owner is None
-
-
-def test_version_check():
-    buf = io.StringIO(json.dumps({"version": 99}))
-    with pytest.raises(ValueError):
-        load_trace(buf)
-
-
-def test_corrupt_core_count_rejected():
-    doc = {"version": 1, "workload": "x", "num_cores": 2,
-           "total_references": 0, "total_instructions": 0,
-           "l2_misses": 0, "ops": [[]]}
-    with pytest.raises(ValueError):
-        load_trace(io.StringIO(json.dumps(doc)))
-
-
-def test_loaded_trace_replays_identically(tmp_path):
-    """A saved+loaded trace must produce the exact same replay result."""
-    cfg = small_test_config(2, 2)
-    trace = generate_trace(RadixKernel(refs_per_core=60), cfg)
-    path = str(tmp_path / "radix.json")
-    dump_trace(trace, path)
-    loaded = load_trace(path)
-    a = replay(trace, "point_to_point", cfg)
-    b = replay(loaded, "point_to_point", cfg)
-    assert a.runtime_ps == b.runtime_ps
-    assert a.messages_sent == b.messages_sent
-    assert a.mean_op_latency_ns == b.mean_op_latency_ns
+    doc = json.loads(buf.getvalue())
+    assert doc["version"] == 1
+    assert (doc["workload"], doc["num_cores"]) == ("sample", 4)
+    assert (doc["total_references"], doc["total_instructions"],
+            doc["l2_misses"]) == (10, 100, 3)
+    assert doc["ops"] == [
+        [[5, OpKind.GET_S.value, 0, 1, 2, [], 64],
+         [9, OpKind.GET_M.value, 0, 3, -1, [1, 2], 128]],
+        [],
+        [],
+        [[0, OpKind.WRITEBACK.value, 1, 2, -1, [], 192]],
+    ]

@@ -14,10 +14,6 @@ def test_ns_conversion():
     assert units.ns(12.8) == 12800
 
 
-def test_to_ns_roundtrip():
-    assert units.to_ns(units.ns(3.7)) == pytest.approx(3.7)
-
-
 def test_us_conversion():
     assert units.us(1.0) == 1_000_000
 
